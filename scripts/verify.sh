@@ -91,7 +91,8 @@ sat4_log=$(mktemp)
 trap 'rm -f "$t1_log" "$t4_log" "$doc_log" "$og1_log" "$og4_log" "$sat1_log" "$sat4_log"' EXIT
 cargo run --release --offline -q -p ims-bench --bin optgap -- \
     --loops 240 --threads 1 --backend sat \
-    --profile "$bench_dir/BENCH_optgap_sat_t1.json" >"$sat1_log" 2>/dev/null
+    --profile "$bench_dir/BENCH_optgap_sat_t1.json" \
+    --trace "$bench_dir/trace_optgap_sat_t1" >"$sat1_log" 2>/dev/null
 cargo run --release --offline -q -p ims-bench --bin optgap -- \
     --loops 240 --threads 4 --backend sat \
     --profile "$bench_dir/BENCH_optgap_sat_t4.json" >"$sat4_log" 2>/dev/null
@@ -249,7 +250,7 @@ preqs="$bench_dir/serve_portfolio.jsonl"
 pdoubled="$bench_dir/serve_portfolio_x2.jsonl"
 pf1_log=$(mktemp)
 pf4_log=$(mktemp)
-trap 'rm -f "$t1_log" "$t4_log" "$doc_log" "$og1_log" "$og4_log" "$sat1_log" "$sat4_log" "$ex1_log" "$ex4_log" "$exr_log" "$sv1_log" "$sv4_log" "$pf1_log" "$pf4_log"' EXIT
+trap 'rm -f "$t1_log" "$t4_log" "$doc_log" "$og1_log" "$og4_log" "$sat1_log" "$sat4_log" "$pl1_log" "$pl4_log" "$ex1_log" "$ex4_log" "$exr_log" "$sv1_log" "$sv4_log" "$pf1_log" "$pf4_log"' EXIT
 cargo run --release --offline -q -p ims-serve --bin scheduled -- \
     --gen-requests 30 --seed 11 --backend "portfolio(ims,exact)" >"$preqs"
 cat "$preqs" "$preqs" >"$pdoubled"
@@ -271,6 +272,47 @@ if ! diff -q <(head -n "$pn_half" "$pf1_log") <(tail -n "$pn_half" "$pf1_log") >
     exit 1
 fi
 echo "    $((2 * pn_half)) portfolio responses byte-identical across thread counts, cache hot or cold"
+
+echo "==> golden gate: every deterministic artifact matches scripts/golden.sha256"
+# The gates above compare runs against each other; this one pins their
+# bytes. The logs and snapshots written above are reused; only the
+# corpus runs of the two provers are new.
+for b in exact sat; do
+    cargo run --release --offline -q -p ims-bench --bin corpus -- \
+        --loops 120 --threads 4 --backend "$b" \
+        --profile "$bench_dir/BENCH_corpus_$b.json" >"$bench_dir/corpus_$b.jsonl" 2>/dev/null
+done
+# The snapshot's "deterministic" object, without the wall section.
+det() { awk '/^  "deterministic": \{/{p=1} p{print} p&&/^  \}/{exit}' "$1"; }
+# sha256 of stdin, and of a directory tree (relative names + contents).
+sum() { sha256sum | cut -d' ' -f1; }
+tree_sum() { (cd "$1" && find . -type f | LC_ALL=C sort | xargs sha256sum) | sum; }
+golden="$bench_dir/golden.sha256"
+{
+    echo "$(sum <"$t1_log")  corpus.stdout"
+    echo "$(det "$bench_dir/BENCH_corpus_t1.json" | sum)  corpus.profile"
+    for b in exact sat; do
+        echo "$(sum <"$bench_dir/corpus_$b.jsonl")  corpus_$b.stdout"
+        echo "$(det "$bench_dir/BENCH_corpus_$b.json" | sum)  corpus_$b.profile"
+    done
+    echo "$(sum <"$pl1_log")  corpus_press16.stdout"
+    echo "$(det "$bench_dir/BENCH_press_t1.json" | sum)  corpus_press16.profile"
+    echo "$(tree_sum "$tr1_dir")  corpus.trace"
+    echo "$(sum <"$og1_log")  optgap_exact.stdout"
+    echo "$(tree_sum "$bench_dir/trace_optgap_t1")  optgap_exact.trace"
+    echo "$(det "$bench_dir/BENCH_optgap_t1.json" | sum)  optgap_exact.profile"
+    echo "$(sum <"$sat1_log")  optgap_sat.stdout"
+    echo "$(tree_sum "$bench_dir/trace_optgap_sat_t1")  optgap_sat.trace"
+    echo "$(det "$bench_dir/BENCH_optgap_sat_t1.json" | sum)  optgap_sat.profile"
+    echo "$(sum <"$ex1_log")  explain.stdout"
+    echo "$(sum <"$sv1_log")  scheduled.stdout"
+    echo "$(sum <"$pf1_log")  scheduled_portfolio.stdout"
+} >"$golden"
+if ! diff -u scripts/golden.sha256 "$golden" >&2; then
+    echo "FAIL: deterministic artifacts differ from scripts/golden.sha256" >&2
+    exit 1
+fi
+echo "    $(wc -l <"$golden") artifacts byte-identical to the committed checksums"
 
 echo "==> cargo doc --no-deps --offline (warnings are errors)"
 cargo doc --no-deps --offline --workspace 2>&1 | tee "$doc_log"

@@ -12,7 +12,7 @@
 //!    MinDist formulation.
 
 use ims_bench::pool::threads_from_args;
-use ims_bench::{measure_corpus_traced, parse_trace_dir};
+use ims_bench::{measure_corpus, parse_trace_dir, MeasureParams};
 use ims_core::{
     modulo_schedule, rec_mii, rec_mii_by_circuits, Counters, PriorityKind, SchedConfig,
 };
@@ -32,11 +32,20 @@ fn main() {
 
     // ----- 1. Complex vs simple reservation tables -----
     let trace = |machine: &ims_machine::MachineModel, prefix: &str| {
-        measure_corpus_traced(&corpus, machine, 6.0, threads, trace_dir.as_deref(), prefix)
-            .unwrap_or_else(|e| {
-                eprintln!("ablation: cannot write traces: {e}");
-                std::process::exit(1);
-            })
+        let trace = trace_dir.as_deref().map(|dir| (dir, prefix));
+        measure_corpus(
+            &corpus,
+            machine,
+            &MeasureParams::ims(6.0),
+            threads,
+            trace,
+            false,
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("ablation: cannot write traces: {e}");
+            std::process::exit(1);
+        })
+        .0
     };
     let complex = trace(&cydra(), "complex_");
     let simple = trace(&cydra_simple(), "simple_");

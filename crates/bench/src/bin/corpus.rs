@@ -47,40 +47,25 @@
 //! varies. Compare snapshots with `benchdiff`, render them with
 //! `profile_report`.
 
-use ims_bench::pool::{backend_or_exit, pressure_or_exit, threads_or_exit};
-use ims_bench::profile::{
-    measure_corpus_pressure_profiled, measure_corpus_profiled, parse_profile_path, write_profile,
-};
+use ims_bench::pool::{backend_or_exit, flag_or_exit, pressure_or_exit, threads_or_exit};
+use ims_bench::profile::{parse_profile_path, write_profile};
 use ims_bench::{
-    conflict_budget_for_ms, corpus_jsonl_opts, measure_corpus_backend, measure_corpus_pressure,
-    measure_corpus_traced, node_budget_for_ms, parse_trace_dir,
+    corpus_jsonl_opts, measure_corpus, parse_trace_dir, work_limit_for_ms, MeasureParams,
 };
 use ims_core::{BackendKind, BackendSpec};
 use ims_loopgen::corpus_of_size;
 use ims_machine::{cydra, cydra_rf};
 
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        } else if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
-            if let Ok(v) = v.parse() {
-                return v;
-            }
-        }
-    }
-    default
-}
+const USAGE: &str = "usage: corpus [--seed H] [--loops N] [--budget R] [--threads T] [--trace DIR]
+              [--backend ims|exact|sat] [--deadline-ms D] [--wall] [--profile FILE]
+              [--pressure-limit N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = flag(&args, "--seed", 0xC4D5);
-    let loops: usize = flag(&args, "--loops", 1327);
-    let budget: f64 = flag(&args, "--budget", 6.0);
-    let deadline_ms: u64 = flag(&args, "--deadline-ms", 5000);
+    let seed: u64 = flag_or_exit(&args, "--seed", USAGE).unwrap_or(0xC4D5);
+    let loops: usize = flag_or_exit(&args, "--loops", USAGE).unwrap_or(1327);
+    let budget: f64 = flag_or_exit(&args, "--budget", USAGE).unwrap_or(6.0);
+    let deadline_ms: u64 = flag_or_exit(&args, "--deadline-ms", USAGE).unwrap_or(5000);
     let with_wall = args.iter().any(|a| a == "--wall");
     let threads = threads_or_exit(&args);
     let trace_dir = parse_trace_dir(&args);
@@ -106,9 +91,11 @@ fn main() {
         eprintln!("corpus: --pressure-limit cannot be combined with --trace");
         std::process::exit(2);
     }
-    let work_limit = match backend {
-        BackendKind::Sat => conflict_budget_for_ms(deadline_ms),
-        _ => node_budget_for_ms(deadline_ms),
+    let params = MeasureParams {
+        backend,
+        budget_ratio: budget,
+        work_limit: work_limit_for_ms(backend, deadline_ms),
+        pressure_limit,
     };
 
     let corpus = corpus_of_size(seed, loops);
@@ -119,57 +106,28 @@ fn main() {
         None => cydra(),
     };
     let t0 = std::time::Instant::now();
-    let ms = if let Some(limit) = pressure_limit {
-        if let Some(profile_path) = &profile_path {
-            let (ms, reg) =
-                measure_corpus_pressure_profiled(&corpus, &machine, budget, limit, threads);
-            write_profile(profile_path, "corpus", &reg).unwrap_or_else(|e| {
-                eprintln!("corpus: cannot write profile {}: {e}", profile_path.display());
-                std::process::exit(1);
-            });
-            ms
-        } else {
-            measure_corpus_pressure(&corpus, &machine, budget, limit, threads)
-        }
-    } else if let Some(profile_path) = &profile_path {
-        let (ms, reg) = measure_corpus_profiled(
-            &corpus,
-            &machine,
-            backend,
-            budget,
-            work_limit,
-            threads,
-            trace_dir.as_deref(),
-            "",
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("corpus: cannot write traces: {e}");
-            std::process::exit(1);
-        });
+    let trace = trace_dir.as_deref().map(|dir| (dir, ""));
+    let (ms, reg) = measure_corpus(
+        &corpus,
+        &machine,
+        &params,
+        threads,
+        trace,
+        profile_path.is_some(),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("corpus: cannot write traces: {e}");
+        std::process::exit(1);
+    });
+    if let Some(profile_path) = &profile_path {
         write_profile(profile_path, "corpus", &reg).unwrap_or_else(|e| {
-            eprintln!("corpus: cannot write profile {}: {e}", profile_path.display());
+            eprintln!(
+                "corpus: cannot write profile {}: {e}",
+                profile_path.display()
+            );
             std::process::exit(1);
         });
-        ms
-    } else {
-        match backend {
-            BackendKind::Ims => {
-                measure_corpus_traced(&corpus, &machine, budget, threads, trace_dir.as_deref(), "")
-                    .unwrap_or_else(|e| {
-                        eprintln!("corpus: cannot write traces: {e}");
-                        std::process::exit(1);
-                    })
-            }
-            BackendKind::Exact | BackendKind::Sat => measure_corpus_backend(
-                &corpus,
-                &machine,
-                backend,
-                budget,
-                work_limit,
-                threads,
-            ),
-        }
-    };
+    }
     let elapsed = t0.elapsed();
 
     print!("{}", corpus_jsonl_opts(&ms, with_wall));

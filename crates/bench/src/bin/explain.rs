@@ -39,6 +39,8 @@
 //! deterministic sections (the `explain.*` counters among them) are
 //! byte-identical across `--threads` values.
 
+use std::path::PathBuf;
+
 use ims_bench::profile::{flush_counters, parse_profile_path, write_profile};
 use ims_bench::{parse_trace_dir, pool};
 use ims_core::{Counters, SchedConfig, Scheduler};
@@ -49,58 +51,21 @@ use ims_machine::cydra;
 use ims_prof::{phase, MetricsRegistry, PhaseTimer};
 use ims_trace::{parse_trace_prefix, Recorder, SchedEvent};
 
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        } else if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
-            if let Ok(v) = v.parse() {
-                return v;
-            }
-        }
-    }
-    default
-}
-
-/// `--NAME PATH` or `--NAME=PATH`, the way [`parse_trace_dir`] handles
-/// `--trace`.
-fn path_flag(args: &[String], name: &str) -> Option<std::path::PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return it.next().map(std::path::PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
-            return Some(std::path::PathBuf::from(v));
-        }
-    }
-    None
-}
-
-/// Closes a span into the registry when profiling, discards it otherwise.
-fn span_end(t: PhaseTimer, reg: &mut Option<MetricsRegistry>) {
-    match reg.as_mut() {
-        Some(r) => {
-            t.finish(r);
-        }
-        None => t.cancel(),
-    }
-}
+const USAGE: &str = "usage: explain [--seed H] [--loops N] [--threads T] [--budget-ratio R]
+               [--top K] [--max-circuits C] [--trace DIR] [--from-trace DIR]
+               [--optgap FILE] [--profile FILE]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = flag(&args, "--seed", 0xC4D5);
-    let loops: usize = flag(&args, "--loops", 300);
-    let budget_ratio: f64 = flag(&args, "--budget-ratio", 6.0);
-    let top: usize = flag(&args, "--top", 10);
-    let max_circuits: usize = flag(&args, "--max-circuits", 10_000);
+    let seed: u64 = pool::flag_or_exit(&args, "--seed", USAGE).unwrap_or(0xC4D5);
+    let loops: usize = pool::flag_or_exit(&args, "--loops", USAGE).unwrap_or(300);
+    let budget_ratio: f64 = pool::flag_or_exit(&args, "--budget-ratio", USAGE).unwrap_or(6.0);
+    let top: usize = pool::flag_or_exit(&args, "--top", USAGE).unwrap_or(10);
+    let max_circuits: usize = pool::flag_or_exit(&args, "--max-circuits", USAGE).unwrap_or(10_000);
     let threads = pool::threads_or_exit(&args);
     let trace_dir = parse_trace_dir(&args);
-    let from_trace = path_flag(&args, "--from-trace");
-    let optgap_path = path_flag(&args, "--optgap");
+    let from_trace: Option<PathBuf> = pool::flag_or_exit(&args, "--from-trace", USAGE);
+    let optgap_path: Option<PathBuf> = pool::flag_or_exit(&args, "--optgap", USAGE);
     let profile_path = parse_profile_path(&args);
 
     if trace_dir.is_some() && from_trace.is_some() {
@@ -140,7 +105,7 @@ fn main() {
             let t = PhaseTimer::start(phase::WALL_BUILD);
             let body = back_substitute(&l.body, &machine);
             let problem = build_problem(&body, &machine, &BuildOptions::default());
-            span_end(t, &mut reg);
+            t.finish_if(reg.as_mut());
 
             let mut consistent = true;
             let events: Vec<SchedEvent> = match &from_trace {
@@ -159,7 +124,7 @@ fn main() {
                         .observer(&mut rec)
                         .run()
                         .expect("corpus loops always schedule under the automatic II cap");
-                    span_end(t, &mut reg);
+                    t.finish_if(reg.as_mut());
                     // Exact-match accounting: what the trace says happened
                     // must be what the scheduler's counters say happened.
                     let mined = TraceMine::from_events(&rec.events);
@@ -207,7 +172,7 @@ fn main() {
                     r.add(phase::EXPLAIN_CIRCUITS_TRUNCATED, 1);
                 }
             }
-            span_end(whole, &mut reg);
+            whole.finish_if(reg.as_mut());
 
             let trace = tracing.then(|| {
                 let mut text = String::new();

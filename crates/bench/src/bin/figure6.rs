@@ -11,7 +11,7 @@
 //! near their minima.
 
 use ims_bench::pool::threads_from_args;
-use ims_bench::{aggregate_figure6, measure_corpus_traced, parse_trace_dir};
+use ims_bench::{aggregate_figure6, measure_corpus, parse_trace_dir, MeasureParams};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
 use ims_stats::table::{num, Table};
@@ -40,11 +40,19 @@ fn main() {
     for &b in &budgets {
         eprintln!("  BudgetRatio {b:.2} ({threads} threads)...");
         let prefix = format!("b{b:.2}_");
-        let ms = measure_corpus_traced(&corpus, &machine, b, threads, trace_dir.as_deref(), &prefix)
-            .unwrap_or_else(|e| {
-                eprintln!("figure6: cannot write traces: {e}");
-                std::process::exit(1);
-            });
+        let trace = trace_dir.as_deref().map(|dir| (dir, prefix.as_str()));
+        let (ms, _) = measure_corpus(
+            &corpus,
+            &machine,
+            &MeasureParams::ims(b),
+            threads,
+            trace,
+            false,
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("figure6: cannot write traces: {e}");
+            std::process::exit(1);
+        });
         let (dilation, inefficiency) = aggregate_figure6(&ms);
         series.push((b, dilation, inefficiency));
         t.row(vec![num(b, 2), num(dilation, 4), num(inefficiency, 3)]);

@@ -44,21 +44,17 @@
 //!   sweep, graph analysis, MRT probes), with deterministic sections
 //!   byte-identical across `--threads` values. stdout is unchanged.
 
-use ims_bench::profile::{
-    flush_counters, parse_profile_path, write_profile, ProfObserver,
-};
-use ims_bench::{conflict_budget_for_ms, node_budget_for_ms, parse_trace_dir, pool};
-use ims_core::{
-    BackendKind, BackendSpec, IiBounds, MiiInfo, NullObserver, SchedConfig, SchedObserver,
-    Scheduler,
-};
+use ims_bench::profile::{flush_counters, parse_profile_path, write_profile, ProfObserver};
+use ims_bench::{parse_trace_dir, pool, prove_loop, work_limit_for_ms, MeasureParams};
+use ims_core::{BackendKind, BackendSpec, NullObserver, SchedConfig, SchedObserver, Scheduler};
 use ims_deps::{back_substitute, build_problem, BuildOptions};
-use ims_exact::{schedule_exact_observed, schedule_exact_profiled, ExactConfig};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
 use ims_prof::{phase, MetricsRegistry, PhaseTimer};
-use ims_sat::{schedule_sat_observed, schedule_sat_profiled, SatConfig};
 use ims_trace::TraceWriter;
+
+const USAGE: &str = "usage: optgap [--seed H] [--loops N] [--threads T] [--deadline-ms D]
+              [--backend exact|sat] [--wall] [--trace DIR] [--profile FILE]";
 
 /// The §4.3 BudgetRatio sweep, labeled `b1` … `b6` in the output.
 const RATIOS: [(f64, &str); 4] = [(1.0, "b1"), (2.0, "b2"), (3.0, "b3"), (6.0, "b6")];
@@ -74,37 +70,11 @@ struct Row {
     wall_ns: u64,
 }
 
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        } else if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
-            if let Ok(v) = v.parse() {
-                return v;
-            }
-        }
-    }
-    default
-}
-
-/// Closes a span into the registry when profiling, discards it otherwise.
-fn span_end(t: PhaseTimer, reg: &mut Option<MetricsRegistry>) {
-    match reg.as_mut() {
-        Some(r) => {
-            t.finish(r);
-        }
-        None => t.cancel(),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = flag(&args, "--seed", 0xC4D5);
-    let loops: usize = flag(&args, "--loops", 300);
-    let deadline_ms: u64 = flag(&args, "--deadline-ms", 5000);
+    let seed: u64 = pool::flag_or_exit(&args, "--seed", USAGE).unwrap_or(0xC4D5);
+    let loops: usize = pool::flag_or_exit(&args, "--loops", USAGE).unwrap_or(300);
+    let deadline_ms: u64 = pool::flag_or_exit(&args, "--deadline-ms", USAGE).unwrap_or(5000);
     let threads = pool::threads_or_exit(&args);
     let with_wall = args.iter().any(|a| a == "--wall");
     let trace_dir = parse_trace_dir(&args);
@@ -131,8 +101,11 @@ fn main() {
 
     let corpus = corpus_of_size(seed, loops);
     let machine = cydra();
-    let exact_config = ExactConfig::new().node_limit(node_budget_for_ms(deadline_ms));
-    let sat_config = SatConfig::new().conflict_limit(conflict_budget_for_ms(deadline_ms));
+    let params = MeasureParams {
+        backend,
+        work_limit: work_limit_for_ms(backend, deadline_ms),
+        ..MeasureParams::ims(6.0)
+    };
     let profiling = profile_path.is_some();
     let tracing = trace_dir.is_some();
 
@@ -153,66 +126,44 @@ fn main() {
             let t = PhaseTimer::start(phase::WALL_BUILD);
             let body = back_substitute(&l.body, &machine);
             let problem = build_problem(&body, &machine, &BuildOptions::default());
-            span_end(t, &mut reg);
+            t.finish_if(reg.as_mut());
 
             let t = PhaseTimer::start(match backend {
                 BackendKind::Sat => phase::WALL_SAT,
                 _ => phase::WALL_EXACT,
             });
-            let (proof_mii, proof_bounds, proof_limit_hit, proof_work): (MiiInfo, IiBounds, bool, u64) =
-                match backend {
-                    BackendKind::Sat => {
-                        let out = match reg.as_mut() {
-                            Some(r) => schedule_sat_profiled(&problem, &sat_config, &mut obs, &mut *r),
-                            None => schedule_sat_observed(&problem, &sat_config, &mut obs),
-                        }
-                        .expect("corpus loops always schedule under the automatic II cap");
-                        (out.mii, out.bounds, out.limit_hit, out.conflicts)
-                    }
-                    _ => {
-                        let out = match reg.as_mut() {
-                            Some(r) => schedule_exact_profiled(&problem, &exact_config, &mut obs, &mut *r),
-                            None => schedule_exact_observed(&problem, &exact_config, &mut obs),
-                        }
-                        .expect("corpus loops always schedule under the automatic II cap");
-                        (out.mii, out.bounds, out.limit_hit, out.nodes)
-                    }
-                };
-            span_end(t, &mut reg);
+            let proof = prove_loop(&problem, &params, &mut obs, &mut reg);
+            t.finish_if(reg.as_mut());
 
             let t = PhaseTimer::start(phase::WALL_SCHED);
             let mut iis = [0i64; RATIOS.len()];
             for (slot, (ratio, _)) in iis.iter_mut().zip(RATIOS) {
-                let config = SchedConfig::with_budget_ratio(ratio);
-                let out = match reg.as_mut() {
-                    Some(r) => Scheduler::new(&problem)
-                        .config(config)
-                        .observer(ProfObserver::new(&mut obs, r))
-                        .run(),
-                    None => Scheduler::new(&problem).config(config).observer(&mut obs).run(),
-                }
-                .expect("corpus loops always schedule under the automatic II cap");
+                let out = Scheduler::new(&problem)
+                    .config(SchedConfig::with_budget_ratio(ratio))
+                    .observer(ProfObserver::new(&mut obs, reg.as_mut()))
+                    .run()
+                    .expect("corpus loops always schedule under the automatic II cap");
                 if let Some(r) = reg.as_mut() {
                     flush_counters(&out.stats.counters, r);
                     r.add(phase::SCHED_STEPS, out.stats.total_steps());
                 }
                 *slot = out.schedule.ii;
             }
-            span_end(t, &mut reg);
+            t.finish_if(reg.as_mut());
 
             if let Some(r) = reg.as_mut() {
                 r.add(phase::CORPUS_LOOPS, 1);
                 r.add(phase::CORPUS_OPS, problem.num_ops() as u64);
             }
-            span_end(whole, &mut reg);
+            whole.finish_if(reg.as_mut());
 
             let row = Row {
                 ops: problem.num_ops(),
-                mii: proof_mii.mii,
-                exact_lb: proof_bounds.proved_lb,
-                exact_ub: proof_bounds.best_ub,
-                limit_hit: proof_limit_hit,
-                nodes: proof_work,
+                mii: proof.mii.mii,
+                exact_lb: proof.bounds.proved_lb,
+                exact_ub: proof.bounds.best_ub,
+                limit_hit: proof.limit_hit,
+                nodes: proof.work,
                 iis,
                 wall_ns: wall0.elapsed().as_nanos() as u64,
             };

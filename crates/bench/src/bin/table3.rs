@@ -8,9 +8,8 @@
 //! the `corpus` binary).
 
 use ims_bench::pool::threads_from_args;
-use ims_bench::profile::{measure_corpus_profiled, parse_profile_path, write_profile};
-use ims_bench::{measure_corpus_traced, parse_trace_dir, LoopMeasurement};
-use ims_core::BackendKind;
+use ims_bench::profile::{parse_profile_path, write_profile};
+use ims_bench::{measure_corpus, parse_trace_dir, LoopMeasurement, MeasureParams};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
 use ims_stats::table::{num, Table};
@@ -36,33 +35,30 @@ fn main() {
     );
     let args: Vec<String> = std::env::args().collect();
     let trace_dir = parse_trace_dir(&args);
-    let ms = if let Some(profile_path) = parse_profile_path(&args) {
-        let (ms, reg) = measure_corpus_profiled(
-            &corpus,
-            &cydra(),
-            BackendKind::Ims,
-            6.0,
-            None,
-            threads,
-            trace_dir.as_deref(),
-            "",
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("table3: cannot write traces: {e}");
+    let profile_path = parse_profile_path(&args);
+    let trace = trace_dir.as_deref().map(|dir| (dir, ""));
+    let params = MeasureParams::ims(6.0);
+    let (ms, reg) = measure_corpus(
+        &corpus,
+        &cydra(),
+        &params,
+        threads,
+        trace,
+        profile_path.is_some(),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("table3: cannot write traces: {e}");
+        std::process::exit(1);
+    });
+    if let Some(profile_path) = &profile_path {
+        write_profile(profile_path, "table3", &reg).unwrap_or_else(|e| {
+            eprintln!(
+                "table3: cannot write profile {}: {e}",
+                profile_path.display()
+            );
             std::process::exit(1);
         });
-        write_profile(&profile_path, "table3", &reg).unwrap_or_else(|e| {
-            eprintln!("table3: cannot write profile {}: {e}", profile_path.display());
-            std::process::exit(1);
-        });
-        ms
-    } else {
-        measure_corpus_traced(&corpus, &cydra(), 6.0, threads, trace_dir.as_deref(), "")
-            .unwrap_or_else(|e| {
-                eprintln!("table3: cannot write traces: {e}");
-                std::process::exit(1);
-            })
-    };
+    }
 
     let stats = |f: &dyn Fn(&LoopMeasurement) -> f64, min: f64| -> DistributionStats {
         let v: Vec<f64> = ms.iter().map(f).collect();

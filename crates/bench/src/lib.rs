@@ -23,33 +23,37 @@
 //! | `profile_report` | human-readable tables rendered from a `BENCH_<name>.json` profile snapshot |
 //! | `benchdiff` | compares two profile snapshots under per-phase thresholds; nonzero exit on regression |
 //!
-//! This library holds the shared machinery: [`measure_corpus_threads`]
-//! fans the modulo scheduler out over the std-only worker pool in
-//! [`pool`] and collects, per loop, every quantity the paper reports;
-//! [`corpus_jsonl`] renders a run as deterministic JSON lines. All the
-//! corpus binaries accept `--threads N` (default: one worker per core)
-//! and `--trace DIR`, which additionally writes one JSON-lines event
-//! trace per loop via [`measure_corpus_traced`] — byte-identical across
-//! thread counts, inspectable with `trace_report`. The corpus drivers
-//! (`corpus`, `optgap`, `table3`, `table4`) also accept `--profile FILE`,
-//! which measures every pipeline phase via [`profile`] and writes a
-//! versioned `BENCH_<name>.json` snapshot whose deterministic sections
-//! are byte-identical across thread counts; compare snapshots with
-//! `benchdiff` and render them with `profile_report`.
+//! This library holds the shared machinery, one measurement path for
+//! every driver: [`measure_loop`] schedules one loop with the backend and
+//! budgets in its [`MeasureParams`] and collects every quantity the paper
+//! reports, optionally observed (traces) and profiled; [`measure_corpus`]
+//! fans it out over the std-only worker pool in [`pool`]; [`corpus_jsonl`]
+//! renders a run as deterministic JSON lines. All the corpus binaries
+//! accept `--threads N` (default: one worker per core) and `--trace DIR`,
+//! which additionally writes one JSON-lines event trace per loop —
+//! byte-identical across thread counts, inspectable with `trace_report`.
+//! The corpus drivers (`corpus`, `optgap`, `table3`, `table4`) also accept
+//! `--profile FILE`, which measures every pipeline phase (see [`profile`])
+//! and writes a versioned `BENCH_<name>.json` snapshot whose deterministic
+//! sections are byte-identical across thread counts; compare snapshots
+//! with `benchdiff` and render them with `profile_report`.
 
 use ims_codegen::{allocate_rotating, lifetimes};
 use ims_core::{
-    height_r, list_schedule, BackendKind, Counters, NullObserver, Problem, SchedConfig,
-    SchedObserver, SchedOutcome, ScheduleError, Scheduler,
+    height_r, list_schedule, BackendKind, Counters, MiiInfo, NullObserver, Problem, SchedConfig,
+    SchedObserver, SchedOutcome, Schedule, ScheduleError, Scheduler,
 };
 use ims_deps::{back_substitute, build_problem, BuildOptions};
-use ims_exact::{schedule_exact, ExactConfig};
+use ims_exact::{prove, BranchAndBound, ProverConfig, ProverOutcome};
 use ims_graph::sccs;
-use ims_sat::{schedule_sat, SatConfig};
 use ims_loopgen::{Corpus, CorpusLoop, Profile};
 use ims_machine::MachineModel;
 use ims_press::{shapes_from_body, PressureModel, PressureObserver};
+use ims_prof::{phase, MetricsRegistry, PhaseTimer, ProfSink};
+use ims_sat::Cdcl;
 use ims_trace::TraceWriter;
+
+use profile::{flush_counters, profile_backend_tail, ProfObserver};
 
 pub mod micro;
 pub mod profile;
@@ -67,12 +71,6 @@ pub use ims_serve::pool;
 /// recomputation and memo probe — costs ~2 µs in a release build.
 pub const NODES_PER_MS: u64 = 500;
 
-/// The node budget equivalent of a `--deadline-ms` value (`None` —
-/// unlimited — for 0).
-pub fn node_budget_for_ms(deadline_ms: u64) -> Option<u64> {
-    (deadline_ms > 0).then(|| deadline_ms.saturating_mul(NODES_PER_MS))
-}
-
 /// [`NODES_PER_MS`]'s counterpart for the SAT backend: `--deadline-ms N`
 /// becomes a CDCL conflict budget of `N × CONFLICTS_PER_MS`. A conflict —
 /// analysis, clause learning, backjumping, and the propagation leading to
@@ -80,10 +78,16 @@ pub fn node_budget_for_ms(deadline_ms: u64) -> Option<u64> {
 /// magnitude more than a branch-and-bound node.
 pub const CONFLICTS_PER_MS: u64 = 50;
 
-/// The conflict budget equivalent of a `--deadline-ms` value (`None` —
-/// unlimited — for 0).
-pub fn conflict_budget_for_ms(deadline_ms: u64) -> Option<u64> {
-    (deadline_ms > 0).then(|| deadline_ms.saturating_mul(CONFLICTS_PER_MS))
+/// The prover work budget equivalent of a `--deadline-ms` value: nodes
+/// for `exact`, conflicts for `sat`. `None` — unlimited — for 0, and for
+/// the iterative backend, which has no work budget.
+pub fn work_limit_for_ms(backend: BackendKind, deadline_ms: u64) -> Option<u64> {
+    let per_ms = match backend {
+        BackendKind::Ims => return None,
+        BackendKind::Exact => NODES_PER_MS,
+        BackendKind::Sat => CONFLICTS_PER_MS,
+    };
+    (deadline_ms > 0).then(|| deadline_ms.saturating_mul(per_ms))
 }
 
 /// What the exact backend proved about one loop (absent from
@@ -185,193 +189,220 @@ impl LoopMeasurement {
     }
 }
 
-/// Schedules one corpus loop and extracts every measurement.
+/// What [`measure_loop`] runs: which backend, under which budgets.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MeasureParams {
+    /// The leaf backend that schedules each loop.
+    pub backend: BackendKind,
+    /// The iterative scheduler's BudgetRatio — for the provers, the
+    /// BudgetRatio of their internal heuristic run.
+    pub budget_ratio: f64,
+    /// The provers' work budget per loop (branch-and-bound nodes for
+    /// `exact`, CDCL conflicts for `sat`; `None` is unlimited). Both
+    /// units are deterministic, unlike a wall-clock deadline, so output
+    /// stays byte-identical across thread counts. The iterative backend
+    /// ignores it.
+    pub work_limit: Option<u64>,
+    /// A register-file capacity to schedule against (iterative backend
+    /// only; the provers ignore it). See [`PressInfo`].
+    pub pressure_limit: Option<u32>,
+}
+
+impl MeasureParams {
+    /// The iterative backend at `budget_ratio`, no pressure limit.
+    pub fn ims(budget_ratio: f64) -> Self {
+        MeasureParams {
+            backend: BackendKind::Ims,
+            budget_ratio,
+            work_limit: None,
+            pressure_limit: None,
+        }
+    }
+}
+
+/// Schedules one corpus loop under `params` and extracts every
+/// measurement, reporting scheduler events to `observer`.
+///
+/// * **`ims`** — the paper's scheduler. With a pressure limit, a
+///   [`PressureObserver`] vetoes placements and rejects attempts whose
+///   MaxLive (or rotating allocation) exceeds it, so an accepted schedule
+///   fits a rotating file of that many registers; when even the II cap
+///   cannot satisfy the limit ([`ScheduleError::PressureInfeasible`]) the
+///   measurement falls back to the pressure-blind schedule — the line
+///   still reports an II — with [`PressInfo::ok`] `false` and the blind
+///   schedule's (over-limit) pressure.
+/// * **`exact`, `sat`** — the provers ([`prove_loop`]): the iterative
+///   scheduler provides the upper bound, then every smaller II is decided
+///   under the work budget. `final_steps`/`total_steps` count decider
+///   work, the Table 4 counters are zero, and [`LoopMeasurement::exact`]
+///   carries the proven bounds.
+///
+/// With `prof`, the run additionally files every pipeline phase's
+/// deterministic work and wall time into the registry, and the loop is
+/// lowered by modulo variable expansion and executed on the VLIW
+/// simulator so `codegen.*` and `vliw.sim.*` describe real code. The
+/// measurement — and everything `observer` sees — is identical either
+/// way.
 ///
 /// # Panics
 ///
 /// Panics if the scheduler fails to find any schedule (impossible for
 /// well-formed corpus loops with the automatic II cap).
-pub fn measure_loop(
+pub fn measure_loop<O: SchedObserver>(
     l: &CorpusLoop,
     machine: &MachineModel,
-    budget_ratio: f64,
-) -> LoopMeasurement {
-    measure_loop_observed(l, machine, budget_ratio, &mut NullObserver)
-}
-
-/// [`measure_loop`] with a caller-supplied [`SchedObserver`] watching the
-/// scheduler's decisions. `measure_loop` is exactly this with
-/// [`NullObserver`], so the untraced path pays nothing for the hook.
-pub fn measure_loop_observed<O: SchedObserver>(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    budget_ratio: f64,
+    params: &MeasureParams,
     observer: &mut O,
+    mut prof: Option<&mut MetricsRegistry>,
 ) -> LoopMeasurement {
+    let whole = PhaseTimer::start(phase::WALL_LOOP);
+
     // The paper's corpus was dumped "after load-store elimination,
     // recurrence back-substitution and IF-conversion" (§4.1); apply the
     // same preprocessing.
+    let t = PhaseTimer::start(phase::WALL_BUILD);
     let body = back_substitute(&l.body, machine);
     let problem = build_problem(&body, machine, &BuildOptions::default());
-    let t0 = std::time::Instant::now();
-    let outcome: SchedOutcome = Scheduler::new(&problem)
-        .config(SchedConfig::new().budget_ratio(budget_ratio))
-        .observer(observer)
-        .run()
-        .expect("corpus loops always schedule under the automatic II cap");
-    let wall_ns = t0.elapsed().as_nanos() as u64;
+    t.finish_if(prof.as_deref_mut());
 
-    let mut m = finish_measurement(&problem, l, outcome.mii.res_mii, outcome.mii.rec_mii,
-        outcome.mii.mii, &outcome.schedule);
-    m.final_steps = outcome.stats.final_steps();
-    m.total_steps = outcome.stats.total_steps();
-    m.counters = outcome.stats.counters;
-    m.wall_ns = wall_ns;
-    m
-}
-
-/// Schedules one corpus loop with the **exact** backend: the iterative
-/// scheduler provides the upper bound, then branch-and-bound decides
-/// every smaller II under `config`'s node budget. `final_steps` /
-/// `total_steps` count branch-and-bound nodes, the Table 4 counters are
-/// zero, and [`LoopMeasurement::exact`] carries the proven bounds.
-///
-/// # Panics
-///
-/// Panics if the internal iterative run fails (impossible for well-formed
-/// corpus loops with the automatic II cap).
-pub fn measure_loop_exact(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    config: &ExactConfig,
-) -> LoopMeasurement {
-    let body = back_substitute(&l.body, machine);
-    let problem = build_problem(&body, machine, &BuildOptions::default());
-    let t0 = std::time::Instant::now();
-    let out = schedule_exact(&problem, config)
-        .expect("corpus loops always schedule under the automatic II cap");
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-
-    let mut m = finish_measurement(&problem, l, out.mii.res_mii, out.mii.rec_mii, out.mii.mii,
-        &out.schedule);
-    m.final_steps = out.nodes;
-    m.total_steps = out.nodes;
-    m.wall_ns = wall_ns;
-    m.exact = Some(ExactInfo {
-        proved_lb: out.bounds.proved_lb,
-        best_ub: out.bounds.best_ub,
-        nodes: out.nodes,
-        limit_hit: out.limit_hit,
+    let t = PhaseTimer::start(match params.backend {
+        BackendKind::Ims => phase::WALL_SCHED,
+        BackendKind::Exact => phase::WALL_EXACT,
+        BackendKind::Sat => phase::WALL_SAT,
     });
-    m
+    let t0 = std::time::Instant::now();
+    let run = if params.backend == BackendKind::Ims {
+        let mut obs = ProfObserver::new(observer, prof.as_deref_mut());
+        match params.pressure_limit {
+            None => Run::from(
+                Scheduler::new(&problem)
+                    .config(SchedConfig::new().budget_ratio(params.budget_ratio))
+                    .observer(&mut obs)
+                    .run()
+                    .expect("corpus loops always schedule under the automatic II cap"),
+            ),
+            Some(limit) => {
+                let press =
+                    schedule_pressure(&body, &problem, params.budget_ratio, limit, &mut obs);
+                prof.count(phase::PRESS_MAXLIVE_UPDATES, press.updates);
+                prof.count(phase::PRESS_REJECTS, press.rejects);
+                prof.count(phase::PRESS_II_BUMPS, press.ii_bumps);
+                Run {
+                    press: Some(press.press),
+                    ..Run::from(press.outcome)
+                }
+            }
+        }
+    } else {
+        Run::from(prove_loop(&problem, params, observer, &mut prof))
+    };
+    let wall_ns = t0.elapsed().as_nanos() as u64;
+    t.finish_if(prof.as_deref_mut());
+
+    if let Some(reg) = prof.as_deref_mut() {
+        if params.backend == BackendKind::Ims {
+            reg.add(phase::SCHED_STEPS, run.total_steps);
+            flush_counters(&run.counters, reg);
+        }
+        reg.add(phase::CORPUS_LOOPS, 1);
+        reg.add(phase::CORPUS_OPS, problem.num_ops() as u64);
+        profile_backend_tail(&body, &problem, &run.schedule, reg);
+    }
+    whole.finish_if(prof);
+    finish_measurement(&problem, l, run, wall_ns)
 }
 
-/// Schedules one corpus loop with the **SAT** backend: the iterative
-/// scheduler provides the upper bound, then the CDCL encoding decides
-/// every smaller II under `config`'s conflict budget. `final_steps` /
-/// `total_steps` count CDCL conflicts, the Table 4 counters are zero,
-/// and [`LoopMeasurement::exact`] carries the proven bounds (with
-/// [`ExactInfo::nodes`] holding conflicts).
+/// Runs the prover `params.backend` names on `problem` (the
+/// [`ims_exact::prove`] walk around [`BranchAndBound`] or [`Cdcl`]),
+/// with its internal heuristic at `params.budget_ratio` and its work
+/// budget at `params.work_limit`.
 ///
 /// # Panics
 ///
-/// Panics if the internal iterative run fails (impossible for well-formed
-/// corpus loops with the automatic II cap).
-pub fn measure_loop_sat(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    config: &SatConfig,
-) -> LoopMeasurement {
-    let body = back_substitute(&l.body, machine);
-    let problem = build_problem(&body, machine, &BuildOptions::default());
-    let t0 = std::time::Instant::now();
-    let out = schedule_sat(&problem, config)
-        .expect("corpus loops always schedule under the automatic II cap");
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-
-    let mut m = finish_measurement(&problem, l, out.mii.res_mii, out.mii.rec_mii, out.mii.mii,
-        &out.schedule);
-    m.final_steps = out.conflicts;
-    m.total_steps = out.conflicts;
-    m.wall_ns = wall_ns;
-    m.exact = Some(ExactInfo {
-        proved_lb: out.bounds.proved_lb,
-        best_ub: out.bounds.best_ub,
-        nodes: out.conflicts,
-        limit_hit: out.limit_hit,
-    });
-    m
+/// Panics for the `ims` backend, which proves nothing, and if the
+/// internal iterative run fails (impossible for well-formed corpus loops
+/// with the automatic II cap).
+pub fn prove_loop<O: SchedObserver, P: ProfSink>(
+    problem: &Problem<'_>,
+    params: &MeasureParams,
+    observer: &mut O,
+    sink: &mut P,
+) -> ProverOutcome {
+    let config = ProverConfig::new(params.work_limit)
+        .heuristic(SchedConfig::with_budget_ratio(params.budget_ratio));
+    match params.backend {
+        BackendKind::Exact => prove(problem, &BranchAndBound::default(), &config, observer, sink),
+        BackendKind::Sat => prove(problem, &Cdcl::default(), &config, observer, sink),
+        BackendKind::Ims => panic!("the iterative backend proves nothing"),
+    }
+    .expect("corpus loops always schedule under the automatic II cap")
 }
 
-/// Schedules one corpus loop **register-pressure-aware**: a
-/// [`PressureObserver`] vetoes placements and rejects attempts whose
-/// MaxLive (or rotating allocation) exceeds `limit`, so an accepted
-/// schedule is known to fit a rotating file of `limit` registers.
-///
-/// When even the II cap cannot satisfy the limit
-/// ([`ScheduleError::PressureInfeasible`]), the measurement falls back to
-/// the pressure-blind schedule — the line still reports an II — with
-/// [`PressInfo::ok`] `false` and the blind schedule's (over-limit)
-/// pressure in `max_live`/`rot_size`.
-///
-/// # Panics
-///
-/// Panics if the pressure-blind fallback itself fails to schedule
-/// (impossible for well-formed corpus loops with the automatic II cap).
-pub fn measure_loop_pressure(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    budget_ratio: f64,
-    limit: u32,
-) -> LoopMeasurement {
-    measure_loop_pressure_observed(l, machine, budget_ratio, limit, &mut NullObserver)
+/// One scheduling run inside [`measure_loop`], before the
+/// backend-independent measurement tail.
+struct Run {
+    mii: MiiInfo,
+    schedule: Schedule,
+    final_steps: u64,
+    total_steps: u64,
+    counters: Counters,
+    exact: Option<ExactInfo>,
+    press: Option<PressInfo>,
 }
 
-/// [`measure_loop_pressure`] with an extra caller-supplied observer (the
-/// profiling wrapper) watching the same run as the pressure observer.
-pub fn measure_loop_pressure_observed<O: SchedObserver>(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    budget_ratio: f64,
-    limit: u32,
-    extra: &mut O,
-) -> LoopMeasurement {
-    let body = back_substitute(&l.body, machine);
-    let problem = build_problem(&body, machine, &BuildOptions::default());
-    let t0 = std::time::Instant::now();
-    let run = schedule_pressure(&body, &problem, budget_ratio, limit, extra);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
+impl From<SchedOutcome> for Run {
+    fn from(out: SchedOutcome) -> Self {
+        Run {
+            final_steps: out.stats.final_steps(),
+            total_steps: out.stats.total_steps(),
+            counters: out.stats.counters,
+            mii: out.mii,
+            schedule: out.schedule,
+            exact: None,
+            press: None,
+        }
+    }
+}
 
-    let mut m = finish_measurement(&problem, l, run.outcome.mii.res_mii,
-        run.outcome.mii.rec_mii, run.outcome.mii.mii, &run.outcome.schedule);
-    m.final_steps = run.outcome.stats.final_steps();
-    m.total_steps = run.outcome.stats.total_steps();
-    m.counters = run.outcome.stats.counters;
-    m.wall_ns = wall_ns;
-    m.press = Some(run.press);
-    m
+impl From<ProverOutcome> for Run {
+    fn from(out: ProverOutcome) -> Self {
+        Run {
+            final_steps: out.work,
+            total_steps: out.work,
+            counters: Counters::new(),
+            exact: Some(ExactInfo {
+                proved_lb: out.bounds.proved_lb,
+                best_ub: out.bounds.best_ub,
+                nodes: out.work,
+                limit_hit: out.limit_hit,
+            }),
+            mii: out.mii,
+            schedule: out.schedule,
+            press: None,
+        }
+    }
 }
 
 /// The outcome of one pressure-aware scheduling run: the reported
 /// schedule (the pressure-aware one, or the pressure-blind fallback on
 /// infeasibility), its pressure verdict, and the `press.*` work counts.
-pub(crate) struct PressRun {
-    pub(crate) outcome: SchedOutcome,
-    pub(crate) press: PressInfo,
+struct PressRun {
+    outcome: SchedOutcome,
+    press: PressInfo,
     /// `press.maxlive.updates` — lifetime-interval updates performed.
-    pub(crate) updates: u64,
+    updates: u64,
     /// `press.rejects` — placements vetoed over the limit.
-    pub(crate) rejects: u64,
+    rejects: u64,
     /// `press.ii_bumps` — completed attempts rejected for pressure.
-    pub(crate) ii_bumps: u64,
+    ii_bumps: u64,
 }
 
-/// The shared core of the pressure-aware measurement paths (plain and
-/// profiled): schedules `problem` under `limit` with a
-/// [`PressureObserver`] (and `extra` in tandem), falling back to the
-/// pressure-blind schedule — flagged `ok: false`, with its over-limit
-/// pressure reported — on [`ScheduleError::PressureInfeasible`].
-pub(crate) fn schedule_pressure<O: SchedObserver>(
+/// The pressure-aware scheduling run of [`measure_loop`]: schedules
+/// `problem` under `limit` with a [`PressureObserver`] (and `extra` in
+/// tandem), falling back to the pressure-blind schedule — flagged
+/// `ok: false`, with its over-limit pressure reported — on
+/// [`ScheduleError::PressureInfeasible`].
+fn schedule_pressure<O: SchedObserver>(
     body: &ims_ir::LoopBody,
     problem: &Problem<'_>,
     budget_ratio: f64,
@@ -439,20 +470,6 @@ pub(crate) fn schedule_pressure<O: SchedObserver>(
     }
 }
 
-/// Fans [`measure_loop_pressure`] out over the worker pool; results in
-/// corpus order, byte-identical for every thread count.
-pub fn measure_corpus_pressure(
-    corpus: &Corpus,
-    machine: &MachineModel,
-    budget_ratio: f64,
-    limit: u32,
-    threads: usize,
-) -> Vec<LoopMeasurement> {
-    pool::par_map(&corpus.loops, threads, |_, l| {
-        measure_loop_pressure(l, machine, budget_ratio, limit)
-    })
-}
-
 /// Broadcasts every scheduler event to two observers. The consulted
 /// hooks are combined the strict way: a placement stands only if
 /// *neither* observer vetoes it, an attempt only if *both* accept —
@@ -515,15 +532,12 @@ impl<A: SchedObserver, B: SchedObserver> SchedObserver for Tandem<'_, A, B> {
 }
 
 /// The backend-independent tail of a loop measurement: SCC statistics and
-/// the schedule-length lower bound, packaged with the schedule's
-/// quantities. Work counters are left zero for the caller to fill.
+/// the schedule-length lower bound, packaged with the run's quantities.
 fn finish_measurement(
     problem: &Problem<'_>,
     l: &CorpusLoop,
-    res_mii: i64,
-    rec_mii: i64,
-    mii: i64,
-    schedule: &ims_core::Schedule,
+    run: Run,
+    wall_ns: u64,
 ) -> LoopMeasurement {
     // SCC statistics over real operations only (START/STOP would otherwise
     // show up as two extra trivial components).
@@ -547,6 +561,7 @@ fn finish_measurement(
     // and can exceed the modulo schedule length on complex reservation
     // tables, so it is clamped at the achieved length (otherwise the
     // "ratio to the lower bound" could dip below 1).
+    let schedule = &run.schedule;
     let mut c = Counters::new();
     let heights = height_r(problem, schedule.ii, &mut c);
     let min_dist_bound = heights[problem.start().index()];
@@ -555,134 +570,85 @@ fn finish_measurement(
     LoopMeasurement {
         n_ops: problem.num_ops(),
         n_edges: problem.num_real_edges(),
-        res_mii,
-        rec_mii,
-        mii,
+        res_mii: run.mii.res_mii,
+        rec_mii: run.mii.rec_mii,
+        mii: run.mii.mii,
         ii: schedule.ii,
         schedule_length: schedule.length,
         schedule_length_lower: min_dist_bound.max(list_len),
         non_trivial_sccs,
         scc_sizes,
-        final_steps: 0,
-        total_steps: 0,
-        counters: Counters::new(),
+        final_steps: run.final_steps,
+        total_steps: run.total_steps,
+        counters: run.counters,
         profile: l.profile,
-        wall_ns: 0,
-        exact: None,
-        press: None,
+        wall_ns,
+        exact: run.exact,
+        press: run.press,
     }
 }
 
-/// Runs the scheduler over a whole corpus, sequentially (the
-/// deterministic baseline; see [`measure_corpus_threads`]).
-pub fn measure_corpus(
-    corpus: &Corpus,
-    machine: &MachineModel,
-    budget_ratio: f64,
-) -> Vec<LoopMeasurement> {
-    measure_corpus_threads(corpus, machine, budget_ratio, 1)
-}
-
-/// Runs the scheduler over a whole corpus on `threads` worker threads.
+/// Runs [`measure_loop`] over a whole corpus on `threads` worker threads
+/// and returns the measurements in corpus order, with the merged profile
+/// when `profile` is set (an empty registry otherwise).
 ///
 /// Each loop is an independent scheduling problem, so the corpus fans out
 /// over the std-only worker pool in [`pool`]; results come back in corpus
 /// order, so the returned measurements — and anything rendered from them,
 /// e.g. [`corpus_jsonl`] — are identical for every thread count.
-pub fn measure_corpus_threads(
-    corpus: &Corpus,
-    machine: &MachineModel,
-    budget_ratio: f64,
-    threads: usize,
-) -> Vec<LoopMeasurement> {
-    pool::par_map(&corpus.loops, threads, |_, l| {
-        measure_loop(l, machine, budget_ratio)
-    })
-}
-
-/// [`measure_corpus_threads`] with a selectable backend. The iterative
-/// backend ignores `work_limit`; the exact backends ignore nothing —
-/// `budget_ratio` configures their internal heuristic run and
-/// `work_limit` their search budget (branch-and-bound nodes for `exact`,
-/// CDCL conflicts for `sat` — both deterministic, unlike a wall-clock
-/// deadline, so stdout stays byte-identical across thread counts).
-pub fn measure_corpus_backend(
-    corpus: &Corpus,
-    machine: &MachineModel,
-    backend: BackendKind,
-    budget_ratio: f64,
-    work_limit: Option<u64>,
-    threads: usize,
-) -> Vec<LoopMeasurement> {
-    match backend {
-        BackendKind::Ims => measure_corpus_threads(corpus, machine, budget_ratio, threads),
-        BackendKind::Exact => {
-            let config = ExactConfig::new()
-                .heuristic(SchedConfig::with_budget_ratio(budget_ratio))
-                .node_limit(work_limit);
-            pool::par_map(&corpus.loops, threads, |_, l| {
-                measure_loop_exact(l, machine, &config)
-            })
-        }
-        BackendKind::Sat => {
-            let config = SatConfig::new()
-                .heuristic(SchedConfig::with_budget_ratio(budget_ratio))
-                .conflict_limit(work_limit);
-            pool::par_map(&corpus.loops, threads, |_, l| {
-                measure_loop_sat(l, machine, &config)
-            })
-        }
-    }
-}
-
-/// [`measure_corpus_threads`] plus per-loop event traces.
+/// Per-loop registries merge in corpus order too, so the deterministic
+/// sections of the profile are independent of `threads`; only its wall
+/// section varies.
 ///
-/// When `trace_dir` is `None` this is exactly the untraced run. Otherwise
-/// each worker streams its loop's events into an in-memory
-/// [`TraceWriter`], and after the in-order merge the traces are written
-/// as `<prefix>loop_<index:05>.jsonl` under `trace_dir` (created if
-/// missing). Because the events carry no timestamps or thread identity
-/// and the files are named by corpus index, the trace directory is
-/// byte-identical for every `threads` value — `scripts/verify.sh` diffs
-/// a slice at `--threads 1` vs `--threads 4` on every run.
-pub fn measure_corpus_traced(
+/// With `trace = Some((dir, prefix))`, each worker streams its loop's
+/// events into an in-memory [`TraceWriter`], and after the in-order merge
+/// the traces are written as `<prefix>loop_<index:05>.jsonl` under `dir`
+/// (created if missing). Because the events carry no timestamps or thread
+/// identity and the files are named by corpus index, the trace directory
+/// is byte-identical for every `threads` value. Neither tracing nor
+/// profiling changes a measurement.
+///
+/// # Errors
+///
+/// An I/O error creating the trace directory or writing a trace file.
+pub fn measure_corpus(
     corpus: &Corpus,
     machine: &MachineModel,
-    budget_ratio: f64,
+    params: &MeasureParams,
     threads: usize,
-    trace_dir: Option<&std::path::Path>,
-    prefix: &str,
-) -> std::io::Result<Vec<LoopMeasurement>> {
-    let Some(dir) = trace_dir else {
-        return Ok(measure_corpus_threads(corpus, machine, budget_ratio, threads));
-    };
-    std::fs::create_dir_all(dir)?;
-    let traced = pool::par_map(&corpus.loops, threads, |_, l| {
-        let mut tracer = TraceWriter::in_memory();
-        let m = measure_loop_observed(l, machine, budget_ratio, &mut tracer);
-        (m, tracer.into_string())
+    trace: Option<(&std::path::Path, &str)>,
+    profile: bool,
+) -> std::io::Result<(Vec<LoopMeasurement>, MetricsRegistry)> {
+    if let Some((dir, _)) = trace {
+        std::fs::create_dir_all(dir)?;
+    }
+    let per_loop = pool::par_map(&corpus.loops, threads, |_, l| {
+        let mut reg = profile.then(MetricsRegistry::new);
+        let mut tracer = trace.is_some().then(TraceWriter::in_memory);
+        let m = match tracer.as_mut() {
+            Some(t) => measure_loop(l, machine, params, t, reg.as_mut()),
+            None => measure_loop(l, machine, params, &mut NullObserver, reg.as_mut()),
+        };
+        (m, tracer.map(TraceWriter::into_string), reg)
     });
-    let mut ms = Vec::with_capacity(traced.len());
-    for (index, (m, trace)) in traced.into_iter().enumerate() {
-        std::fs::write(dir.join(format!("{prefix}loop_{index:05}.jsonl")), trace)?;
+    let mut ms = Vec::with_capacity(per_loop.len());
+    let mut total = MetricsRegistry::new();
+    for (index, (m, events, reg)) in per_loop.into_iter().enumerate() {
+        if let (Some((dir, prefix)), Some(events)) = (trace, events) {
+            std::fs::write(dir.join(format!("{prefix}loop_{index:05}.jsonl")), events)?;
+        }
+        if let Some(reg) = reg {
+            total.merge(&reg);
+        }
         ms.push(m);
     }
-    Ok(ms)
+    Ok((ms, total))
 }
 
-/// Extracts `--trace DIR` (or `--trace=DIR`) from a raw argv slice, the
-/// way the corpus binaries share [`pool::parse_threads`].
+/// Extracts `--trace DIR` (or `--trace=DIR`) from a raw argv slice; a
+/// `--trace` without a directory exits 2 (see [`pool::flag_or_exit`]).
 pub fn parse_trace_dir(args: &[String]) -> Option<std::path::PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--trace" {
-            return it.next().map(std::path::PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--trace=") {
-            return Some(std::path::PathBuf::from(v));
-        }
-    }
-    None
+    pool::flag_or_exit(args, "--trace", "usage: --trace DIR")
 }
 
 /// Renders one corpus loop's measurement as a deterministic JSON line:
@@ -837,10 +803,20 @@ mod tests {
     use ims_loopgen::corpus_of_size;
     use ims_machine::cydra;
 
+    fn measure(
+        corpus: &Corpus,
+        machine: &MachineModel,
+        params: MeasureParams,
+    ) -> Vec<LoopMeasurement> {
+        measure_corpus(corpus, machine, &params, 2, None, false)
+            .expect("no trace dir, no I/O")
+            .0
+    }
+
     #[test]
     fn small_corpus_measures_cleanly() {
         let corpus = corpus_of_size(5, 40);
-        let ms = measure_corpus(&corpus, &cydra(), 6.0);
+        let ms = measure(&corpus, &cydra(), MeasureParams::ims(6.0));
         assert_eq!(ms.len(), 40);
         for m in &ms {
             assert!(m.ii >= m.mii, "II below MII");
@@ -856,7 +832,7 @@ mod tests {
     #[test]
     fn figure6_aggregates_are_sane() {
         let corpus = corpus_of_size(6, 30);
-        let ms = measure_corpus(&corpus, &cydra(), 6.0);
+        let ms = measure(&corpus, &cydra(), MeasureParams::ims(6.0));
         let (dilation, ineff) = aggregate_figure6(&ms);
         assert!(dilation >= 0.0);
         assert!(ineff >= 1.0, "each op is scheduled at least once: {ineff}");
@@ -866,9 +842,16 @@ mod tests {
     fn exact_backend_measurements_carry_bounds() {
         let corpus = corpus_of_size(5, 12);
         let machine = cydra();
-        let ims = measure_corpus_backend(&corpus, &machine, BackendKind::Ims, 6.0, None, 2);
-        let exact =
-            measure_corpus_backend(&corpus, &machine, BackendKind::Exact, 6.0, Some(200_000), 2);
+        let ims = measure(&corpus, &machine, MeasureParams::ims(6.0));
+        let exact = measure(
+            &corpus,
+            &machine,
+            MeasureParams {
+                backend: BackendKind::Exact,
+                work_limit: Some(200_000),
+                ..MeasureParams::ims(6.0)
+            },
+        );
         for (i, e) in ims.iter().zip(&exact) {
             assert!(i.exact.is_none());
             let b = e.exact.expect("exact measurements carry bounds");
@@ -901,10 +884,15 @@ mod tests {
         let corpus = corpus_of_size(9, 12);
         let machine = ims_machine::cydra_rf(16);
         let limit = machine.register_file().expect("cydra_rf declares a file");
-        let blind = measure_corpus_threads(&corpus, &machine, 6.0, 2);
-        let aware = pool::par_map(&corpus.loops, 2, |_, l| {
-            measure_loop_pressure(l, &machine, 6.0, limit)
-        });
+        let blind = measure(&corpus, &machine, MeasureParams::ims(6.0));
+        let aware = measure(
+            &corpus,
+            &machine,
+            MeasureParams {
+                pressure_limit: Some(limit),
+                ..MeasureParams::ims(6.0)
+            },
+        );
         let mut fits = 0;
         for (b, a) in blind.iter().zip(&aware) {
             assert!(b.press.is_none());
@@ -931,16 +919,23 @@ mod tests {
     fn pressure_corpus_is_thread_invariant() {
         let corpus = corpus_of_size(10, 10);
         let machine = ims_machine::cydra_rf(12);
-        let one = measure_corpus_pressure(&corpus, &machine, 6.0, 12, 1);
-        let four = measure_corpus_pressure(&corpus, &machine, 6.0, 12, 4);
-        assert_eq!(corpus_jsonl(&one), corpus_jsonl(&four));
+        let params = MeasureParams {
+            pressure_limit: Some(12),
+            ..MeasureParams::ims(6.0)
+        };
+        let run = |threads| {
+            measure_corpus(&corpus, &machine, &params, threads, None, false)
+                .unwrap()
+                .0
+        };
+        assert_eq!(corpus_jsonl(&run(1)), corpus_jsonl(&run(4)));
     }
 
     #[test]
     fn tighter_budget_never_reduces_ii() {
         let corpus = corpus_of_size(7, 15);
-        let gen = measure_corpus(&corpus, &cydra(), 6.0);
-        let tight = measure_corpus(&corpus, &cydra(), 1.0);
+        let gen = measure(&corpus, &cydra(), MeasureParams::ims(6.0));
+        let tight = measure(&corpus, &cydra(), MeasureParams::ims(1.0));
         for (g, t) in gen.iter().zip(&tight) {
             assert!(t.ii >= g.ii, "a tighter budget cannot improve the II");
         }

@@ -168,22 +168,23 @@ pub fn mii_benches(spec: &BenchSpec) -> Vec<String> {
 /// identical on every line, the pool's determinism guarantee in bench
 /// form. Returns one JSON line per thread count.
 pub fn corpus_scaling_benches(spec: &BenchSpec) -> Vec<String> {
-    use crate::{measure_corpus_threads, LoopMeasurement};
+    use crate::{measure_corpus, LoopMeasurement, MeasureParams};
     use ims_loopgen::corpus_of_size;
 
     let machine = cydra();
     let corpus = corpus_of_size(0xC4D5, 96);
+    let params = MeasureParams::ims(2.0);
+    let measure = |threads| -> Vec<LoopMeasurement> {
+        measure_corpus(black_box(&corpus), &machine, &params, threads, None, false)
+            .expect("no trace dir, no I/O")
+            .0
+    };
     let mut lines = Vec::new();
     for &threads in &[1usize, 2, 4, 8] {
         let result = run(&format!("corpus/threads_{threads}"), *spec, || {
-            black_box(measure_corpus_threads(
-                black_box(&corpus),
-                &machine,
-                2.0,
-                threads,
-            ));
+            black_box(measure(threads));
         });
-        let ms: Vec<LoopMeasurement> = measure_corpus_threads(&corpus, &machine, 2.0, threads);
+        let ms = measure(threads);
         let steps: u64 = ms.iter().map(|m| m.total_steps).sum();
         let evictions: u64 = ms.iter().map(|m| m.counters.evictions).sum();
         lines.push(result.json_line(&[

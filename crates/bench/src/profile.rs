@@ -1,11 +1,12 @@
-//! Pipeline-wide profiled corpus measurement.
+//! Pipeline-wide profiling support.
 //!
-//! The plain corpus runners ([`crate::measure_corpus_threads`] and friends)
-//! deliberately measure nothing but what the paper reports. This module is
-//! the `--profile FILE` path behind `corpus`, `optgap`, `table3` and
-//! `table4`: every loop is measured exactly as before — the JSON lines on
-//! stdout are byte-identical with and without profiling — while a
-//! per-loop [`MetricsRegistry`] additionally collects
+//! Unprofiled runs deliberately measure nothing but what the paper
+//! reports. This module holds the pieces behind the `--profile FILE`
+//! flag of `corpus`, `optgap`, `table3` and `table4`: when
+//! [`crate::measure_loop`] is handed a registry, every loop is measured
+//! exactly as before — the JSON lines on stdout are byte-identical with
+//! and without profiling — while a per-loop [`MetricsRegistry`]
+//! additionally collects
 //!
 //! * the deterministic work counters of every pipeline phase (graph
 //!   analysis, MII bounds, iterative scheduling, exact branch-and-bound,
@@ -32,24 +33,14 @@
 use std::path::Path;
 
 use ims_codegen::{generate_mve_profiled, lifetimes_profiled};
-use ims_core::{
-    BackendKind, Counters, NullObserver, SchedConfig, SchedObserver, SchedOutcome, Scheduler,
-};
-use ims_deps::{back_substitute, build_problem, BuildOptions};
-use ims_exact::{schedule_exact_profiled, ExactConfig};
+use ims_core::{Counters, SchedObserver};
 use ims_graph::NodeId;
-use ims_sat::{schedule_sat_profiled, SatConfig};
-use ims_loopgen::{Corpus, CorpusLoop};
-use ims_machine::MachineModel;
-use ims_prof::{phase, snapshot, MetricsRegistry, PhaseTimer};
-use ims_trace::TraceWriter;
+use ims_prof::{phase, snapshot, MetricsRegistry, PhaseTimer, ProfSink};
 use ims_vliw::{run_overlapped_profiled, MemoryImage};
 
-use crate::{finish_measurement, pool, ExactInfo, LoopMeasurement};
-
 /// [`SchedObserver`] adapter that feeds per-step distributions into a
-/// [`MetricsRegistry`] while forwarding every event to an inner observer
-/// (a trace writer, or [`NullObserver`]).
+/// [`MetricsRegistry`] (when one is given) while forwarding every event
+/// to an inner observer (a trace writer, or `NullObserver`).
 ///
 /// The registry records only deterministic quantities — candidate-II
 /// attempts, budget exhaustions, and the per-step `slot_search` /
@@ -57,22 +48,22 @@ use crate::{finish_measurement, pool, ExactInfo, LoopMeasurement};
 /// never perturbs its schedule, its trace, or its stdout.
 pub struct ProfObserver<'a, O> {
     inner: &'a mut O,
-    reg: &'a mut MetricsRegistry,
+    reg: Option<&'a mut MetricsRegistry>,
 }
 
 impl<'a, O: SchedObserver> ProfObserver<'a, O> {
-    /// Wraps `inner`, recording distributions into `reg`.
-    pub fn new(inner: &'a mut O, reg: &'a mut MetricsRegistry) -> Self {
+    /// Wraps `inner`, recording distributions into `reg` (if any).
+    pub fn new(inner: &'a mut O, reg: Option<&'a mut MetricsRegistry>) -> Self {
         ProfObserver { inner, reg }
     }
 }
 
 impl<O: SchedObserver> SchedObserver for ProfObserver<'_, O> {
-    fn backend(&mut self, kind: BackendKind) {
+    fn backend(&mut self, kind: ims_core::BackendKind) {
         self.inner.backend(kind);
     }
     fn attempt_start(&mut self, ii: i64, budget: i64) {
-        self.reg.add(phase::SCHED_ATTEMPTS, 1);
+        self.reg.count(phase::SCHED_ATTEMPTS, 1);
         self.inner.attempt_start(ii, budget);
     }
     fn op_scheduled(&mut self, node: NodeId, time: i64, alt: usize, forced: bool) {
@@ -82,15 +73,15 @@ impl<O: SchedObserver> SchedObserver for ProfObserver<'_, O> {
         self.inner.op_evicted(node, evictor);
     }
     fn slot_search(&mut self, node: NodeId, estart: i64, iters: u32) {
-        self.reg.observe(phase::HIST_SLOT_SEARCH, iters as i64);
+        self.reg.record(phase::HIST_SLOT_SEARCH, iters as i64);
         self.inner.slot_search(node, estart, iters);
     }
     fn estart_computed(&mut self, node: NodeId, preds: u32) {
-        self.reg.observe(phase::HIST_ESTART_PREDS, preds as i64);
+        self.reg.record(phase::HIST_ESTART_PREDS, preds as i64);
         self.inner.estart_computed(node, preds);
     }
     fn budget_exhausted(&mut self, ii: i64, spent: u64) {
-        self.reg.add(phase::SCHED_ATTEMPTS_FAILED, 1);
+        self.reg.count(phase::SCHED_ATTEMPTS_FAILED, 1);
         self.inner.budget_exhausted(ii, spent);
     }
     fn attempt_done(&mut self, ii: i64, ok: bool) {
@@ -122,7 +113,7 @@ pub fn flush_counters(c: &Counters, reg: &mut MetricsRegistry) {
 /// an already-scheduled loop, filing `codegen.*` and `vliw.sim.*` metrics
 /// (and their wall spans) into `reg`. Simulation errors are counted, not
 /// propagated — a profile must never change what a run reports.
-fn profile_backend_tail(
+pub(crate) fn profile_backend_tail(
     body: &ims_ir::LoopBody,
     problem: &ims_core::Problem<'_>,
     schedule: &ims_core::Schedule,
@@ -138,288 +129,6 @@ fn profile_backend_tail(
     t.finish(reg);
 }
 
-/// [`crate::measure_loop_observed`] plus a full phase profile: identical
-/// measurements (and, through `observer`, identical traces), with every
-/// pipeline phase's deterministic work and wall time filed into `reg`.
-pub fn measure_loop_profiled<O: SchedObserver>(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    budget_ratio: f64,
-    observer: &mut O,
-    reg: &mut MetricsRegistry,
-) -> LoopMeasurement {
-    let whole = PhaseTimer::start(phase::WALL_LOOP);
-
-    let t = PhaseTimer::start(phase::WALL_BUILD);
-    let body = back_substitute(&l.body, machine);
-    let problem = build_problem(&body, machine, &BuildOptions::default());
-    t.finish(reg);
-
-    let t = PhaseTimer::start(phase::WALL_SCHED);
-    let t0 = std::time::Instant::now();
-    let outcome: SchedOutcome = Scheduler::new(&problem)
-        .config(SchedConfig::new().budget_ratio(budget_ratio))
-        .observer(ProfObserver::new(observer, reg))
-        .run()
-        .expect("corpus loops always schedule under the automatic II cap");
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    t.finish(reg);
-
-    reg.add(phase::SCHED_STEPS, outcome.stats.total_steps());
-    flush_counters(&outcome.stats.counters, reg);
-    reg.add(phase::CORPUS_LOOPS, 1);
-    reg.add(phase::CORPUS_OPS, problem.num_ops() as u64);
-
-    let mut m = finish_measurement(
-        &problem,
-        l,
-        outcome.mii.res_mii,
-        outcome.mii.rec_mii,
-        outcome.mii.mii,
-        &outcome.schedule,
-    );
-    m.final_steps = outcome.stats.final_steps();
-    m.total_steps = outcome.stats.total_steps();
-    m.counters = outcome.stats.counters;
-    m.wall_ns = wall_ns;
-
-    profile_backend_tail(&body, &problem, &outcome.schedule, reg);
-    whole.finish(reg);
-    m
-}
-
-/// [`crate::measure_loop_pressure`] plus a full phase profile: identical
-/// measurements, with the register-pressure work (`press.maxlive.updates`,
-/// `press.rejects`, `press.ii_bumps`) filed alongside every other phase's
-/// deterministic counters.
-pub fn measure_loop_pressure_profiled<O: SchedObserver>(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    budget_ratio: f64,
-    limit: u32,
-    observer: &mut O,
-    reg: &mut MetricsRegistry,
-) -> LoopMeasurement {
-    let whole = PhaseTimer::start(phase::WALL_LOOP);
-
-    let t = PhaseTimer::start(phase::WALL_BUILD);
-    let body = back_substitute(&l.body, machine);
-    let problem = build_problem(&body, machine, &BuildOptions::default());
-    t.finish(reg);
-
-    let t = PhaseTimer::start(phase::WALL_SCHED);
-    let t0 = std::time::Instant::now();
-    let run = {
-        let mut prof = ProfObserver::new(observer, reg);
-        crate::schedule_pressure(&body, &problem, budget_ratio, limit, &mut prof)
-    };
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    t.finish(reg);
-
-    reg.add(phase::SCHED_STEPS, run.outcome.stats.total_steps());
-    flush_counters(&run.outcome.stats.counters, reg);
-    reg.add(phase::PRESS_MAXLIVE_UPDATES, run.updates);
-    reg.add(phase::PRESS_REJECTS, run.rejects);
-    reg.add(phase::PRESS_II_BUMPS, run.ii_bumps);
-    reg.add(phase::CORPUS_LOOPS, 1);
-    reg.add(phase::CORPUS_OPS, problem.num_ops() as u64);
-
-    let mut m = finish_measurement(&problem, l, run.outcome.mii.res_mii,
-        run.outcome.mii.rec_mii, run.outcome.mii.mii, &run.outcome.schedule);
-    m.final_steps = run.outcome.stats.final_steps();
-    m.total_steps = run.outcome.stats.total_steps();
-    m.counters = run.outcome.stats.counters;
-    m.wall_ns = wall_ns;
-    m.press = Some(run.press);
-
-    profile_backend_tail(&body, &problem, &run.outcome.schedule, reg);
-    whole.finish(reg);
-    m
-}
-
-/// [`crate::measure_corpus_pressure`] with a merged [`MetricsRegistry`]
-/// profile of the whole run — the `--pressure-limit` + `--profile` path.
-/// Per-loop registries merge in corpus order, so the deterministic
-/// sections (including `press.*`) are independent of `threads`.
-pub fn measure_corpus_pressure_profiled(
-    corpus: &Corpus,
-    machine: &MachineModel,
-    budget_ratio: f64,
-    limit: u32,
-    threads: usize,
-) -> (Vec<LoopMeasurement>, MetricsRegistry) {
-    let per_loop = pool::par_map(&corpus.loops, threads, |_, l| {
-        let mut reg = MetricsRegistry::new();
-        let mut null = NullObserver;
-        let m =
-            measure_loop_pressure_profiled(l, machine, budget_ratio, limit, &mut null, &mut reg);
-        (m, reg)
-    });
-    let mut ms = Vec::with_capacity(per_loop.len());
-    let mut total = MetricsRegistry::new();
-    for (m, reg) in per_loop {
-        total.merge(&reg);
-        ms.push(m);
-    }
-    (ms, total)
-}
-
-/// [`crate::measure_loop_exact`] plus a full phase profile: the exact
-/// branch-and-bound search reports its `exact.*` statistics (and the
-/// `graph.*` / `machine.*` work it performs) through
-/// [`schedule_exact_profiled`], and the loop is additionally lowered and
-/// simulated like the iterative profiled path.
-pub fn measure_loop_exact_profiled<O: SchedObserver>(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    config: &ExactConfig,
-    observer: &mut O,
-    reg: &mut MetricsRegistry,
-) -> LoopMeasurement {
-    let whole = PhaseTimer::start(phase::WALL_LOOP);
-
-    let t = PhaseTimer::start(phase::WALL_BUILD);
-    let body = back_substitute(&l.body, machine);
-    let problem = build_problem(&body, machine, &BuildOptions::default());
-    t.finish(reg);
-
-    let t = PhaseTimer::start(phase::WALL_EXACT);
-    let t0 = std::time::Instant::now();
-    let out = schedule_exact_profiled(&problem, config, observer, &mut *reg)
-        .expect("corpus loops always schedule under the automatic II cap");
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    t.finish(reg);
-
-    reg.add(phase::CORPUS_LOOPS, 1);
-    reg.add(phase::CORPUS_OPS, problem.num_ops() as u64);
-
-    let mut m = finish_measurement(&problem, l, out.mii.res_mii, out.mii.rec_mii, out.mii.mii,
-        &out.schedule);
-    m.final_steps = out.nodes;
-    m.total_steps = out.nodes;
-    m.wall_ns = wall_ns;
-    m.exact = Some(ExactInfo {
-        proved_lb: out.bounds.proved_lb,
-        best_ub: out.bounds.best_ub,
-        nodes: out.nodes,
-        limit_hit: out.limit_hit,
-    });
-
-    profile_backend_tail(&body, &problem, &out.schedule, reg);
-    whole.finish(reg);
-    m
-}
-
-/// [`crate::measure_loop_sat`] plus a full phase profile: the CDCL
-/// search reports its `sat.*` statistics through
-/// [`schedule_sat_profiled`], and the loop is additionally lowered and
-/// simulated like the iterative profiled path.
-pub fn measure_loop_sat_profiled<O: SchedObserver>(
-    l: &CorpusLoop,
-    machine: &MachineModel,
-    config: &SatConfig,
-    observer: &mut O,
-    reg: &mut MetricsRegistry,
-) -> LoopMeasurement {
-    let whole = PhaseTimer::start(phase::WALL_LOOP);
-
-    let t = PhaseTimer::start(phase::WALL_BUILD);
-    let body = back_substitute(&l.body, machine);
-    let problem = build_problem(&body, machine, &BuildOptions::default());
-    t.finish(reg);
-
-    let t = PhaseTimer::start(phase::WALL_SAT);
-    let t0 = std::time::Instant::now();
-    let out = schedule_sat_profiled(&problem, config, observer, &mut *reg)
-        .expect("corpus loops always schedule under the automatic II cap");
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    t.finish(reg);
-
-    reg.add(phase::CORPUS_LOOPS, 1);
-    reg.add(phase::CORPUS_OPS, problem.num_ops() as u64);
-
-    let mut m = finish_measurement(&problem, l, out.mii.res_mii, out.mii.rec_mii, out.mii.mii,
-        &out.schedule);
-    m.final_steps = out.conflicts;
-    m.total_steps = out.conflicts;
-    m.wall_ns = wall_ns;
-    m.exact = Some(ExactInfo {
-        proved_lb: out.bounds.proved_lb,
-        best_ub: out.bounds.best_ub,
-        nodes: out.conflicts,
-        limit_hit: out.limit_hit,
-    });
-
-    profile_backend_tail(&body, &problem, &out.schedule, reg);
-    whole.finish(reg);
-    m
-}
-
-/// [`crate::measure_corpus_backend`] (+ optional per-loop traces, as in
-/// [`crate::measure_corpus_traced`]) with a merged [`MetricsRegistry`]
-/// profile of the whole run.
-///
-/// The measurements — and the traces, when `trace_dir` is given — are
-/// byte-identical to the unprofiled runners'. Per-loop registries merge in
-/// corpus order, so the deterministic sections of the returned registry
-/// are independent of `threads`; only the wall section varies.
-///
-/// # Errors
-///
-/// An I/O error creating `trace_dir` or writing a trace file.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_corpus_profiled(
-    corpus: &Corpus,
-    machine: &MachineModel,
-    backend: BackendKind,
-    budget_ratio: f64,
-    work_limit: Option<u64>,
-    threads: usize,
-    trace_dir: Option<&Path>,
-    prefix: &str,
-) -> std::io::Result<(Vec<LoopMeasurement>, MetricsRegistry)> {
-    if let Some(dir) = trace_dir {
-        std::fs::create_dir_all(dir)?;
-    }
-    let exact_config = ExactConfig::new()
-        .heuristic(SchedConfig::with_budget_ratio(budget_ratio))
-        .node_limit(work_limit);
-    let sat_config = SatConfig::new()
-        .heuristic(SchedConfig::with_budget_ratio(budget_ratio))
-        .conflict_limit(work_limit);
-
-    let per_loop = pool::par_map(&corpus.loops, threads, |_, l| {
-        let mut reg = MetricsRegistry::new();
-        let mut tracer = trace_dir.is_some().then(TraceWriter::in_memory);
-        let mut null = NullObserver;
-        let mut obs: &mut dyn SchedObserver = match tracer.as_mut() {
-            Some(t) => t,
-            None => &mut null,
-        };
-        let m = match backend {
-            BackendKind::Ims => measure_loop_profiled(l, machine, budget_ratio, &mut obs, &mut reg),
-            BackendKind::Exact => {
-                measure_loop_exact_profiled(l, machine, &exact_config, &mut obs, &mut reg)
-            }
-            BackendKind::Sat => {
-                measure_loop_sat_profiled(l, machine, &sat_config, &mut obs, &mut reg)
-            }
-        };
-        (m, tracer.map(TraceWriter::into_string), reg)
-    });
-
-    let mut ms = Vec::with_capacity(per_loop.len());
-    let mut total = MetricsRegistry::new();
-    for (index, (m, trace, reg)) in per_loop.into_iter().enumerate() {
-        if let (Some(dir), Some(trace)) = (trace_dir, trace) {
-            std::fs::write(dir.join(format!("{prefix}loop_{index:05}.jsonl")), trace)?;
-        }
-        total.merge(&reg);
-        ms.push(m);
-    }
-    Ok((ms, total))
-}
-
 /// Renders `reg` as a versioned `BENCH_<name>.json` snapshot and writes it
 /// to `path` — the shared tail of every binary's `--profile FILE` flag.
 ///
@@ -430,17 +139,8 @@ pub fn write_profile(path: &Path, name: &str, reg: &MetricsRegistry) -> std::io:
     std::fs::write(path, snapshot::render_snapshot(name, reg))
 }
 
-/// Extracts `--profile FILE` (or `--profile=FILE`) from a raw argv slice,
-/// the way the corpus binaries share [`crate::parse_trace_dir`].
+/// Extracts `--profile FILE` (or `--profile=FILE`) from a raw argv slice;
+/// a `--profile` without a file exits 2 (see [`crate::pool::flag_or_exit`]).
 pub fn parse_profile_path(args: &[String]) -> Option<std::path::PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--profile" {
-            return it.next().map(std::path::PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--profile=") {
-            return Some(std::path::PathBuf::from(v));
-        }
-    }
-    None
+    crate::pool::flag_or_exit(args, "--profile", "usage: --profile FILE")
 }

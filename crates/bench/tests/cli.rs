@@ -188,6 +188,30 @@ fn drivers_reject_malformed_threads_values() {
 }
 
 #[test]
+fn drivers_reject_malformed_numeric_flags() {
+    // Every numeric flag is as strict as `--threads`: `--loops abc` must
+    // not silently run the default corpus size.
+    for bin in [
+        env!("CARGO_BIN_EXE_corpus"),
+        env!("CARGO_BIN_EXE_optgap"),
+        env!("CARGO_BIN_EXE_explain"),
+    ] {
+        for args in [
+            &["--loops", "abc"][..],
+            &["--loops=-3"][..],
+            &["--loops"][..],
+        ] {
+            let out = run(bin, args);
+            assert_eq!(code(&out), 2, "{bin} {args:?}");
+            let err = stderr(&out);
+            assert!(err.contains("usage:"), "{bin} {args:?} -> {err}");
+            assert!(err.contains("--loops"), "{bin} {args:?} -> {err}");
+            assert!(out.stdout.is_empty(), "no partial output on a bad flag");
+        }
+    }
+}
+
+#[test]
 fn corpus_accepts_wellformed_threads() {
     let out = run(env!("CARGO_BIN_EXE_corpus"), &["--threads", "2", "--loops", "1"]);
     assert_eq!(code(&out), 0, "{}", stderr(&out));

@@ -3,7 +3,7 @@
 //! ResMII matches a straightforward clone-per-trial reference on a real
 //! corpus sample (both in value and in `resmii_work` accounting).
 
-use ims_bench::{corpus_jsonl, measure_corpus_threads};
+use ims_bench::{corpus_jsonl, measure_corpus, MeasureParams};
 use ims_core::{res_mii, Counters, Problem};
 use ims_deps::{back_substitute, build_problem, BuildOptions};
 use ims_graph::NodeId;
@@ -14,10 +14,22 @@ use ims_machine::cydra;
 fn corpus_output_is_byte_identical_across_thread_counts() {
     let machine = cydra();
     let corpus = corpus_of_size(0xBEEF, 60);
-    let baseline = corpus_jsonl(&measure_corpus_threads(&corpus, &machine, 6.0, 1));
+    let jsonl = |threads| {
+        let (ms, _) = measure_corpus(
+            &corpus,
+            &machine,
+            &MeasureParams::ims(6.0),
+            threads,
+            None,
+            false,
+        )
+        .expect("no trace dir, no I/O");
+        corpus_jsonl(&ms)
+    };
+    let baseline = jsonl(1);
     assert_eq!(baseline.lines().count(), 61, "60 loops + 1 aggregate line");
     for threads in [2usize, 4, 8] {
-        let par = corpus_jsonl(&measure_corpus_threads(&corpus, &machine, 6.0, threads));
+        let par = jsonl(threads);
         assert_eq!(baseline, par, "output diverged at {threads} threads");
     }
 }

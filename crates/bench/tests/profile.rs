@@ -1,32 +1,26 @@
-//! Profiled corpus measurement: identical measurements and traces, and
-//! thread-count-independent deterministic snapshot sections.
+//! Profiled corpus measurement: thread-count-independent deterministic
+//! snapshot sections, and every pipeline layer accounted for. That
+//! profiling never changes a measurement or a trace is checked for every
+//! backend in `tests/measure.rs`.
 
-use ims_bench::profile::measure_corpus_profiled;
-use ims_bench::{corpus_jsonl, measure_corpus_backend, measure_corpus_threads};
+use ims_bench::{corpus_jsonl, measure_corpus, MeasureParams};
 use ims_core::BackendKind;
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
 use ims_prof::snapshot::{deterministic_section, render_snapshot};
 use ims_prof::phase;
 
-/// The acceptance gate of the profiler issue: a 60-loop profiled corpus
-/// run must produce (a) exactly the measurements of the unprofiled run
-/// and (b) snapshot deterministic sections that are byte-identical at
-/// `--threads 1` and `--threads 4`; only the wall section may differ.
+/// The acceptance gate of the profiler: a 60-loop profiled corpus run
+/// must produce snapshot deterministic sections that are byte-identical
+/// at `--threads 1` and `--threads 4`; only the wall section may differ.
 #[test]
-fn profiling_never_changes_measurements_and_is_thread_count_invariant() {
+fn profiled_runs_are_thread_count_invariant_and_cover_every_layer() {
     let corpus = corpus_of_size(0xC4D5, 60);
     let machine = cydra();
+    let params = MeasureParams::ims(6.0);
 
-    let plain = measure_corpus_threads(&corpus, &machine, 6.0, 2);
-    let (m1, r1) =
-        measure_corpus_profiled(&corpus, &machine, BackendKind::Ims, 6.0, None, 1, None, "")
-            .expect("no trace dir, no I/O");
-    let (m4, r4) =
-        measure_corpus_profiled(&corpus, &machine, BackendKind::Ims, 6.0, None, 4, None, "")
-            .expect("no trace dir, no I/O");
-
-    assert_eq!(corpus_jsonl(&plain), corpus_jsonl(&m1), "profiling changed a measurement");
+    let (m1, r1) = measure_corpus(&corpus, &machine, &params, 1, None, true).expect("no I/O");
+    let (m4, r4) = measure_corpus(&corpus, &machine, &params, 4, None, true).expect("no I/O");
     assert_eq!(corpus_jsonl(&m1), corpus_jsonl(&m4));
 
     let s1 = render_snapshot("corpus", &r1);
@@ -65,66 +59,19 @@ fn profiling_never_changes_measurements_and_is_thread_count_invariant() {
 }
 
 #[test]
-fn exact_backend_profiling_matches_unprofiled_and_reports_search_work() {
+fn exact_backend_profiling_reports_search_work() {
     let corpus = corpus_of_size(5, 12);
-    let machine = cydra();
-    let node_limit = Some(200_000);
+    let params = MeasureParams {
+        backend: BackendKind::Exact,
+        work_limit: Some(200_000),
+        ..MeasureParams::ims(6.0)
+    };
+    let (ms, reg) = measure_corpus(&corpus, &cydra(), &params, 2, None, true).expect("no I/O");
 
-    let plain =
-        measure_corpus_backend(&corpus, &machine, BackendKind::Exact, 6.0, node_limit, 2);
-    let (ms, reg) = measure_corpus_profiled(
-        &corpus,
-        &machine,
-        BackendKind::Exact,
-        6.0,
-        node_limit,
-        2,
-        None,
-        "",
-    )
-    .expect("no trace dir, no I/O");
-
-    assert_eq!(corpus_jsonl(&plain), corpus_jsonl(&ms));
     assert_eq!(reg.counter(phase::CORPUS_LOOPS), corpus.loops.len() as u64);
     let nodes: u64 = ms.iter().map(|m| m.exact.unwrap().nodes).sum();
     assert_eq!(reg.counter(phase::EXACT_NODES), nodes, "search nodes are all accounted for");
     // The profiled run also lowers and simulates each loop.
     assert!(reg.counter(phase::CODEGEN_INSTS) > 0);
     assert!(reg.counter(phase::VLIW_SIM_CYCLES) > 0);
-}
-
-#[test]
-fn profiled_traces_are_byte_identical_to_unprofiled_traces() {
-    let corpus = corpus_of_size(7, 8);
-    let machine = cydra();
-    let base = std::env::temp_dir().join(format!("ims_profile_trace_{}", std::process::id()));
-    let plain_dir = base.join("plain");
-    let prof_dir = base.join("profiled");
-
-    ims_bench::measure_corpus_traced(&corpus, &machine, 6.0, 2, Some(&plain_dir), "")
-        .expect("writes traces");
-    measure_corpus_profiled(
-        &corpus,
-        &machine,
-        BackendKind::Ims,
-        6.0,
-        None,
-        2,
-        Some(&prof_dir),
-        "",
-    )
-    .expect("writes traces");
-
-    let mut names: Vec<_> = std::fs::read_dir(&plain_dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name())
-        .collect();
-    names.sort();
-    assert_eq!(names.len(), corpus.loops.len());
-    for name in names {
-        let a = std::fs::read(plain_dir.join(&name)).unwrap();
-        let b = std::fs::read(prof_dir.join(&name)).unwrap();
-        assert_eq!(a, b, "trace {name:?} differs under profiling");
-    }
-    std::fs::remove_dir_all(&base).ok();
 }

@@ -1,12 +1,12 @@
-//! Integration tests for the traced corpus path: tracing must not
-//! perturb the scheduler, trace directories must be byte-identical
-//! across thread counts, and the written traces must faithfully replay
-//! the schedules the measurements report.
+//! Integration tests for the traced corpus path: trace directories must
+//! be byte-identical across thread counts, and the written traces must
+//! faithfully replay the schedules the measurements report. That tracing
+//! never perturbs a measurement is checked in `tests/measure.rs`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use ims_bench::{corpus_jsonl, measure_corpus_threads, measure_corpus_traced, parse_trace_dir};
+use ims_bench::{measure_corpus, parse_trace_dir, LoopMeasurement, MeasureParams};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
 use ims_trace::{parse_trace, replay, TraceSummary};
@@ -39,32 +39,22 @@ fn read_traces(dir: &Path) -> BTreeMap<String, String> {
         .collect()
 }
 
-#[test]
-fn tracing_does_not_perturb_the_measurements() {
-    let corpus = corpus_of_size(11, 25);
-    let machine = cydra();
-    let untraced = measure_corpus_threads(&corpus, &machine, 6.0, 2);
-
-    let tmp = TempDir::new("perturb");
-    let traced = measure_corpus_traced(&corpus, &machine, 6.0, 2, Some(&tmp.0), "")
-        .expect("traces written");
-
-    // corpus_jsonl covers every per-loop quantity including the Table 4
-    // work counters, so byte-equality here proves the TraceWriter (and
-    // the observer hooks it exercises) left the scheduler's behaviour
-    // and instrumentation untouched.
-    assert_eq!(corpus_jsonl(&untraced), corpus_jsonl(&traced));
+/// The iterative backend over `corpus`, traced into `dir`.
+fn traced(corpus: &ims_loopgen::Corpus, threads: usize, dir: &Path) -> Vec<LoopMeasurement> {
+    let params = MeasureParams::ims(6.0);
+    measure_corpus(corpus, &cydra(), &params, threads, Some((dir, "")), false)
+        .expect("traces written")
+        .0
 }
 
 #[test]
 fn trace_directory_is_identical_across_thread_counts() {
     let corpus = corpus_of_size(12, 30);
-    let machine = cydra();
 
     let one = TempDir::new("threads1");
     let four = TempDir::new("threads4");
-    measure_corpus_traced(&corpus, &machine, 6.0, 1, Some(&one.0), "").expect("traces written");
-    measure_corpus_traced(&corpus, &machine, 6.0, 4, Some(&four.0), "").expect("traces written");
+    traced(&corpus, 1, &one.0);
+    traced(&corpus, 4, &four.0);
 
     let a = read_traces(&one.0);
     let b = read_traces(&four.0);
@@ -75,11 +65,9 @@ fn trace_directory_is_identical_across_thread_counts() {
 #[test]
 fn written_traces_replay_to_the_reported_schedules() {
     let corpus = corpus_of_size(13, 15);
-    let machine = cydra();
 
     let tmp = TempDir::new("replay");
-    let ms = measure_corpus_traced(&corpus, &machine, 6.0, 2, Some(&tmp.0), "")
-        .expect("traces written");
+    let ms = traced(&corpus, 2, &tmp.0);
 
     let traces = read_traces(&tmp.0);
     for (index, m) in ms.iter().enumerate() {

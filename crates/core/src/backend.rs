@@ -12,19 +12,20 @@
 //! simulator work unchanged regardless of which backend produced the
 //! schedule, and harness code can be generic over the choice.
 //!
-//! Two implementations exist:
+//! Two kinds of implementation exist:
 //!
 //! * [`IterativeBackend`] (this crate) — the paper's algorithm, wrapping
 //!   [`modulo_schedule`](crate::modulo_schedule). Its bounds are one-sided:
 //!   `proved_lb` is the MII, `best_ub` the achieved II.
-//! * `ExactBackend` (the `ims-exact` crate) — branch-and-bound search
-//!   that either proves its schedule's II minimal or reports explicit
-//!   [`IiBounds`] when its deadline/node budget runs out.
+//! * `Prover` (the `ims-exact` crate) — the exact provers' shared II walk
+//!   around a per-II decider (branch-and-bound in `ims-exact`, CDCL in
+//!   `ims-sat`). It either proves its schedule's II minimal or reports
+//!   explicit [`IiBounds`] when its work budget runs out.
 
 use crate::mii::MiiInfo;
 use crate::observe::{NullObserver, SchedObserver};
 use crate::problem::Problem;
-use crate::sched::{modulo_schedule_observed, SchedConfig, Schedule, ScheduleError};
+use crate::sched::{modulo_schedule_observed, SchedConfig, SchedOutcome, Schedule, ScheduleError};
 use crate::spec::BackendSpec;
 
 /// Which *leaf* scheduling backend produced an event stream or outcome.
@@ -68,15 +69,6 @@ impl BackendKind {
         BackendKind::ALL.into_iter().find(|k| k.name() == s)
     }
 
-    /// Parses a CLI/wire name produced by [`BackendKind::name`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "parse a full `BackendSpec` (FromStr) instead; use \
-                `BackendKind::from_name` where only a leaf name is legal"
-    )]
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        BackendKind::from_name(s)
-    }
 }
 
 impl std::fmt::Display for BackendKind {
@@ -147,9 +139,7 @@ impl BackendOutcome {
 ///
 /// The trait is object-safe so harness code can pick a backend at
 /// runtime (`--backend SPEC`, resolved through a
-/// [`BackendRegistry`](crate::BackendRegistry)); the leaf
-/// implementations also expose richer generic inherent `*_observed`
-/// entry points for callers that know the concrete type.
+/// [`BackendRegistry`](crate::BackendRegistry)).
 pub trait SchedulerBackend {
     /// Which backend this is (stable name via [`BackendKind::name`]).
     ///
@@ -176,10 +166,8 @@ pub trait SchedulerBackend {
     fn schedule(&self, problem: &Problem<'_>) -> Result<BackendOutcome, ScheduleError>;
 
     /// [`SchedulerBackend::schedule`] with scheduler events reported to
-    /// `observer` — the object-safe counterpart of the leaves' generic
-    /// inherent `schedule_observed` methods (which it forwards to via
-    /// the `&mut O` blanket [`SchedObserver`] impl). The default
-    /// ignores the observer.
+    /// `observer` (the leaves pass it on through the `&mut O` blanket
+    /// [`SchedObserver`] impl). The default ignores the observer.
     ///
     /// # Errors
     ///
@@ -231,30 +219,6 @@ impl IterativeBackend {
     pub fn config(&self) -> &SchedConfig {
         &self.config
     }
-
-    /// [`SchedulerBackend::schedule`] with scheduler events reported to
-    /// `observer`.
-    ///
-    /// # Errors
-    ///
-    /// As [`modulo_schedule`](crate::modulo_schedule).
-    pub fn schedule_observed<O: SchedObserver>(
-        &self,
-        problem: &Problem<'_>,
-        observer: &mut O,
-    ) -> Result<BackendOutcome, ScheduleError> {
-        let out = modulo_schedule_observed(problem, &self.config, observer)?;
-        let steps = out.stats.total_steps();
-        Ok(BackendOutcome {
-            bounds: IiBounds {
-                proved_lb: out.mii.mii,
-                best_ub: out.schedule.ii,
-            },
-            mii: out.mii,
-            schedule: out.schedule,
-            steps,
-        })
-    }
 }
 
 impl SchedulerBackend for IterativeBackend {
@@ -263,16 +227,30 @@ impl SchedulerBackend for IterativeBackend {
     }
 
     fn schedule(&self, problem: &Problem<'_>) -> Result<BackendOutcome, ScheduleError> {
-        self.schedule_observed(problem, &mut NullObserver)
+        // Monomorphized over `NullObserver`: the unobserved path stays free
+        // of per-step dynamic dispatch.
+        modulo_schedule_observed(problem, &self.config, &mut NullObserver).map(heuristic_outcome)
     }
 
     fn schedule_observed_dyn(
         &self,
         problem: &Problem<'_>,
-        observer: &mut dyn SchedObserver,
+        mut observer: &mut dyn SchedObserver,
     ) -> Result<BackendOutcome, ScheduleError> {
-        let mut observer = observer;
-        self.schedule_observed(problem, &mut observer)
+        modulo_schedule_observed(problem, &self.config, &mut observer).map(heuristic_outcome)
+    }
+}
+
+/// The iterative scheduler proves nothing beyond the MII.
+fn heuristic_outcome(out: SchedOutcome) -> BackendOutcome {
+    BackendOutcome {
+        bounds: IiBounds {
+            proved_lb: out.mii.mii,
+            best_ub: out.schedule.ii,
+        },
+        steps: out.stats.total_steps(),
+        mii: out.mii,
+        schedule: out.schedule,
     }
 }
 
@@ -292,10 +270,6 @@ mod tests {
             assert_eq!(kind.to_string(), kind.name());
         }
         assert_eq!(BackendKind::from_name("simulated-annealing"), None);
-        #[allow(deprecated)]
-        {
-            assert_eq!(BackendKind::parse("exact"), Some(BackendKind::Exact));
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The unified scheduling entry point.
 //!
-//! [`Scheduler`] is a builder over the three historical entry points
-//! (`modulo_schedule`, `iterative_schedule`, `iterative_schedule_with`):
-//! construct it from a [`Problem`], chain configuration and an optional
-//! [`SchedObserver`], and call [`run`](Scheduler::run).
+//! [`Scheduler`] is a builder over
+//! [`modulo_schedule_observed`]: construct it from a [`Problem`], chain
+//! configuration and an optional [`SchedObserver`], and call
+//! [`run`](Scheduler::run).
 //!
 //! ```
 //! use ims_core::{ProblemBuilder, SchedConfig, Scheduler};
@@ -25,12 +25,9 @@
 //! # Ok::<(), ims_core::ScheduleError>(())
 //! ```
 
-use crate::backend::BackendOutcome;
 use crate::observe::{NullObserver, SchedObserver};
 use crate::problem::Problem;
-use crate::registry::{BackendParams, BackendRegistry, BackendRunError};
 use crate::sched::{modulo_schedule_observed, SchedConfig, SchedOutcome, ScheduleError};
-use crate::spec::BackendSpec;
 
 /// Builder for one modulo-scheduling run: problem + configuration +
 /// observer.
@@ -44,7 +41,6 @@ use crate::spec::BackendSpec;
 pub struct Scheduler<'p, 'm, O: SchedObserver = NullObserver> {
     problem: &'p Problem<'m>,
     config: SchedConfig,
-    spec: BackendSpec,
     observer: O,
 }
 
@@ -55,7 +51,6 @@ impl<'p, 'm> Scheduler<'p, 'm, NullObserver> {
         Scheduler {
             problem,
             config: SchedConfig::default(),
-            spec: BackendSpec::default(),
             observer: NullObserver,
         }
     }
@@ -91,18 +86,8 @@ impl<'p, 'm, O: SchedObserver> Scheduler<'p, 'm, O> {
         Scheduler {
             problem: self.problem,
             config: self.config,
-            spec: self.spec,
             observer,
         }
-    }
-
-    /// Selects the backend for [`run_backend`](Scheduler::run_backend):
-    /// a [`BackendSpec`] such as `"exact".parse()?` or
-    /// `"portfolio(ims,sat)".parse()?`. [`run`](Scheduler::run) ignores
-    /// it (that path is always the in-crate iterative scheduler).
-    pub fn backend(mut self, spec: BackendSpec) -> Self {
-        self.spec = spec;
-        self
     }
 
     /// Runs `ModuloSchedule` (Figure 2): MII computation, then iterative
@@ -116,40 +101,6 @@ impl<'p, 'm, O: SchedObserver> Scheduler<'p, 'm, O> {
     /// the cap ran out of scheduling budget.
     pub fn run(mut self) -> Result<SchedOutcome, ScheduleError> {
         modulo_schedule_observed(self.problem, &self.config, &mut self.observer)
-    }
-
-    /// Resolves the selected backend spec (see
-    /// [`backend`](Scheduler::backend)) against `registry` and runs it,
-    /// forwarding this builder's `SchedConfig` and observer.
-    ///
-    /// ```
-    /// use ims_core::{BackendRegistry, ProblemBuilder, Scheduler};
-    /// use ims_ir::{OpId, Opcode};
-    /// use ims_machine::minimal;
-    ///
-    /// let m = minimal();
-    /// let mut pb = ProblemBuilder::new(&m);
-    /// let _ = pb.add_op(Opcode::Add, OpId(0));
-    /// let problem = pb.finish();
-    ///
-    /// let registry = BackendRegistry::new(); // `ims` only; backend
-    ///                                        // crates register the rest
-    /// let out = Scheduler::new(&problem)
-    ///     .backend("portfolio(ims,ims)".parse()?)
-    ///     .run_backend(&registry)?;
-    /// assert!(out.schedule.ii >= out.mii.mii);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`BackendRunError::Resolve`] when the spec names a backend the
-    /// registry has no factory for; [`BackendRunError::Schedule`] when
-    /// the resolved backend fails.
-    pub fn run_backend(mut self, registry: &BackendRegistry) -> Result<BackendOutcome, BackendRunError> {
-        let params = BackendParams::new().sched(self.config.clone());
-        let backend = registry.resolve(&self.spec, &params)?;
-        Ok(backend.schedule_observed_dyn(self.problem, &mut self.observer)?)
     }
 }
 

@@ -15,7 +15,7 @@
 //! * the **modulo reservation table** of §3.1 ([`Mrt`]);
 //! * the **iterative scheduler** itself (§3.1–§3.4): the [`Scheduler`]
 //!   builder (and the [`modulo_schedule`] wrapper it subsumes) drives
-//!   [`iterative_schedule`] at successively larger II, with
+//!   [`iterative_schedule_observed`] at successively larger II, with
 //!   `FindTimeSlot`'s forward-progress rule and the displacement policy of
 //!   §3.4, under the `BudgetRatio` operation-scheduling budget;
 //! * an **event-level observer layer** ([`SchedObserver`]): every
@@ -61,7 +61,7 @@
 //! let outcome = modulo_schedule(&problem, &SchedConfig::default())?;
 //! assert_eq!(outcome.mii.rec_mii, 2); // delay 2 around the circuit, distance 1
 //! assert_eq!(outcome.schedule.ii, 2);
-//! # Ok::<(), ims_core::SchedError>(())
+//! # Ok::<(), ims_core::ScheduleError>(())
 //! ```
 
 mod backend;
@@ -82,8 +82,8 @@ mod validate;
 pub use backend::{BackendKind, BackendOutcome, IiBounds, IterativeBackend, SchedulerBackend};
 pub use builder::Scheduler;
 pub use registry::{
-    BackendParams, BackendRegistry, BackendRunError, BoxedBackend, PortfolioBackend,
-    PortfolioReport, ResolveError,
+    BackendParams, BackendRegistry, BoxedBackend, PortfolioBackend, PortfolioReport,
+    ResolveError,
 };
 pub use spec::{BackendSpec, ParseBackendError};
 pub use counters::Counters;
@@ -94,8 +94,7 @@ pub use observe::{NullObserver, SchedObserver};
 pub use priority::{height_r, priorities, PriorityKind};
 pub use problem::{NodeKind, Problem, ProblemBuilder};
 pub use sched::{
-    iterative_schedule, iterative_schedule_observed, iterative_schedule_with, modulo_schedule,
-    modulo_schedule_observed, IiAttempt, SchedConfig, SchedError, SchedOutcome, SchedStats,
-    Schedule, ScheduleError,
+    iterative_schedule_observed, modulo_schedule, modulo_schedule_observed, IiAttempt, SchedConfig,
+    SchedOutcome, SchedStats, Schedule, ScheduleError,
 };
 pub use validate::{validate_schedule, ScheduleViolation};

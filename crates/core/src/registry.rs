@@ -35,26 +35,15 @@ use crate::spec::BackendSpec;
 ///
 /// One params struct serves every backend; each factory picks the fields
 /// it understands (the iterative scheduler reads `sched`, branch-and-
-/// bound adds `node_limit`, the SAT backend adds `conflict_limit`).
-#[derive(Debug, Clone, PartialEq)]
+/// bound adds `node_limit`; the SAT backend keeps its default conflict
+/// budget).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BackendParams {
     /// Heuristic scheduler configuration (BudgetRatio, max II, priority);
     /// the exact backends also use it for their internal heuristic run.
     pub sched: SchedConfig,
     /// Branch-and-bound node budget; `None` keeps the backend's default.
     pub node_limit: Option<u64>,
-    /// SAT-solver conflict budget; `None` keeps the backend's default.
-    pub conflict_limit: Option<u64>,
-}
-
-impl Default for BackendParams {
-    fn default() -> Self {
-        BackendParams {
-            sched: SchedConfig::default(),
-            node_limit: None,
-            conflict_limit: None,
-        }
-    }
 }
 
 impl BackendParams {
@@ -75,11 +64,6 @@ impl BackendParams {
         self
     }
 
-    /// Sets the SAT-solver conflict budget.
-    pub fn conflict_limit(mut self, limit: u64) -> Self {
-        self.conflict_limit = Some(limit);
-        self
-    }
 }
 
 /// A backend instantiated by a registry: boxed, and `Send + Sync` so the
@@ -215,39 +199,6 @@ impl fmt::Display for ResolveError {
 }
 
 impl std::error::Error for ResolveError {}
-
-/// Why [`Scheduler::run_backend`](crate::Scheduler::run_backend) failed:
-/// either the spec did not resolve, or the resolved backend's run did.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BackendRunError {
-    /// The spec named an unregistered backend.
-    Resolve(ResolveError),
-    /// The resolved backend failed to schedule.
-    Schedule(ScheduleError),
-}
-
-impl fmt::Display for BackendRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendRunError::Resolve(e) => e.fmt(f),
-            BackendRunError::Schedule(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for BackendRunError {}
-
-impl From<ResolveError> for BackendRunError {
-    fn from(e: ResolveError) -> Self {
-        BackendRunError::Resolve(e)
-    }
-}
-
-impl From<ScheduleError> for BackendRunError {
-    fn from(e: ScheduleError) -> Self {
-        BackendRunError::Schedule(e)
-    }
-}
 
 /// How a portfolio run went, member by member.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,11 +1,11 @@
 //! The iterative modulo scheduling algorithm (§3).
 //!
 //! [`modulo_schedule`] is the paper's `ModuloSchedule` procedure (Figure 2):
-//! it computes the MII and calls [`iterative_schedule`] (Figure 3) with
+//! it computes the MII and calls [`iterative_schedule_observed`] (Figure 3) with
 //! successively larger candidate IIs until a schedule is found, giving each
 //! attempt a budget of `BudgetRatio · N` operation-scheduling steps.
 //!
-//! [`iterative_schedule`] differs from acyclic list scheduling exactly as
+//! [`iterative_schedule_observed`] differs from acyclic list scheduling exactly as
 //! §3.1 enumerates: operations can be unscheduled and rescheduled; the
 //! highest-priority unscheduled operation is picked regardless of whether
 //! its predecessors are scheduled; `Estart` considers only currently
@@ -252,10 +252,6 @@ pub enum ScheduleError {
     },
 }
 
-/// Legacy name for [`ScheduleError`], kept so pre-builder callers
-/// compile. Prefer `ScheduleError` in new code.
-pub type SchedError = ScheduleError;
-
 impl std::fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -370,7 +366,7 @@ pub fn modulo_schedule_observed<O: SchedObserver>(
     // The paper defines BudgetRatio relative to "the number of operations
     // in the loop": real operations only, not the START/STOP
     // pseudo-operations (whose placement is also not charged against the
-    // budget — see `iterative_schedule_with`). At least 1 so empty loops
+    // budget — see `iterative_schedule_observed`). At least 1 so empty loops
     // and tiny ratios still enter the scheduling loop.
     let n_real = problem.num_ops() as f64;
     let budget = ((config.budget_ratio * n_real).ceil() as i64).max(1);
@@ -434,22 +430,6 @@ pub fn modulo_schedule_observed<O: SchedObserver>(
     })
 }
 
-/// Figure 3: one attempt at the given candidate II under the given budget.
-///
-/// The budget is a limit on *real*-operation scheduling steps, matching
-/// the paper's definition of BudgetRatio over "the number of operations in
-/// the loop"; placing the START/STOP pseudo-operations is free. Returns
-/// the schedule (if every operation was placed before the budget ran out)
-/// and the number of operation-scheduling steps spent on real operations.
-pub fn iterative_schedule(
-    problem: &Problem<'_>,
-    ii: i64,
-    budget: i64,
-    counters: &mut Counters,
-) -> (Option<Schedule>, u64) {
-    iterative_schedule_with(problem, ii, budget, PriorityKind::HeightR, counters)
-}
-
 /// A worklist entry: max-heap by priority, ties to the smaller node id —
 /// the same total order the paper's `HighestPriorityOperation` induces.
 /// Keys are unique per node (ids are distinct), so heap pops are
@@ -474,22 +454,17 @@ impl PartialOrd for Cand {
     }
 }
 
-/// [`iterative_schedule`] with an explicit priority function (§3.2's
-/// alternatives; used by the priority ablation). Kept as a thin wrapper
-/// over [`iterative_schedule_observed`]; prefer the
-/// [`Scheduler`](crate::Scheduler) builder for whole runs.
-pub fn iterative_schedule_with(
-    problem: &Problem<'_>,
-    ii: i64,
-    budget: i64,
-    priority: PriorityKind,
-    counters: &mut Counters,
-) -> (Option<Schedule>, u64) {
-    iterative_schedule_observed(problem, ii, budget, priority, counters, &mut NullObserver)
-}
-
-/// One candidate-II attempt with scheduler events reported to `observer`
-/// (see [`SchedObserver`] for the exact hook sequence).
+/// Figure 3: one attempt at the given candidate II under the given
+/// budget, with scheduler events reported to `observer` (see
+/// [`SchedObserver`] for the exact hook sequence) and the priority
+/// function `priority` (§3.2's alternatives).
+///
+/// The budget is a limit on *real*-operation scheduling steps, matching
+/// the paper's definition of BudgetRatio over "the number of operations in
+/// the loop"; placing the START/STOP pseudo-operations is free. Returns
+/// the schedule (if every operation was placed before the budget ran out)
+/// and the number of operation-scheduling steps spent on real operations.
+/// Prefer the [`Scheduler`](crate::Scheduler) builder for whole runs.
 pub fn iterative_schedule_observed<O: SchedObserver>(
     problem: &Problem<'_>,
     ii: i64,

@@ -3,8 +3,8 @@
 //! persisted regression seeds).
 
 use ims_core::{
-    compute_mii, iterative_schedule, modulo_schedule, validate_schedule, Counters, Mrt,
-    ProblemBuilder, SchedConfig,
+    compute_mii, iterative_schedule_observed, modulo_schedule, validate_schedule, Counters, Mrt,
+    NullObserver, PriorityKind, ProblemBuilder, SchedConfig,
 };
 use ims_graph::{DepKind, NodeId};
 use ims_ir::{OpId, Opcode};
@@ -104,11 +104,17 @@ fn mii_is_a_true_lower_bound() {
             // HeightR (correctly) diverges for IIs below the RecMII.
             let pure_rec = ims_core::rec_mii(&p, 1, &mut Counters::new());
             if mii.mii > 1 && mii.mii - 1 >= pure_rec {
-                let (result, _) =
-                    iterative_schedule(&p, mii.mii - 1, 10_000, &mut Counters::new());
+                let (result, _) = iterative_schedule_observed(
+                    &p,
+                    mii.mii - 1,
+                    10_000,
+                    PriorityKind::HeightR,
+                    &mut Counters::new(),
+                    &mut NullObserver,
+                );
                 if let Some(s) = result {
                     // If something was produced below the MII it must be
-                    // invalid ... which iterative_schedule never produces:
+                    // invalid ... which the scheduler never produces:
                     // placements honour the MRT and displacement; but
                     // recurrences can make it spin forever instead. Either
                     // way a *valid* schedule below MII is impossible.

@@ -5,34 +5,39 @@
 //! The paper's iterative scheduler is a heuristic: when it achieves the
 //! MII it is provably optimal, but when it settles for a larger II nothing
 //! says a smaller one was impossible — maybe the budget just ran out. This
-//! crate answers that question exactly. [`schedule_exact`] first runs the
-//! iterative scheduler (with a generous budget) to obtain an upper bound
-//! and a fallback schedule, then walks candidate IIs upward from the MII,
-//! deciding each one *exhaustively* with the branch-and-bound search in
-//! [`mod@self`] (see the `search` module docs for the pruning rules:
-//! MinDist windows over an SCC-topological scheduling order, modulo
-//! reservation conflicts, and failed-state memoization). The first
-//! feasible II is optimal by construction.
+//! crate answers that question exactly.
 //!
-//! Exhaustive search is exponential in the worst case, so the search is
-//! metered: a node budget ([`ExactConfig::node_limit`]) and an optional
-//! wall-clock deadline ([`ExactConfig::deadline`]). When either runs out
-//! the scheduler degrades gracefully — it returns the iterative schedule
-//! plus explicit [`IiBounds`] recording exactly which IIs were proven
-//! infeasible (`proved_lb`) and the best schedule in hand (`best_ub`),
-//! never a hang and never a silent claim of optimality.
+//! It holds two things:
 //!
-//! The crate plugs into the workspace through the
-//! [`SchedulerBackend`] seam: [`ExactBackend`] produces the same
-//! [`Schedule`] type as the iterative backend, so the validator, kernel
-//! code generation, and the VLIW simulator consume its output unchanged.
+//! * the **prover walk** shared by every exact engine ([`prove`], in the
+//!   `prover` module): run the iterative scheduler for an upper bound and
+//!   a fallback, then decide candidate IIs upward from the MII under one
+//!   shared work budget. The first feasible II is optimal by
+//!   construction; when the budget runs out the walk degrades gracefully
+//!   to the iterative schedule plus explicit
+//!   [`IiBounds`](ims_core::IiBounds) recording which IIs were proven
+//!   infeasible (`proved_lb`) and the best schedule in hand (`best_ub`) —
+//!   never a hang and never a silent claim of optimality. An engine plugs in through the [`Decider`] trait;
+//!   [`Prover`] turns any decider into a
+//!   [`SchedulerBackend`](ims_core::SchedulerBackend) whose schedules the
+//!   validator, kernel code generation and the VLIW simulator consume
+//!   unchanged;
+//! * the **branch-and-bound decider** ([`BranchAndBound`]), which decides
+//!   one II *exhaustively* (see the `search` module docs for the pruning
+//!   rules: MinDist windows over an SCC-topological scheduling order,
+//!   modulo reservation conflicts, and failed-state memoization). Its
+//!   work unit is a search node; an optional wall-clock deadline
+//!   ([`BranchAndBound::deadline`]) bounds it further.
+//!
+//! The CDCL decider lives in `ims-sat` and shares the same walk.
 //!
 //! ```
-//! use ims_core::{ProblemBuilder, validate_schedule};
-//! use ims_exact::{schedule_exact, ExactConfig};
+//! use ims_core::{NullObserver, ProblemBuilder, validate_schedule};
+//! use ims_exact::{prove, BranchAndBound, Decider, ProverConfig};
 //! use ims_graph::DepKind;
 //! use ims_ir::{OpId, Opcode};
 //! use ims_machine::minimal;
+//! use ims_prof::NullSink;
 //!
 //! let m = minimal();
 //! let mut pb = ProblemBuilder::new(&m);
@@ -42,345 +47,80 @@
 //! pb.add_dep(b, a, 1, 1, DepKind::Flow, false); // loop-carried
 //! let problem = pb.finish();
 //!
-//! let out = schedule_exact(&problem, &ExactConfig::default())?;
+//! let config = ProverConfig::new(BranchAndBound::DEFAULT_WORK_LIMIT);
+//! let out = prove(&problem, &BranchAndBound::default(), &config, &mut NullObserver, &mut NullSink)?;
 //! assert!(out.optimal());
 //! assert_eq!(out.schedule.ii, out.bounds.proved_lb);
 //! assert!(validate_schedule(&problem, &out.schedule).is_ok());
 //! # Ok::<(), ims_core::ScheduleError>(())
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use ims_core::{
-    modulo_schedule, BackendKind, BackendOutcome, BackendParams, BackendRegistry, IiBounds,
-    MiiInfo, NullObserver, Problem, SchedConfig, SchedObserver, Schedule, ScheduleError,
-    SchedulerBackend,
-};
-use ims_prof::{phase, NullSink, ProfSink};
+use ims_core::{BackendKind, BackendParams, BackendRegistry, Problem};
+use ims_prof::{phase, ProfSink};
 
+mod prover;
 mod search;
 
-use search::{search_ii, SearchResult};
+pub use prover::{prove, Decider, Decision, Prover, ProverConfig, ProverOutcome, WalkPhases};
 
-/// Configuration for the exact scheduler.
-#[derive(Debug, Clone)]
-pub struct ExactConfig {
-    /// Configuration for the internal iterative-scheduler run that
-    /// supplies the upper bound and the fallback schedule. Defaults to
-    /// BudgetRatio 6 (the paper's quality setting) so the search window
-    /// between MII and the heuristic II is as small as possible.
-    pub heuristic: SchedConfig,
-    /// Wall-clock deadline for the whole branch-and-bound phase (the
-    /// heuristic run is not counted). `None` — the default — leaves the
-    /// search bounded only by `node_limit`. Deadlines trade determinism
-    /// for latency control: two runs under the same deadline may abort at
+/// The branch-and-bound [`Decider`]: decides one II by exhaustive search,
+/// metered in search nodes (placements tried).
+///
+/// Its default work limit (`2^22` nodes) decides every corpus loop in well
+/// under a second.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BranchAndBound {
+    /// Wall-clock instant after which every search gives up with
+    /// [`Decision::LimitHit`]. `None` — the default — leaves the search
+    /// bounded only by the work budget. Deadlines trade determinism for
+    /// latency control: two runs under the same deadline may abort at
     /// different points, so deterministic harnesses should meter with
-    /// `node_limit` instead.
-    pub deadline: Option<Duration>,
-    /// Budget of branch-and-bound nodes (placements tried) across all
-    /// candidate IIs. `None` is unlimited. The default (`2^22`) decides
-    /// every corpus loop in well under a second.
-    pub node_limit: Option<u64>,
+    /// the work limit instead.
+    pub deadline: Option<Instant>,
 }
 
-impl Default for ExactConfig {
-    fn default() -> Self {
-        ExactConfig {
-            heuristic: SchedConfig::with_budget_ratio(6.0),
-            deadline: None,
-            node_limit: Some(1 << 22),
-        }
-    }
-}
+impl Decider for BranchAndBound {
+    const KIND: BackendKind = BackendKind::Exact;
+    const PHASES: WalkPhases = WalkPhases {
+        searched: phase::EXACT_IIS_SEARCHED,
+        infeasible: phase::EXACT_IIS_INFEASIBLE,
+        limit_hits: phase::EXACT_LIMIT_HITS,
+    };
+    const DEFAULT_WORK_LIMIT: Option<u64> = Some(1 << 22);
 
-impl ExactConfig {
-    /// The default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the internal iterative-scheduler configuration.
-    pub fn heuristic(mut self, heuristic: SchedConfig) -> Self {
-        self.heuristic = heuristic;
-        self
-    }
-
-    /// Sets the wall-clock deadline for the branch-and-bound phase.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the branch-and-bound node budget (`None` for unlimited).
-    pub fn node_limit(mut self, node_limit: Option<u64>) -> Self {
-        self.node_limit = node_limit;
-        self
-    }
-}
-
-/// The result of [`schedule_exact`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExactOutcome {
-    /// The best legal schedule in hand: II-optimal when
-    /// [`optimal`](ExactOutcome::optimal), otherwise the iterative
-    /// scheduler's fallback at `ims_ii`.
-    pub schedule: Schedule,
-    /// The MII bounds computed by the internal iterative run.
-    pub mii: MiiInfo,
-    /// What was proven about the true minimum II: exact when the search
-    /// completed, a `[proved_lb, best_ub]` interval when a limit hit.
-    pub bounds: IiBounds,
-    /// Branch-and-bound nodes spent (0 when the heuristic already
-    /// achieved the MII and no search was needed).
-    pub nodes: u64,
-    /// Whether the node budget or deadline aborted the search before it
-    /// could decide every II below `ims_ii`.
-    pub limit_hit: bool,
-    /// The II the internal iterative scheduler achieved — the yardstick
-    /// for the optimality gap `ims_ii − bounds.best_ub`.
-    pub ims_ii: i64,
-}
-
-impl ExactOutcome {
-    /// Whether `schedule` is proven II-optimal.
-    pub fn optimal(&self) -> bool {
-        self.bounds.is_exact()
-    }
-}
-
-/// Schedules `problem` exactly: the returned schedule's II is proven
-/// minimal unless a limit hit, in which case `bounds` says how much is
-/// still open. See the crate docs for the algorithm.
-///
-/// # Errors
-///
-/// Forwards the internal iterative run's [`ScheduleError`]; the
-/// branch-and-bound phase itself cannot fail (it degrades to the
-/// iterative schedule).
-pub fn schedule_exact(
-    problem: &Problem<'_>,
-    config: &ExactConfig,
-) -> Result<ExactOutcome, ScheduleError> {
-    schedule_exact_observed(problem, config, &mut NullObserver)
-}
-
-/// [`schedule_exact`] with scheduler events reported to `observer`.
-///
-/// The observer sees `backend(Exact)`, then one `attempt_start` /
-/// `attempt_done` bracket per candidate II searched (the `budget` is the
-/// remaining node budget, saturated to `i64::MAX`), with the final
-/// schedule's placements emitted as `op_scheduled` events inside its
-/// attempt — so trace replay reconstructs the exact schedule just as it
-/// does for the iterative scheduler. The internal heuristic run is not
-/// observed.
-///
-/// # Errors
-///
-/// As [`schedule_exact`].
-pub fn schedule_exact_observed<O: SchedObserver>(
-    problem: &Problem<'_>,
-    config: &ExactConfig,
-    observer: &mut O,
-) -> Result<ExactOutcome, ScheduleError> {
-    schedule_exact_profiled(problem, config, observer, &mut NullSink)
-}
-
-/// [`schedule_exact_observed`] with deterministic search statistics
-/// additionally reported to `prof`: branch-and-bound nodes, memoization
-/// hits/inserts, prune reasons, candidate-II outcomes, and the
-/// MinDist/SCC/MRT work the search performs, all keyed by the profiler's
-/// phase names (`exact.*`, `graph.*`, `machine.mrt.probes`). Passing
-/// `&mut NullSink` makes this exactly [`schedule_exact_observed`].
-///
-/// # Errors
-///
-/// As [`schedule_exact`].
-pub fn schedule_exact_profiled<O: SchedObserver, P: ProfSink>(
-    problem: &Problem<'_>,
-    config: &ExactConfig,
-    observer: &mut O,
-    prof: &mut P,
-) -> Result<ExactOutcome, ScheduleError> {
-    observer.backend(BackendKind::Exact);
-    let ims = modulo_schedule(problem, &config.heuristic)?;
-    let ims_ii = ims.schedule.ii;
-    let mii = ims.mii;
-
-    if ims_ii == mii.mii {
-        // The heuristic achieved the MII: already proven optimal.
-        emit_final(observer, problem, &ims.schedule);
-        return Ok(ExactOutcome {
-            schedule: ims.schedule,
-            mii,
-            bounds: IiBounds::exact(ims_ii),
-            nodes: 0,
-            limit_hit: false,
-            ims_ii,
-        });
-    }
-
-    let deadline = config.deadline.map(|d| Instant::now() + d);
-    let node_limit = config.node_limit.unwrap_or(u64::MAX);
-    let mut spent = 0u64;
-    for ii in mii.mii..ims_ii {
-        let remaining = node_limit.saturating_sub(spent);
-        observer.attempt_start(ii, remaining.min(i64::MAX as u64) as i64);
-        prof.count(phase::EXACT_IIS_SEARCHED, 1);
-        let (result, nodes) = search_ii(problem, ii, remaining, deadline, &mut *prof);
-        spent += nodes;
-        match result {
-            SearchResult::Found(schedule) => {
-                emit_ops(observer, &schedule);
-                observer.attempt_done(ii, true);
-                return Ok(ExactOutcome {
-                    schedule,
-                    mii,
-                    bounds: IiBounds::exact(ii),
-                    nodes: spent,
-                    limit_hit: false,
-                    ims_ii,
-                });
-            }
-            SearchResult::Infeasible => {
-                prof.count(phase::EXACT_IIS_INFEASIBLE, 1);
-                observer.attempt_done(ii, false);
-            }
-            SearchResult::LimitHit => {
-                prof.count(phase::EXACT_LIMIT_HITS, 1);
-                observer.attempt_done(ii, false);
-                emit_final(observer, problem, &ims.schedule);
-                return Ok(ExactOutcome {
-                    schedule: ims.schedule,
-                    mii,
-                    bounds: IiBounds {
-                        proved_lb: ii,
-                        best_ub: ims_ii,
-                    },
-                    nodes: spent,
-                    limit_hit: true,
-                    ims_ii,
-                });
-            }
-        }
-    }
-
-    // Every II below the heuristic's is proven infeasible: the iterative
-    // schedule was optimal all along.
-    emit_final(observer, problem, &ims.schedule);
-    Ok(ExactOutcome {
-        schedule: ims.schedule,
-        mii,
-        bounds: IiBounds::exact(ims_ii),
-        nodes: spent,
-        limit_hit: false,
-        ims_ii,
-    })
-}
-
-/// Emits a full attempt bracket for an already-final schedule (used for
-/// the MII short-circuit and the fallback paths, where no live search
-/// attempt is open for the schedule being returned).
-fn emit_final<O: SchedObserver>(observer: &mut O, problem: &Problem<'_>, schedule: &Schedule) {
-    let _ = problem;
-    observer.attempt_start(schedule.ii, 0);
-    emit_ops(observer, schedule);
-    observer.attempt_done(schedule.ii, true);
-}
-
-/// Emits `op_scheduled` for every node of `schedule`, in node order.
-fn emit_ops<O: SchedObserver>(observer: &mut O, schedule: &Schedule) {
-    for idx in 0..schedule.time.len() {
-        observer.op_scheduled(
-            ims_graph::NodeId(idx as u32),
-            schedule.time[idx],
-            schedule.alternative[idx],
-            false,
-        );
-    }
-}
-
-/// The exact scheduler as a [`SchedulerBackend`].
-///
-/// `steps` in the returned [`BackendOutcome`] counts branch-and-bound
-/// nodes; `bounds` is exact unless the configured limits aborted the
-/// search.
-#[derive(Debug, Clone, Default)]
-pub struct ExactBackend {
-    config: ExactConfig,
-}
-
-impl ExactBackend {
-    /// A backend running with the given configuration.
-    pub fn new(config: ExactConfig) -> Self {
-        ExactBackend { config }
-    }
-
-    /// The configuration this backend schedules with.
-    pub fn config(&self) -> &ExactConfig {
-        &self.config
-    }
-
-    /// [`SchedulerBackend::schedule`] with scheduler events reported to
-    /// `observer`.
-    ///
-    /// # Errors
-    ///
-    /// As [`schedule_exact`].
-    pub fn schedule_observed<O: SchedObserver>(
+    fn decide<P: ProfSink>(
         &self,
         problem: &Problem<'_>,
-        observer: &mut O,
-    ) -> Result<BackendOutcome, ScheduleError> {
-        let out = schedule_exact_observed(problem, &self.config, observer)?;
-        Ok(BackendOutcome {
-            schedule: out.schedule,
-            mii: out.mii,
-            bounds: out.bounds,
-            steps: out.nodes,
-        })
+        ii: i64,
+        remaining: u64,
+        sink: &mut P,
+    ) -> (Decision, u64) {
+        search::search_ii(problem, ii, remaining, self.deadline, sink)
     }
 }
 
-impl SchedulerBackend for ExactBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Exact
-    }
-
-    fn schedule(&self, problem: &Problem<'_>) -> Result<BackendOutcome, ScheduleError> {
-        self.schedule_observed(problem, &mut NullObserver)
-    }
-
-    fn schedule_observed_dyn(
-        &self,
-        problem: &Problem<'_>,
-        observer: &mut dyn SchedObserver,
-    ) -> Result<BackendOutcome, ScheduleError> {
-        let mut observer = observer;
-        self.schedule_observed(problem, &mut observer)
-    }
-}
-
-/// Registers the branch-and-bound backend under [`BackendKind::Exact`].
+/// Registers the branch-and-bound prover under [`BackendKind::Exact`].
 /// The factory maps [`BackendParams::sched`] to the heuristic
 /// configuration and [`BackendParams::node_limit`] (when set) to the
 /// node budget.
 pub fn register(reg: &mut BackendRegistry) {
     reg.register(BackendKind::Exact, |params: &BackendParams| {
-        let mut config = ExactConfig::new().heuristic(params.sched.clone());
-        if params.node_limit.is_some() {
-            config = config.node_limit(params.node_limit);
-        }
-        Box::new(ExactBackend::new(config))
+        let limit = params.node_limit.or(BranchAndBound::DEFAULT_WORK_LIMIT);
+        let config = ProverConfig::new(limit).heuristic(params.sched.clone());
+        Box::new(Prover::new(BranchAndBound::default(), config))
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ims_core::{validate_schedule, ProblemBuilder};
+    use ims_core::{validate_schedule, NullObserver, ProblemBuilder, SchedulerBackend};
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
-    use ims_machine::{figure1_machine, minimal};
+    use ims_machine::figure1_machine;
+    use ims_prof::NullSink;
 
     /// The Figure 1 loop of the paper: a mul/add recurrence of delay 9 at
     /// distance 2 (RecMII 5), which the iterative scheduler schedules at
@@ -398,43 +138,17 @@ mod tests {
     fn figure1_is_decided_exactly() {
         let m = figure1_machine();
         let p = figure1_problem(&m);
-        let out = schedule_exact(&p, &ExactConfig::default()).unwrap();
+        let backend: Box<dyn SchedulerBackend> = Box::new(Prover::<BranchAndBound>::default());
+        assert_eq!(backend.kind(), BackendKind::Exact);
+        let out = backend.schedule(&p).unwrap();
         assert_eq!(out.mii.mii, 5);
-        assert!(!out.limit_hit);
-        assert!(out.optimal(), "search must decide every II: {:?}", out.bounds);
-        assert!(out.nodes > 0, "IMS misses the MII here, so a search ran");
+        assert!(
+            out.optimal(),
+            "search must decide every II: {:?}",
+            out.bounds
+        );
+        assert!(out.steps > 0, "IMS misses the MII here, so a search ran");
         assert_eq!(out.schedule.ii, out.bounds.best_ub);
-        assert!(validate_schedule(&p, &out.schedule).is_ok());
-        assert!(out.schedule.ii <= out.ims_ii);
-        assert!(out.schedule.ii >= out.mii.mii);
-    }
-
-    #[test]
-    fn mii_short_circuit_spends_no_nodes() {
-        let m = minimal();
-        let mut pb = ProblemBuilder::new(&m);
-        let a = pb.add_op(Opcode::Add, OpId(0));
-        let b = pb.add_op(Opcode::Mul, OpId(1));
-        pb.add_dep(a, b, 1, 0, DepKind::Flow, false);
-        pb.add_dep(b, a, 1, 1, DepKind::Flow, false);
-        let p = pb.finish();
-        let out = schedule_exact(&p, &ExactConfig::default()).unwrap();
-        assert!(out.optimal());
-        assert_eq!(out.nodes, 0, "heuristic hit the MII; no search needed");
-        assert_eq!(out.schedule.ii, out.mii.mii);
-        assert_eq!(out.ims_ii, out.mii.mii);
-    }
-
-    #[test]
-    fn node_limit_degrades_to_bounds_and_ims_schedule() {
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let out = schedule_exact(&p, &ExactConfig::new().node_limit(Some(1))).unwrap();
-        assert!(out.limit_hit);
-        assert!(!out.optimal());
-        assert_eq!(out.bounds.proved_lb, out.mii.mii, "nothing decided yet");
-        assert_eq!(out.bounds.best_ub, out.ims_ii);
-        assert_eq!(out.schedule.ii, out.ims_ii, "fell back to the IMS schedule");
         assert!(validate_schedule(&p, &out.schedule).is_ok());
     }
 
@@ -442,90 +156,36 @@ mod tests {
     fn expired_deadline_degrades_deterministically() {
         let m = figure1_machine();
         let p = figure1_problem(&m);
-        let out =
-            schedule_exact(&p, &ExactConfig::new().deadline(Duration::ZERO)).unwrap();
+        let decider = BranchAndBound {
+            deadline: Some(Instant::now()),
+        };
+        let config = ProverConfig::new(BranchAndBound::DEFAULT_WORK_LIMIT);
+        let out = prove(&p, &decider, &config, &mut NullObserver, &mut NullSink).unwrap();
         assert!(out.limit_hit, "an already-expired deadline aborts at entry");
-        assert_eq!(out.nodes, 0);
+        assert_eq!(out.work, 0);
         assert_eq!(out.bounds.proved_lb, out.mii.mii);
         assert_eq!(out.bounds.best_ub, out.ims_ii);
         assert!(validate_schedule(&p, &out.schedule).is_ok());
     }
 
     #[test]
-    fn profiled_search_reports_deterministic_statistics() {
+    fn registry_params_reach_the_walk() {
+        let mut reg = BackendRegistry::new();
+        register(&mut reg);
         let m = figure1_machine();
         let p = figure1_problem(&m);
-        let mut reg = ims_prof::MetricsRegistry::new();
-        let out =
-            schedule_exact_profiled(&p, &ExactConfig::default(), &mut NullObserver, &mut reg)
-                .unwrap();
-        assert_eq!(reg.counter(phase::EXACT_NODES), out.nodes);
-        assert!(reg.counter(phase::EXACT_IIS_SEARCHED) >= 1);
-        assert!(reg.counter(phase::GRAPH_MINDIST_WORK) > 0);
-        assert!(reg.counter(phase::MACHINE_MRT_PROBES) > 0);
-        // Identical runs produce identical registries: every statistic the
-        // search reports is deterministic.
-        let mut again = ims_prof::MetricsRegistry::new();
-        let _ = schedule_exact_profiled(&p, &ExactConfig::default(), &mut NullObserver, &mut again)
+        let starved = BackendParams::new().node_limit(1);
+        let out = reg
+            .make(BackendKind::Exact, &starved)
+            .unwrap()
+            .schedule(&p)
             .unwrap();
-        assert_eq!(reg, again);
-        // The unprofiled entry point is unchanged by profiling.
-        let plain = schedule_exact(&p, &ExactConfig::default()).unwrap();
-        assert_eq!(plain.schedule, out.schedule);
-        assert_eq!(plain.nodes, out.nodes);
-    }
-
-    #[test]
-    fn exact_backend_reports_kind_and_matches_schedule_exact() {
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let backend: Box<dyn SchedulerBackend> = Box::new(ExactBackend::default());
-        assert_eq!(backend.kind(), BackendKind::Exact);
-        let out = backend.schedule(&p).unwrap();
-        let reference = schedule_exact(&p, &ExactConfig::default()).unwrap();
-        assert_eq!(out.schedule, reference.schedule);
-        assert_eq!(out.bounds, reference.bounds);
-        assert_eq!(out.steps, reference.nodes);
-    }
-
-    #[test]
-    fn observer_sees_exact_backend_and_replayable_placements() {
-        #[derive(Default)]
-        struct Spy {
-            backend: Option<BackendKind>,
-            attempts: Vec<(i64, bool)>,
-            placed: Vec<(u32, i64)>,
-        }
-        impl SchedObserver for Spy {
-            fn backend(&mut self, kind: BackendKind) {
-                self.backend = Some(kind);
-            }
-            fn attempt_start(&mut self, ii: i64, _budget: i64) {
-                self.attempts.push((ii, false));
-            }
-            fn attempt_done(&mut self, ii: i64, ok: bool) {
-                let last = self.attempts.last_mut().unwrap();
-                assert_eq!(last.0, ii, "attempt brackets nest properly");
-                last.1 = ok;
-            }
-            fn op_scheduled(&mut self, node: ims_graph::NodeId, time: i64, _: usize, _: bool) {
-                self.placed.push((node.0, time));
-            }
-        }
-
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let mut spy = Spy::default();
-        let out = schedule_exact_observed(&p, &ExactConfig::default(), &mut spy).unwrap();
-        assert_eq!(spy.backend, Some(BackendKind::Exact));
-        let last = spy.attempts.last().unwrap();
-        assert_eq!(*last, (out.schedule.ii, true), "final attempt succeeded");
-        // The trailing placement burst reconstructs the final schedule.
-        let n = out.schedule.time.len();
-        let tail = &spy.placed[spy.placed.len() - n..];
-        for (idx, &(node, time)) in tail.iter().enumerate() {
-            assert_eq!(node as usize, idx);
-            assert_eq!(time, out.schedule.time[idx]);
-        }
+        assert!(!out.optimal(), "a one-node budget cannot decide II 5");
+        let full = reg
+            .make(BackendKind::Exact, &BackendParams::new())
+            .unwrap()
+            .schedule(&p)
+            .unwrap();
+        assert!(full.optimal());
     }
 }

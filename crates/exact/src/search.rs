@@ -38,7 +38,7 @@
 //!
 //! Search effort is metered in **nodes** (placements tried). The caller
 //! supplies a node budget and an optional wall-clock deadline; exceeding
-//! either aborts the search with [`SearchResult::LimitHit`], in which case
+//! either aborts the search with [`Decision::LimitHit`], in which case
 //! infeasibility has *not* been proven.
 
 use std::collections::HashSet;
@@ -48,16 +48,7 @@ use ims_core::{Mrt, Problem, Schedule};
 use ims_graph::{sccs, MinDist, MinDistSolver, NodeId, NEG_INF};
 use ims_prof::{phase, ProfSink};
 
-/// Outcome of one exhaustive (or aborted) search at a fixed II.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum SearchResult {
-    /// A legal schedule exists at this II; here is one.
-    Found(Schedule),
-    /// No legal schedule exists at this II (proven exhaustively).
-    Infeasible,
-    /// The node budget or deadline ran out; feasibility is unknown.
-    LimitHit,
-}
+use crate::Decision;
 
 /// Memoization key for a failed partial schedule. Exact equality only —
 /// two states with equal keys have identical sets of feasible
@@ -275,9 +266,9 @@ pub(crate) fn search_ii<P: ProfSink>(
     node_budget: u64,
     deadline: Option<Instant>,
     prof: &mut P,
-) -> (SearchResult, u64) {
+) -> (Decision, u64) {
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        return (SearchResult::LimitHit, 0);
+        return (Decision::LimitHit, 0);
     }
     let graph = problem.graph();
     let all: Vec<NodeId> = graph.nodes().collect();
@@ -285,7 +276,7 @@ pub(crate) fn search_ii<P: ProfSink>(
     if !md.feasible() {
         // A positive MinDist diagonal is already a proof: no schedule
         // exists at this II regardless of resources.
-        return (SearchResult::Infeasible, 0);
+        return (Decision::Infeasible, 0);
     }
 
     let start = problem.start();
@@ -380,7 +371,7 @@ pub(crate) fn search_ii<P: ProfSink>(
             }
             time[stop.index()] = t_stop;
             (
-                SearchResult::Found(Schedule {
+                Decision::Feasible(Schedule {
                     ii,
                     time,
                     alternative,
@@ -389,7 +380,7 @@ pub(crate) fn search_ii<P: ProfSink>(
                 dfs.nodes,
             )
         }
-        Some(false) => (SearchResult::Infeasible, dfs.nodes),
-        None => (SearchResult::LimitHit, dfs.nodes),
+        Some(false) => (Decision::Infeasible, dfs.nodes),
+        None => (Decision::LimitHit, dfs.nodes),
     }
 }

@@ -180,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn generous_limit_reproduces_the_blind_schedule_exactly() {
+    fn generous_limit_reproduces_the_blind_schedule_bit_for_bit() {
         let m = cydra_rf(64);
         let body = dot_body();
         let p = build_problem(&body, &m, &BuildOptions::default());

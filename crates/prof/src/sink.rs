@@ -54,6 +54,24 @@ impl<P: ProfSink + ?Sized> ProfSink for &mut P {
     }
 }
 
+/// An optional sink: forwards to the inner sink when present, discards
+/// otherwise — so a driver's `Option<&mut MetricsRegistry>` ("profile
+/// only when asked") can be handed to any instrumented call as is.
+impl<P: ProfSink> ProfSink for Option<P> {
+    #[inline(always)]
+    fn count(&mut self, phase: &'static str, n: u64) {
+        if let Some(p) = self {
+            p.count(phase, n);
+        }
+    }
+    #[inline(always)]
+    fn record(&mut self, phase: &'static str, value: i64) {
+        if let Some(p) = self {
+            p.record(phase, value);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,5 +101,8 @@ mod tests {
         generic(&mut w);
         generic(&mut &mut w);
         assert_eq!(w, 4);
+        generic(Some(&mut w));
+        generic(None::<&mut u64>);
+        assert_eq!(w, 6);
     }
 }

@@ -54,6 +54,14 @@ impl PhaseTimer {
     /// Drops the span without recording (e.g. an error path the caller
     /// accounts separately).
     pub fn cancel(self) {}
+
+    /// [`finish`](PhaseTimer::finish) into `reg` when a registry is given
+    /// (the driver is profiling), [`cancel`](PhaseTimer::cancel) otherwise.
+    pub fn finish_if(self, reg: Option<&mut MetricsRegistry>) {
+        if let Some(reg) = reg {
+            self.finish(reg);
+        }
+    }
 }
 
 /// Times `f` as one `phase` span of `reg`. Use when the timed region does

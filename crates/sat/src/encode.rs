@@ -45,6 +45,7 @@
 //! any thread count.
 
 use ims_core::{Problem, Schedule};
+use ims_exact::Decision;
 use ims_graph::{sccs, MinDist, MinDistSolver, NodeId, NEG_INF};
 use ims_prof::{phase, ProfSink};
 
@@ -59,17 +60,6 @@ pub(crate) struct SatLimits {
     pub clause_limit: u64,
     /// Abort encoding when the summed window width passes this.
     pub slot_limit: u64,
-}
-
-/// Outcome of one per-II decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum IiDecision {
-    /// A legal schedule exists at this II; here is one.
-    Feasible(Schedule),
-    /// No legal schedule exists at this II (proven).
-    Infeasible,
-    /// A cap (conflicts, clauses, or slots) ran out; unknown.
-    LimitHit,
 }
 
 /// A literal-or-constant, for window-clipped threshold lookups.
@@ -196,15 +186,15 @@ pub(crate) fn decide_ii<P: ProfSink>(
     ii: i64,
     limits: &SatLimits,
     prof: &mut P,
-) -> (IiDecision, u64) {
+) -> (Decision, u64) {
     let graph = problem.graph();
     let all: Vec<NodeId> = graph.nodes().collect();
     let md = MinDistSolver::new(graph, &all).solve(ii, &mut *prof);
     if !md.feasible() {
-        return (IiDecision::Infeasible, 0);
+        return (Decision::Infeasible, 0);
     }
     let Some((lo, ub)) = windows(problem, &md, ii, &mut *prof) else {
-        return (IiDecision::Infeasible, 0);
+        return (Decision::Infeasible, 0);
     };
 
     let total_slots: i64 = problem
@@ -212,7 +202,7 @@ pub(crate) fn decide_ii<P: ProfSink>(
         .map(|v| ub[v.index()] - lo[v.index()] + 1)
         .sum();
     if total_slots as u64 > limits.slot_limit {
-        return (IiDecision::LimitHit, 0);
+        return (Decision::LimitHit, 0);
     }
 
     // Variable allocation, in node-id order: ladder, alternatives,
@@ -296,7 +286,7 @@ pub(crate) fn decide_ii<P: ProfSink>(
         }
     }
     if over_limit(&solver) {
-        return (IiDecision::LimitHit, 0);
+        return (Decision::LimitHit, 0);
     }
 
     // Family 4: dependences as ladder implications. Index OpEnc by node.
@@ -341,7 +331,7 @@ pub(crate) fn decide_ii<P: ProfSink>(
         }
     }
     if over_limit(&solver) {
-        return (IiDecision::LimitHit, 0);
+        return (Decision::LimitHit, 0);
     }
 
     // Family 5: pairwise resource conflicts over occupancy bits.
@@ -383,7 +373,7 @@ pub(crate) fn decide_ii<P: ProfSink>(
         }
     }
     if over_limit(&solver) {
-        return (IiDecision::LimitHit, 0);
+        return (Decision::LimitHit, 0);
     }
 
     prof.count(phase::SAT_VARS, solver.num_vars() as u64);
@@ -397,8 +387,8 @@ pub(crate) fn decide_ii<P: ProfSink>(
     prof.count(phase::SAT_RESTARTS, stats.restarts);
 
     let decision = match result {
-        SolveResult::Unsat => IiDecision::Infeasible,
-        SolveResult::Unknown => IiDecision::LimitHit,
+        SolveResult::Unsat => Decision::Infeasible,
+        SolveResult::Unknown => Decision::LimitHit,
         SolveResult::Sat(model) => {
             let mut time = vec![0i64; graph.num_nodes()];
             let mut alternative = vec![0usize; graph.num_nodes()];
@@ -425,7 +415,7 @@ pub(crate) fn decide_ii<P: ProfSink>(
                 t_stop = t_stop.max(term);
             }
             time[stop.index()] = t_stop;
-            IiDecision::Feasible(Schedule {
+            Decision::Feasible(Schedule {
                 ii,
                 time,
                 alternative,
@@ -470,9 +460,9 @@ mod tests {
         let mii = compute_mii(&p, &mut Counters::default()).mii;
         assert_eq!(mii, 5);
         let (at_mii, _) = decide_ii(&p, 5, &WIDE, &mut NullSink);
-        assert_eq!(at_mii, IiDecision::Infeasible, "RecMII 5 loses to the bus");
+        assert_eq!(at_mii, Decision::Infeasible, "RecMII 5 loses to the bus");
         let (at_six, _) = decide_ii(&p, 6, &WIDE, &mut NullSink);
-        let IiDecision::Feasible(s) = at_six else {
+        let Decision::Feasible(s) = at_six else {
             panic!("figure 1 is feasible at 6, got {at_six:?}");
         };
         assert_eq!(s.ii, 6);
@@ -485,7 +475,7 @@ mod tests {
         let p = figure1(&m);
         for ii in 1..5 {
             let (decision, _) = decide_ii(&p, ii, &WIDE, &mut NullSink);
-            assert_eq!(decision, IiDecision::Infeasible, "II {ii} is below RecMII");
+            assert_eq!(decision, Decision::Infeasible, "II {ii} is below RecMII");
         }
     }
 
@@ -502,9 +492,9 @@ mod tests {
         let mii = compute_mii(&p, &mut Counters::default()).mii;
         assert!(mii > 1, "four adds cannot fit in a single II row");
         let (below, _) = decide_ii(&p, mii - 1, &WIDE, &mut NullSink);
-        assert_eq!(below, IiDecision::Infeasible, "below ResMII");
+        assert_eq!(below, Decision::Infeasible, "below ResMII");
         let (at, _) = decide_ii(&p, mii, &WIDE, &mut NullSink);
-        let IiDecision::Feasible(s) = at else {
+        let Decision::Feasible(s) = at else {
             panic!("feasible at ResMII, got {at:?}");
         };
         assert!(validate_schedule(&p, &s).is_ok());
@@ -520,7 +510,7 @@ mod tests {
             slot_limit: 1 << 16,
         };
         let (decision, _) = decide_ii(&p, 5, &starved, &mut NullSink);
-        assert_eq!(decision, IiDecision::LimitHit);
+        assert_eq!(decision, Decision::LimitHit);
 
         let no_slots = SatLimits {
             conflict_budget: 1 << 20,
@@ -528,6 +518,6 @@ mod tests {
             slot_limit: 1,
         };
         let (decision, _) = decide_ii(&p, 5, &no_slots, &mut NullSink);
-        assert_eq!(decision, IiDecision::LimitHit);
+        assert_eq!(decision, Decision::LimitHit);
     }
 }

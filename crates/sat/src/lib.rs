@@ -2,28 +2,27 @@
 
 //! Exact modulo scheduling by reduction to SAT.
 //!
-//! This crate is the branch-and-bound backend's twin with a different
-//! proof engine: [`schedule_sat`] runs the iterative scheduler for an
-//! upper bound and fallback, then walks candidate IIs upward from the
-//! MII, deciding each one by encoding "∃ legal schedule at this II?"
-//! into CNF (see the `encode` module docs for the variable layout and
-//! clause families) and handing the formula to a small, deterministic,
-//! std-only CDCL solver (`solver` module: two-watched literals, 1-UIP
-//! conflict-clause learning, Luby restarts, activity-ordered decisions
-//! tie-broken by variable id). The first satisfiable II is optimal by
-//! construction, and an UNSAT answer is a *proof* of infeasibility —
-//! the same contract branch-and-bound offers, which is what makes the
-//! two backends cross-checkable loop by loop.
+//! This crate is the branch-and-bound prover's twin with a different
+//! proof engine: [`Cdcl`] is a [`Decider`] for the shared prover walk in
+//! `ims-exact` ([`ims_exact::prove`]). It decides each candidate II by
+//! encoding "∃ legal schedule at this II?" into CNF (see the `encode`
+//! module docs for the variable layout and clause families) and handing
+//! the formula to a small, deterministic, std-only CDCL solver (`solver`
+//! module: two-watched literals, 1-UIP conflict-clause learning, Luby
+//! restarts, activity-ordered decisions tie-broken by variable id). The
+//! first satisfiable II is optimal by construction, and an UNSAT answer
+//! is a *proof* of infeasibility — the same contract branch-and-bound
+//! offers, which is what makes the two engines cross-checkable loop by
+//! loop.
 //!
-//! SAT can blow up, so every per-II decision is metered three ways:
-//! a conflict budget shared across the II walk
-//! ([`SatConfig::conflict_limit`]), a cap on emitted clauses
-//! ([`SatConfig::clause_limit`]), and a cap on the summed issue-window
-//! width ([`SatConfig::slot_limit`]). When any cap hits, the scheduler
-//! degrades exactly like the exact backend: the iterative schedule comes
-//! back with explicit [`IiBounds`] recording which IIs were proven
-//! infeasible. All budgets are deterministic — no deadlines — so output
-//! is byte-reproducible at any thread count.
+//! SAT can blow up, so every per-II decision is metered three ways: the
+//! walk's work budget counts CDCL conflicts across all candidate IIs, and
+//! the decider caps emitted clauses ([`Cdcl::clause_limit`]) and the
+//! summed issue-window width ([`Cdcl::slot_limit`]) of each encoding.
+//! When any cap hits, the walk degrades to the iterative schedule with
+//! explicit [`IiBounds`](ims_core::IiBounds). All budgets are
+//! deterministic — no deadlines — so output is byte-reproducible at any
+//! thread count.
 //!
 //! The crate also assembles the workspace's *full* backend registry:
 //! [`default_registry`] returns a [`BackendRegistry`] with `ims`,
@@ -32,11 +31,13 @@
 //! `portfolio(ims,exact,sat)`.
 //!
 //! ```
-//! use ims_core::{ProblemBuilder, validate_schedule};
-//! use ims_sat::{schedule_sat, SatConfig};
+//! use ims_core::{NullObserver, ProblemBuilder, validate_schedule};
+//! use ims_exact::{prove, Decider, ProverConfig};
+//! use ims_sat::Cdcl;
 //! use ims_graph::DepKind;
 //! use ims_ir::{OpId, Opcode};
 //! use ims_machine::minimal;
+//! use ims_prof::NullSink;
 //!
 //! let m = minimal();
 //! let mut pb = ProblemBuilder::new(&m);
@@ -46,36 +47,26 @@
 //! pb.add_dep(b, a, 1, 1, DepKind::Flow, false); // loop-carried
 //! let problem = pb.finish();
 //!
-//! let out = schedule_sat(&problem, &SatConfig::default())?;
+//! let config = ProverConfig::new(Cdcl::DEFAULT_WORK_LIMIT);
+//! let out = prove(&problem, &Cdcl::default(), &config, &mut NullObserver, &mut NullSink)?;
 //! assert!(out.optimal());
 //! assert!(validate_schedule(&problem, &out.schedule).is_ok());
 //! # Ok::<(), ims_core::ScheduleError>(())
 //! ```
 
-use ims_core::{
-    modulo_schedule, BackendKind, BackendOutcome, BackendParams, BackendRegistry, IiBounds,
-    MiiInfo, NullObserver, Problem, SchedConfig, SchedObserver, Schedule, ScheduleError,
-    SchedulerBackend,
-};
-use ims_prof::{phase, NullSink, ProfSink};
+use ims_core::{BackendKind, BackendParams, BackendRegistry, Problem};
+use ims_exact::{Decider, Decision, Prover, ProverConfig, WalkPhases};
+use ims_prof::{phase, ProfSink};
 
 mod encode;
 mod solver;
 
-use encode::{decide_ii, IiDecision, SatLimits};
+use encode::{decide_ii, SatLimits};
 
-/// Configuration for the SAT scheduler.
-#[derive(Debug, Clone)]
-pub struct SatConfig {
-    /// Configuration for the internal iterative-scheduler run that
-    /// supplies the upper bound and the fallback schedule. Defaults to
-    /// BudgetRatio 6, the paper's quality setting, to keep the window
-    /// between MII and the heuristic II small.
-    pub heuristic: SchedConfig,
-    /// Budget of CDCL conflicts across all candidate IIs. `None` is
-    /// unlimited. Conflicts are deterministic, so — unlike a wall-clock
-    /// deadline — the same budget always aborts at the same point.
-    pub conflict_limit: Option<u64>,
+/// The CDCL [`Decider`]: decides one II by SAT, metered in solver
+/// conflicts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cdcl {
     /// Cap on clauses emitted for a single per-II encoding; exceeding it
     /// counts as a limit hit rather than an out-of-memory surprise.
     pub clause_limit: Option<u64>,
@@ -84,300 +75,49 @@ pub struct SatConfig {
     pub slot_limit: Option<u64>,
 }
 
-impl Default for SatConfig {
+impl Default for Cdcl {
     fn default() -> Self {
-        SatConfig {
-            heuristic: SchedConfig::with_budget_ratio(6.0),
-            conflict_limit: Some(1 << 18),
+        Cdcl {
             clause_limit: Some(2_000_000),
             slot_limit: Some(65_536),
         }
     }
 }
 
-impl SatConfig {
-    /// The default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl Decider for Cdcl {
+    const KIND: BackendKind = BackendKind::Sat;
+    const PHASES: WalkPhases = WalkPhases {
+        searched: phase::SAT_IIS_SEARCHED,
+        infeasible: phase::SAT_IIS_INFEASIBLE,
+        limit_hits: phase::SAT_LIMIT_HITS,
+    };
+    /// Conflicts are deterministic, so — unlike a wall-clock deadline —
+    /// the same budget always aborts at the same point.
+    const DEFAULT_WORK_LIMIT: Option<u64> = Some(1 << 18);
 
-    /// Sets the internal iterative-scheduler configuration.
-    pub fn heuristic(mut self, heuristic: SchedConfig) -> Self {
-        self.heuristic = heuristic;
-        self
-    }
-
-    /// Sets the CDCL conflict budget (`None` for unlimited).
-    pub fn conflict_limit(mut self, conflict_limit: Option<u64>) -> Self {
-        self.conflict_limit = conflict_limit;
-        self
-    }
-
-    /// Sets the per-II clause cap (`None` for unlimited).
-    pub fn clause_limit(mut self, clause_limit: Option<u64>) -> Self {
-        self.clause_limit = clause_limit;
-        self
-    }
-
-    /// Sets the per-II summed-window cap (`None` for unlimited).
-    pub fn slot_limit(mut self, slot_limit: Option<u64>) -> Self {
-        self.slot_limit = slot_limit;
-        self
-    }
-}
-
-/// The result of [`schedule_sat`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SatOutcome {
-    /// The best legal schedule in hand: II-optimal when
-    /// [`optimal`](SatOutcome::optimal), otherwise the iterative
-    /// scheduler's fallback at `ims_ii`.
-    pub schedule: Schedule,
-    /// The MII bounds computed by the internal iterative run.
-    pub mii: MiiInfo,
-    /// What was proven about the true minimum II: exact when every
-    /// candidate was decided, a `[proved_lb, best_ub]` interval when a
-    /// cap hit.
-    pub bounds: IiBounds,
-    /// CDCL conflicts spent (0 when the heuristic already achieved the
-    /// MII and no formula was ever built).
-    pub conflicts: u64,
-    /// Whether a conflict/clause/slot cap aborted the walk before every
-    /// II below `ims_ii` was decided.
-    pub limit_hit: bool,
-    /// The II the internal iterative scheduler achieved — the yardstick
-    /// for the optimality gap `ims_ii − bounds.best_ub`.
-    pub ims_ii: i64,
-}
-
-impl SatOutcome {
-    /// Whether `schedule` is proven II-optimal.
-    pub fn optimal(&self) -> bool {
-        self.bounds.is_exact()
-    }
-}
-
-/// Schedules `problem` exactly by SAT: the returned schedule's II is
-/// proven minimal unless a cap hit, in which case `bounds` says how much
-/// is still open. See the crate docs for the algorithm.
-///
-/// # Errors
-///
-/// Forwards the internal iterative run's [`ScheduleError`]; the SAT
-/// phase itself cannot fail (it degrades to the iterative schedule).
-pub fn schedule_sat(problem: &Problem<'_>, config: &SatConfig) -> Result<SatOutcome, ScheduleError> {
-    schedule_sat_observed(problem, config, &mut NullObserver)
-}
-
-/// [`schedule_sat`] with scheduler events reported to `observer`.
-///
-/// The observer sees `backend(Sat)`, then one `attempt_start` /
-/// `attempt_done` bracket per candidate II decided (the `budget` is the
-/// remaining conflict budget, saturated to `i64::MAX`), with the final
-/// schedule's placements emitted as `op_scheduled` events inside its
-/// attempt — the same replayable shape the other backends emit. The
-/// internal heuristic run is not observed.
-///
-/// # Errors
-///
-/// As [`schedule_sat`].
-pub fn schedule_sat_observed<O: SchedObserver>(
-    problem: &Problem<'_>,
-    config: &SatConfig,
-    observer: &mut O,
-) -> Result<SatOutcome, ScheduleError> {
-    schedule_sat_profiled(problem, config, observer, &mut NullSink)
-}
-
-/// [`schedule_sat_observed`] with deterministic solver statistics
-/// additionally reported to `prof`: variables, clauses, conflicts,
-/// decisions, propagations, restarts, and candidate-II outcomes, keyed
-/// by the profiler's `sat.*` phase names (plus the `graph.*` work the
-/// encoder performs). Passing `&mut NullSink` makes this exactly
-/// [`schedule_sat_observed`].
-///
-/// # Errors
-///
-/// As [`schedule_sat`].
-pub fn schedule_sat_profiled<O: SchedObserver, P: ProfSink>(
-    problem: &Problem<'_>,
-    config: &SatConfig,
-    observer: &mut O,
-    prof: &mut P,
-) -> Result<SatOutcome, ScheduleError> {
-    observer.backend(BackendKind::Sat);
-    let ims = modulo_schedule(problem, &config.heuristic)?;
-    let ims_ii = ims.schedule.ii;
-    let mii = ims.mii;
-
-    if ims_ii == mii.mii {
-        // The heuristic achieved the MII: already proven optimal.
-        emit_final(observer, &ims.schedule);
-        return Ok(SatOutcome {
-            schedule: ims.schedule,
-            mii,
-            bounds: IiBounds::exact(ims_ii),
-            conflicts: 0,
-            limit_hit: false,
-            ims_ii,
-        });
-    }
-
-    let conflict_limit = config.conflict_limit.unwrap_or(u64::MAX);
-    let clause_limit = config.clause_limit.unwrap_or(u64::MAX);
-    let slot_limit = config.slot_limit.unwrap_or(u64::MAX);
-    let mut spent = 0u64;
-    for ii in mii.mii..ims_ii {
-        let remaining = conflict_limit.saturating_sub(spent);
-        observer.attempt_start(ii, remaining.min(i64::MAX as u64) as i64);
-        prof.count(phase::SAT_IIS_SEARCHED, 1);
+    fn decide<P: ProfSink>(
+        &self,
+        problem: &Problem<'_>,
+        ii: i64,
+        remaining: u64,
+        sink: &mut P,
+    ) -> (Decision, u64) {
         let limits = SatLimits {
             conflict_budget: remaining,
-            clause_limit,
-            slot_limit,
+            clause_limit: self.clause_limit.unwrap_or(u64::MAX),
+            slot_limit: self.slot_limit.unwrap_or(u64::MAX),
         };
-        let (decision, conflicts) = decide_ii(problem, ii, &limits, &mut *prof);
-        spent += conflicts;
-        match decision {
-            IiDecision::Feasible(schedule) => {
-                emit_ops(observer, &schedule);
-                observer.attempt_done(ii, true);
-                return Ok(SatOutcome {
-                    schedule,
-                    mii,
-                    bounds: IiBounds::exact(ii),
-                    conflicts: spent,
-                    limit_hit: false,
-                    ims_ii,
-                });
-            }
-            IiDecision::Infeasible => {
-                prof.count(phase::SAT_IIS_INFEASIBLE, 1);
-                observer.attempt_done(ii, false);
-            }
-            IiDecision::LimitHit => {
-                prof.count(phase::SAT_LIMIT_HITS, 1);
-                observer.attempt_done(ii, false);
-                emit_final(observer, &ims.schedule);
-                return Ok(SatOutcome {
-                    schedule: ims.schedule,
-                    mii,
-                    bounds: IiBounds {
-                        proved_lb: ii,
-                        best_ub: ims_ii,
-                    },
-                    conflicts: spent,
-                    limit_hit: true,
-                    ims_ii,
-                });
-            }
-        }
-    }
-
-    // Every II below the heuristic's is proven infeasible: the iterative
-    // schedule was optimal all along.
-    emit_final(observer, &ims.schedule);
-    Ok(SatOutcome {
-        schedule: ims.schedule,
-        mii,
-        bounds: IiBounds::exact(ims_ii),
-        conflicts: spent,
-        limit_hit: false,
-        ims_ii,
-    })
-}
-
-/// Emits a full attempt bracket for an already-final schedule (MII
-/// short-circuit and fallback paths, where no live attempt is open for
-/// the schedule being returned).
-fn emit_final<O: SchedObserver>(observer: &mut O, schedule: &Schedule) {
-    observer.attempt_start(schedule.ii, 0);
-    emit_ops(observer, schedule);
-    observer.attempt_done(schedule.ii, true);
-}
-
-/// Emits `op_scheduled` for every node of `schedule`, in node order.
-fn emit_ops<O: SchedObserver>(observer: &mut O, schedule: &Schedule) {
-    for idx in 0..schedule.time.len() {
-        observer.op_scheduled(
-            ims_graph::NodeId(idx as u32),
-            schedule.time[idx],
-            schedule.alternative[idx],
-            false,
-        );
+        decide_ii(problem, ii, &limits, sink)
     }
 }
 
-/// The SAT scheduler as a [`SchedulerBackend`].
-///
-/// `steps` in the returned [`BackendOutcome`] counts CDCL conflicts;
-/// `bounds` is exact unless the configured caps aborted the walk.
-#[derive(Debug, Clone, Default)]
-pub struct SatBackend {
-    config: SatConfig,
-}
-
-impl SatBackend {
-    /// A backend running with the given configuration.
-    pub fn new(config: SatConfig) -> Self {
-        SatBackend { config }
-    }
-
-    /// The configuration this backend schedules with.
-    pub fn config(&self) -> &SatConfig {
-        &self.config
-    }
-
-    /// [`SchedulerBackend::schedule`] with scheduler events reported to
-    /// `observer`.
-    ///
-    /// # Errors
-    ///
-    /// As [`schedule_sat`].
-    pub fn schedule_observed<O: SchedObserver>(
-        &self,
-        problem: &Problem<'_>,
-        observer: &mut O,
-    ) -> Result<BackendOutcome, ScheduleError> {
-        let out = schedule_sat_observed(problem, &self.config, observer)?;
-        Ok(BackendOutcome {
-            schedule: out.schedule,
-            mii: out.mii,
-            bounds: out.bounds,
-            steps: out.conflicts,
-        })
-    }
-}
-
-impl SchedulerBackend for SatBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sat
-    }
-
-    fn schedule(&self, problem: &Problem<'_>) -> Result<BackendOutcome, ScheduleError> {
-        self.schedule_observed(problem, &mut NullObserver)
-    }
-
-    fn schedule_observed_dyn(
-        &self,
-        problem: &Problem<'_>,
-        observer: &mut dyn SchedObserver,
-    ) -> Result<BackendOutcome, ScheduleError> {
-        let mut observer = observer;
-        self.schedule_observed(problem, &mut observer)
-    }
-}
-
-/// Registers the SAT backend under [`BackendKind::Sat`]. The factory
-/// maps [`BackendParams::sched`] to the heuristic configuration and
-/// [`BackendParams::conflict_limit`] (when set) to the conflict budget.
+/// Registers the SAT prover under [`BackendKind::Sat`]. The factory maps
+/// [`BackendParams::sched`] to the heuristic configuration and runs under
+/// the default conflict budget.
 pub fn register(reg: &mut BackendRegistry) {
     reg.register(BackendKind::Sat, |params: &BackendParams| {
-        let mut config = SatConfig::new().heuristic(params.sched.clone());
-        if params.conflict_limit.is_some() {
-            config = config.conflict_limit(params.conflict_limit);
-        }
-        Box::new(SatBackend::new(config))
+        let config = ProverConfig::new(Cdcl::DEFAULT_WORK_LIMIT).heuristic(params.sched.clone());
+        Box::new(Prover::new(Cdcl::default(), config))
     });
 }
 
@@ -394,16 +134,15 @@ pub fn default_registry() -> BackendRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ims_core::{validate_schedule, BackendSpec, PortfolioBackend, ProblemBuilder};
+    use ims_core::{
+        validate_schedule, BackendSpec, PortfolioBackend, ProblemBuilder, SchedulerBackend,
+    };
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
-    use ims_machine::{figure1_machine, minimal};
+    use ims_machine::figure1_machine;
 
-    /// The Figure 1 loop of the paper: a mul/add recurrence of delay 9 at
-    /// distance 2 (RecMII 5), which the iterative scheduler schedules at
-    /// II 6 after a failed attempt at 5 — and 6 is in fact optimal (the
-    /// recurrence loses the shared result bus at 5), so the walk must
-    /// *prove* the infeasibility of 5, not merely give up on it.
+    /// The Figure 1 loop of the paper (RecMII 5; IMS and both provers
+    /// land on the optimal II 6).
     fn figure1_problem(machine: &ims_machine::MachineModel) -> Problem<'_> {
         let mut pb = ProblemBuilder::new(machine);
         let mul = pb.add_op(Opcode::Mul, OpId(0));
@@ -411,123 +150,6 @@ mod tests {
         pb.add_dep(mul, add, 5, 0, DepKind::Flow, false);
         pb.add_dep(add, mul, 4, 2, DepKind::Flow, false);
         pb.finish()
-    }
-
-    #[test]
-    fn figure1_is_decided_exactly() {
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let out = schedule_sat(&p, &SatConfig::default()).unwrap();
-        assert_eq!(out.mii.mii, 5);
-        assert!(!out.limit_hit);
-        assert!(out.optimal(), "walk must decide every II: {:?}", out.bounds);
-        assert_eq!(out.schedule.ii, 6, "5 is proven infeasible; 6 is optimal");
-        assert_eq!(out.schedule.ii, out.bounds.best_ub);
-        assert!(validate_schedule(&p, &out.schedule).is_ok());
-        assert_eq!(out.schedule.ii, out.ims_ii, "IMS was optimal; SAT proves it");
-    }
-
-    #[test]
-    fn mii_short_circuit_spends_no_conflicts() {
-        let m = minimal();
-        let mut pb = ProblemBuilder::new(&m);
-        let a = pb.add_op(Opcode::Add, OpId(0));
-        let b = pb.add_op(Opcode::Mul, OpId(1));
-        pb.add_dep(a, b, 1, 0, DepKind::Flow, false);
-        pb.add_dep(b, a, 1, 1, DepKind::Flow, false);
-        let p = pb.finish();
-        let out = schedule_sat(&p, &SatConfig::default()).unwrap();
-        assert!(out.optimal());
-        assert_eq!(out.conflicts, 0, "heuristic hit the MII; no formula built");
-        assert_eq!(out.schedule.ii, out.mii.mii);
-        assert_eq!(out.ims_ii, out.mii.mii);
-    }
-
-    #[test]
-    fn starved_clause_cap_degrades_to_bounds_and_ims_schedule() {
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let out = schedule_sat(&p, &SatConfig::new().clause_limit(Some(1))).unwrap();
-        assert!(out.limit_hit);
-        assert!(!out.optimal());
-        assert_eq!(out.bounds.proved_lb, out.mii.mii, "nothing decided yet");
-        assert_eq!(out.bounds.best_ub, out.ims_ii);
-        assert_eq!(out.schedule.ii, out.ims_ii, "fell back to the IMS schedule");
-        assert!(validate_schedule(&p, &out.schedule).is_ok());
-    }
-
-    #[test]
-    fn sat_agrees_with_branch_and_bound_on_figure1() {
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let sat = schedule_sat(&p, &SatConfig::default()).unwrap();
-        let bnb = ims_exact::schedule_exact(&p, &ims_exact::ExactConfig::default()).unwrap();
-        assert!(sat.optimal() && bnb.optimal());
-        assert_eq!(sat.schedule.ii, bnb.schedule.ii, "two proofs, one optimum");
-        assert_eq!(sat.bounds, bnb.bounds);
-    }
-
-    #[test]
-    fn profiled_runs_report_deterministic_statistics() {
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let mut reg = ims_prof::MetricsRegistry::new();
-        let out =
-            schedule_sat_profiled(&p, &SatConfig::default(), &mut NullObserver, &mut reg).unwrap();
-        assert!(reg.counter(phase::SAT_VARS) > 0);
-        assert!(reg.counter(phase::SAT_CLAUSES) > 0);
-        assert!(reg.counter(phase::SAT_IIS_SEARCHED) >= 1);
-        // Identical runs produce identical registries: every statistic
-        // the solver reports is deterministic.
-        let mut again = ims_prof::MetricsRegistry::new();
-        let _ =
-            schedule_sat_profiled(&p, &SatConfig::default(), &mut NullObserver, &mut again)
-                .unwrap();
-        assert_eq!(reg, again);
-        // The unprofiled entry point is unchanged by profiling.
-        let plain = schedule_sat(&p, &SatConfig::default()).unwrap();
-        assert_eq!(plain.schedule, out.schedule);
-        assert_eq!(plain.conflicts, out.conflicts);
-    }
-
-    #[test]
-    fn observer_sees_sat_backend_and_replayable_placements() {
-        #[derive(Default)]
-        struct Spy {
-            backend: Option<BackendKind>,
-            attempts: Vec<(i64, bool)>,
-            placed: Vec<(u32, i64)>,
-        }
-        impl SchedObserver for Spy {
-            fn backend(&mut self, kind: BackendKind) {
-                self.backend = Some(kind);
-            }
-            fn attempt_start(&mut self, ii: i64, _budget: i64) {
-                self.attempts.push((ii, false));
-            }
-            fn attempt_done(&mut self, ii: i64, ok: bool) {
-                let last = self.attempts.last_mut().unwrap();
-                assert_eq!(last.0, ii, "attempt brackets nest properly");
-                last.1 = ok;
-            }
-            fn op_scheduled(&mut self, node: ims_graph::NodeId, time: i64, _: usize, _: bool) {
-                self.placed.push((node.0, time));
-            }
-        }
-
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let mut spy = Spy::default();
-        let out = schedule_sat_observed(&p, &SatConfig::default(), &mut spy).unwrap();
-        assert_eq!(spy.backend, Some(BackendKind::Sat));
-        let last = spy.attempts.last().unwrap();
-        assert_eq!(*last, (out.schedule.ii, true), "final attempt succeeded");
-        let n = out.schedule.time.len();
-        let tail = &spy.placed[spy.placed.len() - n..];
-        for (idx, &(node, time)) in tail.iter().enumerate() {
-            assert_eq!(node as usize, idx);
-            assert_eq!(time, out.schedule.time[idx]);
-        }
     }
 
     #[test]
@@ -554,10 +176,6 @@ mod tests {
     fn portfolio_race_is_thread_count_invariant() {
         let reg = default_registry();
         let params = ims_core::BackendParams::new();
-        let members: Vec<_> = BackendKind::ALL
-            .into_iter()
-            .map(|k| (k, reg.make(k, &params).unwrap()))
-            .collect();
         let m = figure1_machine();
         let p = figure1_problem(&m);
 
@@ -568,7 +186,6 @@ mod tests {
                 .collect();
             PortfolioBackend::new(members).threads(threads)
         };
-        drop(members);
         let seq = make(1).schedule(&p).unwrap();
         let par = make(4).schedule(&p).unwrap();
         assert_eq!(seq.schedule, par.schedule);

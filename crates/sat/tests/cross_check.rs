@@ -5,12 +5,25 @@
 //! that both the CNF encoding and the search are faithful to the modulo
 //! scheduling constraints.
 
-use ims_core::validate_schedule;
+use ims_core::{validate_schedule, NullObserver, Problem};
 use ims_deps::{back_substitute, build_problem, BuildOptions};
-use ims_exact::{schedule_exact, ExactConfig};
+use ims_exact::{prove, BranchAndBound, Decider, ProverConfig, ProverOutcome};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
-use ims_sat::{schedule_sat, SatConfig};
+use ims_prof::NullSink;
+use ims_sat::Cdcl;
+
+fn run<D: Decider + Default>(problem: &Problem<'_>) -> ProverOutcome {
+    let config = ProverConfig::new(D::DEFAULT_WORK_LIMIT);
+    prove(
+        problem,
+        &D::default(),
+        &config,
+        &mut NullObserver,
+        &mut NullSink,
+    )
+    .expect("corpus loops schedule under the automatic II cap")
+}
 
 #[test]
 fn sat_and_branch_and_bound_prove_the_same_optimum() {
@@ -22,10 +35,8 @@ fn sat_and_branch_and_bound_prove_the_same_optimum() {
         let body = back_substitute(&l.body, &machine);
         let problem = build_problem(&body, &machine, &BuildOptions::default());
 
-        let bnb = schedule_exact(&problem, &ExactConfig::default())
-            .expect("corpus loops schedule under the automatic II cap");
-        let sat = schedule_sat(&problem, &SatConfig::default())
-            .expect("corpus loops schedule under the automatic II cap");
+        let bnb = run::<BranchAndBound>(&problem);
+        let sat = run::<Cdcl>(&problem);
 
         assert_eq!(bnb.ims_ii, sat.ims_ii, "loop {i}: shared heuristic run");
         assert!(

@@ -32,46 +32,22 @@
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
-use std::process::exit;
 
 use ims_prof::{snapshot, MetricsRegistry};
 use ims_serve::{dedup_keys, gen_requests_backend, pool, serve_stream, Engine};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: scheduled [--threads N] [--batch N] [--requests FILE] [--profile FILE]\n\
-         \x20                [--latency] [--socket PATH [--conns N]]\n\
-         \x20      scheduled --gen-requests N [--seed S] [--backend SPEC]\n\
-         \x20      scheduled --dedup FILE"
-    );
-    exit(2);
-}
+const USAGE: &str = "usage: scheduled [--threads N] [--batch N] [--requests FILE] [--profile FILE]
+                 [--latency] [--socket PATH [--conns N]]
+       scheduled --gen-requests N [--seed S] [--backend SPEC]
+       scheduled --dedup FILE";
 
 /// Reads the value of `--flag V` / `--flag=V` from `args`, exiting with
 /// usage on a present-but-malformed value.
-fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let v = if a == name {
-            it.next().map(String::as_str)
-        } else if let Some(rest) = a.strip_prefix(name) {
-            rest.strip_prefix('=')
-        } else {
-            continue;
-        };
-        let Some(v) = v else {
-            eprintln!("error: {name} requires a value");
-            usage();
-        };
-        return match v.parse() {
-            Ok(t) => Some(t),
-            Err(_) => {
-                eprintln!("error: invalid {name} value {v:?}");
-                usage();
-            }
-        };
-    }
-    None
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    pool::flag_or_exit(args, name, USAGE)
 }
 
 fn main() -> io::Result<()> {
@@ -127,7 +103,7 @@ fn main() -> io::Result<()> {
         {
             let _ = socket_path;
             eprintln!("error: --socket requires a Unix platform");
-            exit(2);
+            std::process::exit(2);
         }
     } else if let Some(requests_path) = flag::<String>(&args, "--requests") {
         let reader = BufReader::new(File::open(&requests_path)?);

@@ -25,7 +25,10 @@
 //!
 //! No external dependencies: `std::thread::scope` + `AtomicUsize` only.
 
+use std::fmt::Display;
+use std::num::{NonZeroU32, NonZeroUsize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How many items a worker claims per visit to the shared cursor. Small
@@ -56,189 +59,74 @@ pub fn threads_from_args() -> usize {
 
 /// [`threads_from_args`] over an explicit argument list: resolves the
 /// `--threads` flag to a worker count, exiting the process with a usage
-/// message on a malformed value. For binaries that already collected
-/// their arguments.
+/// message on a malformed or zero value. For binaries that already
+/// collected their arguments.
 pub fn threads_or_exit(args: &[String]) -> usize {
-    match parse_threads(args) {
-        Ok(Some(n)) => n,
-        Ok(None) => default_threads(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: --threads N  (N >= 1, e.g. --threads 4 or --threads=4)");
-            std::process::exit(2);
-        }
-    }
+    let usage = "usage: --threads N  (N >= 1, e.g. --threads 4 or --threads=4)";
+    flag_or_exit(args, "--threads", usage).map_or_else(default_threads, NonZeroUsize::get)
 }
 
-/// Why a `--threads` flag could not be resolved to a worker count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadsError {
-    /// `--threads` was the last argument, with no value following it.
-    MissingValue,
-    /// The value was not a decimal integer (carries the offending text).
-    Invalid(String),
-    /// The value parsed as 0, which names no worker configuration: the
-    /// single-threaded baseline is `--threads 1`.
-    Zero,
-}
-
-impl std::fmt::Display for ThreadsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ThreadsError::MissingValue => write!(f, "--threads requires a value"),
-            ThreadsError::Invalid(v) => write!(f, "invalid --threads value {v:?}"),
-            ThreadsError::Zero => write!(f, "--threads must be at least 1"),
-        }
-    }
-}
-
-/// Parses `--threads N` / `--threads=N` out of an argument list.
-///
-/// Returns `Ok(None)` when the flag is absent (callers fall back to
-/// [`default_threads`]) and an error — never a silent default — when the
-/// flag is present but malformed: a missing value, a non-numeric value,
-/// or `0`. Drivers surface the error and exit nonzero; see
-/// [`threads_or_exit`].
-pub fn parse_threads(args: &[String]) -> Result<Option<usize>, ThreadsError> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = if a == "--threads" {
-            it.next().ok_or(ThreadsError::MissingValue)?.as_str()
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            v
-        } else {
-            continue;
-        };
-        return match value.parse::<usize>() {
-            Ok(0) => Err(ThreadsError::Zero),
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(ThreadsError::Invalid(value.to_string())),
-        };
-    }
-    Ok(None)
-}
-
-/// Why a `--backend` flag could not be resolved to a [`ims_core::BackendSpec`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BackendError {
-    /// `--backend` was the last argument, with no value following it.
-    MissingValue,
-    /// The value was not a recognizable spec (carries the parse error,
-    /// which names the bad token and lists the registered names).
-    Invalid(ims_core::ParseBackendError),
-}
-
-impl std::fmt::Display for BackendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BackendError::MissingValue => write!(f, "--backend requires a value"),
-            BackendError::Invalid(e) => write!(f, "invalid --backend value: {e}"),
-        }
-    }
-}
-
-/// Reads a `--backend SPEC` (or `--backend=SPEC`) flag from an argument
-/// list — the backend-selection twin of [`parse_threads`], shared by
-/// every driver so they all accept the same specs with the same
-/// strictness. `Ok(None)` when the flag is absent (callers pick their
-/// own default backend); an error — never a silent default — when the
-/// flag is present but malformed.
-pub fn parse_backend(args: &[String]) -> Result<Option<ims_core::BackendSpec>, BackendError> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = if a == "--backend" {
-            it.next().ok_or(BackendError::MissingValue)?.as_str()
-        } else if let Some(v) = a.strip_prefix("--backend=") {
-            v
-        } else {
-            continue;
-        };
-        return match value.parse::<ims_core::BackendSpec>() {
-            Ok(spec) => Ok(Some(spec)),
-            Err(e) => Err(BackendError::Invalid(e)),
-        };
-    }
-    Ok(None)
-}
-
-/// [`parse_backend`] with driver-grade failure handling: resolves the
-/// `--backend` flag to a spec (or `default` when absent), exiting the
-/// process with status 2 and a usage line on a malformed value — the
-/// same contract as [`threads_or_exit`].
+/// Resolves a `--backend SPEC` (or `--backend=SPEC`) flag to a
+/// [`BackendSpec`](ims_core::BackendSpec), or `default` when absent —
+/// shared by every driver so they all accept the same specs with the
+/// same strictness as [`threads_or_exit`]. The error names the bad token
+/// and lists the registered names.
 pub fn backend_or_exit(args: &[String], default: ims_core::BackendSpec) -> ims_core::BackendSpec {
-    match parse_backend(args) {
-        Ok(Some(spec)) => spec,
-        Ok(None) => default,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: --backend SPEC  (ims, exact, sat, or portfolio(a,b,...))");
-            std::process::exit(2);
-        }
-    }
+    let usage = "usage: --backend SPEC  (ims, exact, sat, or portfolio(a,b,...))";
+    flag_or_exit(args, "--backend", usage).unwrap_or(default)
 }
 
-/// Why a `--pressure-limit` flag could not be resolved to a register
-/// count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PressureError {
-    /// `--pressure-limit` was the last argument, with no value following.
-    MissingValue,
-    /// The value was not a decimal integer (carries the offending text).
-    Invalid(String),
-    /// The value parsed as 0, which no register file satisfies: pressure
-    /// enforcement is *off* when the flag is absent, not at limit 0.
-    Zero,
+/// Resolves a `--pressure-limit N` (or `--pressure-limit=N`) flag to a
+/// register count, or `None` (pressure enforcement off) when absent.
+/// Zero is rejected like any malformed value: no register file
+/// satisfies it.
+pub fn pressure_or_exit(args: &[String]) -> Option<u32> {
+    let usage =
+        "usage: --pressure-limit N  (N >= 1, e.g. --pressure-limit 16 or --pressure-limit=16)";
+    flag_or_exit(args, "--pressure-limit", usage).map(NonZeroU32::get)
 }
 
-impl std::fmt::Display for PressureError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PressureError::MissingValue => write!(f, "--pressure-limit requires a value"),
-            PressureError::Invalid(v) => write!(f, "invalid --pressure-limit value {v:?}"),
-            PressureError::Zero => write!(f, "--pressure-limit must be at least 1"),
-        }
-    }
+/// Reads `--name V` (or `--name=V`) from an argument list, parsed as `T`;
+/// `None` when the flag is absent. A flag that is present but has a
+/// missing or malformed value is a hard error, never a silent default:
+/// the problem and `usage` go to stderr and the process exits with
+/// status 2. Every driver flag goes through here.
+pub fn flag_or_exit<T>(args: &[String], name: &str, usage: &str) -> Option<T>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    parse_flag(args, name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("{usage}");
+        std::process::exit(2);
+    })
 }
 
-/// Parses `--pressure-limit N` / `--pressure-limit=N` out of an argument
-/// list — the register-pressure twin of [`parse_threads`], shared by the
-/// drivers that grow a pressure-aware mode. `Ok(None)` when the flag is
-/// absent (pressure enforcement disabled); an error — never a silent
-/// default — when the flag is present but malformed.
-pub fn parse_pressure(args: &[String]) -> Result<Option<u32>, PressureError> {
+/// [`flag_or_exit`] without the exit: `Ok(None)` when the flag is
+/// absent, `Err` with a message naming the flag when its value is
+/// missing or does not parse.
+fn parse_flag<T>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let value = if a == "--pressure-limit" {
-            it.next().ok_or(PressureError::MissingValue)?.as_str()
-        } else if let Some(v) = a.strip_prefix("--pressure-limit=") {
+        let value = if a == name {
+            it.next()
+                .ok_or_else(|| format!("{name} requires a value"))?
+        } else if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
             v
         } else {
             continue;
         };
-        return match value.parse::<u32>() {
-            Ok(0) => Err(PressureError::Zero),
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(PressureError::Invalid(value.to_string())),
+        return match value.parse() {
+            Ok(v) => Ok(Some(v)),
+            Err(e) => Err(format!("invalid {name} value {value:?}: {e}")),
         };
     }
     Ok(None)
-}
-
-/// [`parse_pressure`] with driver-grade failure handling: resolves the
-/// `--pressure-limit` flag to a register count (or `None` when absent),
-/// exiting the process with status 2 and a usage line on a malformed
-/// value — the same contract as [`threads_or_exit`].
-pub fn pressure_or_exit(args: &[String]) -> Option<u32> {
-    match parse_pressure(args) {
-        Ok(limit) => limit,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: --pressure-limit N  (N >= 1, e.g. --pressure-limit 16 or --pressure-limit=16)"
-            );
-            std::process::exit(2);
-        }
-    }
 }
 
 /// A panic caught inside a pool worker, attributed to the input item
@@ -429,106 +317,51 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_parses_both_spellings() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_threads(&args(&["bin", "--threads", "4"])), Ok(Some(4)));
-        assert_eq!(parse_threads(&args(&["bin", "--threads=8"])), Ok(Some(8)));
-        assert_eq!(parse_threads(&args(&["bin"])), Ok(None));
-    }
-
-    #[test]
-    fn threads_flag_rejects_malformed_values() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            parse_threads(&args(&["bin", "--threads"])),
-            Err(ThreadsError::MissingValue)
-        );
-        assert_eq!(
-            parse_threads(&args(&["bin", "--threads", "abc"])),
-            Err(ThreadsError::Invalid("abc".into()))
-        );
-        assert_eq!(
-            parse_threads(&args(&["bin", "--threads=1.5"])),
-            Err(ThreadsError::Invalid("1.5".into()))
-        );
-        assert_eq!(
-            parse_threads(&args(&["bin", "--threads", "0"])),
-            Err(ThreadsError::Zero)
-        );
-        assert_eq!(
-            parse_threads(&args(&["bin", "--threads=-3"])),
-            Err(ThreadsError::Invalid("-3".into()))
-        );
-    }
-
-    #[test]
-    fn backend_flag_parses_both_spellings_and_full_specs() {
+    fn flags_parse_both_spellings() {
         use ims_core::{BackendKind, BackendSpec};
         let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
         assert_eq!(
-            parse_backend(&args(&["bin", "--backend", "sat"])),
-            Ok(Some(BackendSpec::Leaf(BackendKind::Sat)))
+            parse_flag(&args(&["bin", "--threads", "4"]), "--threads"),
+            Ok(Some(4))
         );
         assert_eq!(
-            parse_backend(&args(&["bin", "--backend=portfolio(ims,exact)"])),
+            parse_flag(&args(&["bin", "--threads=8"]), "--threads"),
+            Ok(Some(8))
+        );
+        assert_eq!(parse_flag::<usize>(&args(&["bin"]), "--threads"), Ok(None));
+        assert_eq!(
+            parse_flag(
+                &args(&["bin", "--backend=portfolio(ims,exact)"]),
+                "--backend"
+            ),
             Ok(Some(BackendSpec::Portfolio(vec![
                 BackendKind::Ims,
                 BackendKind::Exact
             ])))
         );
-        assert_eq!(parse_backend(&args(&["bin"])), Ok(None));
     }
 
     #[test]
-    fn backend_flag_rejects_malformed_values() {
+    fn flags_reject_missing_malformed_and_zero_values() {
         let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let err = |a: &[&str], name| parse_flag::<NonZeroU32>(&args(a), name).unwrap_err();
         assert_eq!(
-            parse_backend(&args(&["bin", "--backend"])),
-            Err(BackendError::MissingValue)
+            err(&["bin", "--threads"], "--threads"),
+            "--threads requires a value"
         );
-        let err = parse_backend(&args(&["bin", "--backend", "magic"])).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("magic") && msg.contains("ims, exact, sat"), "{msg}");
-        let err = parse_backend(&args(&["bin", "--backend=portfolio(ims,"])).unwrap_err();
-        assert!(matches!(err, BackendError::Invalid(_)), "{err}");
-    }
-
-    #[test]
-    fn pressure_flag_parses_both_spellings() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            parse_pressure(&args(&["bin", "--pressure-limit", "16"])),
-            Ok(Some(16))
-        );
-        assert_eq!(
-            parse_pressure(&args(&["bin", "--pressure-limit=12"])),
-            Ok(Some(12))
-        );
-        assert_eq!(parse_pressure(&args(&["bin"])), Ok(None));
-    }
-
-    #[test]
-    fn pressure_flag_rejects_malformed_values() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            parse_pressure(&args(&["bin", "--pressure-limit"])),
-            Err(PressureError::MissingValue)
-        );
-        assert_eq!(
-            parse_pressure(&args(&["bin", "--pressure-limit", "lots"])),
-            Err(PressureError::Invalid("lots".into()))
-        );
-        assert_eq!(
-            parse_pressure(&args(&["bin", "--pressure-limit=2.5"])),
-            Err(PressureError::Invalid("2.5".into()))
-        );
-        assert_eq!(
-            parse_pressure(&args(&["bin", "--pressure-limit", "0"])),
-            Err(PressureError::Zero)
-        );
-        assert_eq!(
-            parse_pressure(&args(&["bin", "--pressure-limit=-4"])),
-            Err(PressureError::Invalid("-4".into()))
+        for bad in ["abc", "1.5", "0", "-3"] {
+            let msg = err(&["bin", "--pressure-limit", bad], "--pressure-limit");
+            assert!(
+                msg.starts_with(&format!("invalid --pressure-limit value {bad:?}")),
+                "{msg}"
+            );
+        }
+        let msg =
+            parse_flag::<ims_core::BackendSpec>(&args(&["bin", "--backend", "magic"]), "--backend")
+                .unwrap_err();
+        assert!(
+            msg.contains("magic") && msg.contains("ims, exact, sat"),
+            "{msg}"
         );
     }
 

@@ -45,7 +45,7 @@ use ims_stats::Histogram;
 use crate::cache::{key_request, CanonProblem, Entry, Keyed, ScheduleCache};
 use crate::json;
 use crate::pool;
-use crate::wire::{machine_by_name, parse_request, parse_stats_request, Request};
+use crate::wire::{machine_by_name, request_from_value, stats_id, Request};
 
 /// Everything a worker needs to schedule one cache miss. Derived from the
 /// first request that missed on the key; every field below is part of the
@@ -138,13 +138,37 @@ fn run_job(job: &Job) -> Entry {
     }
 }
 
-/// Best-effort id recovery for lines that failed request validation, so
-/// the client can still correlate the error response. Falls back to `""`.
-fn recover_id(line: &str) -> String {
-    json::parse(line)
-        .ok()
-        .and_then(|v| v.get("id").and_then(|i| i.as_str().map(str::to_string)))
-        .unwrap_or_default()
+/// Classifies one request line: a stats probe, a keyed request, or an
+/// error response. An invalid request's response still echoes its `id`
+/// when the line is JSON carrying a string `id`, so the client can
+/// correlate it.
+fn parse_line(line: &str) -> Parsed {
+    let v = match json::parse(line) {
+        Ok(v) => v,
+        Err(e) => {
+            return Parsed::Invalid(render_error(
+                "",
+                None,
+                &format!("invalid request: invalid JSON: {e}"),
+            ))
+        }
+    };
+    if let Some(id) = stats_id(&v) {
+        return Parsed::Stats(id);
+    }
+    match request_from_value(&v) {
+        Ok(req) => {
+            let keyed = key_request(&req);
+            Parsed::Request(req, keyed)
+        }
+        Err(e) => {
+            let id = v
+                .get("id")
+                .and_then(json::Value::as_str)
+                .unwrap_or_default();
+            Parsed::Invalid(render_error(id, None, &format!("invalid request: {e}")))
+        }
+    }
 }
 
 fn render_error(id: &str, key: Option<u128>, error: &str) -> String {
@@ -291,27 +315,10 @@ impl Engine {
     /// Only I/O errors from `out`; malformed requests become error
     /// responses, not process errors.
     pub fn process_batch(&mut self, lines: &[String], out: &mut impl Write) -> io::Result<()> {
-        // Stage 1: parse + canonicalize. Stats probes are recognized
-        // first — they carry no problem and are never hashed.
-        let parsed: Vec<Parsed> = lines
-            .iter()
-            .map(|line| {
-                if let Some(id) = parse_stats_request(line) {
-                    return Parsed::Stats(id);
-                }
-                match parse_request(line) {
-                    Ok(req) => {
-                        let keyed = key_request(&req);
-                        Parsed::Request(req, keyed)
-                    }
-                    Err(e) => Parsed::Invalid(render_error(
-                        &recover_id(line),
-                        None,
-                        &format!("invalid request: {e}"),
-                    )),
-                }
-            })
-            .collect();
+        // Stage 1: parse + canonicalize, one JSON parse per line. Stats
+        // probes are recognized first — they carry no problem and are
+        // never hashed.
+        let parsed: Vec<Parsed> = lines.iter().map(|line| parse_line(line)).collect();
 
         // Stage 2: schedule the distinct missing keys, first-appearance
         // order, in parallel.

@@ -24,8 +24,8 @@
 //!   kill) a scheduling worker.
 //! * `budget_ratio` (default 2.0), `max_ii` (default none): the
 //!   [`SchedConfig`] knobs.
-//! * `node_limit` (exact backend only; default the [`ExactConfig`]
-//!   default): branch-and-bound node budget. Wall-clock deadlines are
+//! * `node_limit` (exact backend only; default the branch-and-bound
+//!   [`Decider::DEFAULT_WORK_LIMIT`]): branch-and-bound node budget. Wall-clock deadlines are
 //!   deliberately not exposed — they would break response determinism.
 //! * `pressure_limit` (iterative backend only; default none): a
 //!   register-pressure cap. The scheduler rejects placements and attempts
@@ -60,7 +60,7 @@ use crate::json::{self, Value};
 #[cfg(doc)]
 use ims_core::SchedConfig;
 #[cfg(doc)]
-use ims_exact::ExactConfig;
+use ims_exact::Decider;
 
 /// One dependence edge as carried on the wire, endpoints in request
 /// operation indices.
@@ -170,7 +170,11 @@ fn kind_by_name(s: &str) -> Option<DepKind> {
 /// `None` and flows through [`parse_request`] as usual. Stats requests
 /// never touch the cache and are never hashed.
 pub fn parse_stats_request(line: &str) -> Option<String> {
-    let v = json::parse(line).ok()?;
+    stats_id(&json::parse(line).ok()?)
+}
+
+/// [`parse_stats_request`] over an already-parsed line.
+pub(crate) fn stats_id(v: &Value) -> Option<String> {
     let obj = v.as_obj()?;
     if obj.get("stats").and_then(Value::as_bool) != Some(true) {
         return None;
@@ -188,6 +192,11 @@ pub fn parse_stats_request(line: &str) -> Option<String> {
 /// the line, so error responses are as deterministic as successes.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+    request_from_value(&v)
+}
+
+/// [`parse_request`] over an already-parsed line.
+pub(crate) fn request_from_value(v: &Value) -> Result<Request, String> {
     let obj = v.as_obj().ok_or("request must be a JSON object")?;
 
     let id = obj

@@ -158,6 +158,22 @@ fn malformed_threads_is_a_usage_error() {
 }
 
 #[test]
+fn malformed_numeric_flags_are_usage_errors() {
+    // Every numeric flag is as strict as --threads: a bad value exits 2
+    // with the usage line instead of falling back to the default.
+    for args in [&["--batch", "x"][..], &["--batch=x"][..], &["--batch"][..]] {
+        let out = scheduled(args, "");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--batch") && err.contains("usage:"),
+            "{args:?} -> {err}"
+        );
+        assert!(out.stdout.is_empty());
+    }
+}
+
+#[test]
 fn gen_requests_is_reproducible_and_dedup_reports() {
     let a = requests(6);
     let b = requests(6);

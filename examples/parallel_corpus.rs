@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use ims::bench::pool::default_threads;
-use ims::bench::{corpus_jsonl, measure_corpus_threads};
+use ims::bench::{corpus_jsonl, measure_corpus, LoopMeasurement, MeasureParams};
 use ims::loopgen::corpus_of_size;
 use ims::machine::cydra;
 
@@ -18,17 +18,29 @@ fn main() {
     let machine = cydra();
     let corpus = corpus_of_size(0xC4D5, 200);
     println!("corpus: {} loops on the Cydra-5-like machine", corpus.loops.len());
+    let measure = |threads| -> Vec<LoopMeasurement> {
+        measure_corpus(
+            &corpus,
+            &machine,
+            &MeasureParams::ims(6.0),
+            threads,
+            None,
+            false,
+        )
+        .expect("no trace dir, no I/O")
+        .0
+    };
 
     // --- 1. Sequential baseline --------------------------------------
     let t0 = Instant::now();
-    let seq = measure_corpus_threads(&corpus, &machine, 6.0, 1);
+    let seq = measure(1);
     let seq_elapsed = t0.elapsed();
     println!("1 thread : {:>8.1} ms", seq_elapsed.as_secs_f64() * 1e3);
 
     // --- 2. Parallel run on every available core ---------------------
     let threads = default_threads();
     let t0 = Instant::now();
-    let par = measure_corpus_threads(&corpus, &machine, 6.0, threads);
+    let par = measure(threads);
     let par_elapsed = t0.elapsed();
     println!(
         "{threads} threads: {:>8.1} ms  ({:.2}x speedup)",

@@ -90,8 +90,8 @@ pub mod prelude {
         IterativeBackend, NullObserver, ProblemBuilder, SchedConfig, SchedObserver, SchedOutcome,
         ScheduleError, Scheduler, SchedulerBackend,
     };
-    pub use ims_exact::{schedule_exact, ExactBackend, ExactConfig, ExactOutcome};
-    pub use ims_sat::{default_registry, schedule_sat, SatBackend, SatConfig, SatOutcome};
+    pub use ims_exact::{prove, BranchAndBound, Decider, Prover, ProverConfig, ProverOutcome};
+    pub use ims_sat::{default_registry, Cdcl};
     pub use ims_trace::{
         parse_trace, replay, MetricsObserver, Recorder, SchedEvent, TraceSummary, TraceWriter,
     };

@@ -196,14 +196,22 @@ fn exact_schedules_execute_correctly() {
     // Schedules from the exact branch-and-bound backend flow through the
     // same validator and VLIW simulator as iterative ones; the pipelined
     // execution must match sequential semantics on every kernel.
-    use ims::exact::{schedule_exact, ExactConfig};
+    use ims::core::NullObserver;
+    use ims::exact::{prove, BranchAndBound, ProverConfig};
+    use ims::prof::NullSink;
     let machine = cydra();
-    let config = ExactConfig::new().node_limit(Some(200_000));
+    let config = ProverConfig::new(Some(200_000));
     for k in kernels(16) {
         let body = back_substitute(&k.body, &machine);
         let problem = build_problem(&body, &machine, &BuildOptions::default());
-        let out = schedule_exact(&problem, &config)
-            .unwrap_or_else(|e| panic!("{} fails to schedule exactly: {e}", k.name));
+        let out = prove(
+            &problem,
+            &BranchAndBound::default(),
+            &config,
+            &mut NullObserver,
+            &mut NullSink,
+        )
+        .unwrap_or_else(|e| panic!("{} fails to schedule exactly: {e}", k.name));
         validate_schedule(&problem, &out.schedule)
             .unwrap_or_else(|v| panic!("{} produced an illegal exact schedule: {v}", k.name));
         assert!(out.schedule.ii >= out.mii.mii);

@@ -211,7 +211,9 @@ fn null_observer_is_invisible() {
 
 #[test]
 fn exact_backend_brackets_the_heuristic() {
-    use ims::exact::{schedule_exact, ExactConfig};
+    use ims::core::NullObserver;
+    use ims::exact::{prove, BranchAndBound, ProverConfig};
+    use ims::prof::NullSink;
 
     check(
         "exact_backend_brackets_the_heuristic",
@@ -225,8 +227,15 @@ fn exact_backend_brackets_the_heuristic() {
             let problem = build_problem(&body, &machine, &BuildOptions::default());
             let ims =
                 modulo_schedule(&problem, &SchedConfig::with_budget_ratio(6.0)).expect("schedules");
-            let exact = schedule_exact(&problem, &ExactConfig::new().node_limit(Some(500_000)))
-                .expect("the exact backend degrades, never fails");
+            let config = ProverConfig::new(Some(500_000));
+            let exact = prove(
+                &problem,
+                &BranchAndBound::default(),
+                &config,
+                &mut NullObserver,
+                &mut NullSink,
+            )
+            .expect("the exact backend degrades, never fails");
             // The exact schedule is legal and never worse than the
             // heuristic's; both sit at or above the MII.
             prop_assert!(validate_schedule(&problem, &exact.schedule).is_ok());

@@ -161,7 +161,7 @@ fi
 n_traces=$(ls "$tr1_dir" | wc -l)
 echo "    $n_traces per-loop traces byte-identical at --threads 1 and --threads 4"
 cargo run --release --offline -q -p ims-bench --bin trace_report -- \
-    "$tr1_dir" --top 3 >/dev/null
+    "$tr1_dir" --top 3 >"$bench_dir/trace_report.txt"
 echo "    trace_report renders the trace directory"
 
 echo "==> explain: II attribution determinism + exact-match accounting"
@@ -276,12 +276,34 @@ echo "    $((2 * pn_half)) portfolio responses byte-identical across thread coun
 echo "==> golden gate: every deterministic artifact matches scripts/golden.sha256"
 # The gates above compare runs against each other; this one pins their
 # bytes. The logs and snapshots written above are reused; only the
-# corpus runs of the two provers are new.
+# corpus runs of the two provers and the malformed-request replay are
+# new.
 for b in exact sat; do
     cargo run --release --offline -q -p ims-bench --bin corpus -- \
         --loops 120 --threads 4 --backend "$b" \
         --profile "$bench_dir/BENCH_corpus_$b.json" >"$bench_dir/corpus_$b.jsonl" 2>/dev/null
 done
+# Malformed and edge-case request lines: each must get exactly the
+# response bytes it got before (error strings reach the wire), and the
+# neighbouring good request and stats probe must still be answered.
+cargo run --release --offline -q -p ims-serve --bin scheduled -- \
+    --threads 2 >"$bench_dir/scheduled_malformed.jsonl" 2>/dev/null <<'EOF'
+not json
+{"id":"trail","machine":"minimal","ops":["add"]} x
+{"id":"esc\q","machine":"minimal","ops":["add"]}
+{"id":"plus","machine":"minimal","max_ii":+2,"ops":["add"]}
+{"id":"dup1","machine":"minimal","id":"dup2","ops":["add"],"ops":["mul"]}
+{"id":"big","machine":"minimal","max_ii":1e17,"ops":["add"]}
+{"id":"bigint","machine":"minimal","max_ii":100000000000000000,"ops":["add"]}
+{"id":"negzero","machine":"minimal","budget_ratio":-0,"ops":["add"]}
+{"id":"types","machine":"minimal","ops":"add"}
+{"id":"types2","machine":7,"ops":["add"]}
+{"id":"types3","machine":"minimal","ops":["add","add"],"edges":[[0,1,1.5,0,"flow",false]]}
+{"id":"opcode","machine":"minimal","ops":["frobnicate"]}
+{"id":"ctl\u0007é\ud83d","machine":"minimal","ops":["add"],"node_limit":2.0}
+{"id":"probe","stats":true}
+{"id":"good","machine":"minimal","ops":["add","mul"],"edges":[[0,1,1,0,"flow",false]]}
+EOF
 # The snapshot's "deterministic" object, without the wall section.
 det() { awk '/^  "deterministic": \{/{p=1} p{print} p&&/^  \}/{exit}' "$1"; }
 # sha256 of stdin, and of a directory tree (relative names + contents).
@@ -307,6 +329,8 @@ golden="$bench_dir/golden.sha256"
     echo "$(sum <"$ex1_log")  explain.stdout"
     echo "$(sum <"$sv1_log")  scheduled.stdout"
     echo "$(sum <"$pf1_log")  scheduled_portfolio.stdout"
+    echo "$(sum <"$bench_dir/scheduled_malformed.jsonl")  scheduled_malformed.stdout"
+    echo "$(sum <"$bench_dir/trace_report.txt")  trace_report.stdout"
 } >"$golden"
 if ! diff -u scripts/golden.sha256 "$golden" >&2; then
     echo "FAIL: deterministic artifacts differ from scripts/golden.sha256" >&2

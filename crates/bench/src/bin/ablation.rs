@@ -11,8 +11,10 @@
 //!    up on dense recurrence structures, which is why the paper uses the
 //!    MinDist formulation.
 
-use ims_bench::pool::threads_from_args;
-use ims_bench::{measure_corpus, parse_trace_dir, MeasureParams};
+use std::path::PathBuf;
+
+use ims_bench::pool::{flag_or_exit, threads_or_exit};
+use ims_bench::{measure_corpus, MeasureParams};
 use ims_core::{
     modulo_schedule, rec_mii, rec_mii_by_circuits, Counters, PriorityKind, SchedConfig,
 };
@@ -21,13 +23,15 @@ use ims_loopgen::corpus_of_size;
 use ims_machine::{cydra, cydra_simple};
 use ims_stats::table::{num, Table};
 
+const USAGE: &str = "usage: ablation [--threads N] [--trace DIR]";
+
 fn main() {
-    let corpus = corpus_of_size(0xC4D5, 400);
-    let threads = threads_from_args();
     let args: Vec<String> = std::env::args().collect();
+    let threads = threads_or_exit(&args, USAGE);
     // With --trace DIR, the two reservation-table runs write their
     // per-loop traces side by side (`complex_loop_*` / `simple_loop_*`).
-    let trace_dir = parse_trace_dir(&args);
+    let trace_dir: Option<PathBuf> = flag_or_exit(&args, "--trace", USAGE);
+    let corpus = corpus_of_size(0xC4D5, 400);
     println!("Ablations over {} corpus loops\n", corpus.len());
 
     // ----- 1. Complex vs simple reservation tables -----

@@ -21,14 +21,18 @@
 //! Exit status: 0 when the comparison passes, 1 on regression, 2 on
 //! usage, I/O, or parse errors.
 
+use ims_bench::pool::flag_or_exit;
 use ims_prof::diff::{diff_snapshots, DiffOptions};
 use ims_prof::snapshot::Snapshot;
 
+const USAGE: &str = "usage: benchdiff BASE NEW [--counter-threshold R] [--wall-threshold R]
+                      [--min-wall-ns N] [--strict-counters] [--no-wall]";
+
+/// The flags that take a value.
+const VALUED: [&str; 3] = ["--counter-threshold", "--wall-threshold", "--min-wall-ns"];
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: benchdiff BASE NEW [--counter-threshold R] [--wall-threshold R]\n\
-         \x20                      [--min-wall-ns N] [--strict-counters] [--no-wall]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -44,32 +48,32 @@ fn load(path: &str) -> Snapshot {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = DiffOptions::default();
-    let mut paths: Vec<&str> = Vec::new();
+    let args: Vec<String> = std::env::args().collect();
+    let defaults = DiffOptions::default();
+    let opts = DiffOptions {
+        counter_threshold: flag_or_exit(&args, "--counter-threshold", USAGE)
+            .unwrap_or(defaults.counter_threshold),
+        wall_threshold: flag_or_exit(&args, "--wall-threshold", USAGE)
+            .unwrap_or(defaults.wall_threshold),
+        min_wall_ns: flag_or_exit(&args, "--min-wall-ns", USAGE).unwrap_or(defaults.min_wall_ns),
+        strict_counters: args.iter().any(|a| a == "--strict-counters"),
+        compare_wall: !args.iter().any(|a| a == "--no-wall"),
+    };
 
-    let mut it = args.iter();
+    // What is left once the flags and their values are set aside are the
+    // two snapshot paths.
+    let mut paths: Vec<&str> = Vec::new();
+    let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
-        let mut numeric = |what: &str| -> f64 {
-            match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => v,
-                None => {
-                    eprintln!("benchdiff: {what} needs a numeric value");
-                    usage();
-                }
-            }
-        };
-        match a.as_str() {
-            "--counter-threshold" => opts.counter_threshold = numeric("--counter-threshold"),
-            "--wall-threshold" => opts.wall_threshold = numeric("--wall-threshold"),
-            "--min-wall-ns" => opts.min_wall_ns = numeric("--min-wall-ns") as u64,
-            "--strict-counters" => opts.strict_counters = true,
-            "--no-wall" => opts.compare_wall = false,
-            _ if a.starts_with("--") => {
-                eprintln!("benchdiff: unknown flag {a}");
-                usage();
-            }
-            _ => paths.push(a),
+        if VALUED.contains(&a.as_str()) {
+            it.next();
+        } else if !a.starts_with("--") {
+            paths.push(a);
+        } else if !matches!(a.as_str(), "--strict-counters" | "--no-wall")
+            && !VALUED.iter().any(|f| a.starts_with(&format!("{f}=")))
+        {
+            eprintln!("benchdiff: unknown flag {a}");
+            usage();
         }
     }
     let [base_path, new_path] = paths.as_slice() else {

@@ -47,11 +47,12 @@
 //! varies. Compare snapshots with `benchdiff`, render them with
 //! `profile_report`.
 
-use ims_bench::pool::{backend_or_exit, flag_or_exit, pressure_or_exit, threads_or_exit};
-use ims_bench::profile::{parse_profile_path, write_profile};
-use ims_bench::{
-    corpus_jsonl_opts, measure_corpus, parse_trace_dir, work_limit_for_ms, MeasureParams,
-};
+use std::num::NonZeroU32;
+use std::path::PathBuf;
+
+use ims_bench::pool::{flag_or_exit, threads_or_exit};
+use ims_bench::profile::write_profile;
+use ims_bench::{corpus_jsonl_opts, measure_corpus, work_limit_for_ms, MeasureParams};
 use ims_core::{BackendKind, BackendSpec};
 use ims_loopgen::corpus_of_size;
 use ims_machine::{cydra, cydra_rf};
@@ -67,13 +68,13 @@ fn main() {
     let budget: f64 = flag_or_exit(&args, "--budget", USAGE).unwrap_or(6.0);
     let deadline_ms: u64 = flag_or_exit(&args, "--deadline-ms", USAGE).unwrap_or(5000);
     let with_wall = args.iter().any(|a| a == "--wall");
-    let threads = threads_or_exit(&args);
-    let trace_dir = parse_trace_dir(&args);
-    let profile_path = parse_profile_path(&args);
+    let threads = threads_or_exit(&args, USAGE);
+    let trace_dir: Option<PathBuf> = flag_or_exit(&args, "--trace", USAGE);
+    let profile_path: Option<PathBuf> = flag_or_exit(&args, "--profile", USAGE);
 
     // This harness measures one backend per loop; portfolio racing lives
     // in the service driver, where the members share a cache entry.
-    let spec = backend_or_exit(&args, BackendSpec::default());
+    let spec: BackendSpec = flag_or_exit(&args, "--backend", USAGE).unwrap_or_default();
     let Some(backend) = spec.as_leaf() else {
         eprintln!("corpus: --backend {spec} is not supported here (expected a leaf: ims, exact, or sat)");
         std::process::exit(2);
@@ -82,7 +83,8 @@ fn main() {
         eprintln!("corpus: --trace is only supported with --backend ims");
         std::process::exit(2);
     }
-    let pressure_limit = pressure_or_exit(&args);
+    // Zero is malformed like any other bad value: no register file fits it.
+    let pressure_limit = flag_or_exit(&args, "--pressure-limit", USAGE).map(NonZeroU32::get);
     if pressure_limit.is_some() && backend != BackendKind::Ims {
         eprintln!("corpus: --pressure-limit is only supported with --backend ims");
         std::process::exit(2);

@@ -41,8 +41,8 @@
 
 use std::path::PathBuf;
 
-use ims_bench::profile::{flush_counters, parse_profile_path, write_profile};
-use ims_bench::{parse_trace_dir, pool};
+use ims_bench::pool;
+use ims_bench::profile::{flush_counters, write_profile};
 use ims_core::{Counters, SchedConfig, Scheduler};
 use ims_deps::{back_substitute, build_problem, BuildOptions};
 use ims_explain::{attribute_mii, parse_optgap_bounds, CorpusStats, LoopReport, MiiBound, TraceMine};
@@ -62,11 +62,11 @@ fn main() {
     let budget_ratio: f64 = pool::flag_or_exit(&args, "--budget-ratio", USAGE).unwrap_or(6.0);
     let top: usize = pool::flag_or_exit(&args, "--top", USAGE).unwrap_or(10);
     let max_circuits: usize = pool::flag_or_exit(&args, "--max-circuits", USAGE).unwrap_or(10_000);
-    let threads = pool::threads_or_exit(&args);
-    let trace_dir = parse_trace_dir(&args);
+    let threads = pool::threads_or_exit(&args, USAGE);
+    let trace_dir: Option<PathBuf> = pool::flag_or_exit(&args, "--trace", USAGE);
     let from_trace: Option<PathBuf> = pool::flag_or_exit(&args, "--from-trace", USAGE);
     let optgap_path: Option<PathBuf> = pool::flag_or_exit(&args, "--optgap", USAGE);
-    let profile_path = parse_profile_path(&args);
+    let profile_path: Option<PathBuf> = pool::flag_or_exit(&args, "--profile", USAGE);
 
     if trace_dir.is_some() && from_trace.is_some() {
         eprintln!("explain: --trace writes what --from-trace reads; pick one");

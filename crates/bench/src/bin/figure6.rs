@@ -10,20 +10,24 @@
 //! BudgetRatio ≈ 1.75–2, then creeps up; around BudgetRatio 2 both are
 //! near their minima.
 
-use ims_bench::pool::threads_from_args;
-use ims_bench::{aggregate_figure6, measure_corpus, parse_trace_dir, MeasureParams};
+use std::path::PathBuf;
+
+use ims_bench::pool::{flag_or_exit, threads_or_exit};
+use ims_bench::{aggregate_figure6, measure_corpus, MeasureParams};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
 use ims_stats::table::{num, Table};
 
+const USAGE: &str = "usage: figure6 [--threads N] [--trace DIR]";
+
 fn main() {
-    let corpus = paper_corpus(0xC4D5);
-    let machine = cydra();
-    let threads = threads_from_args();
     let args: Vec<String> = std::env::args().collect();
+    let threads = threads_or_exit(&args, USAGE);
     // With --trace DIR, every sweep point writes its own per-loop traces,
     // prefixed by the BudgetRatio (`b1.25_loop_00042.jsonl`, ...).
-    let trace_dir = parse_trace_dir(&args);
+    let trace_dir: Option<PathBuf> = flag_or_exit(&args, "--trace", USAGE);
+    let corpus = paper_corpus(0xC4D5);
+    let machine = cydra();
     let budgets: Vec<f64> = (4..=16).map(|i| i as f64 * 0.25).collect();
 
     println!(

@@ -15,6 +15,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use ims_bench::pool::flag_or_exit;
 use ims_core::Mrt;
 use ims_graph::NodeId;
 use ims_ir::Opcode;
@@ -40,22 +41,21 @@ fn banded(nres: u32, band: u32) -> MachineModel {
     b.build()
 }
 
+const USAGE: &str = "usage: mrt_microbench [--iters N]";
+
 fn main() {
-    let mut iters: u64 = 2_000_000;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--iters" => {
-                i += 1;
-                iters = args[i].parse().expect("--iters takes a number");
-            }
-            other => {
-                eprintln!("usage: mrt_microbench [--iters N] (got {other})");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
+    let args: Vec<String> = std::env::args().collect();
+    let iters: u64 = flag_or_exit(&args, "--iters", USAGE).unwrap_or(2_000_000);
+    // `--iters N` / `--iters=N` is the only argument there is.
+    let rest = match args.get(1).map(String::as_str) {
+        Some("--iters") => &args[3.min(args.len())..],
+        Some(a) if a.starts_with("--iters=") => &args[2..],
+        _ => &args[1..],
+    };
+    if let Some(other) = rest.first() {
+        eprintln!("error: unexpected argument {other:?}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
     }
 
     println!("{iters} probes per configuration");

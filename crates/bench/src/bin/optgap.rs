@@ -44,8 +44,10 @@
 //!   sweep, graph analysis, MRT probes), with deterministic sections
 //!   byte-identical across `--threads` values. stdout is unchanged.
 
-use ims_bench::profile::{flush_counters, parse_profile_path, write_profile, ProfObserver};
-use ims_bench::{parse_trace_dir, pool, prove_loop, work_limit_for_ms, MeasureParams};
+use std::path::PathBuf;
+
+use ims_bench::profile::{flush_counters, write_profile, ProfObserver};
+use ims_bench::{pool, prove_loop, work_limit_for_ms, MeasureParams};
 use ims_core::{BackendKind, BackendSpec, NullObserver, SchedConfig, SchedObserver, Scheduler};
 use ims_deps::{back_substitute, build_problem, BuildOptions};
 use ims_loopgen::corpus_of_size;
@@ -75,10 +77,10 @@ fn main() {
     let seed: u64 = pool::flag_or_exit(&args, "--seed", USAGE).unwrap_or(0xC4D5);
     let loops: usize = pool::flag_or_exit(&args, "--loops", USAGE).unwrap_or(300);
     let deadline_ms: u64 = pool::flag_or_exit(&args, "--deadline-ms", USAGE).unwrap_or(5000);
-    let threads = pool::threads_or_exit(&args);
+    let threads = pool::threads_or_exit(&args, USAGE);
     let with_wall = args.iter().any(|a| a == "--wall");
-    let trace_dir = parse_trace_dir(&args);
-    let profile_path = parse_profile_path(&args);
+    let trace_dir: Option<PathBuf> = pool::flag_or_exit(&args, "--trace", USAGE);
+    let profile_path: Option<PathBuf> = pool::flag_or_exit(&args, "--profile", USAGE);
 
     if let Some(dir) = &trace_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -90,7 +92,8 @@ fn main() {
     // The gap is measured against a prover; `ims` (and portfolio specs,
     // which include it) cannot certify optimality, so they are usage
     // errors here, not silent downgrades.
-    let spec = pool::backend_or_exit(&args, BackendSpec::Leaf(BackendKind::Exact));
+    let spec = pool::flag_or_exit(&args, "--backend", USAGE)
+        .unwrap_or(BackendSpec::Leaf(BackendKind::Exact));
     let backend = match spec.as_leaf() {
         Some(kind @ (BackendKind::Exact | BackendKind::Sat)) => kind,
         _ => {

@@ -7,9 +7,11 @@
 //! `--profile FILE` (a `BENCH_<name>.json` phase-profile snapshot; see
 //! the `corpus` binary).
 
-use ims_bench::pool::threads_from_args;
-use ims_bench::profile::{parse_profile_path, write_profile};
-use ims_bench::{measure_corpus, parse_trace_dir, LoopMeasurement, MeasureParams};
+use std::path::PathBuf;
+
+use ims_bench::pool::{flag_or_exit, threads_or_exit};
+use ims_bench::profile::write_profile;
+use ims_bench::{measure_corpus, LoopMeasurement, MeasureParams};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
 use ims_stats::table::{num, Table};
@@ -26,16 +28,18 @@ fn row(t: &mut Table, name: &str, s: &DistributionStats) {
     ]);
 }
 
+const USAGE: &str = "usage: table3 [--threads N] [--trace DIR] [--profile FILE]";
+
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let threads = threads_or_exit(&args, USAGE);
+    let trace_dir: Option<PathBuf> = flag_or_exit(&args, "--trace", USAGE);
+    let profile_path: Option<PathBuf> = flag_or_exit(&args, "--profile", USAGE);
     let corpus = paper_corpus(0xC4D5);
-    let threads = threads_from_args();
     eprintln!(
         "scheduling {} loops (BudgetRatio = 6, {threads} threads)...",
         corpus.len()
     );
-    let args: Vec<String> = std::env::args().collect();
-    let trace_dir = parse_trace_dir(&args);
-    let profile_path = parse_profile_path(&args);
     let trace = trace_dir.as_deref().map(|dir| (dir, ""));
     let params = MeasureParams::ims(6.0);
     let (ms, reg) = measure_corpus(

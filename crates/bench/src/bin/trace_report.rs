@@ -17,20 +17,18 @@
 //! trace ends inside is reported as unresolved (`II…`), never as a bogus
 //! success or failure.
 
+use ims_bench::pool::flag_or_exit;
 use ims_trace::{parse_trace_prefix, TraceSummary};
+
+const USAGE: &str = "usage: trace_report DIR [--top K]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let Some(dir) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: trace_report DIR [--top K]");
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
-    let top: usize = args
-        .iter()
-        .position(|a| a == "--top")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
+    let top: usize = flag_or_exit(&args, "--top", USAGE).unwrap_or(10);
 
     let mut entries: Vec<_> = std::fs::read_dir(dir)
         .unwrap_or_else(|e| {

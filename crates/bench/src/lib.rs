@@ -645,12 +645,6 @@ pub fn measure_corpus(
     Ok((ms, total))
 }
 
-/// Extracts `--trace DIR` (or `--trace=DIR`) from a raw argv slice; a
-/// `--trace` without a directory exits 2 (see [`pool::flag_or_exit`]).
-pub fn parse_trace_dir(args: &[String]) -> Option<std::path::PathBuf> {
-    pool::flag_or_exit(args, "--trace", "usage: --trace DIR")
-}
-
 /// Renders one corpus loop's measurement as a deterministic JSON line:
 /// every per-loop quantity the paper reports (II, ΔII, schedule length,
 /// scheduling steps, the Table 4 work counters) and nothing

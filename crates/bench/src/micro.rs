@@ -15,7 +15,8 @@ use ims_core::{
 use ims_deps::{back_substitute, build_problem, BuildOptions};
 use ims_loopgen::{generate_loop, SynthConfig};
 use ims_machine::{cydra, MachineModel};
-use ims_testkit::bench::{black_box, run, BenchSpec, JsonValue};
+use ims_testkit::bench::{black_box, run, BenchSpec};
+use ims_testkit::json::Value;
 use ims_testkit::Xoshiro256;
 
 /// Builds the deterministic synthetic problem used by a bench scenario.
@@ -44,12 +45,12 @@ fn scheduler_line(name: &str, spec: &BenchSpec, problem: &Problem<'_>, config: &
     // Counters are deterministic per problem, so one un-timed run suffices.
     let out = modulo_schedule(problem, config).expect("schedules");
     result.json_line(&[
-        ("ops", JsonValue::U64(problem.op_nodes().count() as u64)),
-        ("ii", JsonValue::I64(out.schedule.ii)),
-        ("mii", JsonValue::I64(out.mii.mii)),
-        ("budget_steps", JsonValue::U64(out.stats.total_steps())),
-        ("evictions", JsonValue::U64(out.stats.counters.evictions)),
-        ("iis_attempted", JsonValue::U64(out.stats.attempts.len() as u64)),
+        ("ops", Value::Int(problem.op_nodes().count() as i128)),
+        ("ii", Value::Int(out.schedule.ii.into())),
+        ("mii", Value::Int(out.mii.mii.into())),
+        ("budget_steps", Value::Int(out.stats.total_steps().into())),
+        ("evictions", Value::Int(out.stats.counters.evictions.into())),
+        ("iis_attempted", Value::Int(out.stats.attempts.len() as i128)),
     ])
 }
 
@@ -94,7 +95,7 @@ pub fn scheduler_benches(spec: &BenchSpec) -> Vec<String> {
         let body = back_substitute(black_box(&raw), &machine);
         black_box(build_problem(&body, &machine, &BuildOptions::default()));
     });
-    lines.push(result.json_line(&[("ops", JsonValue::U64(raw.num_ops() as u64))]));
+    lines.push(result.json_line(&[("ops", Value::Int(raw.num_ops() as i128))]));
 
     lines
 }
@@ -112,17 +113,18 @@ pub fn mii_benches(spec: &BenchSpec) -> Vec<String> {
 
         let with_work = |result: ims_testkit::bench::BenchResult, c: &Counters| {
             result.json_line(&[
-                ("ops", JsonValue::U64(ops)),
-                ("mii", JsonValue::I64(mii.mii)),
+                ("ops", Value::Int(ops.into())),
+                ("mii", Value::Int(mii.mii.into())),
                 (
                     "work",
-                    JsonValue::U64(
-                        c.scc_work
+                    Value::Int(
+                        (c.scc_work
                             + c.resmii_work
                             + c.mindist_work
                             + c.heightr_work
                             + c.estart_preds
-                            + c.findslot_iters,
+                            + c.findslot_iters)
+                            .into(),
                     ),
                 ),
             ])
@@ -188,10 +190,10 @@ pub fn corpus_scaling_benches(spec: &BenchSpec) -> Vec<String> {
         let steps: u64 = ms.iter().map(|m| m.total_steps).sum();
         let evictions: u64 = ms.iter().map(|m| m.counters.evictions).sum();
         lines.push(result.json_line(&[
-            ("threads", JsonValue::U64(threads as u64)),
-            ("loops", JsonValue::U64(ms.len() as u64)),
-            ("total_steps", JsonValue::U64(steps)),
-            ("evictions", JsonValue::U64(evictions)),
+            ("threads", Value::Int(threads as i128)),
+            ("loops", Value::Int(ms.len() as i128)),
+            ("total_steps", Value::Int(steps.into())),
+            ("evictions", Value::Int(evictions.into())),
         ]));
     }
     lines

@@ -138,9 +138,3 @@ pub(crate) fn profile_backend_tail(
 pub fn write_profile(path: &Path, name: &str, reg: &MetricsRegistry) -> std::io::Result<()> {
     std::fs::write(path, snapshot::render_snapshot(name, reg))
 }
-
-/// Extracts `--profile FILE` (or `--profile=FILE`) from a raw argv slice;
-/// a `--profile` without a file exits 2 (see [`crate::pool::flag_or_exit`]).
-pub fn parse_profile_path(args: &[String]) -> Option<std::path::PathBuf> {
-    crate::pool::flag_or_exit(args, "--profile", "usage: --profile FILE")
-}

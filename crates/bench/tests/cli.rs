@@ -1,8 +1,9 @@
-//! Exit-code and message contracts of the report/diff binaries:
-//! `trace_report` on missing or malformed trace directories, `benchdiff`
-//! as a regression gate, and `profile_report` rendering.
+//! Exit-code and message contracts of the drivers: `trace_report` on
+//! missing or malformed trace directories, `benchdiff` as a regression
+//! gate, `profile_report` rendering, and the strict flag parsing every
+//! driver shares (a bad flag exits 2 with the binary's own usage line).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use ims_prof::snapshot::render_snapshot;
@@ -46,6 +47,28 @@ fn write_snapshot(dir: &PathBuf, file: &str, reg: &MetricsRegistry) -> String {
     let path = dir.join(file);
     std::fs::write(&path, render_snapshot("test", reg)).unwrap();
     path.to_string_lossy().into_owned()
+}
+
+/// A file of 200,000 nested `[`: a parser without a depth bound
+/// overflows its stack on it.
+fn write_deep(dir: &Path) -> String {
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    path.to_string_lossy().into_owned()
+}
+
+/// Asserts that `bin args` is a usage error: exit 2, `flag` named on
+/// stderr next to the binary's own usage line, and nothing on stdout.
+/// Returns stderr.
+fn assert_usage_error(bin: &str, args: &[&str], flag: &str) -> String {
+    let out = run(bin, args);
+    assert_eq!(code(&out), 2, "{bin} {args:?}");
+    let err = stderr(&out);
+    let name = Path::new(bin).file_name().unwrap().to_str().unwrap();
+    assert!(err.contains(flag), "{bin} {args:?} -> {err}");
+    assert!(err.contains(&format!("usage: {name}")), "{bin} {args:?} -> {err}");
+    assert!(out.stdout.is_empty(), "no partial output on a bad flag");
+    err
 }
 
 #[test]
@@ -96,6 +119,15 @@ fn benchdiff_usage_errors_exit_2() {
     let out = run(env!("CARGO_BIN_EXE_benchdiff"), &["/nonexistent/a.json", "/nonexistent/b.json"]);
     assert_eq!(code(&out), 2);
     assert!(stderr(&out).contains("cannot read"), "{}", stderr(&out));
+
+    // A snapshot nested past the parser's depth bound is malformed input,
+    // not a stack overflow.
+    let dir = scratch("diff_deep");
+    let deep = write_deep(&dir);
+    let out = run(env!("CARGO_BIN_EXE_benchdiff"), &[&deep, &deep]);
+    assert_eq!(code(&out), 2, "{}", stderr(&out));
+    assert!(stderr(&out).contains("nesting deeper than"), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -160,6 +192,10 @@ fn benchdiff_wall_regressions_respect_threshold_and_no_wall() {
         &[&base, &slower, "--wall-threshold", "5.0"],
     );
     assert_eq!(code(&out), 0, "{}", stdout(&out));
+
+    // The `--flag=value` spelling works like every other driver's.
+    let out = run(env!("CARGO_BIN_EXE_benchdiff"), &[&base, &slower, "--wall-threshold=25"]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -167,9 +203,8 @@ fn benchdiff_wall_regressions_respect_threshold_and_no_wall() {
 fn drivers_reject_malformed_threads_values() {
     // A malformed `--threads` must be a hard error (exit 2 + usage), not
     // a silent fallback to the core count: a silently single-threaded
-    // bench run skews wall numbers without failing anything. `corpus`
-    // parses argv explicitly, `table3` goes through `threads_from_args`;
-    // both funnel into the same strict parser.
+    // bench run skews wall numbers without failing anything. Both drivers
+    // funnel into the same strict parser.
     for bin in [env!("CARGO_BIN_EXE_corpus"), env!("CARGO_BIN_EXE_table3")] {
         for args in [
             &["--threads", "abc"][..],
@@ -209,6 +244,25 @@ fn drivers_reject_malformed_numeric_flags() {
             assert!(out.stdout.is_empty(), "no partial output on a bad flag");
         }
     }
+
+    // The report tools are just as strict, with their own usage lines:
+    // no silent `--top 10`, no panic on `--iters abc`, no `-5` clamped
+    // to a floor of 0.
+    let trace_report = env!("CARGO_BIN_EXE_trace_report");
+    let mrt = env!("CARGO_BIN_EXE_mrt_microbench");
+    let benchdiff = env!("CARGO_BIN_EXE_benchdiff");
+    for (bin, args, flag) in [
+        (trace_report, &["/tmp", "--top", "abc"][..], "--top"),
+        (trace_report, &["/tmp", "--top"][..], "--top"),
+        (mrt, &["--iters", "abc"][..], "--iters"),
+        (mrt, &["--iters"][..], "--iters"),
+        (mrt, &["--iters", "5", "extra"][..], "extra"),
+        (benchdiff, &["a", "b", "--min-wall-ns", "-5"][..], "--min-wall-ns"),
+        (benchdiff, &["a", "b", "--wall-threshold", "lots"][..], "--wall-threshold"),
+        (benchdiff, &["a", "b", "--counter-threshold"][..], "--counter-threshold"),
+    ] {
+        assert_usage_error(bin, args, flag);
+    }
 }
 
 #[test]
@@ -222,8 +276,7 @@ fn corpus_accepts_wellformed_threads() {
 fn drivers_reject_malformed_backend_values() {
     // A malformed `--backend` is the same hard error as a malformed
     // `--threads`: exit 2 with a usage line naming the flag, never a
-    // silent fallback to the default backend. `corpus` and `optgap` both
-    // funnel into `pool::backend_or_exit`.
+    // silent fallback to the default backend.
     for bin in [env!("CARGO_BIN_EXE_corpus"), env!("CARGO_BIN_EXE_optgap")] {
         for args in [
             &["--backend", "magic"][..],
@@ -259,9 +312,8 @@ fn drivers_reject_malformed_backend_values() {
 
 #[test]
 fn corpus_rejects_malformed_pressure_limits() {
-    // `--pressure-limit` funnels into `pool::pressure_or_exit`: malformed
-    // or zero values are the same hard error as a malformed `--threads`,
-    // never a silent "pressure off".
+    // Malformed or zero `--pressure-limit` values are the same hard error
+    // as a malformed `--threads`, never a silent "pressure off".
     for args in [
         &["--pressure-limit", "lots"][..],
         &["--pressure-limit=2.5"][..],
@@ -342,5 +394,29 @@ fn profile_report_renders_and_rejects_bad_input() {
     let out = run(env!("CARGO_BIN_EXE_profile_report"), &[bad.to_str().unwrap()]);
     assert_eq!(code(&out), 1);
     assert!(stderr(&out).contains("malformed snapshot"), "{}", stderr(&out));
+
+    let out = run(env!("CARGO_BIN_EXE_profile_report"), &[&write_deep(&dir)]);
+    assert_eq!(code(&out), 1, "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("malformed snapshot") && err.contains("nesting deeper than"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn table_drivers_print_their_own_usage() {
+    // A bad flag prints the binary's own usage line, which lists its
+    // flags. Every value here is rejected before any loop is scheduled.
+    for bin in [
+        env!("CARGO_BIN_EXE_table3"),
+        env!("CARGO_BIN_EXE_table4"),
+        env!("CARGO_BIN_EXE_figure6"),
+        env!("CARGO_BIN_EXE_ablation"),
+    ] {
+        let err = assert_usage_error(bin, &["--threads", "x"], "--threads");
+        assert!(err.contains("[--trace DIR]"), "{bin}: {err}");
+        assert_usage_error(bin, &["--trace"], "--trace");
+    }
+    for bin in [env!("CARGO_BIN_EXE_table3"), env!("CARGO_BIN_EXE_table4")] {
+        assert_usage_error(bin, &["--profile"], "--profile");
+    }
 }

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use ims_bench::{measure_corpus, parse_trace_dir, LoopMeasurement, MeasureParams};
+use ims_bench::{measure_corpus, LoopMeasurement, MeasureParams};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
 use ims_trace::{parse_trace, replay, TraceSummary};
@@ -87,18 +87,4 @@ fn written_traces_replay_to_the_reported_schedules() {
             "{name}"
         );
     }
-}
-
-#[test]
-fn trace_flag_parses_both_spellings() {
-    let to_args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-    assert_eq!(
-        parse_trace_dir(&to_args(&["bin", "--trace", "/tmp/t"])),
-        Some(PathBuf::from("/tmp/t"))
-    );
-    assert_eq!(
-        parse_trace_dir(&to_args(&["bin", "--trace=/tmp/t", "--threads", "2"])),
-        Some(PathBuf::from("/tmp/t"))
-    );
-    assert_eq!(parse_trace_dir(&to_args(&["bin", "--threads", "2"])), None);
 }

@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 
 use ims_graph::NodeId;
 use ims_machine::MachineModel;
+use ims_testkit::json::{self, Value};
 
 use crate::mii::{MiiAttribution, MiiBound};
 use crate::mine::TraceMine;
@@ -299,25 +300,16 @@ impl CorpusStats {
 pub fn parse_optgap_bounds(text: &str) -> BTreeMap<usize, (i64, i64)> {
     let mut out = BTreeMap::new();
     for line in text.lines() {
-        let Some(idx) = int_field(line, "loop") else {
+        let Ok(v) = json::parse(line) else {
             continue;
         };
-        let (Some(lb), Some(ub)) = (int_field(line, "exact_lb"), int_field(line, "exact_ub"))
-        else {
-            continue;
-        };
-        out.insert(idx as usize, (lb, ub));
+        let idx = v.get("loop").and_then(Value::as_int::<usize>);
+        let bound = |key: &str| v.get(key)?.as_int::<i64>();
+        if let (Some(idx), Some(lb), Some(ub)) = (idx, bound("exact_lb"), bound("exact_ub")) {
+            out.insert(idx, (lb, ub));
+        }
     }
     out
-}
-
-/// The integer value of `key` in a flat JSON object line.
-fn int_field(line: &str, key: &str) -> Option<i64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
 }
 
 #[cfg(test)]

@@ -9,12 +9,15 @@
 //! thread counts, while `benchdiff` applies generous thresholds to the
 //! wall section only.
 //!
-//! Parsing is done by a ~100-line recursive-descent JSON reader so the
-//! workspace stays dependency-free; it accepts any well-formed JSON
-//! object of the snapshot shape (unknown keys are ignored, so the schema
-//! can grow).
+//! [`Snapshot::parse`] reads a snapshot through the workspace JSON
+//! module ([`ims_testkit::json`]). It accepts any JSON object of the
+//! snapshot shape (unknown keys are ignored, so the schema can grow) whose
+//! numeric fields are integers that fit their field types: the schema
+//! writes no floats, so a fraction or exponent is malformed.
 
 use std::collections::BTreeMap;
+
+use ims_testkit::json::{self, Value};
 
 use crate::registry::MetricsRegistry;
 
@@ -121,7 +124,7 @@ impl Snapshot {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
         out.push_str(&format!("  \"bench_schema\": {},\n", self.schema));
-        out.push_str(&format!("  \"name\": \"{}\",\n", escape(&self.name)));
+        out.push_str(&format!("  \"name\": \"{}\",\n", json::escape(&self.name)));
         out.push_str("  \"deterministic\": {\n");
         render_map(&mut out, "counters", &self.counters, 4, |v| v.to_string());
         out.push_str(",\n");
@@ -151,69 +154,80 @@ impl Snapshot {
     /// A human-readable message on malformed JSON or a missing/mistyped
     /// required field.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let v = Json::parse(text)?;
+        let v = json::parse(text)?;
         let top = v.as_obj().ok_or("snapshot is not a JSON object")?;
-        let schema = get_num(top, "bench_schema")? as u64;
-        let name = match top.get("name") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("missing string field \"name\"".into()),
-        };
+        let schema = int(top, "bench_schema")?;
+        let name = top
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or("missing string field \"name\"")?
+            .to_string();
         let det = top
             .get("deterministic")
-            .and_then(Json::as_obj)
+            .and_then(Value::as_obj)
             .ok_or("missing object field \"deterministic\"")?;
-
         let mut s = Snapshot {
             schema,
             name,
             ..Snapshot::default()
         };
-        if let Some(c) = det.get("counters").and_then(Json::as_obj) {
-            for (k, v) in c {
-                s.counters
-                    .insert(k.clone(), v.as_num().ok_or("counter is not a number")? as u64);
-            }
+        for (k, v) in section(det, "counters") {
+            let n = v
+                .as_int()
+                .ok_or_else(|| format!("counter {k:?} is not a u64"))?;
+            s.counters.insert(k.clone(), n);
         }
-        if let Some(g) = det.get("gauges").and_then(Json::as_obj) {
-            for (k, v) in g {
-                s.gauges
-                    .insert(k.clone(), v.as_num().ok_or("gauge is not a number")? as i64);
-            }
+        for (k, v) in section(det, "gauges") {
+            let n = v
+                .as_int()
+                .ok_or_else(|| format!("gauge {k:?} is not an i64"))?;
+            s.gauges.insert(k.clone(), n);
         }
-        if let Some(hs) = det.get("histograms").and_then(Json::as_obj) {
-            for (k, v) in hs {
-                let o = v.as_obj().ok_or("histogram summary is not an object")?;
-                s.histograms.insert(
-                    k.clone(),
-                    HistSummary {
-                        count: get_num(o, "count")? as u64,
-                        sum: get_num(o, "sum")?,
-                        p50: get_num(o, "p50")? as i64,
-                        p90: get_num(o, "p90")? as i64,
-                        p99: get_num(o, "p99")? as i64,
-                        max: get_num(o, "max")? as i64,
-                    },
-                );
-            }
+        for (k, v) in section(det, "histograms") {
+            let o = v.as_obj().ok_or("histogram summary is not an object")?;
+            s.histograms.insert(
+                k.clone(),
+                HistSummary {
+                    count: int(o, "count")?,
+                    sum: int(o, "sum")?,
+                    p50: int(o, "p50")?,
+                    p90: int(o, "p90")?,
+                    p99: int(o, "p99")?,
+                    max: int(o, "max")?,
+                },
+            );
         }
-        if let Some(ws) = top.get("wall").and_then(Json::as_obj) {
-            for (k, v) in ws {
-                let o = v.as_obj().ok_or("wall summary is not an object")?;
-                s.wall.insert(
-                    k.clone(),
-                    WallSummary {
-                        spans: get_num(o, "spans")? as u64,
-                        total_ns: get_num(o, "total_ns")?,
-                        p50_ns: get_num(o, "p50_ns")? as i64,
-                        p90_ns: get_num(o, "p90_ns")? as i64,
-                        p99_ns: get_num(o, "p99_ns")? as i64,
-                        max_ns: get_num(o, "max_ns")? as i64,
-                    },
-                );
-            }
+        for (k, v) in section(top, "wall") {
+            let o = v.as_obj().ok_or("wall summary is not an object")?;
+            s.wall.insert(
+                k.clone(),
+                WallSummary {
+                    spans: int(o, "spans")?,
+                    total_ns: int(o, "total_ns")?,
+                    p50_ns: int(o, "p50_ns")?,
+                    p90_ns: int(o, "p90_ns")?,
+                    p99_ns: int(o, "p99_ns")?,
+                    max_ns: int(o, "max_ns")?,
+                },
+            );
         }
         Ok(s)
     }
+}
+
+/// The entries of the optional object field `key` (none when absent).
+fn section<'a>(
+    obj: &'a BTreeMap<String, Value>,
+    key: &str,
+) -> impl Iterator<Item = (&'a String, &'a Value)> {
+    obj.get(key).and_then(Value::as_obj).into_iter().flatten()
+}
+
+/// The integer field `key`, which must fit `T`.
+fn int<T: TryFrom<i128>>(obj: &BTreeMap<String, Value>, key: &str) -> Result<T, String> {
+    obj.get(key)
+        .and_then(Value::as_int)
+        .ok_or_else(|| format!("missing integer field \"{key}\""))
 }
 
 /// Renders `name`'s registry as a snapshot document (the string written
@@ -231,22 +245,6 @@ pub fn deterministic_section(text: &str) -> Option<&str> {
     let start = text.find("\"deterministic\"")?;
     let end = text[start..].find("\"wall\"")? + start;
     Some(&text[start..end])
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn render_map<V>(
@@ -269,213 +267,9 @@ fn render_map<V>(
             out.push_str(",\n");
         }
         first = false;
-        out.push_str(&format!("{inner}\"{}\": {}", escape(k), f(v)));
+        out.push_str(&format!("{inner}\"{}\": {}", json::escape(k), f(v)));
     }
     out.push_str(&format!("\n{pad}}}"));
-}
-
-fn get_num(obj: &BTreeMap<String, Json>, key: &str) -> Result<i128, String> {
-    obj.get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("missing numeric field \"{key}\""))
-}
-
-/// A minimal JSON value: integers only (the snapshot schema emits no
-/// floats), objects as sorted maps.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(i128),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<i128> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(v)
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(b, pos),
-        _ => Err(format!("unexpected byte at {}", *pos)),
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
-        map.insert(key, val);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut arr = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(arr));
-    }
-    loop {
-        arr.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(arr));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            c => {
-                // Copy the full UTF-8 sequence starting here.
-                let len = match c {
-                    0x00..=0x7f => 1,
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let chunk = b
-                    .get(*pos..*pos + len)
-                    .and_then(|s| std::str::from_utf8(s).ok())
-                    .ok_or_else(|| format!("bad UTF-8 at byte {}", *pos))?;
-                out.push_str(chunk);
-                *pos += len;
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len() && b[*pos].is_ascii_digit() {
-        *pos += 1;
-    }
-    // Reject float syntax explicitly: the schema is integer-only.
-    if matches!(b.get(*pos), Some(b'.') | Some(b'e') | Some(b'E')) {
-        return Err(format!("non-integer number at byte {start}"));
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<i128>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
 #[cfg(test)]
@@ -558,23 +352,30 @@ mod tests {
             "{\"bench_schema\": 1.5, \"name\": \"x\", \"deterministic\": {}}",
             "{\"bench_schema\": 1, \"name\": \"x\"}",
             "not json at all",
+            "{\"bench_schema\": 1, \"name\": \"x\", \"deterministic\": {\"counters\": {\"c\": -1}}}",
+            "{\"bench_schema\": 1, \"name\": \"x\", \"deterministic\": {\"gauges\": {\"g\": 2.0}}}",
+            &"[".repeat(200_000),
         ] {
             let err = Snapshot::parse(bad).unwrap_err();
-            assert!(!err.is_empty(), "{bad:?}");
+            assert!(!err.is_empty(), "{bad:.40}");
         }
     }
 
     #[test]
-    fn parser_handles_escapes_and_nesting() {
-        let v = Json::parse(r#"{"a\n\"bA": [1, -2, {"c": true}, null, false]}"#).unwrap();
-        let obj = v.as_obj().unwrap();
-        let arr = match obj.get("a\n\"bA").unwrap() {
-            Json::Arr(a) => a,
-            other => panic!("{other:?}"),
+    fn integer_extremes_round_trip() {
+        let mut snap = Snapshot::from_registry("x", &sample_registry());
+        snap.counters.insert("c".into(), u64::MAX);
+        snap.gauges.insert("g".into(), i64::MIN);
+        let h = HistSummary {
+            count: u64::MAX,
+            sum: i128::MAX,
+            p50: i64::MIN,
+            p90: 0,
+            p99: 1,
+            max: i64::MAX,
         };
-        assert_eq!(arr[0], Json::Num(1));
-        assert_eq!(arr[1], Json::Num(-2));
-        assert_eq!(arr[3], Json::Null);
-        assert_eq!(arr[4], Json::Bool(false));
+        snap.histograms.insert("h".into(), h);
+        let text = snap.render();
+        assert_eq!(Snapshot::parse(&text).unwrap(), snap);
     }
 }

@@ -55,7 +55,7 @@ fn main() -> io::Result<()> {
 
     if let Some(n) = flag::<usize>(&args, "--gen-requests") {
         let seed = flag::<u64>(&args, "--seed").unwrap_or(7);
-        let backend = pool::backend_or_exit(&args, ims_core::BackendSpec::default());
+        let backend: ims_core::BackendSpec = flag(&args, "--backend").unwrap_or_default();
         let stdout = io::stdout();
         let mut out = stdout.lock();
         for line in gen_requests_backend(seed, n, &backend) {
@@ -78,9 +78,9 @@ fn main() -> io::Result<()> {
         return Ok(());
     }
 
-    // --threads is strict: a malformed value exits 2 with a usage line
-    // (threads_or_exit), never a silent default.
-    let threads = pool::threads_or_exit(&args);
+    // --threads is strict: a malformed value exits 2 with a usage line,
+    // never a silent default.
+    let threads = pool::threads_or_exit(&args, USAGE);
     let batch = flag::<usize>(&args, "--batch").unwrap_or(256);
     let profile = flag::<String>(&args, "--profile");
     let mut engine = Engine::new(threads);

@@ -25,10 +25,13 @@
 
 pub mod cache;
 pub mod corpus;
-pub mod json;
 pub mod pool;
 pub mod service;
 pub mod wire;
+
+/// The workspace JSON module, re-exported under the service's name for
+/// the wire format's existing readers.
+pub use ims_testkit::json;
 
 pub use cache::{key_request, Entry, Keyed, ScheduleCache};
 pub use corpus::{dedup_keys, gen_requests, gen_requests_backend};

@@ -26,7 +26,7 @@
 //! No external dependencies: `std::thread::scope` + `AtomicUsize` only.
 
 use std::fmt::Display;
-use std::num::{NonZeroU32, NonZeroUsize};
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,44 +46,12 @@ pub fn default_threads() -> usize {
         .clamp(1, 64)
 }
 
-/// Reads a `--threads N` (or `--threads=N`) flag from the process
-/// arguments, falling back to [`default_threads`] when the flag is
-/// absent. Shared by every corpus binary so they all accept the same
-/// flag, with the same strictness: a malformed or zero value prints a
-/// usage message to stderr and exits with status 2 (it is **not**
-/// silently replaced by a default).
-pub fn threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    threads_or_exit(&args)
-}
-
-/// [`threads_from_args`] over an explicit argument list: resolves the
-/// `--threads` flag to a worker count, exiting the process with a usage
-/// message on a malformed or zero value. For binaries that already
-/// collected their arguments.
-pub fn threads_or_exit(args: &[String]) -> usize {
-    let usage = "usage: --threads N  (N >= 1, e.g. --threads 4 or --threads=4)";
+/// Resolves a `--threads N` (or `--threads=N`) flag to a worker count,
+/// [`default_threads`] when the flag is absent. Zero is rejected like any
+/// malformed value (see [`flag_or_exit`]): a silently single-threaded run
+/// skews wall numbers without failing anything.
+pub fn threads_or_exit(args: &[String], usage: &str) -> usize {
     flag_or_exit(args, "--threads", usage).map_or_else(default_threads, NonZeroUsize::get)
-}
-
-/// Resolves a `--backend SPEC` (or `--backend=SPEC`) flag to a
-/// [`BackendSpec`](ims_core::BackendSpec), or `default` when absent —
-/// shared by every driver so they all accept the same specs with the
-/// same strictness as [`threads_or_exit`]. The error names the bad token
-/// and lists the registered names.
-pub fn backend_or_exit(args: &[String], default: ims_core::BackendSpec) -> ims_core::BackendSpec {
-    let usage = "usage: --backend SPEC  (ims, exact, sat, or portfolio(a,b,...))";
-    flag_or_exit(args, "--backend", usage).unwrap_or(default)
-}
-
-/// Resolves a `--pressure-limit N` (or `--pressure-limit=N`) flag to a
-/// register count, or `None` (pressure enforcement off) when absent.
-/// Zero is rejected like any malformed value: no register file
-/// satisfies it.
-pub fn pressure_or_exit(args: &[String]) -> Option<u32> {
-    let usage =
-        "usage: --pressure-limit N  (N >= 1, e.g. --pressure-limit 16 or --pressure-limit=16)";
-    flag_or_exit(args, "--pressure-limit", usage).map(NonZeroU32::get)
 }
 
 /// Reads `--name V` (or `--name=V`) from an argument list, parsed as `T`;
@@ -344,7 +312,8 @@ mod tests {
     #[test]
     fn flags_reject_missing_malformed_and_zero_values() {
         let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        let err = |a: &[&str], name| parse_flag::<NonZeroU32>(&args(a), name).unwrap_err();
+        let err =
+            |a: &[&str], name| parse_flag::<std::num::NonZeroU32>(&args(a), name).unwrap_err();
         assert_eq!(
             err(&["bin", "--threads"], "--threads"),
             "--threads requires a value"

@@ -142,16 +142,13 @@ fn run_job(job: &Job) -> Entry {
 /// error response. An invalid request's response still echoes its `id`
 /// when the line is JSON carrying a string `id`, so the client can
 /// correlate it.
-fn parse_line(line: &str) -> Parsed {
-    let v = match json::parse(line) {
+fn parse_line(line: &[u8]) -> Parsed {
+    let v = match std::str::from_utf8(line)
+        .map_err(|e| format!("line is not UTF-8: {e}"))
+        .and_then(|line| json::parse(line).map_err(|e| format!("invalid JSON: {e}")))
+    {
         Ok(v) => v,
-        Err(e) => {
-            return Parsed::Invalid(render_error(
-                "",
-                None,
-                &format!("invalid request: invalid JSON: {e}"),
-            ))
-        }
+        Err(e) => return Parsed::Invalid(render_error("", None, &format!("invalid request: {e}"))),
     };
     if let Some(id) = stats_id(&v) {
         return Parsed::Stats(id);
@@ -308,17 +305,22 @@ impl Engine {
     }
 
     /// Processes one batch of request lines, writing one response line
-    /// per request in input order.
+    /// per request in input order. Lines are bytes: one that is not
+    /// UTF-8 gets an error response like any other malformed line.
     ///
     /// # Errors
     ///
     /// Only I/O errors from `out`; malformed requests become error
     /// responses, not process errors.
-    pub fn process_batch(&mut self, lines: &[String], out: &mut impl Write) -> io::Result<()> {
+    pub fn process_batch<L: AsRef<[u8]>>(
+        &mut self,
+        lines: &[L],
+        out: &mut impl Write,
+    ) -> io::Result<()> {
         // Stage 1: parse + canonicalize, one JSON parse per line. Stats
         // probes are recognized first — they carry no problem and are
         // never hashed.
-        let parsed: Vec<Parsed> = lines.iter().map(|line| parse_line(line)).collect();
+        let parsed: Vec<Parsed> = lines.iter().map(|line| parse_line(line.as_ref())).collect();
 
         // Stage 2: schedule the distinct missing keys, first-appearance
         // order, in parallel.
@@ -425,7 +427,10 @@ impl Engine {
 
 /// Pumps a whole request stream through `engine` in batches of `batch`
 /// lines, flushing responses after every batch (so interactive clients
-/// and sockets see answers without waiting for EOF).
+/// and sockets see answers without waiting for EOF). Lines end at `\n`
+/// (an `\r` before it is dropped) and are read as bytes, so a line that
+/// is not UTF-8 is answered with an error instead of ending the stream.
+/// Blank lines are skipped.
 ///
 /// # Errors
 ///
@@ -437,10 +442,13 @@ pub fn serve_stream(
     batch: usize,
 ) -> io::Result<()> {
     let batch = batch.max(1);
-    let mut pending: Vec<String> = Vec::with_capacity(batch);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    let mut pending: Vec<Vec<u8>> = Vec::with_capacity(batch);
+    for line in reader.split(b'\n') {
+        let mut line = line?;
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        if std::str::from_utf8(&line).is_ok_and(|s| s.trim().is_empty()) {
             continue;
         }
         pending.push(line);
@@ -493,9 +501,8 @@ mod tests {
     use super::*;
 
     fn respond(engine: &mut Engine, lines: &[&str]) -> Vec<String> {
-        let lines: Vec<String> = lines.iter().map(|s| s.to_string()).collect();
         let mut out = Vec::new();
-        engine.process_batch(&lines, &mut out).unwrap();
+        engine.process_batch(lines, &mut out).unwrap();
         String::from_utf8(out)
             .unwrap()
             .lines()

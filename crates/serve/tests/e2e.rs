@@ -18,7 +18,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Runs `scheduled` with `args`, feeding `input` on stdin.
-fn scheduled(args: &[&str], input: &str) -> Output {
+fn scheduled(args: &[&str], input: impl AsRef<[u8]>) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_scheduled"))
         .args(args)
         .stdin(Stdio::piped())
@@ -30,7 +30,7 @@ fn scheduled(args: &[&str], input: &str) -> Output {
         .stdin
         .take()
         .unwrap()
-        .write_all(input.as_bytes())
+        .write_all(input.as_ref())
         .unwrap();
     child.wait_with_output().expect("scheduled runs")
 }
@@ -124,22 +124,44 @@ fn requests_file_flag_matches_stdin() {
 
 #[test]
 fn failures_are_structured_responses_not_crashes() {
-    // A parse error, a contained constructor panic (wide0), and a clean
-    // scheduling failure (max_ii below MII) each answer in place.
-    let input = "\
-not json\n\
-{\"id\":\"w\",\"machine\":\"wide0\",\"ops\":[\"add\"]}\n\
-{\"id\":\"cap\",\"machine\":\"minimal\",\"max_ii\":1,\"ops\":[\"add\",\"add\"],\"edges\":[[0,1,3,0,\"flow\",false],[1,0,3,1,\"flow\",false]]}\n\
-{\"id\":\"ok\",\"machine\":\"minimal\",\"ops\":[\"add\"]}\n";
+    // A parse error, a contained constructor panic (wide0), a clean
+    // scheduling failure (max_ii below MII), two documents nested far past
+    // the parser's depth bound, and a line that is not UTF-8 each answer
+    // in place, between good requests.
+    let good = "{\"id\":\"ok\",\"machine\":\"minimal\",\"ops\":[\"add\"]}\n";
+    let input = [
+        good.as_bytes(),
+        b"not json\n",
+        b"{\"id\":\"w\",\"machine\":\"wide0\",\"ops\":[\"add\"]}\n",
+        b"{\"id\":\"cap\",\"machine\":\"minimal\",\"max_ii\":1,\"ops\":[\"add\",\"add\"],\"edges\":[[0,1,3,0,\"flow\",false],[1,0,3,1,\"flow\",false]]}\n",
+        "[".repeat(200_000).as_bytes(),
+        b"\n",
+        "{\"a\":".repeat(200_000).as_bytes(),
+        b"\n{\"id\":\"b\xff\",\"ops\":[\"add\"]}\n",
+        good.as_bytes(),
+    ]
+    .concat();
     let out = scheduled(&["--threads", "2"], input);
     assert!(out.status.success(), "failures must not kill the service");
     let text = stdout(&out);
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 4);
-    assert!(lines[0].contains("\"ok\":false") && lines[0].contains("invalid JSON"));
-    assert!(lines[1].contains("\"ok\":false") && lines[1].contains("panicked"), "{}", lines[1]);
-    assert!(lines[2].contains("\"ok\":false") && lines[2].contains("schedule failed"));
-    assert!(lines[3].contains("\"ok\":true"));
+    assert_eq!(lines.len(), 8, "one response per request line:\n{text}");
+    assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
+    assert!(lines[1].contains("\"ok\":false") && lines[1].contains("invalid JSON"));
+    assert!(lines[2].contains("\"ok\":false") && lines[2].contains("panicked"), "{}", lines[2]);
+    assert!(lines[3].contains("\"ok\":false") && lines[3].contains("schedule failed"));
+    for deep in &lines[4..6] {
+        assert!(
+            deep.contains("\"ok\":false") && deep.contains("nesting deeper than 64 levels"),
+            "{deep}"
+        );
+    }
+    assert!(
+        lines[6].contains("\"ok\":false") && lines[6].contains("not UTF-8"),
+        "{}",
+        lines[6]
+    );
+    assert!(lines[7].contains("\"ok\":true"), "{}", lines[7]);
 }
 
 #[test]

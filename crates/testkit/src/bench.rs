@@ -4,14 +4,17 @@
 //! timed iterations and summarizes the per-iteration wall-clock times
 //! (min / median / p90 / mean / max). [`BenchResult::json_line`] renders
 //! one machine-readable JSON object per benchmark — timings plus any
-//! caller-supplied observability counters — so repeated runs can be
-//! appended to a `BENCH_*.jsonl` file and tracked over time.
+//! caller-supplied observability counters, written by
+//! [`json_object`] — so repeated runs can be appended to a
+//! `BENCH_*.jsonl` file and tracked over time.
 //!
 //! This replaces the Criterion benches the workspace used to carry: no
 //! statistical outlier rejection, no plotting — just deterministic
 //! iteration counts and honest order statistics, with zero dependencies.
 
 use std::time::Instant;
+
+use crate::json::{json_object, Value};
 
 /// Re-export of [`std::hint::black_box`], the optimization barrier every
 /// bench body should wrap its inputs and outputs in.
@@ -65,93 +68,18 @@ pub struct BenchResult {
 impl BenchResult {
     /// Renders the result as one JSON object line, appending the given
     /// `extra` counter fields after the timing fields.
-    pub fn json_line(&self, extra: &[(&str, JsonValue)]) -> String {
-        let mut out = String::with_capacity(160);
-        out.push('{');
-        push_field(&mut out, "bench", &JsonValue::Str(self.name.clone()));
-        push_field(&mut out, "iters", &JsonValue::U64(self.iters as u64));
-        push_field(&mut out, "min_ns", &JsonValue::U64(self.min_ns));
-        push_field(&mut out, "median_ns", &JsonValue::U64(self.median_ns));
-        push_field(&mut out, "p90_ns", &JsonValue::U64(self.p90_ns));
-        push_field(&mut out, "max_ns", &JsonValue::U64(self.max_ns));
-        push_field(&mut out, "mean_ns", &JsonValue::U64(self.mean_ns));
-        for (key, value) in extra {
-            push_field(&mut out, key, value);
-        }
-        out.pop(); // trailing comma
-        out.push('}');
-        out
-    }
-}
-
-/// A JSON scalar for [`BenchResult::json_line`] extra fields.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// An unsigned integer.
-    U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A float (rendered with up to 6 significant decimals; non-finite
-    /// values render as `null`).
-    F64(f64),
-    /// A string (escaped).
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-}
-
-/// Renders a complete JSON object line from `(key, value)` pairs, in
-/// order. This is the escaping/rendering core shared by
-/// [`BenchResult::json_line`] and the `ims-trace` event writer, so every
-/// JSON line the workspace emits goes through one escaper.
-pub fn json_object(fields: &[(&str, JsonValue)]) -> String {
-    let mut out = String::with_capacity(32 + fields.len() * 16);
-    out.push('{');
-    for (key, value) in fields {
-        push_field(&mut out, key, value);
-    }
-    if fields.is_empty() {
-        out.push('}');
-    } else {
-        out.pop(); // trailing comma
-        out.push('}');
-    }
-    out
-}
-
-/// Appends `"key":value,` to `out`, escaping the key and any string value.
-pub fn push_field(out: &mut String, key: &str, value: &JsonValue) {
-    out.push('"');
-    escape_into(out, key);
-    out.push_str("\":");
-    match value {
-        JsonValue::U64(v) => out.push_str(&v.to_string()),
-        JsonValue::I64(v) => out.push_str(&v.to_string()),
-        JsonValue::F64(v) if v.is_finite() => out.push_str(&format!("{v}")),
-        JsonValue::F64(_) => out.push_str("null"),
-        JsonValue::Str(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
-        }
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-    }
-    out.push(',');
-}
-
-/// Appends `s` to `out` with JSON string escaping (quotes, backslashes,
-/// and control characters).
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    pub fn json_line(&self, extra: &[(&str, Value)]) -> String {
+        let mut fields = vec![
+            ("bench", Value::Str(self.name.clone())),
+            ("iters", Value::Int(self.iters.into())),
+            ("min_ns", Value::Int(self.min_ns.into())),
+            ("median_ns", Value::Int(self.median_ns.into())),
+            ("p90_ns", Value::Int(self.p90_ns.into())),
+            ("max_ns", Value::Int(self.max_ns.into())),
+            ("mean_ns", Value::Int(self.mean_ns.into())),
+        ];
+        fields.extend_from_slice(extra);
+        json_object(&fields)
     }
 }
 
@@ -215,10 +143,10 @@ mod tests {
             mean_ns: 23,
         };
         let line = r.json_line(&[
-            ("evictions", JsonValue::U64(7)),
-            ("ratio", JsonValue::F64(1.5)),
-            ("ok", JsonValue::Bool(true)),
-            ("tag", JsonValue::Str("a\\b".into())),
+            ("evictions", Value::Int(7)),
+            ("ratio", Value::Num(1.5)),
+            ("ok", Value::Bool(true)),
+            ("tag", Value::Str("a\\b".into())),
         ]);
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         assert!(line.contains(r#""bench":"mii \"n=12\""#), "{line}");
@@ -231,20 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn json_object_renders_fields_in_order() {
-        let line = json_object(&[
-            ("ev", JsonValue::Str("op_scheduled".into())),
-            ("node", JsonValue::U64(3)),
-            ("forced", JsonValue::Bool(false)),
-        ]);
-        assert_eq!(line, r#"{"ev":"op_scheduled","node":3,"forced":false}"#);
-        assert_eq!(json_object(&[]), "{}");
-    }
-
-    #[test]
     fn nonfinite_floats_render_as_null() {
         let r = run("noop", BenchSpec::smoke(), || {});
-        let line = r.json_line(&[("bad", JsonValue::F64(f64::NAN))]);
+        let line = r.json_line(&[("bad", Value::Num(f64::NAN))]);
         assert!(line.contains(r#""bad":null"#), "{line}");
     }
 

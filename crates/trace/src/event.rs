@@ -10,7 +10,7 @@
 //! [`SchedObserver`]: ims_core::SchedObserver
 
 use ims_core::BackendKind;
-use ims_testkit::bench::{json_object, JsonValue};
+use ims_testkit::json::{self, json_object, Value};
 
 /// One scheduler event, mirroring the hooks of
 /// [`SchedObserver`](ims_core::SchedObserver). Node identities are raw
@@ -88,13 +88,13 @@ impl SchedEvent {
 
     /// Renders the event as one JSON object (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let ev = ("ev", JsonValue::Str(self.name().into()));
+        let ev = ("ev", Value::Str(self.name().into()));
         match *self {
             SchedEvent::AttemptStart { ii, budget, backend } => json_object(&[
                 ev,
-                ("ii", JsonValue::I64(ii)),
-                ("budget", JsonValue::I64(budget)),
-                ("backend", JsonValue::Str(backend.name().into())),
+                ("ii", Value::Int(ii.into())),
+                ("budget", Value::Int(budget.into())),
+                ("backend", Value::Str(backend.name().into())),
             ]),
             SchedEvent::OpScheduled {
                 node,
@@ -103,15 +103,15 @@ impl SchedEvent {
                 forced,
             } => json_object(&[
                 ev,
-                ("node", JsonValue::U64(node as u64)),
-                ("time", JsonValue::I64(time)),
-                ("alt", JsonValue::U64(alt as u64)),
-                ("forced", JsonValue::Bool(forced)),
+                ("node", Value::Int(node.into())),
+                ("time", Value::Int(time.into())),
+                ("alt", Value::Int(alt as i128)),
+                ("forced", Value::Bool(forced)),
             ]),
             SchedEvent::OpEvicted { node, evictor } => json_object(&[
                 ev,
-                ("node", JsonValue::U64(node as u64)),
-                ("evictor", JsonValue::U64(evictor as u64)),
+                ("node", Value::Int(node.into())),
+                ("evictor", Value::Int(evictor.into())),
             ]),
             SchedEvent::SlotSearch {
                 node,
@@ -119,63 +119,69 @@ impl SchedEvent {
                 iters,
             } => json_object(&[
                 ev,
-                ("node", JsonValue::U64(node as u64)),
-                ("estart", JsonValue::I64(estart)),
-                ("iters", JsonValue::U64(iters as u64)),
+                ("node", Value::Int(node.into())),
+                ("estart", Value::Int(estart.into())),
+                ("iters", Value::Int(iters.into())),
             ]),
             SchedEvent::BudgetExhausted { ii, spent } => json_object(&[
                 ev,
-                ("ii", JsonValue::I64(ii)),
-                ("spent", JsonValue::U64(spent)),
+                ("ii", Value::Int(ii.into())),
+                ("spent", Value::Int(spent.into())),
             ]),
             SchedEvent::AttemptDone { ii, ok } => {
-                json_object(&[ev, ("ii", JsonValue::I64(ii)), ("ok", JsonValue::Bool(ok))])
+                json_object(&[ev, ("ii", Value::Int(ii.into())), ("ok", Value::Bool(ok))])
             }
         }
     }
 
     /// Parses one JSON trace line back into an event. Returns `None` for
-    /// anything that is not a well-formed event line (unknown `"ev"`,
-    /// missing fields, non-numeric payloads).
+    /// anything that is not a well-formed event line (not a JSON object,
+    /// unknown `"ev"`, missing fields, integers out of their field's
+    /// range, wrongly typed payloads).
     pub fn parse(line: &str) -> Option<SchedEvent> {
-        let line = line.trim();
-        let ev = str_field(line, "ev")?;
-        Some(match ev {
+        let v = json::parse(line).ok()?;
+        let flag = |key: &str| v.get(key)?.as_bool();
+        Some(match v.get("ev")?.as_str()? {
             "attempt_start" => SchedEvent::AttemptStart {
-                ii: i64_field(line, "ii")?,
-                budget: i64_field(line, "budget")?,
+                ii: int(&v, "ii")?,
+                budget: int(&v, "budget")?,
                 // Traces predating the backend field are iterative ones.
-                backend: match str_field(line, "backend") {
-                    Some(name) => BackendKind::from_name(name)?,
+                backend: match v.get("backend") {
+                    Some(name) => BackendKind::from_name(name.as_str()?)?,
                     None => BackendKind::Ims,
                 },
             },
             "op_scheduled" => SchedEvent::OpScheduled {
-                node: i64_field(line, "node")?.try_into().ok()?,
-                time: i64_field(line, "time")?,
-                alt: i64_field(line, "alt")?.try_into().ok()?,
-                forced: bool_field(line, "forced")?,
+                node: int(&v, "node")?,
+                time: int(&v, "time")?,
+                alt: int(&v, "alt")?,
+                forced: flag("forced")?,
             },
             "op_evicted" => SchedEvent::OpEvicted {
-                node: i64_field(line, "node")?.try_into().ok()?,
-                evictor: i64_field(line, "evictor")?.try_into().ok()?,
+                node: int(&v, "node")?,
+                evictor: int(&v, "evictor")?,
             },
             "slot_search" => SchedEvent::SlotSearch {
-                node: i64_field(line, "node")?.try_into().ok()?,
-                estart: i64_field(line, "estart")?,
-                iters: i64_field(line, "iters")?.try_into().ok()?,
+                node: int(&v, "node")?,
+                estart: int(&v, "estart")?,
+                iters: int(&v, "iters")?,
             },
             "budget_exhausted" => SchedEvent::BudgetExhausted {
-                ii: i64_field(line, "ii")?,
-                spent: i64_field(line, "spent")?.try_into().ok()?,
+                ii: int(&v, "ii")?,
+                spent: int(&v, "spent")?,
             },
             "attempt_done" => SchedEvent::AttemptDone {
-                ii: i64_field(line, "ii")?,
-                ok: bool_field(line, "ok")?,
+                ii: int(&v, "ii")?,
+                ok: flag("ok")?,
             },
             _ => return None,
         })
     }
+}
+
+/// The integer field `key` of `v`, if present and in range for `T`.
+fn int<T: TryFrom<i128>>(v: &Value, key: &str) -> Option<T> {
+    v.get(key)?.as_int()
 }
 
 /// Parses every line of a trace, skipping lines that are not events
@@ -205,35 +211,6 @@ pub fn parse_trace_prefix(text: &str) -> (Vec<SchedEvent>, bool) {
         }
     }
     (events, true)
-}
-
-/// The raw text of `key`'s value in a single-level JSON object line.
-/// Sufficient for the trace schema: values are integers, booleans, or
-/// strings without embedded commas/braces.
-fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
-}
-
-fn i64_field(line: &str, key: &str) -> Option<i64> {
-    raw_field(line, key)?.parse().ok()
-}
-
-fn bool_field(line: &str, key: &str) -> Option<bool> {
-    match raw_field(line, key)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    raw_field(line, key)?
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
 }
 
 #[cfg(test)]
@@ -300,6 +277,33 @@ mod tests {
             SchedEvent::parse(r#"{"ev":"attempt_done","ii":2,"ok":maybe}"#),
             None
         );
+        assert_eq!(
+            SchedEvent::parse(r#"{"ev":"op_evicted","node":-1,"evictor":2}"#),
+            None,
+            "a negative node index is out of range, not wrapped"
+        );
+        assert_eq!(
+            SchedEvent::parse(r#"{"ev":"attempt_done","ii":2.0,"ok":true}"#),
+            None,
+            "payloads are integers"
+        );
+    }
+
+    #[test]
+    fn payload_extremes_round_trip() {
+        for ev in [
+            SchedEvent::AttemptStart {
+                ii: i64::MAX,
+                budget: i64::MIN,
+                backend: BackendKind::Sat,
+            },
+            SchedEvent::BudgetExhausted {
+                ii: 1,
+                spent: u64::MAX,
+            },
+        ] {
+            assert_eq!(SchedEvent::parse(&ev.to_json_line()), Some(ev));
+        }
     }
 
     #[test]

@@ -50,7 +50,10 @@ fn scheduler_line(name: &str, spec: &BenchSpec, problem: &Problem<'_>, config: &
         ("mii", Value::Int(out.mii.mii.into())),
         ("budget_steps", Value::Int(out.stats.total_steps().into())),
         ("evictions", Value::Int(out.stats.counters.evictions.into())),
-        ("iis_attempted", Value::Int(out.stats.attempts.len() as i128)),
+        (
+            "iis_attempted",
+            Value::Int(out.stats.attempts.len() as i128),
+        ),
     ])
 }
 

@@ -66,7 +66,10 @@ fn assert_usage_error(bin: &str, args: &[&str], flag: &str) -> String {
     let err = stderr(&out);
     let name = Path::new(bin).file_name().unwrap().to_str().unwrap();
     assert!(err.contains(flag), "{bin} {args:?} -> {err}");
-    assert!(err.contains(&format!("usage: {name}")), "{bin} {args:?} -> {err}");
+    assert!(
+        err.contains(&format!("usage: {name}")),
+        "{bin} {args:?} -> {err}"
+    );
     assert!(out.stdout.is_empty(), "no partial output on a bad flag");
     err
 }
@@ -126,7 +129,11 @@ fn benchdiff_usage_errors_exit_2() {
     let deep = write_deep(&dir);
     let out = run(env!("CARGO_BIN_EXE_benchdiff"), &[&deep, &deep]);
     assert_eq!(code(&out), 2, "{}", stderr(&out));
-    assert!(stderr(&out).contains("nesting deeper than"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("nesting deeper than"),
+        "{}",
+        stderr(&out)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -194,7 +201,10 @@ fn benchdiff_wall_regressions_respect_threshold_and_no_wall() {
     assert_eq!(code(&out), 0, "{}", stdout(&out));
 
     // The `--flag=value` spelling works like every other driver's.
-    let out = run(env!("CARGO_BIN_EXE_benchdiff"), &[&base, &slower, "--wall-threshold=25"]);
+    let out = run(
+        env!("CARGO_BIN_EXE_benchdiff"),
+        &[&base, &slower, "--wall-threshold=25"],
+    );
     assert_eq!(code(&out), 0, "{}", stderr(&out));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -257,9 +267,21 @@ fn drivers_reject_malformed_numeric_flags() {
         (mrt, &["--iters", "abc"][..], "--iters"),
         (mrt, &["--iters"][..], "--iters"),
         (mrt, &["--iters", "5", "extra"][..], "extra"),
-        (benchdiff, &["a", "b", "--min-wall-ns", "-5"][..], "--min-wall-ns"),
-        (benchdiff, &["a", "b", "--wall-threshold", "lots"][..], "--wall-threshold"),
-        (benchdiff, &["a", "b", "--counter-threshold"][..], "--counter-threshold"),
+        (
+            benchdiff,
+            &["a", "b", "--min-wall-ns", "-5"][..],
+            "--min-wall-ns",
+        ),
+        (
+            benchdiff,
+            &["a", "b", "--wall-threshold", "x"][..],
+            "--wall-threshold",
+        ),
+        (
+            benchdiff,
+            &["a", "b", "--counter-threshold"][..],
+            "--counter-threshold",
+        ),
     ] {
         assert_usage_error(bin, args, flag);
     }
@@ -398,7 +420,10 @@ fn profile_report_renders_and_rejects_bad_input() {
     let out = run(env!("CARGO_BIN_EXE_profile_report"), &[&write_deep(&dir)]);
     assert_eq!(code(&out), 1, "{}", stderr(&out));
     let err = stderr(&out);
-    assert!(err.contains("malformed snapshot") && err.contains("nesting deeper than"), "{err}");
+    assert!(
+        err.contains("malformed snapshot") && err.contains("nesting deeper than"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

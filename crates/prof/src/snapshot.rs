@@ -157,70 +157,66 @@ impl Snapshot {
         let v = json::parse(text)?;
         let top = v.as_obj().ok_or("snapshot is not a JSON object")?;
         let schema = int(top, "bench_schema")?;
-        let name = top
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("missing string field \"name\"")?
-            .to_string();
+        let name = match top.get("name") {
+            Some(Value::Str(s)) => s.clone(),
+            _ => return Err("missing string field \"name\"".into()),
+        };
         let det = top
             .get("deterministic")
             .and_then(Value::as_obj)
             .ok_or("missing object field \"deterministic\"")?;
+
         let mut s = Snapshot {
             schema,
             name,
             ..Snapshot::default()
         };
-        for (k, v) in section(det, "counters") {
-            let n = v
-                .as_int()
-                .ok_or_else(|| format!("counter {k:?} is not a u64"))?;
-            s.counters.insert(k.clone(), n);
+        if let Some(c) = det.get("counters").and_then(Value::as_obj) {
+            for (k, v) in c {
+                s.counters
+                    .insert(k.clone(), v.as_int().ok_or("counter is not a u64")?);
+            }
         }
-        for (k, v) in section(det, "gauges") {
-            let n = v
-                .as_int()
-                .ok_or_else(|| format!("gauge {k:?} is not an i64"))?;
-            s.gauges.insert(k.clone(), n);
+        if let Some(g) = det.get("gauges").and_then(Value::as_obj) {
+            for (k, v) in g {
+                s.gauges
+                    .insert(k.clone(), v.as_int().ok_or("gauge is not an i64")?);
+            }
         }
-        for (k, v) in section(det, "histograms") {
-            let o = v.as_obj().ok_or("histogram summary is not an object")?;
-            s.histograms.insert(
-                k.clone(),
-                HistSummary {
-                    count: int(o, "count")?,
-                    sum: int(o, "sum")?,
-                    p50: int(o, "p50")?,
-                    p90: int(o, "p90")?,
-                    p99: int(o, "p99")?,
-                    max: int(o, "max")?,
-                },
-            );
+        if let Some(hs) = det.get("histograms").and_then(Value::as_obj) {
+            for (k, v) in hs {
+                let o = v.as_obj().ok_or("histogram summary is not an object")?;
+                s.histograms.insert(
+                    k.clone(),
+                    HistSummary {
+                        count: int(o, "count")?,
+                        sum: int(o, "sum")?,
+                        p50: int(o, "p50")?,
+                        p90: int(o, "p90")?,
+                        p99: int(o, "p99")?,
+                        max: int(o, "max")?,
+                    },
+                );
+            }
         }
-        for (k, v) in section(top, "wall") {
-            let o = v.as_obj().ok_or("wall summary is not an object")?;
-            s.wall.insert(
-                k.clone(),
-                WallSummary {
-                    spans: int(o, "spans")?,
-                    total_ns: int(o, "total_ns")?,
-                    p50_ns: int(o, "p50_ns")?,
-                    p90_ns: int(o, "p90_ns")?,
-                    p99_ns: int(o, "p99_ns")?,
-                    max_ns: int(o, "max_ns")?,
-                },
-            );
+        if let Some(ws) = top.get("wall").and_then(Value::as_obj) {
+            for (k, v) in ws {
+                let o = v.as_obj().ok_or("wall summary is not an object")?;
+                s.wall.insert(
+                    k.clone(),
+                    WallSummary {
+                        spans: int(o, "spans")?,
+                        total_ns: int(o, "total_ns")?,
+                        p50_ns: int(o, "p50_ns")?,
+                        p90_ns: int(o, "p90_ns")?,
+                        p99_ns: int(o, "p99_ns")?,
+                        max_ns: int(o, "max_ns")?,
+                    },
+                );
+            }
         }
         Ok(s)
     }
-}
-
-/// The entries of the optional object field `key` (none when absent).
-fn section<'a>(
-    obj: &'a BTreeMap<String, Value>,
-    key: &str,
-) -> impl Iterator<Item = (&'a String, &'a Value)> {
-    obj.get(key).and_then(Value::as_obj).into_iter().flatten()
 }
 
 /// The integer field `key`, which must fit `T`.

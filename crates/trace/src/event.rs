@@ -140,7 +140,6 @@ impl SchedEvent {
     /// range, wrongly typed payloads).
     pub fn parse(line: &str) -> Option<SchedEvent> {
         let v = json::parse(line).ok()?;
-        let flag = |key: &str| v.get(key)?.as_bool();
         Some(match v.get("ev")?.as_str()? {
             "attempt_start" => SchedEvent::AttemptStart {
                 ii: int(&v, "ii")?,
@@ -155,7 +154,7 @@ impl SchedEvent {
                 node: int(&v, "node")?,
                 time: int(&v, "time")?,
                 alt: int(&v, "alt")?,
-                forced: flag("forced")?,
+                forced: v.get("forced")?.as_bool()?,
             },
             "op_evicted" => SchedEvent::OpEvicted {
                 node: int(&v, "node")?,
@@ -172,7 +171,7 @@ impl SchedEvent {
             },
             "attempt_done" => SchedEvent::AttemptDone {
                 ii: int(&v, "ii")?,
-                ok: flag("ok")?,
+                ok: v.get("ok")?.as_bool()?,
             },
             _ => return None,
         })

@@ -44,13 +44,13 @@ use ims_core::{
     SchedObserver, SchedOutcome, Schedule, ScheduleError, Scheduler,
 };
 use ims_deps::{back_substitute, build_problem, BuildOptions};
-use ims_exact::{prove, BranchAndBound, ProverConfig, ProverOutcome};
+use ims_exact::ProverOutcome;
 use ims_graph::sccs;
 use ims_loopgen::{Corpus, CorpusLoop, Profile};
 use ims_machine::MachineModel;
 use ims_press::{shapes_from_body, PressureModel, PressureObserver};
-use ims_prof::{phase, MetricsRegistry, PhaseTimer, ProfSink};
-use ims_sat::Cdcl;
+use ims_prof::{phase, MetricsRegistry, NullSink, PhaseTimer, ProfSink};
+use ims_sat::{schedule_leaf, LeafOutcome};
 use ims_trace::TraceWriter;
 
 use profile::{flush_counters, profile_backend_tail, ProfObserver};
@@ -231,11 +231,11 @@ impl MeasureParams {
 ///   measurement falls back to the pressure-blind schedule — the line
 ///   still reports an II — with [`PressInfo::ok`] `false` and the blind
 ///   schedule's (over-limit) pressure.
-/// * **`exact`, `sat`** — the provers ([`prove_loop`]): the iterative
-///   scheduler provides the upper bound, then every smaller II is decided
-///   under the work budget. `final_steps`/`total_steps` count decider
-///   work, the Table 4 counters are zero, and [`LoopMeasurement::exact`]
-///   carries the proven bounds.
+/// * **`exact`, `sat`** — the provers (the `ims_exact::prove` walk
+///   through [`schedule_leaf`]): the iterative scheduler provides the
+///   upper bound, then every smaller II is decided under the work budget.
+///   `final_steps`/`total_steps` count decider work, the Table 4 counters
+///   are zero, and [`LoopMeasurement::exact`] carries the proven bounds.
 ///
 /// With `prof`, the run additionally files every pipeline phase's
 /// deterministic work and wall time into the registry, and the loop is
@@ -271,30 +271,37 @@ pub fn measure_loop<O: SchedObserver>(
         BackendKind::Sat => phase::WALL_SAT,
     });
     let t0 = std::time::Instant::now();
-    let run = if params.backend == BackendKind::Ims {
-        let mut obs = ProfObserver::new(observer, prof.as_deref_mut());
-        match params.pressure_limit {
-            None => Run::from(
-                Scheduler::new(&problem)
-                    .config(SchedConfig::new().budget_ratio(params.budget_ratio))
-                    .observer(&mut obs)
-                    .run()
-                    .expect("corpus loops always schedule under the automatic II cap"),
-            ),
-            Some(limit) => {
-                let press =
-                    schedule_pressure(&body, &problem, params.budget_ratio, limit, &mut obs);
-                prof.count(phase::PRESS_MAXLIVE_UPDATES, press.updates);
-                prof.count(phase::PRESS_REJECTS, press.rejects);
-                prof.count(phase::PRESS_II_BUMPS, press.ii_bumps);
-                Run {
-                    press: Some(press.press),
-                    ..Run::from(press.outcome)
-                }
+    let run = match (params.backend, params.pressure_limit) {
+        (BackendKind::Ims, Some(limit)) => {
+            let mut obs = ProfObserver::new(observer, prof.as_deref_mut());
+            let press = schedule_pressure(&body, &problem, params.budget_ratio, limit, &mut obs);
+            prof.count(phase::PRESS_MAXLIVE_UPDATES, press.updates);
+            prof.count(phase::PRESS_REJECTS, press.rejects);
+            prof.count(phase::PRESS_II_BUMPS, press.ii_bumps);
+            Run {
+                press: Some(press.press),
+                ..Run::from(press.outcome)
             }
         }
-    } else {
-        Run::from(prove_loop(&problem, params, observer, &mut prof))
+        (kind, _) => {
+            // Only the iterative run goes through the profiler's observer;
+            // the provers file their own counters into the registry.
+            let sched = SchedConfig::with_budget_ratio(params.budget_ratio);
+            let out = if kind == BackendKind::Ims {
+                let mut obs = ProfObserver::new(observer, prof.as_deref_mut());
+                schedule_leaf(kind, &problem, &sched, None, &mut obs, &mut NullSink)
+            } else {
+                schedule_leaf(
+                    kind,
+                    &problem,
+                    &sched,
+                    params.work_limit,
+                    observer,
+                    &mut prof,
+                )
+            };
+            Run::from(out.expect("corpus loops always schedule under the automatic II cap"))
+        }
     };
     let wall_ns = t0.elapsed().as_nanos() as u64;
     t.finish_if(prof.as_deref_mut());
@@ -310,32 +317,6 @@ pub fn measure_loop<O: SchedObserver>(
     }
     whole.finish_if(prof);
     finish_measurement(&problem, l, run, wall_ns)
-}
-
-/// Runs the prover `params.backend` names on `problem` (the
-/// [`ims_exact::prove`] walk around [`BranchAndBound`] or [`Cdcl`]),
-/// with its internal heuristic at `params.budget_ratio` and its work
-/// budget at `params.work_limit`.
-///
-/// # Panics
-///
-/// Panics for the `ims` backend, which proves nothing, and if the
-/// internal iterative run fails (impossible for well-formed corpus loops
-/// with the automatic II cap).
-pub fn prove_loop<O: SchedObserver, P: ProfSink>(
-    problem: &Problem<'_>,
-    params: &MeasureParams,
-    observer: &mut O,
-    sink: &mut P,
-) -> ProverOutcome {
-    let config = ProverConfig::new(params.work_limit)
-        .heuristic(SchedConfig::with_budget_ratio(params.budget_ratio));
-    match params.backend {
-        BackendKind::Exact => prove(problem, &BranchAndBound::default(), &config, observer, sink),
-        BackendKind::Sat => prove(problem, &Cdcl::default(), &config, observer, sink),
-        BackendKind::Ims => panic!("the iterative backend proves nothing"),
-    }
-    .expect("corpus loops always schedule under the automatic II cap")
 }
 
 /// One scheduling run inside [`measure_loop`], before the
@@ -360,6 +341,15 @@ impl From<SchedOutcome> for Run {
             schedule: out.schedule,
             exact: None,
             press: None,
+        }
+    }
+}
+
+impl From<LeafOutcome> for Run {
+    fn from(out: LeafOutcome) -> Self {
+        match out {
+            LeafOutcome::Ims(out) => Run::from(out),
+            LeafOutcome::Prover(out) => Run::from(out),
         }
     }
 }

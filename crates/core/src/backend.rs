@@ -1,4 +1,4 @@
-//! Pluggable scheduling backends.
+//! The names and bounds every scheduling backend shares.
 //!
 //! The paper's iterative scheduler is a heuristic: it walks candidate IIs
 //! upward from the MII and keeps the first II at which its budgeted search
@@ -6,27 +6,25 @@
 //! is *known* to be optimal. Measuring the heuristic's optimality gap —
 //! the centerpiece of the exact-scheduling literature that followed Rau
 //! (SMT- and SAT-based modulo schedulers) — needs a second scheduler that
-//! proves lower bounds. [`SchedulerBackend`] is the seam both sit behind:
-//! every backend consumes the same [`Problem`] and produces the same
-//! [`Schedule`], so the validator, code generation, and the VLIW
-//! simulator work unchanged regardless of which backend produced the
-//! schedule, and harness code can be generic over the choice.
+//! proves lower bounds. Three backends exist, and [`BackendKind`] names
+//! them:
 //!
-//! Two kinds of implementation exist:
-//!
-//! * [`IterativeBackend`] (this crate) — the paper's algorithm, wrapping
-//!   [`modulo_schedule`](crate::modulo_schedule). Its bounds are one-sided:
-//!   `proved_lb` is the MII, `best_ub` the achieved II.
-//! * `Prover` (the `ims-exact` crate) — the exact provers' shared II walk
+//! * `ims` — the paper's algorithm ([`modulo_schedule`](crate::modulo_schedule)),
+//!   in this crate. Its bounds are one-sided: the MII below, the achieved
+//!   II above;
+//! * `exact` and `sat` — the exact provers' shared II walk (`ims-exact`)
 //!   around a per-II decider (branch-and-bound in `ims-exact`, CDCL in
-//!   `ims-sat`). It either proves its schedule's II minimal or reports
+//!   `ims-sat`). Each either proves its schedule's II minimal or reports
 //!   explicit [`IiBounds`] when its work budget runs out.
+//!
+//! Every backend consumes the same [`Problem`](crate::Problem) and produces
+//! the same [`Schedule`](crate::Schedule), so the validator, code
+//! generation, and the VLIW simulator work unchanged whichever backend
+//! produced the schedule. `ims_sat::schedule_leaf`, in the lowest crate
+//! that sees all three, is the one dispatch from a kind to its scheduler.
 
-use crate::mii::MiiInfo;
-use crate::observe::{NullObserver, SchedObserver};
-use crate::problem::Problem;
-use crate::sched::{modulo_schedule_observed, SchedConfig, SchedOutcome, Schedule, ScheduleError};
-use crate::spec::BackendSpec;
+#[cfg(doc)]
+use crate::{observe::SchedObserver, spec::BackendSpec};
 
 /// Which *leaf* scheduling backend produced an event stream or outcome.
 ///
@@ -36,8 +34,7 @@ use crate::spec::BackendSpec;
 /// traces from different backends are distinguishable after the fact.
 /// Composite selections — `portfolio(a,b,...)` — are described by
 /// [`BackendSpec`], which is what CLI flags and the service wire format
-/// parse; a spec resolves to leaf backends through a
-/// [`BackendRegistry`](crate::BackendRegistry).
+/// parse.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The paper's iterative modulo scheduler.
@@ -50,7 +47,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Every leaf backend, in registry/display order.
+    /// Every leaf backend, in display order.
     pub const ALL: [BackendKind; 3] = [BackendKind::Ims, BackendKind::Exact, BackendKind::Sat];
 
     /// The stable lowercase name used on the wire and in CLI flags.
@@ -68,7 +65,6 @@ impl BackendKind {
     pub fn from_name(s: &str) -> Option<BackendKind> {
         BackendKind::ALL.into_iter().find(|k| k.name() == s)
     }
-
 }
 
 impl std::fmt::Display for BackendKind {
@@ -113,155 +109,9 @@ impl IiBounds {
     }
 }
 
-/// The uniform result of a [`SchedulerBackend`] run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackendOutcome {
-    /// The best legal schedule found; `schedule.ii == bounds.best_ub`.
-    pub schedule: Schedule,
-    /// The MII bounds computed before scheduling.
-    pub mii: MiiInfo,
-    /// What the backend proved about the true minimum II.
-    pub bounds: IiBounds,
-    /// Backend-specific work measure: operation-scheduling steps for the
-    /// iterative backend, branch-and-bound search nodes for the exact one.
-    pub steps: u64,
-}
-
-impl BackendOutcome {
-    /// Whether `schedule` is proven II-optimal.
-    pub fn optimal(&self) -> bool {
-        self.bounds.is_exact()
-    }
-}
-
-/// A modulo scheduler: anything that turns a [`Problem`] into a legal
-/// [`Schedule`] plus [`IiBounds`] on the true minimum II.
-///
-/// The trait is object-safe so harness code can pick a backend at
-/// runtime (`--backend SPEC`, resolved through a
-/// [`BackendRegistry`](crate::BackendRegistry)).
-pub trait SchedulerBackend {
-    /// Which backend this is (stable name via [`BackendKind::name`]).
-    ///
-    /// Composite backends report a representative leaf (the portfolio
-    /// reports its first member); [`SchedulerBackend::spec`] carries the
-    /// full identity.
-    fn kind(&self) -> BackendKind;
-
-    /// The full selection this backend implements. Leaves return
-    /// `BackendSpec::Leaf(self.kind())` (the default); the portfolio
-    /// returns its member list.
-    fn spec(&self) -> BackendSpec {
-        BackendSpec::Leaf(self.kind())
-    }
-
-    /// Schedules `problem`, returning the best schedule found and the II
-    /// bounds it proves.
-    ///
-    /// # Errors
-    ///
-    /// Backend-specific; the iterative backend forwards
-    /// [`ScheduleError`], and the exact backend can only fail if its
-    /// internal heuristic run (which provides the upper bound) fails.
-    fn schedule(&self, problem: &Problem<'_>) -> Result<BackendOutcome, ScheduleError>;
-
-    /// [`SchedulerBackend::schedule`] with scheduler events reported to
-    /// `observer` (the leaves pass it on through the `&mut O` blanket
-    /// [`SchedObserver`] impl). The default ignores the observer.
-    ///
-    /// # Errors
-    ///
-    /// As [`SchedulerBackend::schedule`].
-    fn schedule_observed_dyn(
-        &self,
-        problem: &Problem<'_>,
-        observer: &mut dyn SchedObserver,
-    ) -> Result<BackendOutcome, ScheduleError> {
-        let _ = observer;
-        self.schedule(problem)
-    }
-}
-
-/// The paper's iterative modulo scheduler as a [`SchedulerBackend`].
-///
-/// Its lower bound is the MII — the iterative scheduler never proves
-/// anything stronger — so `bounds.is_exact()` holds exactly when the
-/// achieved II equals the MII.
-///
-/// ```
-/// use ims_core::{IterativeBackend, ProblemBuilder, SchedConfig, SchedulerBackend};
-/// use ims_ir::{OpId, Opcode};
-/// use ims_machine::minimal;
-///
-/// let m = minimal();
-/// let mut pb = ProblemBuilder::new(&m);
-/// let _ = pb.add_op(Opcode::Add, OpId(0));
-/// let problem = pb.finish();
-///
-/// let out = IterativeBackend::new(SchedConfig::default())
-///     .schedule(&problem)
-///     .unwrap();
-/// assert!(out.optimal(), "a one-op loop schedules at its MII");
-/// assert_eq!(out.bounds.proved_lb, out.mii.mii);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct IterativeBackend {
-    config: SchedConfig,
-}
-
-impl IterativeBackend {
-    /// A backend running with the given configuration.
-    pub fn new(config: SchedConfig) -> Self {
-        IterativeBackend { config }
-    }
-
-    /// The configuration this backend schedules with.
-    pub fn config(&self) -> &SchedConfig {
-        &self.config
-    }
-}
-
-impl SchedulerBackend for IterativeBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Ims
-    }
-
-    fn schedule(&self, problem: &Problem<'_>) -> Result<BackendOutcome, ScheduleError> {
-        // Monomorphized over `NullObserver`: the unobserved path stays free
-        // of per-step dynamic dispatch.
-        modulo_schedule_observed(problem, &self.config, &mut NullObserver).map(heuristic_outcome)
-    }
-
-    fn schedule_observed_dyn(
-        &self,
-        problem: &Problem<'_>,
-        mut observer: &mut dyn SchedObserver,
-    ) -> Result<BackendOutcome, ScheduleError> {
-        modulo_schedule_observed(problem, &self.config, &mut observer).map(heuristic_outcome)
-    }
-}
-
-/// The iterative scheduler proves nothing beyond the MII.
-fn heuristic_outcome(out: SchedOutcome) -> BackendOutcome {
-    BackendOutcome {
-        bounds: IiBounds {
-            proved_lb: out.mii.mii,
-            best_ub: out.schedule.ii,
-        },
-        steps: out.stats.total_steps(),
-        mii: out.mii,
-        schedule: out.schedule,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::ProblemBuilder;
-    use crate::validate::validate_schedule;
-    use ims_graph::DepKind;
-    use ims_ir::{OpId, Opcode};
-    use ims_machine::minimal;
 
     #[test]
     fn backend_kind_names_round_trip() {
@@ -283,40 +133,5 @@ mod tests {
         };
         assert!(!loose.is_exact());
         assert_eq!(loose.gap(), 2);
-    }
-
-    #[test]
-    fn iterative_backend_matches_modulo_schedule_and_is_object_safe() {
-        let m = minimal();
-        let mut pb = ProblemBuilder::new(&m);
-        let a = pb.add_op(Opcode::Add, OpId(0));
-        let b = pb.add_op(Opcode::Mul, OpId(1));
-        pb.add_dep(a, b, 1, 0, DepKind::Flow, false);
-        pb.add_dep(b, a, 1, 1, DepKind::Flow, false);
-        let p = pb.finish();
-
-        let backend: Box<dyn SchedulerBackend> = Box::new(IterativeBackend::default());
-        assert_eq!(backend.kind(), BackendKind::Ims);
-        let out = backend.schedule(&p).unwrap();
-        let reference =
-            crate::sched::modulo_schedule(&p, &SchedConfig::default()).unwrap();
-        assert_eq!(out.schedule, reference.schedule);
-        assert_eq!(out.bounds.proved_lb, reference.mii.mii);
-        assert_eq!(out.bounds.best_ub, reference.schedule.ii);
-        assert_eq!(out.steps, reference.stats.total_steps());
-        assert!(validate_schedule(&p, &out.schedule).is_ok());
-    }
-
-    #[test]
-    fn iterative_backend_forwards_errors() {
-        let m = minimal();
-        let mut pb = ProblemBuilder::new(&m);
-        let a = pb.add_op(Opcode::Add, OpId(0));
-        pb.add_dep(a, a, 5, 1, DepKind::Flow, false); // RecMII 5
-        let p = pb.finish();
-        let err = IterativeBackend::new(SchedConfig::new().max_ii(4))
-            .schedule(&p)
-            .unwrap_err();
-        assert_eq!(err, ScheduleError::IiCapExceeded { mii: 5, max_ii: 4 });
     }
 }

@@ -23,16 +23,15 @@
 //!   exhaustion) is reported to a monomorphized observer, at zero cost
 //!   for the default [`NullObserver`] — the `ims-trace` crate builds
 //!   JSON-lines tracing and metrics aggregation on top;
-//! * a **pluggable backend seam** ([`SchedulerBackend`]): the iterative
-//!   scheduler ([`IterativeBackend`]), the exact branch-and-bound
-//!   scheduler in `ims-exact`, and the CDCL SAT scheduler in `ims-sat`
-//!   sit behind one object-safe trait, all returning the same
-//!   [`Schedule`] plus [`IiBounds`] on the true minimum II, so the
-//!   harness can measure the heuristic's optimality gap. Backends are
-//!   string-addressable: a [`BackendSpec`] (`ims`, `exact`, `sat`,
-//!   `portfolio(a,b,...)`) resolves through an open [`BackendRegistry`]
-//!   to a boxed backend — the portfolio form races members with a
-//!   deterministic winner rule ([`PortfolioBackend`]);
+//! * the **backend names and bounds** the exact provers share with it
+//!   ([`BackendKind`], [`BackendSpec`], [`IiBounds`]): the iterative
+//!   scheduler, the exact branch-and-bound scheduler in `ims-exact`, and
+//!   the CDCL SAT scheduler in `ims-sat` all return the same [`Schedule`]
+//!   plus bounds on the true minimum II, so the harness can measure the
+//!   heuristic's optimality gap. A [`BackendSpec`] (`ims`, `exact`, `sat`,
+//!   `portfolio(a,b,...)`) is what CLI flags and the service parse;
+//!   `ims_sat::schedule_leaf` runs a leaf, and the service races a
+//!   portfolio's members;
 //! * the **acyclic list scheduler** ([`list_schedule`]) the paper uses both
 //!   as the schedule-length lower bound and as the cost yardstick;
 //! * an independent **schedule validator** ([`validate_schedule`]) that
@@ -74,17 +73,12 @@ mod mrt;
 mod observe;
 mod priority;
 mod problem;
-mod registry;
 mod sched;
 mod spec;
 mod validate;
 
-pub use backend::{BackendKind, BackendOutcome, IiBounds, IterativeBackend, SchedulerBackend};
+pub use backend::{BackendKind, IiBounds};
 pub use builder::Scheduler;
-pub use registry::{
-    BackendParams, BackendRegistry, BoxedBackend, PortfolioBackend, PortfolioReport,
-    ResolveError,
-};
 pub use spec::{BackendSpec, ParseBackendError};
 pub use counters::Counters;
 pub use list_sched::{list_schedule, ListSchedule};

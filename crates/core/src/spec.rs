@@ -10,10 +10,9 @@
 //! comma-separated, no spaces), which is what the service cache key
 //! hashes so equivalent spellings share cache entries.
 //!
-//! Parsing is purely syntactic: it accepts exactly the leaf names in
-//! [`BackendKind::ALL`]. Whether an implementation is actually available
-//! is a separate, later question answered by the
-//! [`BackendRegistry`](crate::BackendRegistry) when the spec is resolved.
+//! Parsing accepts exactly the leaf names in [`BackendKind::ALL`], and
+//! every one of them always has an implementation: `ims_sat::schedule_leaf`
+//! runs a leaf, and the `scheduled` service races a portfolio's members.
 
 use std::fmt;
 use std::str::FromStr;

@@ -17,11 +17,10 @@
 //!   to the iterative schedule plus explicit
 //!   [`IiBounds`](ims_core::IiBounds) recording which IIs were proven
 //!   infeasible (`proved_lb`) and the best schedule in hand (`best_ub`) —
-//!   never a hang and never a silent claim of optimality. An engine plugs in through the [`Decider`] trait;
-//!   [`Prover`] turns any decider into a
-//!   [`SchedulerBackend`](ims_core::SchedulerBackend) whose schedules the
-//!   validator, kernel code generation and the VLIW simulator consume
-//!   unchanged;
+//!   never a hang and never a silent claim of optimality. An engine plugs
+//!   in through the [`Decider`] trait, and the walk's schedules are the
+//!   ones the validator, kernel code generation and the VLIW simulator
+//!   consume from every backend;
 //! * the **branch-and-bound decider** ([`BranchAndBound`]), which decides
 //!   one II *exhaustively* (see the `search` module docs for the pruning
 //!   rules: MinDist windows over an SCC-topological scheduling order,
@@ -29,7 +28,9 @@
 //!   work unit is a search node; an optional wall-clock deadline
 //!   ([`BranchAndBound::deadline`]) bounds it further.
 //!
-//! The CDCL decider lives in `ims-sat` and shares the same walk.
+//! The CDCL decider lives in `ims-sat` and shares the same walk; so does
+//! `ims_sat::schedule_leaf`, the dispatch from a backend name to its
+//! scheduler.
 //!
 //! ```
 //! use ims_core::{NullObserver, ProblemBuilder, validate_schedule};
@@ -57,13 +58,13 @@
 
 use std::time::Instant;
 
-use ims_core::{BackendKind, BackendParams, BackendRegistry, Problem};
+use ims_core::{BackendKind, Problem};
 use ims_prof::{phase, ProfSink};
 
 mod prover;
 mod search;
 
-pub use prover::{prove, Decider, Decision, Prover, ProverConfig, ProverOutcome, WalkPhases};
+pub use prover::{prove, Decider, Decision, ProverConfig, ProverOutcome, WalkPhases};
 
 /// The branch-and-bound [`Decider`]: decides one II by exhaustive search,
 /// metered in search nodes (placements tried).
@@ -101,22 +102,10 @@ impl Decider for BranchAndBound {
     }
 }
 
-/// Registers the branch-and-bound prover under [`BackendKind::Exact`].
-/// The factory maps [`BackendParams::sched`] to the heuristic
-/// configuration and [`BackendParams::node_limit`] (when set) to the
-/// node budget.
-pub fn register(reg: &mut BackendRegistry) {
-    reg.register(BackendKind::Exact, |params: &BackendParams| {
-        let limit = params.node_limit.or(BranchAndBound::DEFAULT_WORK_LIMIT);
-        let config = ProverConfig::new(limit).heuristic(params.sched.clone());
-        Box::new(Prover::new(BranchAndBound::default(), config))
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ims_core::{validate_schedule, NullObserver, ProblemBuilder, SchedulerBackend};
+    use ims_core::{validate_schedule, NullObserver, ProblemBuilder};
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
     use ims_machine::figure1_machine;
@@ -138,16 +127,22 @@ mod tests {
     fn figure1_is_decided_exactly() {
         let m = figure1_machine();
         let p = figure1_problem(&m);
-        let backend: Box<dyn SchedulerBackend> = Box::new(Prover::<BranchAndBound>::default());
-        assert_eq!(backend.kind(), BackendKind::Exact);
-        let out = backend.schedule(&p).unwrap();
+        let config = ProverConfig::new(BranchAndBound::DEFAULT_WORK_LIMIT);
+        let out = prove(
+            &p,
+            &BranchAndBound::default(),
+            &config,
+            &mut NullObserver,
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(out.mii.mii, 5);
         assert!(
             out.optimal(),
             "search must decide every II: {:?}",
             out.bounds
         );
-        assert!(out.steps > 0, "IMS misses the MII here, so a search ran");
+        assert!(out.work > 0, "IMS misses the MII here, so a search ran");
         assert_eq!(out.schedule.ii, out.bounds.best_ub);
         assert!(validate_schedule(&p, &out.schedule).is_ok());
     }
@@ -166,26 +161,5 @@ mod tests {
         assert_eq!(out.bounds.proved_lb, out.mii.mii);
         assert_eq!(out.bounds.best_ub, out.ims_ii);
         assert!(validate_schedule(&p, &out.schedule).is_ok());
-    }
-
-    #[test]
-    fn registry_params_reach_the_walk() {
-        let mut reg = BackendRegistry::new();
-        register(&mut reg);
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let starved = BackendParams::new().node_limit(1);
-        let out = reg
-            .make(BackendKind::Exact, &starved)
-            .unwrap()
-            .schedule(&p)
-            .unwrap();
-        assert!(!out.optimal(), "a one-node budget cannot decide II 5");
-        let full = reg
-            .make(BackendKind::Exact, &BackendParams::new())
-            .unwrap()
-            .schedule(&p)
-            .unwrap();
-        assert!(full.optimal());
     }
 }

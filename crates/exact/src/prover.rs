@@ -26,11 +26,11 @@
 //! on its own and consults `attempt_accept`, none of which a proof allows.
 
 use ims_core::{
-    modulo_schedule, BackendKind, BackendOutcome, IiBounds, MiiInfo, NullObserver, Problem,
-    SchedConfig, SchedObserver, Schedule, ScheduleError, SchedulerBackend,
+    modulo_schedule, BackendKind, IiBounds, MiiInfo, Problem, SchedConfig, SchedObserver,
+    Schedule, ScheduleError,
 };
 use ims_graph::NodeId;
-use ims_prof::{NullSink, ProfSink};
+use ims_prof::ProfSink;
 
 /// The answer to "does a legal schedule exist at this II?".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,68 +224,5 @@ pub fn prove<D: Decider, O: SchedObserver, P: ProfSink>(
 fn emit_ops<O: SchedObserver>(observer: &mut O, schedule: &Schedule) {
     for (idx, (&time, &alt)) in schedule.time.iter().zip(&schedule.alternative).enumerate() {
         observer.op_scheduled(NodeId(idx as u32), time, alt, false);
-    }
-}
-
-/// An exact prover as a [`SchedulerBackend`]: a [`Decider`] plus the
-/// [`ProverConfig`] its walk runs under.
-///
-/// `steps` in the returned [`BackendOutcome`] counts decider work;
-/// `bounds` is exact unless the configured limits aborted the walk.
-#[derive(Debug, Clone)]
-pub struct Prover<D> {
-    /// The per-II proof engine.
-    pub decider: D,
-    /// The walk's configuration.
-    pub config: ProverConfig,
-}
-
-impl<D: Decider> Prover<D> {
-    /// A backend proving with `decider` under `config`.
-    pub fn new(decider: D, config: ProverConfig) -> Self {
-        Prover { decider, config }
-    }
-}
-
-impl<D: Decider + Default> Default for Prover<D> {
-    /// The default engine under its default work limit.
-    fn default() -> Self {
-        Prover::new(D::default(), ProverConfig::new(D::DEFAULT_WORK_LIMIT))
-    }
-}
-
-impl<D: Decider> SchedulerBackend for Prover<D> {
-    fn kind(&self) -> BackendKind {
-        D::KIND
-    }
-
-    fn schedule(&self, problem: &Problem<'_>) -> Result<BackendOutcome, ScheduleError> {
-        self.schedule_observed_dyn(problem, &mut NullObserver)
-    }
-
-    fn schedule_observed_dyn(
-        &self,
-        problem: &Problem<'_>,
-        mut observer: &mut dyn SchedObserver,
-    ) -> Result<BackendOutcome, ScheduleError> {
-        prove(
-            problem,
-            &self.decider,
-            &self.config,
-            &mut observer,
-            &mut NullSink,
-        )
-        .map(Into::into)
-    }
-}
-
-impl From<ProverOutcome> for BackendOutcome {
-    fn from(out: ProverOutcome) -> Self {
-        BackendOutcome {
-            schedule: out.schedule,
-            mii: out.mii,
-            bounds: out.bounds,
-            steps: out.work,
-        }
     }
 }

@@ -101,16 +101,6 @@ pub const SAT_IIS_INFEASIBLE: &str = "sat.iis.infeasible";
 /// Decisions aborted by the conflict/clause/slot caps.
 pub const SAT_LIMIT_HITS: &str = "sat.limit.hits";
 
-// ---- backend portfolio (ims-core) ----
-/// Portfolio races run (one per scheduled problem).
-pub const PORTFOLIO_RUNS: &str = "portfolio.runs";
-/// Races won by the iterative backend (lowest II, ties by member order).
-pub const PORTFOLIO_WINS_IMS: &str = "portfolio.wins.ims";
-/// Races won by the branch-and-bound backend.
-pub const PORTFOLIO_WINS_EXACT: &str = "portfolio.wins.exact";
-/// Races won by the SAT backend.
-pub const PORTFOLIO_WINS_SAT: &str = "portfolio.wins.sat";
-
 // ---- register pressure (ims-press) ----
 /// Lifetime-interval applications/removals by the incremental MaxLive
 /// tracker (each costs O(lifetime length) row updates).
@@ -230,10 +220,6 @@ pub const REGISTRY: &[PhaseDesc] = &[
     PhaseDesc { name: SAT_IIS_SEARCHED, kind: PhaseKind::Counter, what: "candidate IIs decided by SAT" },
     PhaseDesc { name: SAT_IIS_INFEASIBLE, kind: PhaseKind::Counter, what: "candidate IIs proven infeasible by SAT" },
     PhaseDesc { name: SAT_LIMIT_HITS, kind: PhaseKind::Counter, what: "SAT decisions aborted by conflict/clause/slot caps" },
-    PhaseDesc { name: PORTFOLIO_RUNS, kind: PhaseKind::Counter, what: "portfolio races run" },
-    PhaseDesc { name: PORTFOLIO_WINS_IMS, kind: PhaseKind::Counter, what: "portfolio races won by the iterative backend" },
-    PhaseDesc { name: PORTFOLIO_WINS_EXACT, kind: PhaseKind::Counter, what: "portfolio races won by branch-and-bound" },
-    PhaseDesc { name: PORTFOLIO_WINS_SAT, kind: PhaseKind::Counter, what: "portfolio races won by the SAT backend" },
     PhaseDesc { name: PRESS_MAXLIVE_UPDATES, kind: PhaseKind::Counter, what: "lifetime-interval updates by the MaxLive tracker" },
     PhaseDesc { name: PRESS_REJECTS, kind: PhaseKind::Counter, what: "placements vetoed for exceeding the pressure limit" },
     PhaseDesc { name: PRESS_II_BUMPS, kind: PhaseKind::Counter, what: "attempts rejected for pressure, bumping the II" },

@@ -24,11 +24,11 @@
 //! deterministic — no deadlines — so output is byte-reproducible at any
 //! thread count.
 //!
-//! The crate also assembles the workspace's *full* backend registry:
-//! [`default_registry`] returns a [`BackendRegistry`] with `ims`,
-//! `exact`, and `sat` registered, ready to resolve any
-//! [`BackendSpec`](ims_core::BackendSpec) including
-//! `portfolio(ims,exact,sat)`.
+//! This is the lowest crate that sees all three leaf backends, so it
+//! also holds the one dispatch from a [`BackendKind`] to its scheduler:
+//! [`schedule_leaf`] runs the paper's iterative scheduler for `ims` and
+//! the prover walk around [`BranchAndBound`] or [`Cdcl`] for `exact` and
+//! `sat`, and returns each outcome unchanged as a [`LeafOutcome`].
 //!
 //! ```
 //! use ims_core::{NullObserver, ProblemBuilder, validate_schedule};
@@ -54,8 +54,13 @@
 //! # Ok::<(), ims_core::ScheduleError>(())
 //! ```
 
-use ims_core::{BackendKind, BackendParams, BackendRegistry, Problem};
-use ims_exact::{Decider, Decision, Prover, ProverConfig, WalkPhases};
+use ims_core::{
+    modulo_schedule_observed, BackendKind, MiiInfo, Problem, SchedConfig, SchedObserver,
+    SchedOutcome, Schedule, ScheduleError,
+};
+use ims_exact::{
+    prove, BranchAndBound, Decider, Decision, ProverConfig, ProverOutcome, WalkPhases,
+};
 use ims_prof::{phase, ProfSink};
 
 mod encode;
@@ -111,35 +116,84 @@ impl Decider for Cdcl {
     }
 }
 
-/// Registers the SAT prover under [`BackendKind::Sat`]. The factory maps
-/// [`BackendParams::sched`] to the heuristic configuration and runs under
-/// the default conflict budget.
-pub fn register(reg: &mut BackendRegistry) {
-    reg.register(BackendKind::Sat, |params: &BackendParams| {
-        let config = ProverConfig::new(Cdcl::DEFAULT_WORK_LIMIT).heuristic(params.sched.clone());
-        Box::new(Prover::new(Cdcl::default(), config))
-    });
+/// What [`schedule_leaf`] returns: the outcome of the backend it ran,
+/// unchanged.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LeafOutcome {
+    /// The paper's iterative scheduler (`ims`).
+    Ims(SchedOutcome),
+    /// A prover walk (`exact`, `sat`).
+    Prover(ProverOutcome),
 }
 
-/// The workspace's full backend registry: `ims` (pre-registered by
-/// [`BackendRegistry::new`]), `exact`, and `sat` — everything a
-/// [`BackendSpec`](ims_core::BackendSpec), portfolio or leaf, can name.
-pub fn default_registry() -> BackendRegistry {
-    let mut reg = BackendRegistry::new();
-    ims_exact::register(&mut reg);
-    register(&mut reg);
-    reg
+impl LeafOutcome {
+    /// The schedule the backend returned.
+    pub fn schedule(&self) -> &Schedule {
+        match self {
+            LeafOutcome::Ims(out) => &out.schedule,
+            LeafOutcome::Prover(out) => &out.schedule,
+        }
+    }
+
+    /// The MII bounds computed before scheduling.
+    pub fn mii(&self) -> &MiiInfo {
+        match self {
+            LeafOutcome::Ims(out) => &out.mii,
+            LeafOutcome::Prover(out) => &out.mii,
+        }
+    }
+}
+
+/// Schedules `problem` with the leaf backend `kind`.
+///
+/// * `ims` runs [`modulo_schedule_observed`] under `sched`; `work_limit`
+///   and `sink` are unused.
+/// * `exact` and `sat` run the [`prove`] walk around [`BranchAndBound`]
+///   or [`Cdcl`], with `sched` configuring the walk's internal heuristic
+///   run and `work_limit` its work budget (nodes or conflicts; `None` is
+///   unlimited). The deciders' deterministic counters go to `sink`.
+///
+/// Every scheduler event goes to `observer`.
+///
+/// # Errors
+///
+/// The iterative scheduler's [`ScheduleError`]; a prover forwards the
+/// error of its internal heuristic run.
+pub fn schedule_leaf<O: SchedObserver, P: ProfSink>(
+    kind: BackendKind,
+    problem: &Problem<'_>,
+    sched: &SchedConfig,
+    work_limit: Option<u64>,
+    observer: &mut O,
+    sink: &mut P,
+) -> Result<LeafOutcome, ScheduleError> {
+    let config = || ProverConfig::new(work_limit).heuristic(sched.clone());
+    match kind {
+        BackendKind::Ims => {
+            modulo_schedule_observed(problem, sched, observer).map(LeafOutcome::Ims)
+        }
+        BackendKind::Exact => prove(
+            problem,
+            &BranchAndBound::default(),
+            &config(),
+            observer,
+            sink,
+        )
+        .map(LeafOutcome::Prover),
+        BackendKind::Sat => {
+            prove(problem, &Cdcl::default(), &config(), observer, sink).map(LeafOutcome::Prover)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ims_core::{
-        validate_schedule, BackendSpec, PortfolioBackend, ProblemBuilder, SchedulerBackend,
-    };
+    use ims_core::{modulo_schedule, validate_schedule, NullObserver, ProblemBuilder};
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
     use ims_machine::figure1_machine;
+    use ims_prof::NullSink;
 
     /// The Figure 1 loop of the paper (RecMII 5; IMS and both provers
     /// land on the optimal II 6).
@@ -152,44 +206,93 @@ mod tests {
         pb.finish()
     }
 
-    #[test]
-    fn default_registry_resolves_every_leaf_and_the_full_portfolio() {
-        let reg = default_registry();
-        for kind in BackendKind::ALL {
-            assert!(reg.contains(kind), "{} must be registered", kind.name());
-        }
-        let spec: BackendSpec = "portfolio(ims,exact,sat)".parse().unwrap();
-        let params = ims_core::BackendParams::new();
-        let backend = reg.resolve(&spec, &params).unwrap();
-
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let out = backend.schedule(&p).unwrap();
-        // All three members land on the optimal II 6 (the exact members
-        // prove it); the tie goes to the first member in spec order.
-        assert_eq!(out.schedule.ii, 6);
-        assert!(out.bounds.is_exact());
-        assert!(validate_schedule(&p, &out.schedule).is_ok());
+    fn leaf(
+        kind: BackendKind,
+        p: &Problem<'_>,
+        sched: &SchedConfig,
+        work_limit: Option<u64>,
+    ) -> Result<LeafOutcome, ScheduleError> {
+        schedule_leaf(kind, p, sched, work_limit, &mut NullObserver, &mut NullSink)
     }
 
     #[test]
-    fn portfolio_race_is_thread_count_invariant() {
-        let reg = default_registry();
-        let params = ims_core::BackendParams::new();
+    fn each_leaf_equals_the_scheduler_it_dispatches_to() {
         let m = figure1_machine();
         let p = figure1_problem(&m);
+        let sched = SchedConfig::with_budget_ratio(6.0);
+        let limit = Some(1 << 16);
+        let config = ProverConfig::new(limit).heuristic(sched.clone());
 
-        let make = |threads: usize| {
-            let members: Vec<_> = BackendKind::ALL
-                .into_iter()
-                .map(|k| (k, reg.make(k, &params).unwrap()))
-                .collect();
-            PortfolioBackend::new(members).threads(threads)
-        };
-        let seq = make(1).schedule(&p).unwrap();
-        let par = make(4).schedule(&p).unwrap();
-        assert_eq!(seq.schedule, par.schedule);
-        assert_eq!(seq.bounds, par.bounds);
-        assert_eq!(seq.steps, par.steps);
+        let ims = modulo_schedule(&p, &sched).unwrap();
+        assert_eq!(
+            leaf(BackendKind::Ims, &p, &sched, limit).unwrap(),
+            LeafOutcome::Ims(ims)
+        );
+        let exact = prove(
+            &p,
+            &BranchAndBound::default(),
+            &config,
+            &mut NullObserver,
+            &mut NullSink,
+        )
+        .unwrap();
+        assert_eq!(
+            leaf(BackendKind::Exact, &p, &sched, limit).unwrap(),
+            LeafOutcome::Prover(exact)
+        );
+        let sat = prove(
+            &p,
+            &Cdcl::default(),
+            &config,
+            &mut NullObserver,
+            &mut NullSink,
+        )
+        .unwrap();
+        assert_eq!(
+            leaf(BackendKind::Sat, &p, &sched, limit).unwrap(),
+            LeafOutcome::Prover(sat)
+        );
+
+        for kind in BackendKind::ALL {
+            let out = leaf(kind, &p, &sched, limit).unwrap();
+            assert_eq!(out.mii().mii, 5);
+            assert_eq!(out.schedule().ii, 6, "{kind}");
+            assert!(validate_schedule(&p, out.schedule()).is_ok());
+        }
+    }
+
+    #[test]
+    fn every_leaf_forwards_the_ii_cap_error() {
+        let m = figure1_machine();
+        let p = figure1_problem(&m);
+        let capped = SchedConfig::new().max_ii(4);
+        for kind in BackendKind::ALL {
+            let err = leaf(kind, &p, &capped, None).unwrap_err();
+            assert_eq!(
+                err,
+                ScheduleError::IiCapExceeded { mii: 5, max_ii: 4 },
+                "{kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_work_limit_reaches_the_prover_walk() {
+        let m = figure1_machine();
+        let p = figure1_problem(&m);
+        let sched = SchedConfig::with_budget_ratio(6.0);
+        for kind in [BackendKind::Exact, BackendKind::Sat] {
+            let Ok(LeafOutcome::Prover(starved)) = leaf(kind, &p, &sched, Some(1)) else {
+                panic!("{kind} runs the prover walk");
+            };
+            assert!(
+                starved.limit_hit,
+                "{kind}: one unit of work cannot decide II 5"
+            );
+            let Ok(LeafOutcome::Prover(full)) = leaf(kind, &p, &sched, None) else {
+                panic!("{kind} runs the prover walk");
+            };
+            assert!(full.optimal(), "{kind}: {:?}", full.bounds);
+        }
     }
 }

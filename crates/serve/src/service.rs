@@ -36,10 +36,14 @@ use std::collections::{BTreeMap, HashSet};
 use std::io::{self, BufRead, Write};
 use std::time::Instant;
 
-use ims_core::{BackendKind, BackendParams, BackendSpec, ProblemBuilder, SchedConfig, Scheduler};
+use ims_core::{
+    BackendKind, BackendSpec, NullObserver, Problem, ProblemBuilder, SchedConfig, ScheduleError,
+    Scheduler,
+};
+use ims_exact::{BranchAndBound, Decider};
 use ims_press::PressureObserver;
-use ims_prof::{phase, MetricsRegistry};
-use ims_sat::default_registry;
+use ims_prof::{phase, MetricsRegistry, NullSink};
+use ims_sat::{schedule_leaf, Cdcl, LeafOutcome};
 use ims_stats::Histogram;
 
 use crate::cache::{key_request, CanonProblem, Entry, Keyed, ScheduleCache};
@@ -121,21 +125,65 @@ fn run_job(job: &Job) -> Entry {
             Err(e) => Entry::Failed { error: format!("schedule failed: {e}") },
         };
     }
-    // Any spec the wire accepts resolves here (the registry carries every
-    // name the parser knows); keep the failure path anyway so a drifted
-    // registry degrades to an error response, not a panic.
-    let mut params = BackendParams::new().sched(cfg);
-    if let Some(n) = job.node_limit {
-        params = params.node_limit(n);
-    }
-    let backend = match default_registry().resolve(&job.backend, &params) {
-        Ok(b) => b,
-        Err(e) => return Entry::Failed { error: format!("schedule failed: {e}") },
-    };
-    match backend.schedule(&problem) {
-        Ok(out) => entry_ok(&out.schedule, out.mii.mii, None),
+    match race(&job.backend, &problem, &cfg, job.node_limit) {
+        Ok(out) => entry_ok(out.schedule(), out.mii().mii, None),
         Err(e) => Entry::Failed { error: format!("schedule failed: {e}") },
     }
+}
+
+/// Runs every member of `spec` to completion under `cfg` and keeps the
+/// lowest II, ties going to the earliest member. Members never cancel
+/// each other, so the winner is a pure function of the request. A leaf
+/// (or one-member portfolio) runs inline; several members run on one
+/// scoped thread each, since a batch's misses may all land on one pool
+/// worker. `node_limit` reaches only the exact prover and defaults to
+/// its node budget; the SAT prover keeps its default conflict budget.
+///
+/// # Errors
+///
+/// The first member's error, when every member failed.
+fn race(
+    spec: &BackendSpec,
+    problem: &Problem<'_>,
+    cfg: &SchedConfig,
+    node_limit: Option<u64>,
+) -> Result<LeafOutcome, ScheduleError> {
+    let run = |kind: BackendKind| {
+        let work_limit = match kind {
+            BackendKind::Ims => None,
+            BackendKind::Exact => node_limit.or(BranchAndBound::DEFAULT_WORK_LIMIT),
+            BackendKind::Sat => Cdcl::DEFAULT_WORK_LIMIT,
+        };
+        schedule_leaf(
+            kind,
+            problem,
+            cfg,
+            work_limit,
+            &mut NullObserver,
+            &mut NullSink,
+        )
+    };
+    let results: Vec<_> = match spec.members() {
+        &[kind] => vec![run(kind)],
+        members => std::thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = members
+                .iter()
+                .map(|&k| scope.spawn(move || run(k)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("portfolio member panicked"))
+                .collect()
+        }),
+    };
+    // `min_by_key` keeps the first of equal minima: ties go to member order.
+    let mut first_err = None;
+    let best = results
+        .into_iter()
+        .filter_map(|r| r.map_err(|e| _ = first_err.get_or_insert(e)).ok())
+        .min_by_key(|out| out.schedule().ii);
+    best.ok_or_else(|| first_err.expect("a spec has at least one member"))
 }
 
 /// Classifies one request line: a stats probe, a keyed request, or an
@@ -645,14 +693,112 @@ mod tests {
         ];
         let mut a = Engine::new(1);
         let cold = respond(&mut a, &lines);
-        assert!(cold[0].contains("\"ok\":true"), "{}", cold[0]);
-        assert!(cold[1].contains("\"ok\":true"), "{}", cold[1]);
+        // Every member lands on the optimal II 6 of the Figure 1 loop.
+        assert!(
+            cold[0].contains("\"ok\":true") && cold[0].contains("\"ii\":6,"),
+            "{}",
+            cold[0]
+        );
+        assert!(
+            cold[1].contains("\"ok\":true") && cold[1].contains("\"ii\":6,"),
+            "{}",
+            cold[1]
+        );
         assert_eq!(a.cache.len(), 2, "spec is part of the key");
         // Hot replay and a parallel engine both reproduce the bytes.
         let hot = respond(&mut a, &lines);
         assert_eq!(cold, hot);
         let mut b = Engine::new(4);
         assert_eq!(respond(&mut b, &lines), cold);
+    }
+
+    /// Request `loop-00004` of `--gen-requests 30 --seed 11` with a
+    /// backend spec and extra fields spliced in. `ims` alone answers II 5
+    /// here; both provers answer the MII, 4.
+    fn loop4(backend: &str, extra: &str) -> String {
+        format!(
+            r#"{{"id":"l4","machine":"cydra","backend":"{backend}"{extra},"ops":["load","load","load","load","mul","add","mul","add","mul","add","store","aadd","aadd","aadd","aadd","aadd"],"edges":[[12,0,3,1,"flow",false],[13,1,3,1,"flow",false],[14,2,3,1,"flow",false],[15,3,3,1,"flow",false],[3,4,20,0,"flow",false],[2,5,20,0,"flow",false],[4,5,5,0,"flow",false],[5,6,4,0,"flow",false],[0,7,20,0,"flow",false],[6,7,5,0,"flow",false],[1,8,20,0,"flow",false],[7,9,4,0,"flow",false],[8,9,5,0,"flow",false],[11,10,3,1,"flow",false],[9,10,4,0,"flow",false],[11,11,3,3,"flow",false],[12,12,3,3,"flow",false],[13,13,3,3,"flow",false],[14,14,3,3,"flow",false],[15,15,3,3,"flow",false]]}}"#
+        )
+    }
+
+    /// A response from `"ii"` on: everything but the id and the key, which
+    /// differ between backends by design.
+    fn answer(response: &str) -> &str {
+        let at = response
+            .find("\"ii\":")
+            .unwrap_or_else(|| panic!("no II in {response}"));
+        &response[at..]
+    }
+
+    #[test]
+    fn the_lowest_ii_wins_a_portfolio_over_member_order() {
+        let mut engine = Engine::new(2);
+        let lines = [
+            loop4("ims", ""),
+            loop4("exact", ""),
+            loop4("sat", ""),
+            loop4("portfolio(ims,exact)", ""),
+            loop4("portfolio(ims,sat)", ""),
+        ];
+        let out = respond(&mut engine, &lines.each_ref().map(String::as_str));
+        assert!(
+            answer(&out[0]).starts_with("\"ii\":5,\"mii\":4,"),
+            "{}",
+            out[0]
+        );
+        assert!(answer(&out[1]).starts_with("\"ii\":4,"), "{}", out[1]);
+        assert!(answer(&out[2]).starts_with("\"ii\":4,"), "{}", out[2]);
+        // ims comes first in both portfolios, yet the prover's II 4 wins.
+        assert_eq!(answer(&out[3]), answer(&out[1]));
+        assert_eq!(answer(&out[4]), answer(&out[2]));
+    }
+
+    #[test]
+    fn portfolio_ties_go_to_the_first_member() {
+        let mut engine = Engine::new(1);
+        let lines = [
+            loop4("exact", ""),
+            loop4("sat", ""),
+            loop4("portfolio(exact,sat)", ""),
+            loop4("portfolio(sat,exact)", ""),
+        ];
+        let out = respond(&mut engine, &lines.each_ref().map(String::as_str));
+        // Both provers land on II 4 with different schedules.
+        assert_ne!(answer(&out[0]), answer(&out[1]));
+        assert_eq!(answer(&out[2]), answer(&out[0]));
+        assert_eq!(answer(&out[3]), answer(&out[1]));
+    }
+
+    #[test]
+    fn a_portfolio_whose_every_member_fails_answers_the_first_error() {
+        let mut engine = Engine::new(1);
+        let out = respond(
+            &mut engine,
+            &[&loop4("portfolio(exact,ims)", r#","max_ii":3"#)],
+        );
+        assert!(
+            out[0].ends_with(
+                r#""error":"schedule failed: II cap 3 is below the MII 4: no candidate II admissible"}"#
+            ),
+            "{}",
+            out[0]
+        );
+    }
+
+    #[test]
+    fn node_limit_reaches_the_exact_prover() {
+        let mut engine = Engine::new(1);
+        let lines = [
+            loop4("ims", ""),
+            loop4("exact", ""),
+            loop4("exact", r#","node_limit":1"#),
+        ];
+        let out = respond(&mut engine, &lines.each_ref().map(String::as_str));
+        assert!(answer(&out[1]).starts_with("\"ii\":4,"), "{}", out[1]);
+        // One node cannot decide II 4: the walk falls back to its
+        // heuristic run, which is the ims schedule at II 5.
+        assert_eq!(answer(&out[2]), answer(&out[0]));
+        assert_eq!(engine.cache.len(), 3, "node_limit is part of the key");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! * an exact branch-and-bound modulo scheduler that proves II optimality
 //!   or reports explicit bounds under a budget ([`exact`]),
 //! * a second exact backend: a std-only CDCL SAT solver plus a CNF
-//!   encoding of "is there a schedule at this II?" ([`sat`]), racing the
-//!   others through the backend registry and `portfolio(...)` specs,
+//!   encoding of "is there a schedule at this II?" ([`sat`]), which also
+//!   holds `schedule_leaf`, the one dispatch from a backend name to its
+//!   scheduler,
 //! * register-pressure-aware scheduling — an incremental MaxLive tracker
 //!   and an observer that holds schedules under a register-file capacity
 //!   ([`press`]),
@@ -86,12 +87,11 @@ pub use ims_vliw as vliw;
 /// observers/trace utilities from [`mod@trace`].
 pub mod prelude {
     pub use ims_core::{
-        modulo_schedule, BackendKind, BackendParams, BackendRegistry, BackendSpec, IiBounds,
-        IterativeBackend, NullObserver, ProblemBuilder, SchedConfig, SchedObserver, SchedOutcome,
-        ScheduleError, Scheduler, SchedulerBackend,
+        modulo_schedule, BackendKind, BackendSpec, IiBounds, NullObserver, ProblemBuilder,
+        SchedConfig, SchedObserver, SchedOutcome, ScheduleError, Scheduler,
     };
-    pub use ims_exact::{prove, BranchAndBound, Decider, Prover, ProverConfig, ProverOutcome};
-    pub use ims_sat::{default_registry, Cdcl};
+    pub use ims_exact::{prove, BranchAndBound, Decider, ProverConfig, ProverOutcome};
+    pub use ims_sat::{schedule_leaf, Cdcl, LeafOutcome};
     pub use ims_trace::{
         parse_trace, replay, MetricsObserver, Recorder, SchedEvent, TraceSummary, TraceWriter,
     };

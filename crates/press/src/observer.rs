@@ -16,7 +16,10 @@ use crate::model::{shapes_from_body, shapes_from_problem, PressureModel};
 ///   placement that would push [`PressureModel::max_live`] over the limit
 ///   is vetoed, so `FindTimeSlot` treats the slot as a resource conflict
 ///   and keeps searching (the forced-slot rule still overrides the veto,
-///   preserving forward progress);
+///   preserving forward progress). The answer comes from
+///   [`PressureModel::exceeds_if_placed`]: O(1) once a forced placement
+///   has pushed MaxLive over the limit, since placements never lower it,
+///   and one place, row scan and evict otherwise;
 /// * [`attempt_accept`](SchedObserver::attempt_accept) — a completed
 ///   attempt whose MaxLive exceeds the limit, or (when the IR body is
 ///   available) whose rotating allocation does not fit the declared file,
@@ -122,12 +125,9 @@ impl SchedObserver for PressureObserver<'_, '_> {
     }
 
     fn placement_vetoed(&mut self, node: NodeId, time: i64) -> bool {
-        // Probe by tentative placement; `node` is unscheduled here (the
-        // scheduler only searches slots for unscheduled operations), so
-        // the evict below restores the exact prior state.
-        self.model.place(node, time);
-        let over = self.model.max_live() > self.limit;
-        self.model.evict(node);
+        // `node` is unscheduled here (the scheduler only searches slots for
+        // unscheduled operations), as `exceeds_if_placed` requires.
+        let over = self.model.exceeds_if_placed(node, time, self.limit);
         if over {
             self.rejects += 1;
         }

@@ -355,6 +355,7 @@ golden="$bench_dir/golden.sha256"
     echo "$(tree_sum "$bench_dir/trace_optgap_sat_t1")  optgap_sat.trace"
     echo "$(det "$bench_dir/BENCH_optgap_sat_t1.json" | sum)  optgap_sat.profile"
     echo "$(sum <"$ex1_log")  explain.stdout"
+    echo "$(tree_sum "$ex_traces")  explain.trace"
     echo "$(sum <"$sv1_log")  scheduled.stdout"
     echo "$(sum <"$pf1_log")  scheduled_portfolio.stdout"
     echo "$(sum <"$bench_dir/scheduled_portfolio_sat.jsonl")  scheduled_portfolio_sat.stdout"

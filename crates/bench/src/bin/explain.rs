@@ -41,15 +41,16 @@
 
 use std::path::PathBuf;
 
-use ims_bench::pool;
 use ims_bench::profile::{flush_counters, write_profile};
+use ims_bench::{pool, run_corpus};
 use ims_core::{Counters, SchedConfig, Scheduler};
-use ims_deps::{back_substitute, build_problem, BuildOptions};
-use ims_explain::{attribute_mii, parse_optgap_bounds, CorpusStats, LoopReport, MiiBound, TraceMine};
+use ims_explain::{
+    attribute_mii, parse_optgap_bounds, CorpusStats, LoopReport, MiiBound, TraceMine,
+};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
-use ims_prof::{phase, MetricsRegistry, PhaseTimer};
-use ims_trace::{parse_trace_prefix, Recorder, SchedEvent};
+use ims_prof::{phase, PhaseTimer};
+use ims_trace::{parse_trace_prefix, Recorder};
 
 const USAGE: &str = "usage: explain [--seed H] [--loops N] [--threads T] [--budget-ratio R]
                [--top K] [--max-circuits C] [--trace DIR] [--from-trace DIR]
@@ -72,12 +73,6 @@ fn main() {
         eprintln!("explain: --trace writes what --from-trace reads; pick one");
         std::process::exit(2);
     }
-    if let Some(dir) = &trace_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("explain: cannot create trace directory {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
     let bounds = match &optgap_path {
         Some(p) => match std::fs::read_to_string(p) {
             Ok(text) => Some(parse_optgap_bounds(&text)),
@@ -92,57 +87,54 @@ fn main() {
     let corpus = corpus_of_size(seed, loops);
     let machine = cydra();
     let config = SchedConfig::with_budget_ratio(budget_ratio);
-    let profiling = profile_path.is_some();
-    let tracing = trace_dir.is_some();
 
     let t0 = std::time::Instant::now();
-    let results: Vec<(LoopReport, bool, Option<String>, Option<MetricsRegistry>)> =
-        pool::par_map(&corpus.loops, threads, |index, l| {
-            let mut reg = profiling.then(MetricsRegistry::new);
+    let trace = trace_dir.as_deref().map(|dir| (dir, ""));
+    let run = run_corpus(
+        &corpus,
+        &machine,
+        threads,
+        trace,
+        profile_path.is_some(),
+        |index, _, _, problem, rec, mut reg| {
             let label = format!("loop_{index:05}");
-
-            let whole = PhaseTimer::start(phase::WALL_LOOP);
-            let t = PhaseTimer::start(phase::WALL_BUILD);
-            let body = back_substitute(&l.body, &machine);
-            let problem = build_problem(&body, &machine, &BuildOptions::default());
-            t.finish_if(reg.as_mut());
-
-            let mut consistent = true;
-            let events: Vec<SchedEvent> = match &from_trace {
+            let (mine, consistent) = match &from_trace {
                 Some(dir) => {
                     let text = std::fs::read_to_string(dir.join(format!("{label}.jsonl")))
                         .unwrap_or_default();
                     // Truncated or damaged traces contribute their
                     // well-formed prefix, like trace_report.
-                    parse_trace_prefix(&text).0
+                    (TraceMine::from_events(&parse_trace_prefix(&text).0), true)
                 }
                 None => {
+                    // The runner's recorder when tracing, so the written
+                    // trace and the report come from one buffer.
+                    let mut own = Recorder::new();
+                    let rec = rec.unwrap_or(&mut own);
                     let t = PhaseTimer::start(phase::WALL_SCHED);
-                    let mut rec = Recorder::new();
-                    let out = Scheduler::new(&problem)
+                    let out = Scheduler::new(problem)
                         .config(config.clone())
-                        .observer(&mut rec)
+                        .observer(&mut *rec)
                         .run()
                         .expect("corpus loops always schedule under the automatic II cap");
-                    t.finish_if(reg.as_mut());
-                    // Exact-match accounting: what the trace says happened
-                    // must be what the scheduler's counters say happened.
-                    let mined = TraceMine::from_events(&rec.events);
-                    consistent = mined.summary.evictions == out.stats.counters.evictions
-                        && mined.summary.slots_examined == out.stats.counters.findslot_iters
-                        && mined.summary.total_steps() == out.stats.total_steps()
-                        && mined.summary.final_ii() == Some(out.schedule.ii);
-                    if let Some(r) = reg.as_mut() {
+                    t.finish_if(reg.as_deref_mut());
+                    if let Some(r) = reg.as_deref_mut() {
                         flush_counters(&out.stats.counters, r);
                         r.add(phase::SCHED_STEPS, out.stats.total_steps());
                     }
-                    rec.events
+                    // Exact-match accounting: what the trace says happened
+                    // must be what the scheduler's counters say happened.
+                    let mine = TraceMine::from_events(&rec.events);
+                    let consistent = mine.summary.evictions == out.stats.counters.evictions
+                        && mine.summary.slots_examined == out.stats.counters.findslot_iters
+                        && mine.summary.total_steps() == out.stats.total_steps()
+                        && mine.summary.final_ii() == Some(out.schedule.ii);
+                    (mine, consistent)
                 }
             };
 
             let mut counters = Counters::new();
-            let attribution = attribute_mii(&problem, max_circuits, &mut counters);
-            let mine = TraceMine::from_events(&events);
+            let attribution = attribute_mii(problem, max_circuits, &mut counters);
             let report = LoopReport {
                 label,
                 ops: problem.num_ops(),
@@ -151,10 +143,8 @@ fn main() {
                 bounds: bounds.as_ref().and_then(|b| b.get(&index).copied()),
             };
 
-            if let Some(r) = reg.as_mut() {
+            if let Some(r) = reg {
                 flush_counters(&counters, r);
-                r.add(phase::CORPUS_LOOPS, 1);
-                r.add(phase::CORPUS_OPS, problem.num_ops() as u64);
                 r.add(phase::EXPLAIN_LOOPS, 1);
                 r.add(
                     match report.attribution.bound {
@@ -167,43 +157,31 @@ fn main() {
                 if report.mii_gap().unwrap_or(0) > 0 {
                     r.add(phase::EXPLAIN_GAP_LOOPS, 1);
                 }
-                r.add(phase::EXPLAIN_WASTED_STEPS, report.mine.summary.wasted_steps());
+                r.add(
+                    phase::EXPLAIN_WASTED_STEPS,
+                    report.mine.summary.wasted_steps(),
+                );
                 if report.attribution.rec.circuits_truncated {
                     r.add(phase::EXPLAIN_CIRCUITS_TRUNCATED, 1);
                 }
             }
-            whole.finish_if(reg.as_mut());
-
-            let trace = tracing.then(|| {
-                let mut text = String::new();
-                for ev in &events {
-                    text.push_str(&ev.to_json_line());
-                    text.push('\n');
-                }
-                text
-            });
-            (report, consistent, trace, reg)
-        });
+            (report, consistent)
+        },
+    );
+    let (results, total) = run.unwrap_or_else(|e| {
+        eprintln!("explain: cannot write traces: {e}");
+        std::process::exit(1);
+    });
     let elapsed = t0.elapsed();
 
     let mut reports = Vec::with_capacity(results.len());
-    let mut total = MetricsRegistry::new();
-    for (index, (report, consistent, trace, reg)) in results.into_iter().enumerate() {
+    for (index, (report, consistent)) in results.into_iter().enumerate() {
         if !consistent {
             eprintln!(
                 "explain: loop_{index:05}: mined totals disagree with scheduler counters \
                  (trace/observer accounting bug)"
             );
             std::process::exit(1);
-        }
-        if let (Some(dir), Some(trace)) = (&trace_dir, trace) {
-            if let Err(e) = std::fs::write(dir.join(format!("loop_{index:05}.jsonl")), trace) {
-                eprintln!("explain: cannot write traces: {e}");
-                std::process::exit(1);
-            }
-        }
-        if let Some(reg) = reg {
-            total.merge(&reg);
         }
         reports.push(report);
     }

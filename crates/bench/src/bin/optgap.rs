@@ -47,14 +47,12 @@
 use std::path::PathBuf;
 
 use ims_bench::profile::{flush_counters, write_profile, ProfObserver};
-use ims_bench::{pool, work_limit_for_ms};
+use ims_bench::{pool, run_corpus, work_limit_for_ms};
 use ims_core::{BackendKind, BackendSpec, NullObserver, SchedConfig, SchedObserver, Scheduler};
-use ims_deps::{back_substitute, build_problem, BuildOptions};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
-use ims_prof::{phase, MetricsRegistry, PhaseTimer};
+use ims_prof::{phase, PhaseTimer};
 use ims_sat::{schedule_leaf, LeafOutcome};
-use ims_trace::TraceWriter;
 
 const USAGE: &str = "usage: optgap [--seed H] [--loops N] [--threads T] [--deadline-ms D]
               [--backend exact|sat] [--wall] [--trace DIR] [--profile FILE]";
@@ -83,13 +81,6 @@ fn main() {
     let trace_dir: Option<PathBuf> = pool::flag_or_exit(&args, "--trace", USAGE);
     let profile_path: Option<PathBuf> = pool::flag_or_exit(&args, "--profile", USAGE);
 
-    if let Some(dir) = &trace_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("optgap: cannot create trace directory {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-
     // The gap is measured against a prover; `ims` (and portfolio specs,
     // which include it) cannot certify optimality, so they are usage
     // errors here, not silent downgrades.
@@ -107,62 +98,51 @@ fn main() {
     let machine = cydra();
     let work_limit = work_limit_for_ms(backend, deadline_ms);
     let sched = SchedConfig::with_budget_ratio(6.0);
-    let profiling = profile_path.is_some();
-    let tracing = trace_dir.is_some();
 
     let t0 = std::time::Instant::now();
-    let results: Vec<(Row, Option<String>, Option<MetricsRegistry>)> =
-        pool::par_map(&corpus.loops, threads, |_, l| {
-            let mut reg = profiling.then(MetricsRegistry::new);
-            let mut tracer = tracing.then(TraceWriter::in_memory);
+    let trace = trace_dir.as_deref().map(|dir| (dir, ""));
+    let run = run_corpus(
+        &corpus,
+        &machine,
+        threads,
+        trace,
+        profile_path.is_some(),
+        |_, _, _, problem, rec, mut reg| {
+            let wall0 = std::time::Instant::now();
             let mut null = NullObserver;
-            let mut obs: &mut dyn SchedObserver = match tracer.as_mut() {
-                Some(t) => t,
+            let mut obs: &mut dyn SchedObserver = match rec {
+                Some(r) => r,
                 None => &mut null,
             };
-
-            let whole = PhaseTimer::start(phase::WALL_LOOP);
-            let wall0 = std::time::Instant::now();
-
-            let t = PhaseTimer::start(phase::WALL_BUILD);
-            let body = back_substitute(&l.body, &machine);
-            let problem = build_problem(&body, &machine, &BuildOptions::default());
-            t.finish_if(reg.as_mut());
 
             let t = PhaseTimer::start(match backend {
                 BackendKind::Sat => phase::WALL_SAT,
                 _ => phase::WALL_EXACT,
             });
             let Ok(LeafOutcome::Prover(proof)) =
-                schedule_leaf(backend, &problem, &sched, work_limit, &mut obs, &mut reg)
+                schedule_leaf(backend, problem, &sched, work_limit, &mut obs, &mut reg)
             else {
                 panic!("corpus loops always schedule under the automatic II cap");
             };
-            t.finish_if(reg.as_mut());
+            t.finish_if(reg.as_deref_mut());
 
             let t = PhaseTimer::start(phase::WALL_SCHED);
             let mut iis = [0i64; RATIOS.len()];
             for (slot, (ratio, _)) in iis.iter_mut().zip(RATIOS) {
-                let out = Scheduler::new(&problem)
+                let out = Scheduler::new(problem)
                     .config(SchedConfig::with_budget_ratio(ratio))
-                    .observer(ProfObserver::new(&mut obs, reg.as_mut()))
+                    .observer((ProfObserver::new(reg.as_deref_mut()), &mut *obs))
                     .run()
                     .expect("corpus loops always schedule under the automatic II cap");
-                if let Some(r) = reg.as_mut() {
+                if let Some(r) = reg.as_deref_mut() {
                     flush_counters(&out.stats.counters, r);
                     r.add(phase::SCHED_STEPS, out.stats.total_steps());
                 }
                 *slot = out.schedule.ii;
             }
-            t.finish_if(reg.as_mut());
+            t.finish_if(reg);
 
-            if let Some(r) = reg.as_mut() {
-                r.add(phase::CORPUS_LOOPS, 1);
-                r.add(phase::CORPUS_OPS, problem.num_ops() as u64);
-            }
-            whole.finish_if(reg.as_mut());
-
-            let row = Row {
+            Row {
                 ops: problem.num_ops(),
                 mii: proof.mii.mii,
                 exact_lb: proof.bounds.proved_lb,
@@ -171,25 +151,15 @@ fn main() {
                 nodes: proof.work,
                 iis,
                 wall_ns: wall0.elapsed().as_nanos() as u64,
-            };
-            (row, tracer.map(TraceWriter::into_string), reg)
-        });
+            }
+        },
+    );
+    let (rows, total) = run.unwrap_or_else(|e| {
+        eprintln!("optgap: cannot write traces: {e}");
+        std::process::exit(1);
+    });
     let elapsed = t0.elapsed();
 
-    let mut rows = Vec::with_capacity(results.len());
-    let mut total = MetricsRegistry::new();
-    for (index, (row, trace, reg)) in results.into_iter().enumerate() {
-        if let (Some(dir), Some(trace)) = (&trace_dir, trace) {
-            if let Err(e) = std::fs::write(dir.join(format!("loop_{index:05}.jsonl")), trace) {
-                eprintln!("optgap: cannot write traces: {e}");
-                std::process::exit(1);
-            }
-        }
-        if let Some(reg) = reg {
-            total.merge(&reg);
-        }
-        rows.push(row);
-    }
     if let Some(p) = &profile_path {
         if let Err(e) = write_profile(p, "optgap", &total) {
             eprintln!("optgap: cannot write profile {}: {e}", p.display());

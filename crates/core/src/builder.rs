@@ -79,8 +79,8 @@ impl<'p, 'm, O: SchedObserver> Scheduler<'p, 'm, O> {
     /// keeps the observer for inspection after [`run`](Scheduler::run):
     ///
     /// ```ignore
-    /// let mut metrics = MetricsObserver::new();
-    /// let out = Scheduler::new(&problem).observer(&mut metrics).run()?;
+    /// let mut rec = Recorder::new();
+    /// let out = Scheduler::new(&problem).observer(&mut rec).run()?;
     /// ```
     pub fn observer<P: SchedObserver>(self, observer: P) -> Scheduler<'p, 'm, P> {
         Scheduler {

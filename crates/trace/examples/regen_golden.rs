@@ -10,7 +10,7 @@ use ims_core::{ProblemBuilder, SchedConfig, Scheduler};
 use ims_graph::DepKind;
 use ims_ir::{OpId, Opcode};
 use ims_machine::figure1_machine;
-use ims_trace::TraceWriter;
+use ims_trace::Recorder;
 
 fn main() {
     // Keep in sync with crates/trace/tests/golden.rs.
@@ -22,11 +22,11 @@ fn main() {
     pb.add_dep(add, mul, 4, 2, DepKind::Flow, false);
     let problem = pb.finish();
 
-    let mut tracer = TraceWriter::in_memory();
+    let mut rec = Recorder::new();
     Scheduler::new(&problem)
         .config(SchedConfig::new().budget_ratio(8.0))
-        .observer(&mut tracer)
+        .observer(&mut rec)
         .run()
         .expect("the fixed loop schedules at II 6");
-    print!("{}", tracer.into_string());
+    print!("{}", rec.to_jsonl());
 }

@@ -1,15 +1,18 @@
-//! Concrete observers: an in-memory [`Recorder`] and a JSON-lines
-//! [`TraceWriter`].
-
-use std::io::Write;
+//! The recording observer: [`Recorder`] buffers a run's events and
+//! renders them as a JSON-lines trace.
 
 use ims_core::{BackendKind, SchedObserver};
 use ims_graph::NodeId;
 
 use crate::event::SchedEvent;
 
-/// An observer that buffers every event in memory, for replay and
-/// in-process analysis.
+/// An observer that buffers every event in memory, for replay,
+/// in-process analysis, and trace files ([`to_jsonl`](Recorder::to_jsonl)).
+///
+/// The events carry nothing non-deterministic — no timestamps, no thread
+/// identity — so for a given problem and configuration the recorded
+/// trace is identical on every run and at every `--threads` value of the
+/// corpus drivers.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     /// Every event observed, in emission order.
@@ -24,6 +27,18 @@ impl Recorder {
     /// An empty recorder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The recorded events as a JSON-lines trace: one
+    /// [`to_json_line`](SchedEvent::to_json_line) per event, each ending
+    /// in `\n` — the format [`parse_trace`](crate::parse_trace) reads.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        for event in &self.events {
+            out.push_str(&event.to_json_line());
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -67,113 +82,6 @@ impl SchedObserver for Recorder {
     }
 }
 
-/// An observer that renders every event as one JSON line into a
-/// [`Write`] sink (a `Vec<u8>` buffer, a file, a socket...).
-///
-/// The encoding contains nothing non-deterministic — no timestamps, no
-/// thread identity — so for a given problem and configuration the trace
-/// bytes are identical on every run and at every `--threads` value of
-/// the corpus drivers.
-///
-/// Write errors are not surfaced mid-run (the scheduler's hot loop has
-/// no error channel); the first error stops further writing and is
-/// returned by [`finish`](TraceWriter::finish).
-#[derive(Debug)]
-pub struct TraceWriter<W: Write> {
-    sink: W,
-    error: Option<std::io::Error>,
-    kind: BackendKind,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Wraps a sink.
-    pub fn new(sink: W) -> Self {
-        TraceWriter {
-            sink,
-            error: None,
-            kind: BackendKind::default(),
-        }
-    }
-
-    /// Appends one event line.
-    pub fn write_event(&mut self, event: &SchedEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut line = event.to_json_line();
-        line.push('\n');
-        if let Err(e) = self.sink.write_all(line.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
-
-    /// Flushes and returns the sink, or the first write error.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        match self.error.take() {
-            Some(e) => Err(e),
-            None => {
-                self.sink.flush()?;
-                Ok(self.sink)
-            }
-        }
-    }
-}
-
-impl TraceWriter<Vec<u8>> {
-    /// A writer into a fresh in-memory buffer — the deterministic
-    /// per-loop sink the corpus drivers collect before writing files.
-    pub fn in_memory() -> Self {
-        TraceWriter::new(Vec::new())
-    }
-
-    /// The buffered trace as UTF-8 (infallible: the writer only ever
-    /// emits ASCII JSON).
-    pub fn into_string(self) -> String {
-        let bytes = self.finish().expect("in-memory writes cannot fail");
-        String::from_utf8(bytes).expect("trace lines are ASCII")
-    }
-}
-
-impl<W: Write> SchedObserver for TraceWriter<W> {
-    fn backend(&mut self, kind: BackendKind) {
-        self.kind = kind;
-    }
-    fn attempt_start(&mut self, ii: i64, budget: i64) {
-        self.write_event(&SchedEvent::AttemptStart {
-            ii,
-            budget,
-            backend: self.kind,
-        });
-    }
-    fn op_scheduled(&mut self, node: NodeId, time: i64, alt: usize, forced: bool) {
-        self.write_event(&SchedEvent::OpScheduled {
-            node: node.0,
-            time,
-            alt,
-            forced,
-        });
-    }
-    fn op_evicted(&mut self, node: NodeId, evictor: NodeId) {
-        self.write_event(&SchedEvent::OpEvicted {
-            node: node.0,
-            evictor: evictor.0,
-        });
-    }
-    fn slot_search(&mut self, node: NodeId, estart: i64, iters: u32) {
-        self.write_event(&SchedEvent::SlotSearch {
-            node: node.0,
-            estart,
-            iters,
-        });
-    }
-    fn budget_exhausted(&mut self, ii: i64, spent: u64) {
-        self.write_event(&SchedEvent::BudgetExhausted { ii, spent });
-    }
-    fn attempt_done(&mut self, ii: i64, ok: bool) {
-        self.write_event(&SchedEvent::AttemptDone { ii, ok });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,11 +99,10 @@ mod tests {
 
     #[test]
     fn recorder_and_writer_agree() {
+        // The recorded events and their JSON-lines rendering agree.
         let mut rec = Recorder::new();
-        let mut wr = TraceWriter::in_memory();
         fire_all(&mut rec);
-        fire_all(&mut wr);
-        let text = wr.into_string();
+        let text = rec.to_jsonl();
         assert_eq!(parse_trace(&text).unwrap(), rec.events);
         assert_eq!(text.lines().count(), 6);
         assert_eq!(
@@ -207,22 +114,5 @@ mod tests {
             },
             "the backend hook stamps subsequent attempts"
         );
-    }
-
-    #[test]
-    fn write_errors_surface_in_finish() {
-        struct Broken;
-        impl Write for Broken {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("sink broke"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut wr = TraceWriter::new(Broken);
-        wr.attempt_start(2, 10);
-        wr.attempt_done(2, true); // silently dropped after the error
-        assert!(wr.finish().is_err());
     }
 }

@@ -7,7 +7,7 @@ use ims_core::{ProblemBuilder, SchedConfig, Scheduler};
 use ims_graph::DepKind;
 use ims_ir::{OpId, Opcode};
 use ims_machine::figure1_machine;
-use ims_trace::{parse_trace, replay, TraceSummary, TraceWriter};
+use ims_trace::{parse_trace, replay, Recorder, TraceSummary};
 
 const GOLDEN: &str = include_str!("golden/figure1_loop.jsonl");
 
@@ -25,14 +25,14 @@ fn trace_the_fixed_loop() -> String {
     pb.add_dep(add, mul, 4, 2, DepKind::Flow, false);
     let problem = pb.finish();
 
-    let mut tracer = TraceWriter::in_memory();
+    let mut rec = Recorder::new();
     let out = Scheduler::new(&problem)
         .config(SchedConfig::new().budget_ratio(8.0))
-        .observer(&mut tracer)
+        .observer(&mut rec)
         .run()
         .expect("the fixed loop schedules at II 6");
     assert_eq!(out.schedule.ii, 6);
-    tracer.into_string()
+    rec.to_jsonl()
 }
 
 #[test]

@@ -47,8 +47,8 @@ fn main() {
     // The builder is the one entry point: configuration via chainable
     // setters, and an optional observer watching every decision. Here a
     // Recorder captures the event stream so we can print a convergence
-    // summary afterwards; pass `&mut NullObserver` (or nothing) for a
-    // zero-overhead run, or a `TraceWriter` to stream JSON lines.
+    // summary afterwards (its `to_jsonl()` is the trace-file format);
+    // pass `&mut NullObserver` (or nothing) for a zero-overhead run.
     let mut recorder = Recorder::default();
     let outcome = Scheduler::new(&problem)
         .config(SchedConfig::new().budget_ratio(6.0))
@@ -78,7 +78,10 @@ fn main() {
     println!("convergence: {}", summary.render_line("dot"));
 
     // --- 4. Show the schedule and the kernel --------------------------
-    println!("\nflat schedule:\n{}", format_schedule(&problem, &outcome.schedule));
+    println!(
+        "\nflat schedule:\n{}",
+        format_schedule(&problem, &outcome.schedule)
+    );
     println!("kernel (one row per issue slot; parenthesised stage):");
     print!("{}", format_kernel(&problem, &outcome.schedule));
     println!(

@@ -50,13 +50,14 @@
 //! let _ = pb.add_op(ims::ir::Opcode::Add, ims::ir::OpId(0));
 //! let problem = pb.finish();
 //!
-//! let mut tracer = TraceWriter::in_memory();
+//! let mut rec = Recorder::new();
 //! let out = Scheduler::new(&problem)
 //!     .config(SchedConfig::new().budget_ratio(4.0))
-//!     .observer(&mut tracer)
+//!     .observer(&mut rec)
 //!     .run()
 //!     .expect("schedules");
 //! assert_eq!(out.schedule.ii, 1);
+//! assert_eq!(parse_trace(&rec.to_jsonl()).unwrap(), rec.events);
 //! ```
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the system inventory and
@@ -83,8 +84,8 @@ pub use ims_vliw as vliw;
 /// One-stop imports for driving the scheduler and observing it.
 ///
 /// Re-exports the builder-style entry point ([`Scheduler`](ims_core::Scheduler)), its
-/// configuration and error types, the observer trait, and the concrete
-/// observers/trace utilities from [`mod@trace`].
+/// configuration and error types, the observer trait, and the recording
+/// observer and trace utilities from [`mod@trace`].
 pub mod prelude {
     pub use ims_core::{
         modulo_schedule, BackendKind, BackendSpec, IiBounds, NullObserver, ProblemBuilder,
@@ -92,7 +93,5 @@ pub mod prelude {
     };
     pub use ims_exact::{prove, BranchAndBound, Decider, ProverConfig, ProverOutcome};
     pub use ims_sat::{schedule_leaf, Cdcl, LeafOutcome};
-    pub use ims_trace::{
-        parse_trace, replay, MetricsObserver, Recorder, SchedEvent, TraceSummary, TraceWriter,
-    };
+    pub use ims_trace::{parse_trace, replay, Recorder, SchedEvent, TraceSummary};
 }

@@ -7,7 +7,7 @@ use ims::core::{
 use ims::graph::{DepGraph, MinDist};
 use ims::ir::{LoopBody, Value};
 use ims::machine::MachineModel;
-use ims::trace::{MetricsObserver, Recorder, SchedEvent, TraceSummary};
+use ims::trace::{Recorder, SchedEvent, TraceSummary};
 use ims::vliw::MemoryImage;
 
 fn assert_send_sync<T: Send + Sync>() {}
@@ -29,7 +29,6 @@ fn key_types_are_send_and_sync() {
     assert_send_sync::<Value>();
     assert_send_sync::<SchedEvent>();
     assert_send_sync::<Recorder>();
-    assert_send_sync::<MetricsObserver>();
     assert_send_sync::<TraceSummary>();
 }
 
@@ -127,10 +126,10 @@ fn builder_and_legacy_entry_point_agree() {
 fn corpus_runs_are_parallelizable() {
     // The whole measurement pipeline is shared-state-free: running loops
     // from several threads must give the same results as serially.
+    use ims::core::modulo_schedule;
     use ims::deps::{build_problem, BuildOptions};
     use ims::loopgen::corpus_of_size;
     use ims::machine::cydra;
-    use ims::core::modulo_schedule;
 
     let corpus = corpus_of_size(3, 24);
     let machine = cydra();
@@ -139,7 +138,10 @@ fn corpus_runs_are_parallelizable() {
         .iter()
         .map(|l| {
             let p = build_problem(&l.body, &machine, &BuildOptions::default());
-            modulo_schedule(&p, &SchedConfig::default()).unwrap().schedule.ii
+            modulo_schedule(&p, &SchedConfig::default())
+                .unwrap()
+                .schedule
+                .ii
         })
         .collect();
 
@@ -151,7 +153,10 @@ fn corpus_runs_are_parallelizable() {
                 let machine = &machine;
                 scope.spawn(move || {
                     let p = build_problem(&l.body, machine, &BuildOptions::default());
-                    modulo_schedule(&p, &SchedConfig::default()).unwrap().schedule.ii
+                    modulo_schedule(&p, &SchedConfig::default())
+                        .unwrap()
+                        .schedule
+                        .ii
                 })
             })
             .collect();

@@ -155,12 +155,12 @@ fn trace_replay_reconstructs_the_schedule() {
             let body = generate_loop(&mut Xoshiro256::seed_from_u64(*seed), cfg);
             let machine = cydra();
             let problem = build_problem(&body, &machine, &BuildOptions::default());
-            let mut tracer = TraceWriter::in_memory();
+            let mut rec = Recorder::new();
             let out = Scheduler::new(&problem)
-                .observer(&mut tracer)
+                .observer(&mut rec)
                 .run()
                 .expect("schedules");
-            let text = tracer.into_string();
+            let text = rec.to_jsonl();
             let events = parse_trace(&text).expect("every emitted line parses");
             // The trace is a faithful record: replaying the placement and
             // eviction events alone reconstructs the final schedule.
@@ -203,7 +203,10 @@ fn null_observer_is_invisible() {
                 built.stats.counters.findslot_iters,
                 legacy.stats.counters.findslot_iters
             );
-            prop_assert_eq!(built.stats.counters.evictions, legacy.stats.counters.evictions);
+            prop_assert_eq!(
+                built.stats.counters.evictions,
+                legacy.stats.counters.evictions
+            );
             Ok(())
         },
     );
@@ -268,7 +271,12 @@ fn back_substitution_never_raises_the_mii() {
             let bs = build_problem(&bs_body, &machine, &BuildOptions::default());
             let raw_mii = ims::core::compute_mii(&raw, &mut Counters::new());
             let bs_mii = ims::core::compute_mii(&bs, &mut Counters::new());
-            prop_assert!(bs_mii.mii <= raw_mii.mii, "{} > {}", bs_mii.mii, raw_mii.mii);
+            prop_assert!(
+                bs_mii.mii <= raw_mii.mii,
+                "{} > {}",
+                bs_mii.mii,
+                raw_mii.mii
+            );
             Ok(())
         },
     );

@@ -50,11 +50,9 @@
 pub mod code;
 mod lifetime;
 mod mve;
-mod profiled;
 mod rotating;
 
 pub use code::{CodeOperand, CodeReg, Inst, MveCode, RotatingCode, SlotOp};
 pub use lifetime::{lifetimes, unroll_factor, Lifetime};
 pub use mve::generate_mve;
-pub use profiled::{generate_mve_profiled, lifetimes_profiled};
 pub use rotating::{allocate_rotating, generate_rotating, RotatingAllocation, RotatingError};

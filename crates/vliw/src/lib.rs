@@ -70,7 +70,7 @@ pub use coderun::{run_mve, run_rotating};
 pub use compare::{compare_memory, compare_results, Mismatch};
 pub use error::SimError;
 pub use memory::MemoryImage;
-pub use overlapped::{run_overlapped, run_overlapped_profiled};
+pub use overlapped::run_overlapped;
 pub use sequential::run_sequential;
 
 use ims_ir::Value;

@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use ims_core::{Problem, Schedule};
 use ims_deps::{node_of, resolve_use};
 use ims_ir::{eval, LoopBody, OpId, Opcode, Operand, Value};
-use ims_prof::{phase, ProfSink};
 
 use crate::error::SimError;
 use crate::memory::MemoryImage;
@@ -193,32 +192,6 @@ pub fn run_overlapped(
     })
 }
 
-/// [`run_overlapped`] + `vliw.sim.*` counters: on success one
-/// [`phase::VLIW_SIM_LOOPS`] and the executed [`phase::VLIW_SIM_CYCLES`];
-/// on error one [`phase::VLIW_SIM_ERRORS`]. With a `NullSink` this is
-/// exactly [`run_overlapped`].
-///
-/// # Errors
-///
-/// As [`run_overlapped`].
-pub fn run_overlapped_profiled<P: ProfSink>(
-    body: &LoopBody,
-    problem: &Problem<'_>,
-    schedule: &Schedule,
-    memory: MemoryImage,
-    prof: &mut P,
-) -> Result<ExecResult, SimError> {
-    let result = run_overlapped(body, problem, schedule, memory);
-    match &result {
-        Ok(exec) => {
-            prof.count(phase::VLIW_SIM_LOOPS, 1);
-            prof.count(phase::VLIW_SIM_CYCLES, exec.cycles);
-        }
-        Err(_) => prof.count(phase::VLIW_SIM_ERRORS, 1),
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,8 +295,7 @@ mod tests {
         // Move the add to one cycle after the load.
         let load_t = bad.time_of(ims_deps::node_of(OpId(0)));
         bad.time[ims_deps::node_of(OpId(1)).index()] = load_t + 1;
-        let err =
-            run_overlapped(&body, &p, &bad, MemoryImage::for_body(&body)).unwrap_err();
+        let err = run_overlapped(&body, &p, &bad, MemoryImage::for_body(&body)).unwrap_err();
         assert!(matches!(err, SimError::ReadBeforeReady { .. }), "{err}");
     }
 
@@ -343,8 +315,7 @@ mod tests {
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
         let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
-        let pipe =
-            run_overlapped(&body, &p, &out.schedule, MemoryImage::for_body(&body)).unwrap();
+        let pipe = run_overlapped(&body, &p, &out.schedule, MemoryImage::for_body(&body)).unwrap();
         let serial_estimate = n as u64 * out.schedule.length as u64;
         assert!(
             pipe.cycles < serial_estimate / 2,

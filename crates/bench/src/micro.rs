@@ -13,9 +13,10 @@ use ims_core::{
     Problem, SchedConfig,
 };
 use ims_deps::{back_substitute, build_problem, BuildOptions};
+use ims_graph::elementary_circuits;
 use ims_loopgen::{generate_loop, SynthConfig};
 use ims_machine::{cydra, MachineModel};
-use ims_testkit::bench::{black_box, run, BenchSpec};
+use ims_testkit::bench::{black_box, run, BenchResult, BenchSpec};
 use ims_testkit::json::Value;
 use ims_testkit::Xoshiro256;
 
@@ -38,7 +39,12 @@ fn synth_problem<'m>(
 
 /// Times one full [`modulo_schedule`] run and emits a JSON line carrying
 /// the timing plus the run's scheduler counters.
-fn scheduler_line(name: &str, spec: &BenchSpec, problem: &Problem<'_>, config: &SchedConfig) -> String {
+fn scheduler_line(
+    name: &str,
+    spec: &BenchSpec,
+    problem: &Problem<'_>,
+    config: &SchedConfig,
+) -> String {
     let result = run(name, *spec, || {
         black_box(modulo_schedule(black_box(problem), config).expect("schedules"));
     });
@@ -105,63 +111,67 @@ pub fn scheduler_benches(spec: &BenchSpec) -> Vec<String> {
 
 /// MII-computation benches: ResMII, RecMII by MinDist, RecMII by circuit
 /// enumeration, the combined MII, and the HeightR priority, across loop
-/// sizes. Returns one JSON line per scenario.
+/// sizes. Returns one JSON line per scenario. Each line's `work` comes
+/// from one untimed call, like [`scheduler_benches`]' counters, so it
+/// does not depend on the iteration plan: the summed Table 4 counters,
+/// or for the circuit lines the enumeration's own work counter.
 pub fn mii_benches(spec: &BenchSpec) -> Vec<String> {
     let machine = cydra();
     let mut lines = Vec::new();
     for &n in &[12usize, 40, 120] {
         let problem = synth_problem(&machine, n as u64, n, vec![3, 2]);
         let ops = problem.op_nodes().count() as u64;
-        let mii = compute_mii(&problem, &mut Counters::new());
+        let mut mii_work = Counters::new();
+        let mii = compute_mii(&problem, &mut mii_work);
 
-        let with_work = |result: ims_testkit::bench::BenchResult, c: &Counters| {
+        let line = |result: BenchResult, work: u64| {
             result.json_line(&[
                 ("ops", Value::Int(ops.into())),
                 ("mii", Value::Int(mii.mii.into())),
-                (
-                    "work",
-                    Value::Int(
-                        (c.scc_work
-                            + c.resmii_work
-                            + c.mindist_work
-                            + c.heightr_work
-                            + c.estart_preds
-                            + c.findslot_iters)
-                            .into(),
-                    ),
-                ),
+                ("work", Value::Int(work.into())),
             ])
+        };
+        let table4 = |c: &Counters| {
+            c.scc_work
+                + c.resmii_work
+                + c.mindist_work
+                + c.heightr_work
+                + c.estart_preds
+                + c.findslot_iters
         };
 
         let mut c = Counters::new();
+        res_mii(&problem, &mut c);
         let r = run(&format!("mii/res_mii_{n}"), *spec, || {
-            black_box(res_mii(black_box(&problem), &mut c));
+            black_box(res_mii(black_box(&problem), &mut Counters::new()));
         });
-        lines.push(with_work(r, &c));
+        lines.push(line(r, table4(&c)));
 
         let mut c = Counters::new();
+        rec_mii(&problem, 1, &mut c);
         let r = run(&format!("mii/rec_mii_mindist_{n}"), *spec, || {
-            black_box(rec_mii(black_box(&problem), 1, &mut c));
+            black_box(rec_mii(black_box(&problem), 1, &mut Counters::new()));
         });
-        lines.push(with_work(r, &c));
+        lines.push(line(r, table4(&c)));
 
-        let c = Counters::new();
+        let mut work = 0u64;
+        elementary_circuits(problem.graph(), 100_000, &mut work);
         let r = run(&format!("mii/rec_mii_circuits_{n}"), *spec, || {
             black_box(rec_mii_by_circuits(black_box(&problem), 100_000));
         });
-        lines.push(with_work(r, &c));
+        lines.push(line(r, work));
 
-        let mut c = Counters::new();
         let r = run(&format!("mii/compute_mii_{n}"), *spec, || {
-            black_box(compute_mii(black_box(&problem), &mut c));
+            black_box(compute_mii(black_box(&problem), &mut Counters::new()));
         });
-        lines.push(with_work(r, &c));
+        lines.push(line(r, table4(&mii_work)));
 
         let mut c = Counters::new();
+        height_r(&problem, mii.mii, &mut c);
         let r = run(&format!("mii/height_r_{n}"), *spec, || {
-            black_box(height_r(black_box(&problem), mii.mii, &mut c));
+            black_box(height_r(black_box(&problem), mii.mii, &mut Counters::new()));
         });
-        lines.push(with_work(r, &c));
+        lines.push(line(r, table4(&c)));
     }
     lines
 }
@@ -256,6 +266,26 @@ mod tests {
         for line in &lines {
             assert!(line.contains("\"bench\":\"mii/"), "{line}");
             assert!(line.contains("\"work\":"), "{line}");
+        }
+        // Work is one call's worth, whatever the iteration plan: the smoke
+        // plan makes three calls per line, this one a single call.
+        let work = |lines: &[String]| -> Vec<(String, i64)> {
+            lines
+                .iter()
+                .map(|line| {
+                    let v = ims_testkit::json::parse(line).expect("valid JSON");
+                    let name = v.get("bench").and_then(|b| b.as_str()).expect("name");
+                    let work = v.get("work").and_then(|w| w.as_i64()).expect("work");
+                    (name.to_string(), work)
+                })
+                .collect()
+        };
+        let smoke = work(&lines);
+        assert_eq!(smoke, work(&mii_benches(&BenchSpec::new(0, 1))));
+        for (name, w) in &smoke {
+            if name.contains("rec_mii_circuits") {
+                assert!(*w > 0, "{name} counts its enumeration");
+            }
         }
     }
 }

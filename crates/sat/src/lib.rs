@@ -8,8 +8,9 @@
 //! encoding "∃ legal schedule at this II?" into CNF (see the `encode`
 //! module docs for the variable layout and clause families) and handing
 //! the formula to a small, deterministic, std-only CDCL solver (`solver`
-//! module: two-watched literals, 1-UIP conflict-clause learning, Luby
-//! restarts, activity-ordered decisions tie-broken by variable id). The
+//! module: two-watched literals, native at-most-one rows for resource
+//! exclusivity, 1-UIP conflict-clause learning, Luby restarts,
+//! activity-ordered decisions tie-broken by variable id). The
 //! first satisfiable II is optimal by construction, and an UNSAT answer
 //! is a *proof* of infeasibility — the same contract branch-and-bound
 //! offers, which is what makes the two engines cross-checkable loop by
@@ -17,8 +18,9 @@
 //!
 //! SAT can blow up, so every per-II decision is metered three ways: the
 //! walk's work budget counts CDCL conflicts across all candidate IIs, and
-//! the decider caps emitted clauses ([`Cdcl::clause_limit`]) and the
-//! summed issue-window width ([`Cdcl::slot_limit`]) of each encoding.
+//! the decider caps the clauses ([`Cdcl::clause_limit`], each resource
+//! row counted as the binary clauses it implies) and the summed
+//! issue-window width ([`Cdcl::slot_limit`]) of each encoding.
 //! When any cap hits, the walk degrades to the iterative schedule with
 //! explicit [`IiBounds`](ims_core::IiBounds). All budgets are
 //! deterministic — no deadlines — so output is byte-reproducible at any
@@ -72,8 +74,11 @@ use encode::{decide_ii, SatLimits};
 /// conflicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cdcl {
-    /// Cap on clauses emitted for a single per-II encoding; exceeding it
-    /// counts as a limit hit rather than an out-of-memory surprise.
+    /// Cap on the clauses of a single per-II encoding, where each
+    /// resource row counts as the binary clauses it implies between
+    /// distinct operations (one per colliding pair of occupancy bits),
+    /// though it stores none of them; exceeding it counts as a limit hit
+    /// rather than a search too large to finish.
     pub clause_limit: Option<u64>,
     /// Cap on the summed issue-window width of a single per-II encoding
     /// (the dominant term of the variable count).

@@ -322,6 +322,15 @@ cargo run --release --offline -q -p ims-serve --bin scheduled -- \
 {"id":"l4-sat","machine":"cydra","backend":"sat","ops":["load","load","load","load","mul","add","mul","add","mul","add","store","aadd","aadd","aadd","aadd","aadd"],"edges":[[12,0,3,1,"flow",false],[13,1,3,1,"flow",false],[14,2,3,1,"flow",false],[15,3,3,1,"flow",false],[3,4,20,0,"flow",false],[2,5,20,0,"flow",false],[4,5,5,0,"flow",false],[5,6,4,0,"flow",false],[0,7,20,0,"flow",false],[6,7,5,0,"flow",false],[1,8,20,0,"flow",false],[7,9,4,0,"flow",false],[8,9,5,0,"flow",false],[11,10,3,1,"flow",false],[9,10,4,0,"flow",false],[11,11,3,3,"flow",false],[12,12,3,3,"flow",false],[13,13,3,3,"flow",false],[14,14,3,3,"flow",false],[15,15,3,3,"flow",false]]}
 {"id":"l4-cap","machine":"cydra","backend":"portfolio(exact,ims)","max_ii":3,"ops":["load","load","load","load","mul","add","mul","add","mul","add","store","aadd","aadd","aadd","aadd","aadd"],"edges":[[12,0,3,1,"flow",false],[13,1,3,1,"flow",false],[14,2,3,1,"flow",false],[15,3,3,1,"flow",false],[3,4,20,0,"flow",false],[2,5,20,0,"flow",false],[4,5,5,0,"flow",false],[5,6,4,0,"flow",false],[0,7,20,0,"flow",false],[6,7,5,0,"flow",false],[1,8,20,0,"flow",false],[7,9,4,0,"flow",false],[8,9,5,0,"flow",false],[11,10,3,1,"flow",false],[9,10,4,0,"flow",false],[11,11,3,3,"flow",false],[12,12,3,3,"flow",false],[13,13,3,3,"flow",false],[14,14,3,3,"flow",false],[15,15,3,3,"flow",false]]}
 EOF
+# The base requests of the serve-replay and serve-portfolio benchmarks:
+# every corpus loop as one request (seed 50389 is 0xC4D5). Each reply
+# carries its canonical key and its times mapped through the canonical
+# permutation, so this pins the canonical order of every corpus graph.
+creqs="$bench_dir/serve_corpus.jsonl"
+cargo run --release --offline -q -p ims-serve --bin scheduled -- \
+    --gen-requests 1327 --seed 50389 >"$creqs"
+cargo run --release --offline -q -p ims-serve --bin scheduled -- \
+    --threads 2 --requests "$creqs" >"$bench_dir/scheduled_corpus.jsonl" 2>/dev/null
 # Pressure-limited service replies: generated requests retargeted by sed
 # to a rotating register file with a matching pressure_limit, all 120 at
 # 16 registers and the first 60 at 8.
@@ -367,6 +376,7 @@ golden="$bench_dir/golden.sha256"
     echo "$(sum <"$pf1_log")  scheduled_portfolio.stdout"
     echo "$(sum <"$bench_dir/scheduled_portfolio_sat.jsonl")  scheduled_portfolio_sat.stdout"
     echo "$(sum <"$bench_dir/scheduled_provers.jsonl")  scheduled_provers.stdout"
+    echo "$(sum <"$bench_dir/scheduled_corpus.jsonl")  scheduled_corpus.stdout"
     echo "$(sum <"$bench_dir/scheduled_press16.jsonl")  scheduled_press16.stdout"
     echo "$(sum <"$bench_dir/scheduled_press8.jsonl")  scheduled_press8.stdout"
     echo "$(sum <"$bench_dir/scheduled_malformed.jsonl")  scheduled_malformed.stdout"

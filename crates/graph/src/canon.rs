@@ -16,7 +16,11 @@
 //!    repeatedly re-ranked by the multiset of `(edge attributes, neighbor
 //!    color)` signatures over incoming and outgoing edges until the
 //!    partition stops splitting. Signatures are ranked by *sorting*, never
-//!    by hashing, so ties cannot depend on node numbering.
+//!    by hashing, so ties cannot depend on node numbering. Each round
+//!    ranks one color class at a time, in color order: a singleton class
+//!    takes the next rank without building a signature, and a larger
+//!    class sorts its members by their signatures, written into one
+//!    reused flat buffer.
 //! 2. **Individualization with branching**: if refinement leaves a color
 //!    class with more than one node, each member is tried as the class
 //!    representative in turn, refinement resumes, and the lexicographically
@@ -25,9 +29,13 @@
 //!    not an automorphism orbit.
 //!
 //! Dependence graphs are small (the paper's corpus tops out near 163
-//! operations) and heterogeneous enough that refinement almost always
-//! discretizes without branching; the exponential worst case needs highly
-//! symmetric graphs that do not arise from real loop bodies.
+//! operations) and mostly heterogeneous: of the paper's 1,327 corpus
+//! loops as service requests, refinement alone discretizes 1,215, and the
+//! other 112 branch with at most 15 search calls each. Symmetric graphs
+//! do arise, though: `k` identical unconnected operations, which
+//! unrolling independent iterations produces, branch `k!` ways. The
+//! search has no automorphism pruning and no branch budget yet
+//! (`ROADMAP.md` lists both as open work).
 //!
 //! Beyond cache keying, the canonical encoding doubles as a corpus
 //! **dedup** fingerprint: loops generated with different node numberings
@@ -144,40 +152,73 @@ fn edge_sig(e: &DepEdge, neighbor_color: u32) -> [u64; 5] {
 /// `0..k`; refinement only ever splits classes (each signature embeds the
 /// previous color), so the fixed point is reached when the class count
 /// stops growing.
-fn refine(graph: &DepGraph, colors: &mut Vec<u32>) {
+///
+/// A node's signature is its color, then its sorted out-edge and in-edge
+/// signatures. Since the color comes first, sorting all signatures would
+/// order them class by class, so each round ranks one class at a time,
+/// in color order, and hands out the same dense ranks. A singleton class
+/// takes the next rank without building its signature. A larger class
+/// writes its members' signatures, less the shared color, into one
+/// reused flat buffer, sorts its members by slice comparison and ranks
+/// them in one scan. Sorting each class in place keeps the node list in
+/// color order for the next round.
+fn refine(graph: &DepGraph, colors: &mut [u32]) {
     let n = graph.num_nodes();
-    loop {
-        let mut sigs: Vec<Vec<u64>> = Vec::with_capacity(n);
-        for v in graph.nodes() {
-            let mut s: Vec<u64> = vec![colors[v.index()] as u64];
-            let mut outs: Vec<[u64; 5]> = graph
-                .succs(v)
-                .map(|e| edge_sig(e, colors[e.to.index()]))
-                .collect();
-            outs.sort_unstable();
-            s.push(u64::MAX); // separator
-            for o in &outs {
-                s.extend_from_slice(o);
+    let mut nodes: Vec<NodeId> = graph.nodes().collect();
+    nodes.sort_unstable_by_key(|v| colors[v.index()]);
+    let mut next = vec![0u32; n];
+    // Member v's signature within the current class is `sigs[a..b]`,
+    // where `(a, b) = span[v]`.
+    let mut sigs: Vec<u64> = Vec::new();
+    let mut span = vec![(0usize, 0usize); n];
+    let mut edges: Vec<[u64; 5]> = Vec::new();
+    // Every round but the last splits a class, so at most `n` rounds run.
+    for _ in 0..n {
+        let (mut rank, mut classes) = (0u32, 0usize);
+        let mut start = 0;
+        while start < n {
+            let c = colors[nodes[start].index()];
+            let end = nodes[start..]
+                .iter()
+                .position(|v| colors[v.index()] != c)
+                .map_or(n, |len| start + len);
+            let class = &mut nodes[start..end];
+            start = end;
+            classes += 1;
+            if let [v] = class {
+                next[v.index()] = rank;
+                rank += 1;
+                continue;
             }
-            let mut ins: Vec<[u64; 5]> = graph
-                .preds(v)
-                .map(|e| edge_sig(e, colors[e.from.index()]))
-                .collect();
-            ins.sort_unstable();
-            s.push(u64::MAX);
-            for i in &ins {
-                s.extend_from_slice(i);
+            sigs.clear();
+            for &v in class.iter() {
+                let from = sigs.len();
+                edges.clear();
+                edges.extend(graph.succs(v).map(|e| edge_sig(e, colors[e.to.index()])));
+                edges.sort_unstable();
+                sigs.extend(edges.iter().flatten());
+                sigs.push(u64::MAX); // separator
+                edges.clear();
+                edges.extend(graph.preds(v).map(|e| edge_sig(e, colors[e.from.index()])));
+                edges.sort_unstable();
+                sigs.extend(edges.iter().flatten());
+                span[v.index()] = (from, sigs.len());
             }
-            sigs.push(s);
+            let sig = |v: &NodeId| {
+                let (a, b) = span[v.index()];
+                &sigs[a..b]
+            };
+            class.sort_unstable_by(|a, b| sig(a).cmp(sig(b)));
+            for (i, v) in class.iter().enumerate() {
+                if i > 0 && sig(v) != sig(&class[i - 1]) {
+                    rank += 1;
+                }
+                next[v.index()] = rank;
+            }
+            rank += 1;
         }
-        let mut uniq: Vec<&Vec<u64>> = sigs.iter().collect();
-        uniq.sort_unstable();
-        uniq.dedup();
-        let old_classes = colors.iter().max().map_or(0, |&c| c as usize + 1);
-        for (i, c) in colors.iter_mut().enumerate() {
-            *c = uniq.binary_search(&&sigs[i]).unwrap() as u32;
-        }
-        if uniq.len() == old_classes {
+        colors.copy_from_slice(&next);
+        if rank as usize == classes {
             return;
         }
     }
@@ -275,6 +316,135 @@ fn encode(graph: &DepGraph, labels: &[u64], order: &[NodeId]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ims_testkit::{Rng, Xoshiro256};
+
+    /// The former `refine`, kept as the reference ranking: one signature
+    /// `Vec` per node per round, one sort over all of them, and a binary
+    /// search per node.
+    fn reference_refine(graph: &DepGraph, colors: &mut [u32]) {
+        let n = graph.num_nodes();
+        loop {
+            let mut sigs: Vec<Vec<u64>> = Vec::with_capacity(n);
+            for v in graph.nodes() {
+                let mut s: Vec<u64> = vec![colors[v.index()] as u64];
+                let mut outs: Vec<[u64; 5]> = graph
+                    .succs(v)
+                    .map(|e| edge_sig(e, colors[e.to.index()]))
+                    .collect();
+                outs.sort_unstable();
+                s.push(u64::MAX); // separator
+                for o in &outs {
+                    s.extend_from_slice(o);
+                }
+                let mut ins: Vec<[u64; 5]> = graph
+                    .preds(v)
+                    .map(|e| edge_sig(e, colors[e.from.index()]))
+                    .collect();
+                ins.sort_unstable();
+                s.push(u64::MAX);
+                for i in &ins {
+                    s.extend_from_slice(i);
+                }
+                sigs.push(s);
+            }
+            let mut uniq: Vec<&Vec<u64>> = sigs.iter().collect();
+            uniq.sort_unstable();
+            uniq.dedup();
+            let old_classes = colors.iter().max().map_or(0, |&c| c as usize + 1);
+            for (i, c) in colors.iter_mut().enumerate() {
+                *c = uniq.binary_search(&&sigs[i]).unwrap() as u32;
+            }
+            if uniq.len() == old_classes {
+                return;
+            }
+        }
+    }
+
+    /// A random multigraph with 2–4 labels, few edge attribute values,
+    /// parallel edges, self-loops and negative delays. Odd seeds give two
+    /// disjoint copies of it, so some classes never split.
+    fn tie_heavy_graph(seed: u64) -> (DepGraph, Vec<u64>) {
+        const KINDS: [DepKind; 4] = [
+            DepKind::Flow,
+            DepKind::Anti,
+            DepKind::Output,
+            DepKind::Control,
+        ];
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let n = rng.gen_range(1..=7usize);
+        let num_labels = rng.gen_range(2..=4u64);
+        let labels: Vec<u64> = (0..n).map(|_| rng.gen_range(0..num_labels)).collect();
+        let mut edges = Vec::new();
+        for _ in 0..rng.gen_range(0..=2 * n) {
+            let edge = (
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                rng.gen_range(-2..=3i64),
+                rng.gen_range(0..=2u32),
+                *rng.choose(&KINDS).unwrap(),
+                rng.gen_bool(0.25),
+            );
+            let parallel = if rng.gen_bool(0.2) { 2 } else { 1 };
+            edges.extend(std::iter::repeat_n(edge, parallel));
+        }
+        let copies = 1 + seed as usize % 2;
+        let mut g = DepGraph::with_nodes(n * copies);
+        for k in 0..copies {
+            for &(from, to, delay, distance, kind, is_mem) in &edges {
+                let (from, to) = (NodeId((k * n + from) as u32), NodeId((k * n + to) as u32));
+                g.add_edge(from, to, delay, distance, kind, is_mem);
+            }
+        }
+        (g, labels.repeat(copies))
+    }
+
+    #[test]
+    fn refine_ranks_like_the_reference() {
+        let mut individualized = 0;
+        for seed in 0..400 {
+            let (g, labels) = tie_heavy_graph(seed);
+            // Label ranks, as `canonical_form` starts the search.
+            let mut ranked = labels.clone();
+            ranked.sort_unstable();
+            ranked.dedup();
+            let start: Vec<u32> = labels
+                .iter()
+                .map(|l| ranked.binary_search(l).unwrap() as u32)
+                .collect();
+            let mut starts = vec![start.clone()];
+            // Every individualization of the first ambiguous class, as
+            // `search` branches.
+            let mut refined = start;
+            reference_refine(&g, &mut refined);
+            let mut counts = vec![0u32; refined.len()];
+            for &c in &refined {
+                counts[c as usize] += 1;
+            }
+            if let Some(target) = counts.iter().position(|&k| k > 1) {
+                let target = target as u32;
+                for v in (0..refined.len()).filter(|&v| refined[v] == target) {
+                    starts.push(
+                        refined
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &c)| c + u32::from(c > target || (c == target && i != v)))
+                            .collect(),
+                    );
+                }
+            }
+            individualized += starts.len() - 1;
+            for start in starts {
+                let (mut got, mut want) = (start.clone(), start.clone());
+                refine(&g, &mut got);
+                reference_refine(&g, &mut want);
+                assert_eq!(got, want, "seed {seed}, start {start:?}");
+            }
+        }
+        assert!(
+            individualized >= 400,
+            "only {individualized} individualized starts"
+        );
+    }
 
     fn chain(labels: &[u64]) -> (DepGraph, Vec<u64>) {
         let mut g = DepGraph::with_nodes(labels.len());

@@ -36,7 +36,7 @@ pub use ims_testkit::json;
 pub use cache::{key_request, Entry, Keyed, ScheduleCache};
 pub use corpus::{dedup_keys, gen_requests, gen_requests_backend};
 pub use service::{serve_stream, Engine};
-pub use wire::{machine_by_name, parse_request, parse_stats_request, Request, WireEdge};
+pub use wire::{machine_by_name, parse_request, Request, WireEdge};
 
 #[cfg(unix)]
 pub use service::serve_socket;

@@ -41,11 +41,11 @@
 //! design (the cache-determinism contract, `DESIGN.md` §5e); hit/miss
 //! tallies go to the profiler registry and stderr instead.
 //!
-//! A **stats request** is `{"id":"…","stats":true}` ([`parse_stats_request`]).
-//! It is answered in-line with the engine's running tallies over every
-//! line that *strictly precedes* it in the stream — deterministic by
-//! construction, so clients can interleave stats probes with work
-//! without breaking the byte-identity contract. See
+//! A **stats request** is `{"id":"…","stats":true}`, whatever other
+//! fields ride along. It is answered in-line with the engine's running
+//! tallies over every line that *strictly precedes* it in the stream —
+//! deterministic by construction, so clients can interleave stats probes
+//! with work without breaking the byte-identity contract. See
 //! [`Engine`](crate::service::Engine).
 
 use ims_core::BackendSpec;
@@ -161,19 +161,14 @@ fn kind_by_name(s: &str) -> Option<DepKind> {
     }
 }
 
-/// Detects a statistics request — `{"id":"…","stats":true}` — and
-/// returns its `id`.
+/// Detects a statistics request — `{"id":"…","stats":true}` — in a
+/// parsed line and returns its `id`.
 ///
 /// A line whose `stats` field is boolean `true` and whose `id` is a
 /// string is a stats request regardless of any other fields present;
 /// anything else (including `"stats":false` or a missing `id`) returns
-/// `None` and flows through [`parse_request`] as usual. Stats requests
+/// `None` and goes on to [`request_from_value`] as usual. Stats requests
 /// never touch the cache and are never hashed.
-pub fn parse_stats_request(line: &str) -> Option<String> {
-    stats_id(&json::parse(line).ok()?)
-}
-
-/// [`parse_stats_request`] over an already-parsed line.
 pub(crate) fn stats_id(v: &Value) -> Option<String> {
     let obj = v.as_obj()?;
     if obj.get("stats").and_then(Value::as_bool) != Some(true) {
@@ -227,7 +222,9 @@ pub(crate) fn request_from_value(v: &Value) -> Result<Request, String> {
     let budget_ratio = match obj.get("budget_ratio") {
         None => 2.0,
         Some(r) => {
-            let f = r.as_f64().ok_or("field \"budget_ratio\" must be a number")?;
+            let f = r
+                .as_f64()
+                .ok_or("field \"budget_ratio\" must be a number")?;
             if !f.is_finite() || f <= 0.0 {
                 return Err(format!("budget_ratio must be finite and positive, got {f}"));
             }
@@ -249,7 +246,9 @@ pub(crate) fn request_from_value(v: &Value) -> Result<Request, String> {
     let node_limit = match obj.get("node_limit") {
         None | Some(Value::Null) => None,
         Some(m) => {
-            let n = m.as_i64().ok_or("field \"node_limit\" must be an integer")?;
+            let n = m
+                .as_i64()
+                .ok_or("field \"node_limit\" must be an integer")?;
             if n < 0 {
                 return Err(format!("node_limit must be non-negative, got {n}"));
             }
@@ -289,10 +288,9 @@ pub(crate) fn request_from_value(v: &Value) -> Result<Request, String> {
     if let Some(edges_v) = obj.get("edges") {
         let arr = edges_v.as_arr().ok_or("field \"edges\" must be an array")?;
         for (i, e) in arr.iter().enumerate() {
-            let t = e
-                .as_arr()
-                .filter(|t| t.len() == 6)
-                .ok_or_else(|| format!("edges[{i}] must be [from,to,delay,distance,kind,is_mem]"))?;
+            let t = e.as_arr().filter(|t| t.len() == 6).ok_or_else(|| {
+                format!("edges[{i}] must be [from,to,delay,distance,kind,is_mem]")
+            })?;
             let from = t[0]
                 .as_i64()
                 .filter(|&n| n >= 0 && (n as usize) < ops.len())
@@ -459,16 +457,43 @@ mod tests {
             ("{\"ops\":[\"add\"]}", "\"id\""),
             (r#"{"id":"a","ops":[]}"#, "at least one"),
             (r#"{"id":"a","ops":["frobnicate"]}"#, "unknown opcode"),
-            (r#"{"id":"a","machine":"pdp11","ops":["add"]}"#, "unknown machine"),
-            (r#"{"id":"a","backend":"magic","ops":["add"]}"#, "unknown backend"),
-            (r#"{"id":"a","backend":"portfolio(ims,magic)","ops":["add"]}"#, "unknown backend"),
-            (r#"{"id":"a","backend":"portfolio()","ops":["add"]}"#, "at least one member"),
-            (r#"{"id":"a","ops":["add"],"edges":[[0,5,1,0,"flow",false]]}"#, "out of range"),
-            (r#"{"id":"a","ops":["add"],"edges":[[0,0,1,0,"data",false]]}"#, "kind"),
-            (r#"{"id":"a","budget_ratio":-1,"ops":["add"]}"#, "budget_ratio"),
+            (
+                r#"{"id":"a","machine":"pdp11","ops":["add"]}"#,
+                "unknown machine",
+            ),
+            (
+                r#"{"id":"a","backend":"magic","ops":["add"]}"#,
+                "unknown backend",
+            ),
+            (
+                r#"{"id":"a","backend":"portfolio(ims,magic)","ops":["add"]}"#,
+                "unknown backend",
+            ),
+            (
+                r#"{"id":"a","backend":"portfolio()","ops":["add"]}"#,
+                "at least one member",
+            ),
+            (
+                r#"{"id":"a","ops":["add"],"edges":[[0,5,1,0,"flow",false]]}"#,
+                "out of range",
+            ),
+            (
+                r#"{"id":"a","ops":["add"],"edges":[[0,0,1,0,"data",false]]}"#,
+                "kind",
+            ),
+            (
+                r#"{"id":"a","budget_ratio":-1,"ops":["add"]}"#,
+                "budget_ratio",
+            ),
             (r#"{"id":"a","max_ii":0,"ops":["add"]}"#, "max_ii"),
-            (r#"{"id":"a","pressure_limit":0,"ops":["add"]}"#, "pressure_limit"),
-            (r#"{"id":"a","pressure_limit":"big","ops":["add"]}"#, "pressure_limit"),
+            (
+                r#"{"id":"a","pressure_limit":0,"ops":["add"]}"#,
+                "pressure_limit",
+            ),
+            (
+                r#"{"id":"a","pressure_limit":"big","ops":["add"]}"#,
+                "pressure_limit",
+            ),
             ("not json", "invalid JSON"),
         ] {
             let err = parse_request(line).unwrap_err();
@@ -478,10 +503,11 @@ mod tests {
 
     #[test]
     fn stats_requests_are_detected() {
-        assert_eq!(parse_stats_request(r#"{"id":"s1","stats":true}"#).as_deref(), Some("s1"));
+        let stats = |line: &str| json::parse(line).ok().as_ref().and_then(stats_id);
+        assert_eq!(stats(r#"{"id":"s1","stats":true}"#).as_deref(), Some("s1"));
         // `stats` wins over any scheduling fields riding along.
         assert_eq!(
-            parse_stats_request(r#"{"id":"s2","stats":true,"ops":["add"]}"#).as_deref(),
+            stats(r#"{"id":"s2","stats":true,"ops":["add"]}"#).as_deref(),
             Some("s2")
         );
         for line in [
@@ -491,7 +517,7 @@ mod tests {
             r#"{"id":"a","ops":["add"]}"#,
             "not json",
         ] {
-            assert!(parse_stats_request(line).is_none(), "{line}");
+            assert!(stats(line).is_none(), "{line}");
         }
     }
 
@@ -511,7 +537,10 @@ mod tests {
         assert!(machine_by_name("widex").is_none());
         assert!(machine_by_name("cydra_rfx").is_none());
         assert!(machine_by_name("vax").is_none());
-        assert_eq!(machine_by_name("cydra_rf12").unwrap().register_file(), Some(12));
+        assert_eq!(
+            machine_by_name("cydra_rf12").unwrap().register_file(),
+            Some(12)
+        );
     }
 
     #[test]
@@ -544,14 +573,15 @@ mod tests {
 
     #[test]
     fn portfolio_specs_parse_canonically_and_round_trip() {
-        let r = parse_request(
-            r#"{"id":"p","backend":" portfolio( exact , sat ) ","ops":["add"]}"#,
-        )
-        .unwrap();
+        let r = parse_request(r#"{"id":"p","backend":" portfolio( exact , sat ) ","ops":["add"]}"#)
+            .unwrap();
         // Whitespace-tolerant in, canonical form out.
         assert_eq!(r.backend.to_string(), "portfolio(exact,sat)");
         let line = r.to_line();
-        assert!(line.contains("\"backend\":\"portfolio(exact,sat)\""), "{line}");
+        assert!(
+            line.contains("\"backend\":\"portfolio(exact,sat)\""),
+            "{line}"
+        );
         assert_eq!(parse_request(&line).unwrap(), r);
     }
 }

@@ -22,6 +22,19 @@ mkdir -p "$bench_dir"
 # Scratch logs live in one temp directory, removed however the script ends.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+# The snapshot's "deterministic" object, without the wall section.
+det() { awk '/^  "deterministic": \{/{p=1} p{print} p&&/^  \}/{exit}' "$1"; }
+# Fails unless two profile snapshots have the same non-empty deterministic
+# section, byte for byte: counters, gauges and every histogram field.
+# Their wall sections are expected to differ and are not compared.
+same_det() {
+    if [ -n "$(det "$1")" ] && cmp -s <(det "$1") <(det "$2"); then
+        return
+    fi
+    echo "FAIL: deterministic sections of $1 and $2 differ or are missing" >&2
+    diff <(det "$1") <(det "$2") | head -n 20 >&2
+    exit 1
+}
 
 echo "==> corpus determinism across thread counts (with --profile)"
 t1_log="$tmp/t1.log"
@@ -40,27 +53,11 @@ if ! diff -q "$t1_log" "$t4_log" >/dev/null; then
 fi
 echo "    byte-identical at --threads 1 and --threads 4 (120 loops)"
 
-echo "==> profile snapshot determinism and benchdiff gates"
-# Deterministic sections must be identical across thread counts; the wall
-# section is expected to differ and is excluded.
-cargo run --release --offline -q -p ims-bench --bin benchdiff -- \
-    "$bench_dir/BENCH_corpus_t1.json" "$bench_dir/BENCH_corpus_t4.json" \
-    --strict-counters --no-wall
-# A snapshot always passes a self-compare, wall section included.
-cargo run --release --offline -q -p ims-bench --bin benchdiff -- \
-    "$bench_dir/BENCH_corpus_t4.json" "$bench_dir/BENCH_corpus_t4.json"
-# The perf-regression gate: deterministic work must match the committed
-# baseline exactly; wall time gets generous headroom (different machines).
-# This strict-counter compare against the pre-press baseline is also the
-# zero-cost-when-disabled proof for register-pressure support: with no
-# --pressure-limit, the default path must reproduce every baseline
-# counter bit-for-bit.
-cargo run --release --offline -q -p ims-bench --bin benchdiff -- \
-    BENCH_baseline.json "$bench_dir/BENCH_corpus_t4.json" \
-    --strict-counters --wall-threshold 25
+echo "==> profile snapshot determinism"
+same_det "$bench_dir/BENCH_corpus_t1.json" "$bench_dir/BENCH_corpus_t4.json"
 cargo run --release --offline -q -p ims-bench --bin profile_report -- \
     "$bench_dir/BENCH_corpus_t4.json" >/dev/null
-echo "    deterministic sections thread-invariant; baseline gate and report OK"
+echo "    deterministic sections thread-invariant; profile_report renders the snapshot"
 
 echo "==> optgap determinism across thread counts (with --profile/--trace)"
 og1_log="$tmp/og1.log"
@@ -81,9 +78,7 @@ if ! diff -r -q "$bench_dir/trace_optgap_t1" "$bench_dir/trace_optgap_t4" >/dev/
     diff -r "$bench_dir/trace_optgap_t1" "$bench_dir/trace_optgap_t4" | head >&2
     exit 1
 fi
-cargo run --release --offline -q -p ims-bench --bin benchdiff -- \
-    "$bench_dir/BENCH_optgap_t1.json" "$bench_dir/BENCH_optgap_t4.json" \
-    --strict-counters --no-wall
+same_det "$bench_dir/BENCH_optgap_t1.json" "$bench_dir/BENCH_optgap_t4.json"
 echo "    byte-identical at --threads 1 and --threads 4 (240 loops, exact + 4 budgets)"
 
 echo "==> optgap --backend sat: determinism and cross-prover agreement"
@@ -110,10 +105,8 @@ if ! diff -q <(grep -o '"exact_lb":[0-9-]*,"exact_ub":[0-9-]*' "$og1_log") \
     exit 1
 fi
 # sat.* counters (conflicts, propagations, learned clauses, ...) are
-# deterministic work: strict across thread counts.
-cargo run --release --offline -q -p ims-bench --bin benchdiff -- \
-    "$bench_dir/BENCH_optgap_sat_t1.json" "$bench_dir/BENCH_optgap_sat_t4.json" \
-    --strict-counters --no-wall
+# deterministic work: byte-identical across thread counts.
+same_det "$bench_dir/BENCH_optgap_sat_t1.json" "$bench_dir/BENCH_optgap_sat_t4.json"
 echo "    byte-identical across thread counts; bounds agree with exact on all 240 loops"
 
 echo "==> corpus --pressure-limit: determinism, fit coverage, press.* gates"
@@ -139,10 +132,8 @@ if [ -z "$press_fit" ] || [ "$press_fit" -lt 1 ] || [ "$((press_fit + press_inf)
     exit 1
 fi
 # press.* counters (maxlive updates, rejects, II bumps) are deterministic
-# work: strict across thread counts.
-cargo run --release --offline -q -p ims-bench --bin benchdiff -- \
-    "$bench_dir/BENCH_press_t1.json" "$bench_dir/BENCH_press_t4.json" \
-    --strict-counters --no-wall
+# work: byte-identical across thread counts.
+same_det "$bench_dir/BENCH_press_t1.json" "$bench_dir/BENCH_press_t4.json"
 echo "    byte-identical at --threads 1 and --threads 4 ($press_fit fit, $press_inf infeasible at 16 registers)"
 
 echo "==> trace determinism across thread counts"
@@ -193,10 +184,8 @@ if ! diff -q "$ex1_log" "$exr_log" >/dev/null; then
     exit 1
 fi
 # explain.* counters (bound tallies, gap loops, wasted steps) are
-# deterministic work: strict across thread counts.
-cargo run --release --offline -q -p ims-bench --bin benchdiff -- \
-    "$bench_dir/BENCH_explain_t1.json" "$bench_dir/BENCH_explain_t4.json" \
-    --strict-counters --no-wall
+# deterministic work: byte-identical across thread counts.
+same_det "$bench_dir/BENCH_explain_t1.json" "$bench_dir/BENCH_explain_t4.json"
 # Leave the top-K digest under target/bench/ for CI upload.
 cp "$ex1_log" "$bench_dir/explain_report.txt"
 n_exp=$(grep -c '"loop":"' "$ex1_log")
@@ -237,9 +226,7 @@ if [ "$misses" -gt "$n_half" ] || [ "$((hits + misses))" -ne "$((2 * n_half))" ]
     exit 1
 fi
 # Hit/miss tallies are deterministic too: thread counts must agree.
-cargo run --release --offline -q -p ims-bench --bin benchdiff -- \
-    "$bench_dir/BENCH_serve_t1.json" "$bench_dir/BENCH_serve_t4.json" \
-    --strict-counters --no-wall
+same_det "$bench_dir/BENCH_serve_t1.json" "$bench_dir/BENCH_serve_t4.json"
 echo "    $((2 * n_half)) responses byte-identical across thread counts; second pass fully cached ($hits hits, $misses misses)"
 
 echo "==> scheduled service: portfolio(ims,exact) race determinism"
@@ -346,14 +333,15 @@ for rf in 16 8; do
         --threads 1 --requests "$bench_dir/serve_press$rf.jsonl" \
         >"$bench_dir/scheduled_press$rf.jsonl" 2>/dev/null
 done
-# The snapshot's "deterministic" object, without the wall section.
-det() { awk '/^  "deterministic": \{/{p=1} p{print} p&&/^  \}/{exit}' "$1"; }
 # sha256 of stdin, and of a directory tree (relative names + contents).
 sum() { sha256sum | cut -d' ' -f1; }
 tree_sum() { (cd "$1" && find . -type f | LC_ALL=C sort | xargs sha256sum) | sum; }
 golden="$bench_dir/golden.sha256"
 {
     echo "$(sum <"$t1_log")  corpus.stdout"
+    # The corpus profile's line is also the zero-cost-when-disabled proof
+    # for register-pressure support: with no --pressure-limit, the default
+    # path must reproduce every pinned count bit for bit.
     echo "$(det "$bench_dir/BENCH_corpus_t1.json" | sum)  corpus.profile"
     for b in exact sat; do
         echo "$(sum <"$bench_dir/corpus_$b.jsonl")  corpus_$b.stdout"

@@ -44,8 +44,9 @@
 //! JSON lines on stdout — and any `--trace` files — are byte-identical
 //! with and without profiling, and the snapshot's deterministic sections
 //! are byte-identical across `--threads` values; only its wall section
-//! varies. Compare snapshots with `benchdiff`, render them with
-//! `profile_report`.
+//! varies. Render snapshots with `profile_report`; `scripts/verify.sh`
+//! pins the deterministic section of its 120-loop run in
+//! `scripts/golden.sha256`.
 
 use std::num::NonZeroU32;
 use std::path::PathBuf;
@@ -76,7 +77,9 @@ fn main() {
     // in the service driver, where the members share a cache entry.
     let spec: BackendSpec = flag_or_exit(&args, "--backend", USAGE).unwrap_or_default();
     let Some(backend) = spec.as_leaf() else {
-        eprintln!("corpus: --backend {spec} is not supported here (expected a leaf: ims, exact, or sat)");
+        eprintln!(
+            "corpus: --backend {spec} is not supported here (expected a leaf: ims, exact, or sat)"
+        );
         std::process::exit(2);
     };
     if trace_dir.is_some() && backend != BackendKind::Ims {

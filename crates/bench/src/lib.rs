@@ -21,7 +21,6 @@
 //! | `trace_report` | per-loop convergence reports rendered from a `--trace` directory |
 //! | `optgap`   | the optimality-gap harness: exact branch-and-bound vs. the BudgetRatio sweep |
 //! | `profile_report` | human-readable tables rendered from a `BENCH_<name>.json` profile snapshot |
-//! | `benchdiff` | compares two profile snapshots under per-phase thresholds; nonzero exit on regression |
 //!
 //! This library holds the shared machinery, one measurement path for
 //! every driver: [`run_corpus`] builds each corpus loop and fans a
@@ -37,8 +36,8 @@
 //! `table3`, `table4`) also accept `--profile FILE`, which measures every
 //! pipeline phase (see [`profile`]) and writes a versioned
 //! `BENCH_<name>.json` snapshot whose deterministic sections are
-//! byte-identical across thread counts; compare snapshots with
-//! `benchdiff` and render them with `profile_report`.
+//! byte-identical across thread counts; render snapshots with
+//! `profile_report`.
 
 use std::path::Path;
 

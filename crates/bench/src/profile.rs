@@ -27,8 +27,9 @@
 //! are merged in that order; merging is commutative on the deterministic
 //! sections anyway, so the deterministic part of the rendered
 //! `BENCH_<name>.json` snapshot is byte-identical for every `--threads`
-//! value. `scripts/verify.sh` enforces this with `benchdiff
-//! --strict-counters --no-wall` on every run.
+//! value. `scripts/verify.sh` byte-compares the deterministic sections of
+//! every profiled driver's `--threads 1` and `--threads 4` runs, and its
+//! golden gate pins their bytes.
 
 use std::path::Path;
 

@@ -22,10 +22,9 @@
 //!   had before. [`NullSink`] discards everything.
 //! * [`snapshot`] renders a registry as a versioned `BENCH_<name>.json`
 //!   snapshot (deterministic section first, wall percentiles last) and
-//!   parses one back without any external dependency.
-//! * [`diff`] compares two snapshots under per-phase thresholds — the
-//!   engine behind the `benchdiff` regression gate in `scripts/verify.sh`
-//!   and CI.
+//!   parses one back without any external dependency. The deterministic
+//!   section is the regression gate: `scripts/verify.sh` byte-compares it
+//!   across thread counts and pins its sha256 in `scripts/golden.sha256`.
 //!
 //! ```
 //! use ims_prof::{phase, snapshot, MetricsRegistry, PhaseTimer, ProfSink};
@@ -41,7 +40,6 @@
 //! assert_eq!(parsed.counters[phase::GRAPH_MINDIST_WORK], 128);
 //! ```
 
-pub mod diff;
 pub mod phase;
 mod registry;
 mod sink;

@@ -3,8 +3,8 @@
 //! Every metric the pipeline emits is keyed by one of these `'static`
 //! names, namespaced `<crate>.<activity>[.<detail>]`. Keeping the names
 //! here (rather than scattered string literals) gives snapshots a stable,
-//! documented schema: `profile_report` and `benchdiff` can describe any
-//! phase they encounter, and DESIGN.md §5c documents the same list.
+//! documented schema: `profile_report` can describe any phase it
+//! encounters, and DESIGN.md §5c documents the same list.
 
 /// What kind of metric a phase name keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

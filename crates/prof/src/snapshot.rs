@@ -6,8 +6,8 @@
 //! (span counts and p50/p90/p99 percentiles in nanoseconds — machine- and
 //! run-dependent). The split is load-bearing: determinism tests and
 //! `scripts/verify.sh` byte-compare [`deterministic_section`] across
-//! thread counts, while `benchdiff` applies generous thresholds to the
-//! wall section only.
+//! thread counts, and the golden gate pins its bytes, while the wall
+//! section is never compared.
 //!
 //! [`Snapshot::parse`] reads a snapshot through the workspace JSON
 //! module ([`ims_testkit::json`]). It accepts any JSON object of the

@@ -63,18 +63,6 @@ impl<'p, 'm, O: SchedObserver> Scheduler<'p, 'm, O> {
         self
     }
 
-    /// Sets the `BudgetRatio` (see [`SchedConfig::budget_ratio`]).
-    pub fn budget_ratio(mut self, budget_ratio: f64) -> Self {
-        self.config = self.config.budget_ratio(budget_ratio);
-        self
-    }
-
-    /// Caps the candidate-II search (see [`SchedConfig::max_ii`]).
-    pub fn max_ii(mut self, max_ii: i64) -> Self {
-        self.config = self.config.max_ii(max_ii);
-        self
-    }
-
     /// Attaches an observer — typically a `&mut` borrow, so the caller
     /// keeps the observer for inspection after [`run`](Scheduler::run):
     ///
@@ -136,7 +124,9 @@ mod tests {
     fn chained_setters_reach_the_scheduler() {
         let m = minimal();
         let p = recurrence(&m);
-        let err = Scheduler::new(&p).max_ii(2).budget_ratio(100.0).run();
+        let err = Scheduler::new(&p)
+            .config(SchedConfig::new().max_ii(2).budget_ratio(100.0))
+            .run();
         assert_eq!(
             err.unwrap_err(),
             ScheduleError::IiCapExceeded { mii: 5, max_ii: 2 }

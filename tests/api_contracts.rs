@@ -57,8 +57,7 @@ fn ii_cap_surfaces_a_structured_error() {
     let problem = recurrence_problem(&machine);
 
     let err = Scheduler::new(&problem)
-        .max_ii(2)
-        .budget_ratio(100.0)
+        .config(SchedConfig::new().max_ii(2).budget_ratio(100.0))
         .run()
         .expect_err("II capped below the recurrence bound cannot schedule");
     match err {

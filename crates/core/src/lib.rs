@@ -79,10 +79,12 @@ mod validate;
 
 pub use backend::{BackendKind, IiBounds};
 pub use builder::Scheduler;
-pub use spec::{BackendSpec, ParseBackendError};
 pub use counters::Counters;
 pub use list_sched::{list_schedule, ListSchedule};
-pub use mii::{compute_mii, rec_mii, rec_mii_by_circuits, res_mii, res_mii_with_usage, MiiInfo};
+pub use mii::{
+    compute_mii, least_feasible_ii, rec_mii, rec_mii_by_circuits, res_mii, res_mii_with_usage,
+    MiiInfo,
+};
 pub use mrt::Mrt;
 pub use observe::{NullObserver, SchedObserver};
 pub use priority::{height_r, priorities, PriorityKind};
@@ -91,4 +93,5 @@ pub use sched::{
     iterative_schedule_observed, modulo_schedule, modulo_schedule_observed, IiAttempt, SchedConfig,
     SchedOutcome, SchedStats, Schedule, ScheduleError,
 };
+pub use spec::{BackendSpec, ParseBackendError};
 pub use validate::{validate_schedule, ScheduleViolation};

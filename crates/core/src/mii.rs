@@ -101,16 +101,49 @@ fn scc_constrains(info: &SccInfo, c: usize, problem: &Problem<'_>) -> bool {
     info.is_recurrence(c, problem.graph())
 }
 
+/// The §2.2 search for the least feasible II at or above `from`.
+///
+/// `feasible` must be monotone: once an II is feasible, every larger II
+/// is too. If `from` is infeasible, *"the candidate MII is incremented
+/// until there are no positive entries on the diagonal. The value of the
+/// increment is doubled each time … A binary search is performed between
+/// this last, successful candidate and the previous unsuccessful value."*
+/// No II below `from` is ever probed.
+pub fn least_feasible_ii(from: i64, mut feasible: impl FnMut(i64) -> bool) -> i64 {
+    if feasible(from) {
+        return from;
+    }
+    // Geometric probe upward.
+    let mut last_bad = from;
+    let mut inc = 1i64;
+    let mut good;
+    loop {
+        good = last_bad + inc;
+        if feasible(good) {
+            break;
+        }
+        last_bad = good;
+        inc *= 2;
+    }
+    // Binary search in (last_bad, good].
+    while last_bad + 1 < good {
+        let mid = last_bad + (good - last_bad) / 2;
+        if feasible(mid) {
+            good = mid;
+        } else {
+            last_bad = mid;
+        }
+    }
+    good
+}
+
 /// Computes the recurrence-constrained MII (§2.2) by per-SCC MinDist
 /// feasibility probing.
 ///
-/// Following the paper: the initial candidate is `lower` (the ResMII in a
-/// production compiler, since only the MII matters); if the candidate is
-/// infeasible for some SCC, *"the candidate MII is incremented until there
-/// are no positive entries on the diagonal. The value of the increment is
-/// doubled each time … A binary search is performed between this last,
-/// successful candidate and the previous unsuccessful value."* Each SCC
-/// starts from the MII computed with the previous SCC.
+/// Following the paper, the initial candidate is `lower` (the ResMII in a
+/// production compiler, since only the MII matters), and each SCC raises
+/// it to its least feasible II by [`least_feasible_ii`], starting from the
+/// MII computed with the previous SCC.
 ///
 /// Returns the resulting MII candidate: `max(lower, RecMII)` — callers that
 /// want the pure RecMII pass `lower = 1`.
@@ -122,38 +155,10 @@ pub fn rec_mii(problem: &Problem<'_>, lower: i64, counters: &mut Counters) -> i6
         if !scc_constrains(&scc_info, c, problem) {
             continue;
         }
-        let nodes = &scc_info.components[c];
         // One solver per SCC: the subset mapping and edge list are shared
-        // by every probe of the doubling and binary-search phases below.
-        let mut solver = MinDistSolver::new(problem.graph(), nodes);
-        let mut feasible = |ii: i64, counters: &mut Counters| {
-            solver.probe(ii, &mut counters.mindist_work)
-        };
-        if feasible(candidate, counters) {
-            continue;
-        }
-        // Geometric probe upward.
-        let mut last_bad = candidate;
-        let mut inc = 1i64;
-        let mut good;
-        loop {
-            good = last_bad + inc;
-            if feasible(good, counters) {
-                break;
-            }
-            last_bad = good;
-            inc *= 2;
-        }
-        // Binary search in (last_bad, good].
-        while last_bad + 1 < good {
-            let mid = last_bad + (good - last_bad) / 2;
-            if feasible(mid, counters) {
-                good = mid;
-            } else {
-                last_bad = mid;
-            }
-        }
-        candidate = good;
+        // by every probe of the search.
+        let mut solver = MinDistSolver::new(problem.graph(), &scc_info.components[c]);
+        candidate = least_feasible_ii(candidate, |ii| solver.probe(ii, &mut counters.mindist_work));
     }
     candidate
 }
@@ -227,7 +232,10 @@ mod tests {
     use ims_ir::{OpId, Opcode};
     use ims_machine::{cydra, cydra_simple, minimal, wide};
 
-    fn straight_line<'m>(machine: &'m ims_machine::MachineModel, opcodes: &[Opcode]) -> Problem<'m> {
+    fn straight_line<'m>(
+        machine: &'m ims_machine::MachineModel,
+        opcodes: &[Opcode],
+    ) -> Problem<'m> {
         let mut pb = ProblemBuilder::new(machine);
         let mut prev: Option<NodeId> = None;
         for (i, &op) in opcodes.iter().enumerate() {
@@ -307,7 +315,9 @@ mod tests {
             "adder resources saturate: {binding:?}"
         );
         assert!(
-            binding.iter().all(|n| n.starts_with("add_") || n.starts_with("instr_field")),
+            binding
+                .iter()
+                .all(|n| n.starts_with("add_") || n.starts_with("instr_field")),
             "nothing else saturates: {binding:?}"
         );
     }
@@ -384,6 +394,19 @@ mod tests {
     }
 
     #[test]
+    fn least_feasible_ii_finds_the_threshold_without_probing_below_the_start() {
+        for threshold in 1..=300i64 {
+            for start in 1..=threshold + 3 {
+                let found = least_feasible_ii(start, |ii| {
+                    assert!(ii >= start, "probed {ii} below start {start}");
+                    ii >= threshold
+                });
+                assert_eq!(found, start.max(threshold), "start {start}");
+            }
+        }
+    }
+
+    #[test]
     fn compute_mii_combines_bounds() {
         let m = minimal();
         // 3 ops on one unit (ResMII 3) + a distance-1, delay-5 recurrence
@@ -408,9 +431,7 @@ mod tests {
         // Complete digraph: too many circuits for the cap.
         let m = wide(8);
         let mut pb = ProblemBuilder::new(&m);
-        let ns: Vec<NodeId> = (0..6)
-            .map(|i| pb.add_op(Opcode::Add, OpId(i)))
-            .collect();
+        let ns: Vec<NodeId> = (0..6).map(|i| pb.add_op(Opcode::Add, OpId(i))).collect();
         for &x in &ns {
             for &y in &ns {
                 if x != y {

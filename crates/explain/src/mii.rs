@@ -10,7 +10,7 @@
 //! by eye), and the MinDist critical-node set as a circuit-free fallback
 //! when circuit enumeration is truncated.
 
-use ims_core::{res_mii_with_usage, Counters, Problem};
+use ims_core::{least_feasible_ii, res_mii_with_usage, Counters, Problem};
 use ims_graph::{elementary_circuits, sccs, Circuit, DepGraph, MinDistSolver, NodeId};
 use ims_machine::MachineModel;
 
@@ -98,35 +98,6 @@ pub struct MiiAttribution {
     pub rec: RecAttribution,
     /// Which bound pins the MII.
     pub bound: MiiBound,
-}
-
-/// Pure RecMII of one SCC: the doubling probe plus binary search of §2.2,
-/// seeded at 1 so the result is the SCC's own bound rather than a running
-/// candidate.
-fn scc_rec_mii(solver: &mut MinDistSolver, work: &mut u64) -> i64 {
-    if solver.probe(1, work) {
-        return 1;
-    }
-    let mut last_bad = 1i64;
-    let mut inc = 1i64;
-    let mut good;
-    loop {
-        good = last_bad + inc;
-        if solver.probe(good, work) {
-            break;
-        }
-        last_bad = good;
-        inc *= 2;
-    }
-    while last_bad + 1 < good {
-        let mid = last_bad + (good - last_bad) / 2;
-        if solver.probe(mid, work) {
-            good = mid;
-        } else {
-            last_bad = mid;
-        }
-    }
-    good
 }
 
 /// Enumerates elementary circuits of the subgraph induced by `scc` and
@@ -234,8 +205,10 @@ pub fn attribute_mii(
         if !scc_info.is_recurrence(c, problem.graph()) {
             continue;
         }
+        // The SCC's own bound: the §2.2 search seeded at 1, not at the
+        // running maximum.
         let mut solver = MinDistSolver::new(problem.graph(), &scc_info.components[c]);
-        let r = scc_rec_mii(&mut solver, &mut counters.mindist_work);
+        let r = least_feasible_ii(1, |ii| solver.probe(ii, &mut counters.mindist_work));
         // Strictly-greater wins; the first SCC to reach the running
         // maximum keeps it, so the choice is deterministic.
         if r > rec_mii || binding_scc.is_none() {

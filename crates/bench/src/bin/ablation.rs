@@ -13,14 +13,12 @@
 
 use std::path::PathBuf;
 
-use ims_bench::pool::{flag_or_exit, threads_or_exit};
 use ims_bench::{measure_corpus, MeasureParams};
-use ims_core::{
-    modulo_schedule, rec_mii, rec_mii_by_circuits, Counters, PriorityKind, SchedConfig,
-};
+use ims_core::{rec_mii, rec_mii_by_circuits, Counters, PriorityKind, SchedConfig, Scheduler};
 use ims_deps::{build_problem, BuildOptions, DelayModel};
 use ims_loopgen::corpus_of_size;
 use ims_machine::{cydra, cydra_simple};
+use ims_serve::pool::{flag_or_exit, threads_or_exit};
 use ims_stats::table::{num, Table};
 
 const USAGE: &str = "usage: ablation [--threads N] [--trace DIR]";
@@ -68,7 +66,10 @@ fn main() {
         "II=MII".into(),
         "sched inefficiency".into(),
     ]);
-    for (name, ms) in [("complex (cydra)", &complex), ("simple (cydra_simple)", &simple)] {
+    for (name, ms) in [
+        ("complex (cydra)", &complex),
+        ("simple (cydra_simple)", &simple),
+    ] {
         let iis: Vec<f64> = ms.iter().map(|m| m.ii as f64).collect();
         t.row(vec![
             name.into(),
@@ -99,7 +100,9 @@ fn main() {
         let mut iis = Vec::new();
         for l in &corpus.loops {
             let p = build_problem(&l.body, &machine, &BuildOptions { delay_model: model });
-            let out = modulo_schedule(&p, &SchedConfig::with_budget_ratio(6.0))
+            let out = Scheduler::new(&p)
+                .config(SchedConfig::new().budget_ratio(6.0))
+                .run()
                 .expect("corpus loops schedule");
             miis.push(out.mii.mii as f64);
             iis.push(out.schedule.ii as f64);
@@ -133,7 +136,9 @@ fn main() {
         let mut ops = 0usize;
         for l in &corpus.loops {
             let p = build_problem(&l.body, &machine, &BuildOptions::default());
-            let out = modulo_schedule(&p, &SchedConfig::new().budget_ratio(6.0).priority(kind))
+            let out = Scheduler::new(&p)
+                .config(SchedConfig::new().budget_ratio(6.0).priority(kind))
+                .run()
                 .expect("corpus loops schedule");
             if out.delta_ii() == 0 {
                 optimal += 1;

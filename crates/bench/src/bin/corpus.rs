@@ -51,12 +51,12 @@
 use std::num::NonZeroU32;
 use std::path::PathBuf;
 
-use ims_bench::pool::{flag_or_exit, threads_or_exit};
 use ims_bench::profile::write_profile;
-use ims_bench::{corpus_jsonl_opts, measure_corpus, work_limit_for_ms, MeasureParams};
+use ims_bench::{corpus_jsonl, measure_corpus, work_limit_for_ms, MeasureParams};
 use ims_core::{BackendKind, BackendSpec};
 use ims_loopgen::corpus_of_size;
 use ims_machine::{cydra, cydra_rf};
+use ims_serve::pool::{flag_or_exit, threads_or_exit};
 
 const USAGE: &str = "usage: corpus [--seed H] [--loops N] [--budget R] [--threads T] [--trace DIR]
               [--backend ims|exact|sat] [--deadline-ms D] [--wall] [--profile FILE]
@@ -135,7 +135,7 @@ fn main() {
     }
     let elapsed = t0.elapsed();
 
-    print!("{}", corpus_jsonl_opts(&ms, with_wall));
+    print!("{}", corpus_jsonl(&ms, with_wall));
     eprintln!(
         "scheduled {} loops ({}) in {:.1} ms on {} thread{} ({:.1} loops/ms)",
         ms.len(),

@@ -42,7 +42,7 @@
 use std::path::PathBuf;
 
 use ims_bench::profile::{flush_counters, write_profile};
-use ims_bench::{pool, run_corpus};
+use ims_bench::run_corpus;
 use ims_core::{Counters, SchedConfig, Scheduler};
 use ims_explain::{
     attribute_mii, parse_optgap_bounds, CorpusStats, LoopReport, MiiBound, TraceMine,
@@ -50,6 +50,7 @@ use ims_explain::{
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
 use ims_prof::{phase, PhaseTimer};
+use ims_serve::pool;
 use ims_trace::{parse_trace_prefix, Recorder};
 
 const USAGE: &str = "usage: explain [--seed H] [--loops N] [--threads T] [--budget-ratio R]
@@ -86,7 +87,7 @@ fn main() {
 
     let corpus = corpus_of_size(seed, loops);
     let machine = cydra();
-    let config = SchedConfig::with_budget_ratio(budget_ratio);
+    let config = SchedConfig::new().budget_ratio(budget_ratio);
 
     let t0 = std::time::Instant::now();
     let trace = trace_dir.as_deref().map(|dir| (dir, ""));

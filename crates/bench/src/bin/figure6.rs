@@ -12,10 +12,10 @@
 
 use std::path::PathBuf;
 
-use ims_bench::pool::{flag_or_exit, threads_or_exit};
 use ims_bench::{aggregate_figure6, measure_corpus, MeasureParams};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
+use ims_serve::pool::{flag_or_exit, threads_or_exit};
 use ims_stats::table::{num, Table};
 
 const USAGE: &str = "usage: figure6 [--threads N] [--trace DIR]";
@@ -30,9 +30,7 @@ fn main() {
     let machine = cydra();
     let budgets: Vec<f64> = (4..=16).map(|i| i as f64 * 0.25).collect();
 
-    println!(
-        "Figure 6 — execution-time dilation and scheduling inefficiency vs BudgetRatio"
-    );
+    println!("Figure 6 — execution-time dilation and scheduling inefficiency vs BudgetRatio");
     println!("({} loops per point)\n", corpus.len());
 
     let mut t = Table::new(vec![

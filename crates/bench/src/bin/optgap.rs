@@ -47,12 +47,13 @@
 use std::path::PathBuf;
 
 use ims_bench::profile::{flush_counters, write_profile, ProfObserver};
-use ims_bench::{pool, run_corpus, work_limit_for_ms};
+use ims_bench::{run_corpus, work_limit_for_ms};
 use ims_core::{BackendKind, BackendSpec, NullObserver, SchedConfig, SchedObserver, Scheduler};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
 use ims_prof::{phase, PhaseTimer};
 use ims_sat::{schedule_leaf, LeafOutcome};
+use ims_serve::pool;
 
 const USAGE: &str = "usage: optgap [--seed H] [--loops N] [--threads T] [--deadline-ms D]
               [--backend exact|sat] [--wall] [--trace DIR] [--profile FILE]";
@@ -97,7 +98,7 @@ fn main() {
     let corpus = corpus_of_size(seed, loops);
     let machine = cydra();
     let work_limit = work_limit_for_ms(backend, deadline_ms);
-    let sched = SchedConfig::with_budget_ratio(6.0);
+    let sched = SchedConfig::new().budget_ratio(6.0);
 
     let t0 = std::time::Instant::now();
     let trace = trace_dir.as_deref().map(|dir| (dir, ""));
@@ -130,7 +131,7 @@ fn main() {
             let mut iis = [0i64; RATIOS.len()];
             for (slot, (ratio, _)) in iis.iter_mut().zip(RATIOS) {
                 let out = Scheduler::new(problem)
-                    .config(SchedConfig::with_budget_ratio(ratio))
+                    .config(SchedConfig::new().budget_ratio(ratio))
                     .observer((ProfObserver::new(reg.as_deref_mut()), &mut *obs))
                     .run()
                     .expect("corpus loops always schedule under the automatic II cap");

@@ -11,7 +11,7 @@
 //! register file.
 
 use ims_codegen::{allocate_rotating, lifetimes};
-use ims_core::{modulo_schedule, SchedConfig};
+use ims_core::{SchedConfig, Scheduler};
 use ims_deps::{back_substitute, build_problem, BuildOptions};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
@@ -31,7 +31,10 @@ fn main() {
     for l in &corpus.loops {
         let body = back_substitute(&l.body, &machine);
         let problem = build_problem(&body, &machine, &BuildOptions::default());
-        let Ok(out) = modulo_schedule(&problem, &SchedConfig::with_budget_ratio(6.0)) else {
+        let Ok(out) = Scheduler::new(&problem)
+            .config(SchedConfig::new().budget_ratio(6.0))
+            .run()
+        else {
             continue;
         };
         let lts = lifetimes(&body, &problem, &out.schedule);

@@ -9,11 +9,11 @@
 
 use std::path::PathBuf;
 
-use ims_bench::pool::{flag_or_exit, threads_or_exit};
 use ims_bench::profile::write_profile;
 use ims_bench::{measure_corpus, LoopMeasurement, MeasureParams};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
+use ims_serve::pool::{flag_or_exit, threads_or_exit};
 use ims_stats::table::{num, Table};
 use ims_stats::{DistributionStats, Histogram};
 
@@ -79,7 +79,11 @@ fn main() {
         "Mean".into(),
         "Maximum".into(),
     ]);
-    row(&mut t, "Number of operations", &stats(&|m| m.n_ops as f64, 4.0));
+    row(
+        &mut t,
+        "Number of operations",
+        &stats(&|m| m.n_ops as f64, 4.0),
+    );
     row(&mut t, "MII", &stats(&|m| m.mii as f64, 1.0));
     row(
         &mut t,
@@ -152,13 +156,24 @@ fn main() {
         "  loops with no non-trivial SCC:       {:.1}%  [77%]",
         100.0 * frac(&|m| m.non_trivial_sccs == 0)
     );
-    let all_sizes: Vec<usize> = ms.iter().flat_map(|m| m.scc_sizes.iter().copied()).collect();
-    let scc_frac = |k: usize| {
-        all_sizes.iter().filter(|&&s| s <= k).count() as f64 / all_sizes.len() as f64
-    };
-    println!("  SCCs with 1 operation:               {:.1}%  [93%]", 100.0 * scc_frac(1));
-    println!("  SCCs with <= 2 operations:           {:.1}%  [97%]", 100.0 * scc_frac(2));
-    println!("  SCCs with <= 8 operations:           {:.1}%  [99%]", 100.0 * scc_frac(8));
+    let all_sizes: Vec<usize> = ms
+        .iter()
+        .flat_map(|m| m.scc_sizes.iter().copied())
+        .collect();
+    let scc_frac =
+        |k: usize| all_sizes.iter().filter(|&&s| s <= k).count() as f64 / all_sizes.len() as f64;
+    println!(
+        "  SCCs with 1 operation:               {:.1}%  [93%]",
+        100.0 * scc_frac(1)
+    );
+    println!(
+        "  SCCs with <= 2 operations:           {:.1}%  [97%]",
+        100.0 * scc_frac(2)
+    );
+    println!(
+        "  SCCs with <= 8 operations:           {:.1}%  [99%]",
+        100.0 * scc_frac(8)
+    );
 
     // ----- Prose claims of §4.3 -----
     let delta: Histogram = ms.iter().map(|m| m.delta_ii()).collect();

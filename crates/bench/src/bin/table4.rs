@@ -11,11 +11,11 @@
 
 use std::path::PathBuf;
 
-use ims_bench::pool::{flag_or_exit, threads_or_exit};
 use ims_bench::profile::write_profile;
 use ims_bench::{measure_corpus, MeasureParams};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
+use ims_serve::pool::{flag_or_exit, threads_or_exit};
 use ims_stats::table::Table;
 use ims_stats::{linear_fit_through_origin, polyfit};
 
@@ -118,7 +118,10 @@ fn main() {
         "3.3321N".into(),
     ]);
 
-    let fs: Vec<f64> = ms.iter().map(|m| m.counters.findslot_iters as f64).collect();
+    let fs: Vec<f64> = ms
+        .iter()
+        .map(|m| m.counters.findslot_iters as f64)
+        .collect();
     let fs_fit = polyfit(&ns, &fs, 2).expect("non-degenerate");
     t.row(vec![
         "Iterative scheduling: FindTimeSlot".into(),

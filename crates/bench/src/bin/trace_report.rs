@@ -17,7 +17,7 @@
 //! trace ends inside is reported as unresolved (`II…`), never as a bogus
 //! success or failure.
 
-use ims_bench::pool::flag_or_exit;
+use ims_serve::pool::flag_or_exit;
 use ims_trace::{parse_trace_prefix, TraceSummary};
 
 const USAGE: &str = "usage: trace_report DIR [--top K]";
@@ -73,8 +73,15 @@ fn main() {
         .iter()
         .filter(|(_, s)| s.attempts.len() == 1 && s.final_ii().is_some())
         .count();
-    let converged = summaries.iter().filter(|(_, s)| s.final_ii().is_some()).count();
-    let max_attempts = summaries.iter().map(|(_, s)| s.attempts.len()).max().unwrap_or(0);
+    let converged = summaries
+        .iter()
+        .filter(|(_, s)| s.final_ii().is_some())
+        .count();
+    let max_attempts = summaries
+        .iter()
+        .map(|(_, s)| s.attempts.len())
+        .max()
+        .unwrap_or(0);
     let total_steps: u64 = summaries.iter().map(|(_, s)| s.total_steps()).sum();
     let wasted_steps: u64 = summaries.iter().map(|(_, s)| s.wasted_steps()).sum();
     let evictions: u64 = summaries.iter().map(|(_, s)| s.evictions).sum();

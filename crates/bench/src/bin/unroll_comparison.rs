@@ -14,7 +14,7 @@
 //! U ∈ {1, 2, 4, 8, 16} against the modulo scheduler's II, along with the
 //! code-size expansion each needs.
 
-use ims_core::{list_schedule, modulo_schedule, SchedConfig};
+use ims_core::{list_schedule, SchedConfig, Scheduler};
 use ims_deps::{back_substitute, build_problem, unroll, BuildOptions};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
@@ -35,7 +35,10 @@ fn main() {
     for l in &corpus.loops {
         let body = back_substitute(&l.body, &machine);
         let problem = build_problem(&body, &machine, &BuildOptions::default());
-        let out = match modulo_schedule(&problem, &SchedConfig::with_budget_ratio(6.0)) {
+        let out = match Scheduler::new(&problem)
+            .config(SchedConfig::new().budget_ratio(6.0))
+            .run()
+        {
             Ok(o) => o,
             Err(_) => continue,
         };
@@ -58,9 +61,7 @@ fn main() {
         }
     }
 
-    println!(
-        "Unroll-before-scheduling vs iterative modulo scheduling ({count} loops)\n"
-    );
+    println!("Unroll-before-scheduling vs iterative modulo scheduling ({count} loops)\n");
     let mut t = Table::new(vec![
         "scheme".into(),
         "mean effective II".into(),

@@ -15,8 +15,6 @@
 //! | `ablation` | beyond-the-paper ablations: simple vs. complex reservation tables, VLIW vs. conservative delay model, MinDist vs. circuit-enumeration RecMII |
 //! | `unroll_comparison` | the §4.3 baseline: unroll-before-scheduling vs. modulo scheduling |
 //! | `registers` | register-pressure extension: MVE unroll factors and rotating-file sizes |
-//! | `bench_scheduler` | std-only micro-benchmarks of the full scheduling pipeline ([`micro`]), including corpus-scheduling throughput across thread counts |
-//! | `bench_mii` | std-only micro-benchmarks of the MII bounds and HeightR ([`micro`]) |
 //! | `corpus`   | the parallel corpus-scheduling driver: JSON-line per-loop results, byte-identical across `--threads` values |
 //! | `trace_report` | per-loop convergence reports rendered from a `--trace` directory |
 //! | `optgap`   | the optimality-gap harness: exact branch-and-bound vs. the BudgetRatio sweep |
@@ -24,7 +22,7 @@
 //!
 //! This library holds the shared machinery, one measurement path for
 //! every driver: [`run_corpus`] builds each corpus loop and fans a
-//! per-loop closure out over the std-only worker pool in [`pool`],
+//! per-loop closure out over the std-only worker pool in `ims_serve::pool`,
 //! recording traces and profiles on the way; [`measure_corpus`] runs it
 //! to schedule every loop with the backend and budgets in its
 //! [`MeasureParams`] and collect every quantity the paper reports;
@@ -55,17 +53,12 @@ use ims_machine::MachineModel;
 use ims_press::{shapes_from_body, PressureModel, PressureObserver};
 use ims_prof::{phase, MetricsRegistry, NullSink, PhaseTimer, ProfSink};
 use ims_sat::{schedule_leaf, LeafOutcome};
+use ims_serve::pool;
 use ims_trace::Recorder;
 
 use profile::{flush_counters, profile_backend_tail, ProfObserver};
 
-pub mod micro;
 pub mod profile;
-
-/// The deterministic worker pool now lives in `ims-serve` (the scheduling
-/// service shares it with the harness); re-exported here so the bench
-/// binaries and downstream users keep their `ims_bench::pool` paths.
-pub use ims_serve::pool;
 
 /// Deterministic stand-in for a wall-clock deadline in the harness
 /// paths: `--deadline-ms N` is converted to a branch-and-bound node
@@ -256,7 +249,7 @@ fn measure_loop<O: SchedObserver>(
         (kind, _) => {
             // Only the iterative run goes through the profiler's observer;
             // the provers file their own counters into the registry.
-            let sched = SchedConfig::with_budget_ratio(params.budget_ratio);
+            let sched = SchedConfig::new().budget_ratio(params.budget_ratio);
             let out = if kind == BackendKind::Ims {
                 let mut obs = (ProfObserver::new(prof.as_deref_mut()), &mut *observer);
                 schedule_leaf(kind, problem, &sched, None, &mut obs, &mut NullSink)
@@ -620,22 +613,15 @@ pub fn measure_corpus(
     )
 }
 
-/// Renders one corpus loop's measurement as a deterministic JSON line:
-/// every per-loop quantity the paper reports (II, ΔII, schedule length,
-/// scheduling steps, the Table 4 work counters) and nothing
-/// non-deterministic — no timings, no thread identity — so corpus runs at
-/// different thread counts produce byte-identical output.
-pub fn measurement_json_line(index: usize, m: &LoopMeasurement) -> String {
-    measurement_json_line_opts(index, m, false)
-}
-
-/// [`measurement_json_line`] with opt-in extras: `with_wall` appends the
-/// (non-deterministic) `wall_ns` timing, exact-backend measurements
-/// always append their `proved_lb`/`best_ub`/`limit_hit` bounds, and
-/// pressure-aware measurements always append their
-/// `press_limit`/`press_ok`/`max_live`/`rot_size` verdict — the plain
-/// iterative backend's lines are byte-unchanged.
-pub fn measurement_json_line_opts(index: usize, m: &LoopMeasurement, with_wall: bool) -> String {
+/// Renders one corpus loop's measurement as a JSON line: every per-loop
+/// quantity the paper reports (II, ΔII, schedule length, scheduling
+/// steps, the Table 4 work counters). Exact-backend measurements append
+/// their `proved_lb`/`best_ub`/`limit_hit` bounds, and pressure-aware
+/// measurements their `press_limit`/`press_ok`/`max_live`/`rot_size`
+/// verdict. `with_wall` appends the non-deterministic `wall_ns` timing;
+/// without it the line holds no timings and no thread identity, so
+/// corpus runs at different thread counts produce byte-identical output.
+pub fn measurement_json_line(index: usize, m: &LoopMeasurement, with_wall: bool) -> String {
     let mut line = measurement_json_core(index, m);
     if let Some(e) = m.exact {
         line.pop();
@@ -688,23 +674,19 @@ fn measurement_json_core(index: usize, m: &LoopMeasurement) -> String {
     )
 }
 
-/// Renders a whole corpus run as JSON lines (one line per loop, in corpus
-/// order) followed by one aggregate line summing the deterministic
-/// quantities. Byte-identical across thread counts by construction.
-pub fn corpus_jsonl(ms: &[LoopMeasurement]) -> String {
-    corpus_jsonl_opts(ms, false)
-}
-
-/// [`corpus_jsonl`] with opt-in `wall_ns` per line. When any measurement
-/// carries exact bounds, the aggregate line additionally reports how many
-/// loops were proven optimal, the summed proven gap, and how many
-/// searches hit their node budget.
-pub fn corpus_jsonl_opts(ms: &[LoopMeasurement], with_wall: bool) -> String {
+/// Renders a whole corpus run as JSON lines, one
+/// [`measurement_json_line`] per loop in corpus order, followed by one
+/// aggregate line summing the deterministic quantities. When any
+/// measurement carries exact bounds, the aggregate line additionally
+/// reports how many loops were proven optimal, the summed proven gap, and
+/// how many searches hit their node budget. Without `with_wall` the
+/// output is byte-identical across thread counts by construction.
+pub fn corpus_jsonl(ms: &[LoopMeasurement], with_wall: bool) -> String {
     let mut out = String::with_capacity(ms.len() * 200);
     let mut total = Counters::new();
     let (mut steps, mut ops, mut delta) = (0u64, 0usize, 0i64);
     for (i, m) in ms.iter().enumerate() {
-        out.push_str(&measurement_json_line_opts(i, m, with_wall));
+        out.push_str(&measurement_json_line(i, m, with_wall));
         out.push('\n');
         total.add(&m.counters);
         steps += m.total_steps;
@@ -842,17 +824,14 @@ mod tests {
         }
 
         // Exact lines grow bounds fields; iterative lines are unchanged.
-        let line = measurement_json_line_opts(0, &exact[0], false);
+        let line = measurement_json_line(0, &exact[0], false);
         assert!(line.contains("\"proved_lb\":"), "{line}");
         assert!(line.ends_with('}'), "{line}");
-        assert_eq!(
-            measurement_json_line(0, &ims[0]),
-            measurement_json_line_opts(0, &ims[0], false)
-        );
-        assert!(!measurement_json_line(0, &ims[0]).contains("wall_ns"));
-        let timed = measurement_json_line_opts(0, &ims[0], true);
+        assert!(!measurement_json_line(0, &ims[0], false).contains("proved_lb"));
+        assert!(!measurement_json_line(0, &ims[0], false).contains("wall_ns"));
+        let timed = measurement_json_line(0, &ims[0], true);
         assert!(timed.contains("\"wall_ns\":"), "{timed}");
-        let agg = corpus_jsonl_opts(&exact, false);
+        let agg = corpus_jsonl(&exact, false);
         assert!(agg.contains("\"proven_optimal\":"), "{agg}");
     }
 
@@ -882,12 +861,12 @@ mod tests {
                 assert!(a.ii >= b.ii, "pressure can only push the II up");
             }
             // Blind lines are byte-unchanged; pressure lines grow fields.
-            let line = measurement_json_line_opts(0, a, false);
+            let line = measurement_json_line(0, a, false);
             assert!(line.contains("\"press_limit\":"), "{line}");
-            assert!(!measurement_json_line(0, b).contains("press_limit"));
+            assert!(!measurement_json_line(0, b, false).contains("press_limit"));
         }
         assert!(fits > 0, "a 16-register file fits some small loops");
-        let agg = corpus_jsonl_opts(&aware, false);
+        let agg = corpus_jsonl(&aware, false);
         assert!(agg.contains("\"press_fit\":"), "{agg}");
         assert!(agg.contains("\"peak_max_live\":"), "{agg}");
     }
@@ -905,7 +884,7 @@ mod tests {
                 .unwrap()
                 .0
         };
-        assert_eq!(corpus_jsonl(&run(1)), corpus_jsonl(&run(4)));
+        assert_eq!(corpus_jsonl(&run(1), false), corpus_jsonl(&run(4), false));
     }
 
     #[test]

@@ -193,19 +193,14 @@ fn drivers_reject_malformed_numeric_flags() {
         }
     }
 
-    // The report tools are just as strict, with their own usage lines:
-    // no silent `--top 10`, no panic on `--iters abc`, no stray
-    // argument ignored.
+    // The report tool is just as strict, with its own usage line: no
+    // silent `--top 10`.
     let trace_report = env!("CARGO_BIN_EXE_trace_report");
-    let mrt = env!("CARGO_BIN_EXE_mrt_microbench");
-    for (bin, args, flag) in [
-        (trace_report, &["/tmp", "--top", "abc"][..], "--top"),
-        (trace_report, &["/tmp", "--top"][..], "--top"),
-        (mrt, &["--iters", "abc"][..], "--iters"),
-        (mrt, &["--iters"][..], "--iters"),
-        (mrt, &["--iters", "5", "extra"][..], "extra"),
+    for (args, flag) in [
+        (&["/tmp", "--top", "abc"][..], "--top"),
+        (&["/tmp", "--top"][..], "--top"),
     ] {
-        assert_usage_error(bin, args, flag);
+        assert_usage_error(trace_report, args, flag);
     }
 }
 

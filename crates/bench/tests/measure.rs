@@ -53,7 +53,7 @@ fn tracing_and_profiling_never_change_a_measurement() {
                 profile,
                 "{backend}"
             );
-            corpus_jsonl(&ms)
+            corpus_jsonl(&ms, false)
         };
 
         let plain = run(None, false);

@@ -7,8 +7,8 @@ use ims_bench::{corpus_jsonl, measure_corpus, MeasureParams};
 use ims_core::BackendKind;
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
-use ims_prof::snapshot::{deterministic_section, render_snapshot};
 use ims_prof::phase;
+use ims_prof::snapshot::{deterministic_section, render_snapshot};
 
 /// The acceptance gate of the profiler: a 60-loop profiled corpus run
 /// must produce snapshot deterministic sections that are byte-identical
@@ -21,13 +21,16 @@ fn profiled_runs_are_thread_count_invariant_and_cover_every_layer() {
 
     let (m1, r1) = measure_corpus(&corpus, &machine, &params, 1, None, true).expect("no I/O");
     let (m4, r4) = measure_corpus(&corpus, &machine, &params, 4, None, true).expect("no I/O");
-    assert_eq!(corpus_jsonl(&m1), corpus_jsonl(&m4));
+    assert_eq!(corpus_jsonl(&m1, false), corpus_jsonl(&m4, false));
 
     let s1 = render_snapshot("corpus", &r1);
     let s4 = render_snapshot("corpus", &r4);
     let d1 = deterministic_section(&s1).expect("snapshot has a deterministic section");
     let d4 = deterministic_section(&s4).expect("snapshot has a deterministic section");
-    assert_eq!(d1, d4, "deterministic sections must not depend on --threads");
+    assert_eq!(
+        d1, d4,
+        "deterministic sections must not depend on --threads"
+    );
 
     // Every pipeline layer reported in: graph analysis, scheduling, MRT
     // probes, code generation, and the VLIW simulator.
@@ -44,7 +47,9 @@ fn profiled_runs_are_thread_count_invariant_and_cover_every_layer() {
         assert!(r1.counter(phase) > 0, "no work recorded under {phase}");
     }
     assert_eq!(r1.counter(phase::CORPUS_LOOPS), corpus.loops.len() as u64);
-    let slots = r1.hist(phase::HIST_SLOT_SEARCH).expect("slot-search histogram");
+    let slots = r1
+        .hist(phase::HIST_SLOT_SEARCH)
+        .expect("slot-search histogram");
     assert_eq!(slots.total(), r1.counter(phase::SCHED_STEPS));
     assert_eq!(
         slots.sum(),
@@ -52,7 +57,10 @@ fn profiled_runs_are_thread_count_invariant_and_cover_every_layer() {
         "per-step histogram must sum to the Table 4 counter"
     );
     let estart = r1.hist(phase::HIST_ESTART_PREDS).expect("estart histogram");
-    assert!(estart.total() >= slots.total(), "START/STOP fire estart but not slot_search");
+    assert!(
+        estart.total() >= slots.total(),
+        "START/STOP fire estart but not slot_search"
+    );
     // Wall spans exist but never leak into the deterministic sections.
     assert!(r1.wall(phase::WALL_LOOP).is_some());
     assert!(!d1.contains("total_ns"));
@@ -70,7 +78,11 @@ fn exact_backend_profiling_reports_search_work() {
 
     assert_eq!(reg.counter(phase::CORPUS_LOOPS), corpus.loops.len() as u64);
     let nodes: u64 = ms.iter().map(|m| m.exact.unwrap().nodes).sum();
-    assert_eq!(reg.counter(phase::EXACT_NODES), nodes, "search nodes are all accounted for");
+    assert_eq!(
+        reg.counter(phase::EXACT_NODES),
+        nodes,
+        "search nodes are all accounted for"
+    );
     // The profiled run also lowers and simulates each loop.
     assert!(reg.counter(phase::CODEGEN_INSTS) > 0);
     assert!(reg.counter(phase::VLIW_SIM_CYCLES) > 0);

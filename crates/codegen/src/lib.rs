@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use ims_codegen::{generate_mve, lifetimes};
-//! use ims_core::{modulo_schedule, SchedConfig};
+//! use ims_core::Scheduler;
 //! use ims_deps::{build_problem, BuildOptions};
 //! use ims_ir::{LoopBuilder, MemRef, Value};
 //! use ims_machine::cydra_simple;
@@ -41,7 +41,7 @@
 //!
 //! let m = cydra_simple();
 //! let problem = build_problem(&body, &m, &BuildOptions::default());
-//! let out = modulo_schedule(&problem, &SchedConfig::default()).expect("schedulable");
+//! let out = Scheduler::new(&problem).run().expect("schedulable");
 //! let lt = lifetimes(&body, &problem, &out.schedule);
 //! let code = generate_mve(&body, &problem, &out.schedule, &lt);
 //! assert!(code.unroll >= 1);

@@ -76,7 +76,7 @@ pub fn lifetimes(body: &LoopBody, problem: &Problem<'_>, schedule: &Schedule) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ims_core::{modulo_schedule, SchedConfig};
+    use ims_core::Scheduler;
     use ims_deps::{build_problem, BuildOptions};
     use ims_ir::{LoopBuilder, Value};
     use ims_machine::cydra_simple;
@@ -111,7 +111,7 @@ mod tests {
         b.rebind_add(acc, acc, x);
         let body = b.finish().unwrap();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lts = lifetimes(&body, &p, &out.schedule);
         assert_eq!(lts.len(), 1);
         let lt = &lts[0];
@@ -129,7 +129,7 @@ mod tests {
         let _unused = b.add("u", x, x);
         let body = b.finish().unwrap();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lts = lifetimes(&body, &p, &out.schedule);
         assert_eq!(lts.len(), 1);
         assert_eq!(lts[0].names, 1);
@@ -152,7 +152,7 @@ mod tests {
         b.store(addr, w, None);
         let body = b.finish().unwrap();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lts = lifetimes(&body, &p, &out.schedule);
         let v_lt = lts.iter().find(|l| l.reg == v).unwrap();
         assert!(v_lt.birth >= v_lt.def_issue + 20);

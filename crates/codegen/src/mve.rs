@@ -3,9 +3,9 @@
 
 use ims_core::{Problem, Schedule};
 use ims_deps::{node_of, resolve_use};
-use ims_ir::{LoopBody, OpId, Operand, VReg};
 #[cfg(test)]
 use ims_ir::LiveInValue;
+use ims_ir::{LoopBody, OpId, Operand, VReg};
 
 use crate::code::{CodeOperand, CodeReg, Inst, MveCode, Seed, SlotOp};
 use crate::lifetime::Lifetime;
@@ -247,7 +247,7 @@ pub(crate) fn seed_is_array_base(s: &Seed) -> bool {
 mod tests {
     use super::*;
     use crate::lifetime::lifetimes;
-    use ims_core::{modulo_schedule, SchedConfig};
+    use ims_core::Scheduler;
     use ims_deps::{build_problem, BuildOptions};
     use ims_ir::{LoopBuilder, MemRef, Value};
     use ims_machine::{cydra_simple, minimal};
@@ -268,15 +268,14 @@ mod tests {
         let body = saxpy_ish(32);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_mve(&body, &p, &out.schedule, &lt);
 
         // Count op instances across all sections: must equal n * num_ops.
         let count = |insts: &[Inst]| -> u64 { insts.iter().map(|i| i.ops.len() as u64).sum() };
-        let total = count(&code.prologue)
-            + code.kernel_reps * count(&code.kernel)
-            + count(&code.coda);
+        let total =
+            count(&code.prologue) + code.kernel_reps * count(&code.kernel) + count(&code.coda);
         assert_eq!(total, 32 * body.num_ops() as u64);
     }
 
@@ -285,13 +284,10 @@ mod tests {
         let body = saxpy_ish(32);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_mve(&body, &p, &out.schedule, &lt);
-        assert_eq!(
-            code.kernel.len() as i64,
-            code.unroll as i64 * code.ii
-        );
+        assert_eq!(code.kernel.len() as i64, code.unroll as i64 * code.ii);
         // The load's 20-cycle latency at a small II forces unrolling.
         assert!(code.unroll > 1, "unroll = {}", code.unroll);
     }
@@ -301,7 +297,7 @@ mod tests {
         let body = saxpy_ish(64);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_mve(&body, &p, &out.schedule, &lt);
         let per_kernel: u64 = code.kernel.iter().map(|i| i.ops.len() as u64).sum();
@@ -313,7 +309,7 @@ mod tests {
         let body = saxpy_ish(2);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_mve(&body, &p, &out.schedule, &lt);
         assert_eq!(code.kernel_reps, 0);
@@ -327,7 +323,7 @@ mod tests {
         let body = saxpy_ish(64);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_mve(&body, &p, &out.schedule, &lt);
         // The same op in consecutive kernel copies uses different dest
@@ -361,7 +357,7 @@ mod tests {
         let body = saxpy_ish(32);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_mve(&body, &p, &out.schedule, &lt);
         // The pointer register is a defined live-in: K seeded names, all
@@ -377,7 +373,7 @@ mod tests {
         let body = b.finish().unwrap();
         let m = minimal();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_mve(&body, &p, &out.schedule, &lt);
         assert_eq!(code.total_cycles(), 0);

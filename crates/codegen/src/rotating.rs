@@ -90,11 +90,7 @@ impl std::error::Error for RotatingError {}
 /// `vⱼ`'s last read. Non-adjacent pairs are then safe by induction (the
 /// sub-additivity of `⌊·⌋` — see the brute-force check in the tests). The
 /// file size is `Σ gapⱼ`, and `base(vⱼ) = (S − Σ_{u<j} gapᵤ) mod S`.
-pub fn allocate_rotating(
-    body: &LoopBody,
-    lifetimes: &[Lifetime],
-    ii: i64,
-) -> RotatingAllocation {
+pub fn allocate_rotating(body: &LoopBody, lifetimes: &[Lifetime], ii: i64) -> RotatingAllocation {
     assert!(ii >= 1, "II must be positive");
     let nv = body.num_vregs();
     let life: HashMap<VReg, &Lifetime> = lifetimes.iter().map(|l| (l.reg, l)).collect();
@@ -108,9 +104,7 @@ pub fn allocate_rotating(
         .map(|(j, v)| {
             let next = defined[(j + 1) % defined.len()];
             let base = match (life.get(v), life.get(&next)) {
-                (Some(lv), Some(ln)) => {
-                    ((lv.death - ln.birth).div_euclid(ii) + 1).max(1) as usize
-                }
+                (Some(lv), Some(ln)) => ((lv.death - ln.birth).div_euclid(ii) + 1).max(1) as usize,
                 _ => 1,
             };
             // Seeded registers need their pre-loop instances (physical
@@ -177,9 +171,9 @@ pub fn generate_rotating(
     // (base(v) − stage − lag) mod S.
     let offset = |reg: VReg, stage: i64, lag: i64| -> CodeReg {
         match alloc.base[reg.index()] {
-            Some(b) => CodeReg::Rotating(
-                (b as i64 - stage - lag).rem_euclid(alloc.size as i64) as usize,
-            ),
+            Some(b) => {
+                CodeReg::Rotating((b as i64 - stage - lag).rem_euclid(alloc.size as i64) as usize)
+            }
             None => CodeReg::Static(
                 alloc.static_of[reg.index()]
                     .expect("validated bodies only use defined or live-in registers"),
@@ -297,7 +291,7 @@ fn max_lag_of(body: &LoopBody, reg: VReg) -> u32 {
 mod tests {
     use super::*;
     use crate::lifetime::lifetimes;
-    use ims_core::{modulo_schedule, SchedConfig};
+    use ims_core::Scheduler;
     use ims_deps::{build_problem, BuildOptions};
     use ims_ir::{LoopBuilder, MemRef, Value};
     use ims_machine::cydra_simple;
@@ -361,7 +355,7 @@ mod tests {
         let body = dot(64);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let alloc = allocate_rotating(&body, &lt, out.schedule.ii);
         check_allocation(&alloc, &lt, out.schedule.ii);
@@ -379,9 +373,27 @@ mod tests {
         let body = b.finish().unwrap();
         let ii = 2;
         let lts = vec![
-            Lifetime { reg: a1, def_issue: 0, birth: 4, death: 13, names: 5 },
-            Lifetime { reg: a2, def_issue: 1, birth: 1, death: 1, names: 1 },
-            Lifetime { reg: a3, def_issue: 1, birth: 9, death: 12, names: 2 },
+            Lifetime {
+                reg: a1,
+                def_issue: 0,
+                birth: 4,
+                death: 13,
+                names: 5,
+            },
+            Lifetime {
+                reg: a2,
+                def_issue: 1,
+                birth: 1,
+                death: 1,
+                names: 1,
+            },
+            Lifetime {
+                reg: a3,
+                def_issue: 1,
+                birth: 9,
+                death: 12,
+                names: 2,
+            },
         ];
         let alloc = allocate_rotating(&body, &lts, ii);
         check_allocation(&alloc, &lts, ii);
@@ -392,7 +404,7 @@ mod tests {
         let body = dot(64);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_rotating(&body, &p, &out.schedule, &lt).unwrap();
         assert_eq!(code.kernel.len() as i64, code.ii);
@@ -406,7 +418,7 @@ mod tests {
         let body = dot(64);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_rotating(&body, &p, &out.schedule, &lt).unwrap();
         // The accumulator (lag 1) and both pointers need rotating seeds.
@@ -423,7 +435,7 @@ mod tests {
         let body = dot(16);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let alloc = allocate_rotating(&body, &lt, out.schedule.ii);
         let v = lt[0].reg;

@@ -4,9 +4,9 @@
 //! harness.
 
 use ims_codegen::{allocate_rotating, generate_mve, lifetimes, unroll_factor, Lifetime};
-use ims_core::{modulo_schedule, SchedConfig};
+use ims_core::Scheduler;
 use ims_deps::{build_problem, BuildOptions};
-use ims_ir::{LoopBuilder, Value, VReg};
+use ims_ir::{LoopBuilder, VReg, Value};
 use ims_loopgen::{generate_loop, SynthConfig};
 use ims_machine::cydra_simple;
 use ims_testkit::{check, prop_assert, prop_assert_eq, PropConfig, Xoshiro256};
@@ -31,7 +31,9 @@ fn rotating_allocation_is_clobber_free() {
             // Build a body with one defined register per lifetime.
             let mut b = LoopBuilder::new("lt", 8);
             let x = b.live_in("x", Value::Float(1.0));
-            let regs: Vec<VReg> = (0..raw.len()).map(|i| b.add(&format!("r{i}"), x, x)).collect();
+            let regs: Vec<VReg> = (0..raw.len())
+                .map(|i| b.add(&format!("r{i}"), x, x))
+                .collect();
             let body = b.finish().expect("valid");
             let lts: Vec<Lifetime> = raw
                 .iter()
@@ -92,15 +94,14 @@ fn mve_accounts_for_every_instance() {
             let body = generate_loop(&mut Xoshiro256::seed_from_u64(seed), &cfg);
             let machine = cydra_simple();
             let problem = build_problem(&body, &machine, &BuildOptions::default());
-            let out = modulo_schedule(&problem, &SchedConfig::default()).expect("schedules");
+            let out = Scheduler::new(&problem).run().expect("schedules");
             let lt = lifetimes(&body, &problem, &out.schedule);
             let code = generate_mve(&body, &problem, &out.schedule, &lt);
             let count = |insts: &[ims_codegen::Inst]| -> u64 {
                 insts.iter().map(|i| i.ops.len() as u64).sum()
             };
-            let total = count(&code.prologue)
-                + code.kernel_reps * count(&code.kernel)
-                + count(&code.coda);
+            let total =
+                count(&code.prologue) + code.kernel_reps * count(&code.kernel) + count(&code.coda);
             prop_assert_eq!(total, body.trip_count() as u64 * body.num_ops() as u64);
             Ok(())
         },

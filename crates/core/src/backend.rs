@@ -9,9 +9,9 @@
 //! proves lower bounds. Three backends exist, and [`BackendKind`] names
 //! them:
 //!
-//! * `ims` — the paper's algorithm ([`modulo_schedule`](crate::modulo_schedule)),
-//!   in this crate. Its bounds are one-sided: the MII below, the achieved
-//!   II above;
+//! * `ims` — the paper's algorithm ([`Scheduler`](crate::Scheduler)), in
+//!   this crate. Its bounds are one-sided: the MII below, the achieved II
+//!   above;
 //! * `exact` and `sat` — the exact provers' shared II walk (`ims-exact`)
 //!   around a per-II decider (branch-and-bound in `ims-exact`, CDCL in
 //!   `ims-sat`). Each either proves its schedule's II minimal or reports

@@ -1,9 +1,10 @@
-//! The unified scheduling entry point.
+//! The one way into the §3 II walk.
 //!
-//! [`Scheduler`] is a builder over
-//! [`modulo_schedule_observed`]: construct it from a [`Problem`], chain
-//! configuration and an optional [`SchedObserver`], and call
-//! [`run`](Scheduler::run).
+//! [`Scheduler`] is the paper's `ModuloSchedule` (Figure 2) as a builder:
+//! construct it from a [`Problem`], chain configuration and an optional
+//! [`SchedObserver`], and call [`run`](Scheduler::run). Every backend that
+//! needs the iterative schedule (`ims_sat::schedule_leaf`, the
+//! `ims_exact::prove` walk) reaches it through this builder.
 //!
 //! ```
 //! use ims_core::{ProblemBuilder, SchedConfig, Scheduler};
@@ -35,8 +36,7 @@ use crate::sched::{modulo_schedule_observed, SchedConfig, SchedOutcome, Schedule
 /// The observer type is a generic parameter, so the scheduler is
 /// monomorphized per observer: with the default [`NullObserver`] every
 /// hook is an empty inline body and the run is bit-identical (schedules,
-/// [`Counters`](crate::Counters), corpus output) to the historical
-/// unobserved entry points.
+/// [`Counters`](crate::Counters), corpus output) to an unobserved one.
 #[derive(Debug)]
 pub struct Scheduler<'p, 'm, O: SchedObserver = NullObserver> {
     problem: &'p Problem<'m>,
@@ -86,7 +86,9 @@ impl<'p, 'm, O: SchedObserver> Scheduler<'p, 'm, O> {
     /// [`ScheduleError::IiCapExceeded`] when the configured `max_ii` is
     /// below the MII (no candidate II is admissible at all), and
     /// [`ScheduleError::BudgetExhausted`] when every candidate II up to
-    /// the cap ran out of scheduling budget.
+    /// the cap ran out of scheduling budget or was rejected by the
+    /// observer. When the configuration sets a `pressure_limit`, that
+    /// second case is [`ScheduleError::PressureInfeasible`] instead.
     pub fn run(mut self) -> Result<SchedOutcome, ScheduleError> {
         modulo_schedule_observed(self.problem, &self.config, &mut self.observer)
     }
@@ -96,7 +98,6 @@ impl<'p, 'm, O: SchedObserver> Scheduler<'p, 'm, O> {
 mod tests {
     use super::*;
     use crate::problem::ProblemBuilder;
-    use crate::sched::modulo_schedule;
     use ims_graph::{DepKind, NodeId};
     use ims_ir::{OpId, Opcode};
     use ims_machine::{figure1_machine, minimal};
@@ -108,16 +109,6 @@ mod tests {
         pb.add_dep(a, b, 4, 0, DepKind::Flow, false);
         pb.add_dep(b, a, 1, 1, DepKind::Flow, false);
         pb.finish()
-    }
-
-    #[test]
-    fn builder_matches_the_legacy_entry_point() {
-        let m = minimal();
-        let p = recurrence(&m);
-        let via_builder = Scheduler::new(&p).run().unwrap();
-        let legacy = modulo_schedule(&p, &SchedConfig::default()).unwrap();
-        assert_eq!(via_builder.schedule, legacy.schedule);
-        assert_eq!(via_builder.stats, legacy.stats);
     }
 
     #[test]

@@ -52,11 +52,7 @@ pub fn format_kernel(problem: &Problem<'_>, schedule: &Schedule) -> String {
                 continue;
             }
             if let NodeKind::Op { opcode, .. } = problem.kind(node) {
-                let _ = write!(
-                    out,
-                    " {opcode}({})",
-                    schedule.time_of(node) / schedule.ii
-                );
+                let _ = write!(out, " {opcode}({})", schedule.time_of(node) / schedule.ii);
             }
         }
         let _ = writeln!(out);
@@ -68,7 +64,7 @@ pub fn format_kernel(problem: &Problem<'_>, schedule: &Schedule) -> String {
 mod tests {
     use super::*;
     use crate::problem::ProblemBuilder;
-    use crate::sched::{modulo_schedule, SchedConfig};
+    use crate::Scheduler;
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
     use ims_machine::minimal;
@@ -80,8 +76,11 @@ mod tests {
         let b = pb.add_op(Opcode::Add, OpId(1));
         pb.add_dep(a, b, 1, 0, DepKind::Flow, false);
         let p = pb.finish();
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
-        (format_schedule(&p, &out.schedule), format_kernel(&p, &out.schedule))
+        let out = Scheduler::new(&p).run().unwrap();
+        (
+            format_schedule(&p, &out.schedule),
+            format_kernel(&p, &out.schedule),
+        )
     }
 
     #[test]

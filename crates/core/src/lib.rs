@@ -14,7 +14,7 @@
 //!   extension of height-based list-scheduling priority to cyclic graphs;
 //! * the **modulo reservation table** of §3.1 ([`Mrt`]);
 //! * the **iterative scheduler** itself (§3.1–§3.4): the [`Scheduler`]
-//!   builder (and the [`modulo_schedule`] wrapper it subsumes) drives
+//!   builder, the one way into the II walk, drives
 //!   [`iterative_schedule_observed`] at successively larger II, with
 //!   `FindTimeSlot`'s forward-progress rule and the displacement policy of
 //!   §3.4, under the `BudgetRatio` operation-scheduling budget;
@@ -44,7 +44,7 @@
 //! Schedule a two-operation recurrence on a single-issue machine:
 //!
 //! ```
-//! use ims_core::{modulo_schedule, ProblemBuilder, SchedConfig};
+//! use ims_core::{ProblemBuilder, Scheduler};
 //! use ims_graph::DepKind;
 //! use ims_ir::{OpId, Opcode};
 //! use ims_machine::minimal;
@@ -57,7 +57,7 @@
 //! pb.add_dep(b, a, 1, 1, DepKind::Flow, false); // loop-carried
 //! let problem = pb.finish();
 //!
-//! let outcome = modulo_schedule(&problem, &SchedConfig::default())?;
+//! let outcome = Scheduler::new(&problem).run()?;
 //! assert_eq!(outcome.mii.rec_mii, 2); // delay 2 around the circuit, distance 1
 //! assert_eq!(outcome.schedule.ii, 2);
 //! # Ok::<(), ims_core::ScheduleError>(())
@@ -90,8 +90,8 @@ pub use observe::{NullObserver, SchedObserver};
 pub use priority::{height_r, priorities, PriorityKind};
 pub use problem::{NodeKind, Problem, ProblemBuilder};
 pub use sched::{
-    iterative_schedule_observed, modulo_schedule, modulo_schedule_observed, IiAttempt, SchedConfig,
-    SchedOutcome, SchedStats, Schedule, ScheduleError,
+    iterative_schedule_observed, IiAttempt, SchedConfig, SchedOutcome, SchedStats, Schedule,
+    ScheduleError,
 };
 pub use spec::{BackendSpec, ParseBackendError};
 pub use validate::{validate_schedule, ScheduleViolation};

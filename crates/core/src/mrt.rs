@@ -15,21 +15,20 @@
 //!   FindTimeSlot/ResourceConflict hot path (§5–6 of the paper) costs a
 //!   handful of word operations instead of a per-resource scan.
 //! * an **owner array** — `Option<NodeId>` per `(row, resource)` cell,
-//!   serving [`Mrt::occupant`], [`Mrt::conflicting_nodes_into`] (which
-//!   walks only the *hit* bits of a probe), and the retained scan
-//!   reference probe [`Mrt::conflicts_scan`] that the property suite
-//!   checks the bitset against.
+//!   serving [`Mrt::occupant`] and [`Mrt::conflicting_nodes_into`] (which
+//!   walks only the *hit* bits of a probe). The tests scan it one cell at
+//!   a time to check the bitset against it.
 //!
 //! Probe cost accounting is unchanged from the scan representation: every
 //! probe charges the probing table's full
-//! [`footprint`](ReservationTable::footprint) up front, so the
+//! [`footprint`](ims_machine::ReservationTable::footprint) up front, so the
 //! `machine.mrt.probes` counter is byte-identical to the pre-bitset
 //! encoding.
 
 use std::cell::Cell;
 
 use ims_graph::NodeId;
-use ims_machine::{ConflictMask, ReservationTable};
+use ims_machine::ConflictMask;
 
 /// A modulo reservation table: `II × num_resources` cells tracked as an
 /// occupancy bitset (for word-parallel probes) plus per-cell owners.
@@ -52,8 +51,6 @@ use ims_machine::{ConflictMask, ReservationTable};
 /// mrt.place(NodeId(1), &mask, 1);
 /// assert!(mrt.conflicts(&mask, 4)); // 4 ≡ 1 (mod 3)
 /// assert!(!mrt.conflicts(&mask, 2));
-/// // The retained scan reference agrees with the bitset answer.
-/// assert!(mrt.conflicts_scan(&table, 4));
 /// mrt.remove(NodeId(1), &mask, 1);
 /// assert!(!mrt.conflicts(&mask, 4));
 /// ```
@@ -74,30 +71,27 @@ pub struct Mrt {
     /// Owner per `(row, resource)` cell, `ii × nres`, row-major.
     slots: Vec<Option<NodeId>>,
     /// Deterministic probe-work odometer: the summed
-    /// [`footprint`](ReservationTable::footprint) of every mask or table
-    /// handed to [`Mrt::conflicts`] / [`Mrt::conflicting_nodes_into`] /
-    /// [`Mrt::conflicts_scan`]. A `Cell` so the read-only probe methods
-    /// stay `&self`; charged up front so the count does not depend on
-    /// where a conflict check short-circuits.
+    /// [`footprint`](ims_machine::ReservationTable::footprint) of every
+    /// mask handed to [`Mrt::conflicts`] / [`Mrt::conflicting_nodes_into`].
+    /// A `Cell` so the read-only probe methods stay `&self`; charged up
+    /// front so the count does not depend on where a conflict check
+    /// short-circuits.
     probes: Cell<u64>,
     /// `off_rows[o] = o mod II` for small cycle offsets: probes reduce
     /// each entry's offset by table lookup instead of a division — the
     /// division, not the resource walk, dominates a short probe. Offsets
     /// beyond the cache (none in the bundled machines) fall back to `%`.
     off_rows: Box<[u16]>,
-    /// `(time, time mod II)` of the most recent probe, or `None` when no
-    /// probe has run since construction or [`Mrt::clear`]. FindTimeSlot
-    /// walks candidate times in unit steps and tries every alternative at
-    /// each one, so the previous probe's row reduction is almost always
-    /// reusable (same time, or time + 1) — the hit turns the base-row
-    /// `rem_euclid` into an add-and-wrap and leaves most probes entirely
-    /// division-free. A pure function of the probe time *for a fixed II*,
-    /// so caching it cannot change any answer — but only because the
-    /// sentinel is explicitly out of domain: an in-domain placeholder such
-    /// as `(0, 0)` would be silently trusted for `time == 0` after a
-    /// clear/resize changed the II out from under it. A `Cell` for the
-    /// same reason as `probes`.
-    base_cache: Cell<Option<(i64, usize)>>,
+    /// `(time, time mod II)` of the most recent probe, `(0, 0)` before
+    /// the first. FindTimeSlot walks candidate times in unit steps and
+    /// tries every alternative at each one, so the previous probe's row
+    /// reduction is almost always reusable (same time, or time + 1) — the
+    /// hit turns the base-row `rem_euclid` into an add-and-wrap and leaves
+    /// most probes entirely division-free. The II is fixed for the
+    /// table's lifetime, so the pair is a pure function of the probe time
+    /// and caching it cannot change any answer. A `Cell` for the same
+    /// reason as `probes`.
+    base_cache: Cell<(i64, usize)>,
 }
 
 /// Cycle offsets `0..=OFF_CACHE` have their `mod II` reduction
@@ -136,38 +130,8 @@ impl Mrt {
             slots: vec![None; (ii as usize) * num_resources],
             probes: Cell::new(0),
             off_rows: (0..=OFF_CACHE).map(|o| (o as i64 % ii) as u16).collect(),
-            base_cache: Cell::new(None),
+            base_cache: Cell::new((0, 0)),
         }
-    }
-
-    /// Empties the table in place for reuse at the same II: zeroes the
-    /// occupancy bitset (both mirror halves) and the owner array, and
-    /// invalidates the probe-time base cache. The probe odometer is *not*
-    /// reset — it counts work performed over the table's lifetime, and
-    /// clearing is not a probe.
-    pub fn clear(&mut self) {
-        self.occ.fill(0);
-        self.slots.fill(None);
-        self.base_cache.set(None);
-    }
-
-    /// Resizes the table to a new II, dropping every reservation and
-    /// invalidating the probe-time base cache (whose cached reduction was
-    /// taken modulo the *old* II). Resource count and the probe odometer
-    /// are preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ii < 1`.
-    pub fn resize(&mut self, ii: i64) {
-        assert!(ii >= 1, "II must be at least 1");
-        self.ii = ii;
-        self.occ.clear();
-        self.occ.resize(2 * (ii as usize) * self.wpr, 0);
-        self.slots.clear();
-        self.slots.resize((ii as usize) * self.nres, None);
-        self.off_rows = (0..=OFF_CACHE).map(|o| (o as i64 % ii) as u16).collect();
-        self.base_cache.set(None);
     }
 
     /// Total probe work performed so far (see the `probes` field): one unit
@@ -203,19 +167,21 @@ impl Mrt {
     /// its successor.
     #[inline]
     fn base_row(&self, time: i64) -> usize {
-        let base = match self.base_cache.get() {
-            Some((t0, b0)) if time == t0 => return b0,
-            Some((t0, b0)) if time == t0.wrapping_add(1) => {
-                let b = b0 + 1;
-                if b == self.ii as usize {
-                    0
-                } else {
-                    b
-                }
+        let (t0, b0) = self.base_cache.get();
+        if time == t0 {
+            return b0;
+        }
+        let base = if time == t0.wrapping_add(1) {
+            let b = b0 + 1;
+            if b == self.ii as usize {
+                0
+            } else {
+                b
             }
-            _ => time.rem_euclid(self.ii) as usize,
+        } else {
+            time.rem_euclid(self.ii) as usize
         };
-        self.base_cache.set(Some((time, base)));
+        self.base_cache.set((time, base));
         base
     }
 
@@ -248,7 +214,11 @@ impl Mrt {
     /// In debug builds the bitset answer is asserted against the owner
     /// array (the §5d agreement invariant).
     pub fn conflicts(&self, mask: &ConflictMask, time: i64) -> bool {
-        debug_assert_eq!(mask.words_per_row(), self.wpr, "mask compiled for another machine");
+        debug_assert_eq!(
+            mask.words_per_row(),
+            self.wpr,
+            "mask compiled for another machine"
+        );
         self.probes.set(self.probes.get() + mask.footprint());
         let base = self.base_row(time);
         let hit = mask.entries().iter().any(|e| {
@@ -256,20 +226,6 @@ impl Mrt {
         });
         debug_assert_eq!(hit, self.owner_scan_conflicts(mask, time));
         hit
-    }
-
-    /// Reference probe retained from the pre-bitset encoding: scans the
-    /// owner array one `(resource, offset)` pair at a time. Charges the
-    /// same probe cost as [`Mrt::conflicts`] and, by the §5d invariant,
-    /// always returns the same answer for a mask compiled from `table` —
-    /// the property suite's equivalence oracle
-    /// (`crates/core/tests/prop.rs`) holds the two representations to it.
-    pub fn conflicts_scan(&self, table: &ReservationTable, time: i64) -> bool {
-        self.probes.set(self.probes.get() + table.footprint());
-        table
-            .uses()
-            .iter()
-            .any(|&(r, off)| self.slots[self.row(time, off) * self.nres + r.index()].is_some())
     }
 
     /// The owner-array view of a mask probe, used by the debug agreement
@@ -300,7 +256,11 @@ impl Mrt {
     /// allocation once the buffer has grown to the (small) maximum
     /// number of colliding nodes.
     pub fn conflicting_nodes_into(&self, mask: &ConflictMask, time: i64, out: &mut Vec<NodeId>) {
-        debug_assert_eq!(mask.words_per_row(), self.wpr, "mask compiled for another machine");
+        debug_assert_eq!(
+            mask.words_per_row(),
+            self.wpr,
+            "mask compiled for another machine"
+        );
         self.probes.set(self.probes.get() + mask.footprint());
         out.clear();
         let base = self.base_row(time);
@@ -321,15 +281,6 @@ impl Mrt {
         out.sort_unstable();
     }
 
-    /// The distinct nodes whose reservations collide with `mask` at
-    /// `time`. Convenience wrapper over [`Mrt::conflicting_nodes_into`]
-    /// that allocates a fresh buffer.
-    pub fn conflicting_nodes(&self, mask: &ConflictMask, time: i64) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.conflicting_nodes_into(mask, time, &mut out);
-        out
-    }
-
     /// Reserves `mask` at `time` for `node`: OR the mask words into the
     /// occupancy bitset and record `node` as owner of each covered cell.
     ///
@@ -338,7 +289,11 @@ impl Mrt {
     /// Panics if any required cell is already reserved; check
     /// [`Mrt::conflicts`] first.
     pub fn place(&mut self, node: NodeId, mask: &ConflictMask, time: i64) {
-        debug_assert_eq!(mask.words_per_row(), self.wpr, "mask compiled for another machine");
+        debug_assert_eq!(
+            mask.words_per_row(),
+            self.wpr,
+            "mask compiled for another machine"
+        );
         let base = self.base_row(time);
         let ii = self.ii as usize;
         for e in mask.entries() {
@@ -369,7 +324,11 @@ impl Mrt {
     ///
     /// Panics if a cell does not currently belong to `node`.
     pub fn remove(&mut self, node: NodeId, mask: &ConflictMask, time: i64) {
-        debug_assert_eq!(mask.words_per_row(), self.wpr, "mask compiled for another machine");
+        debug_assert_eq!(
+            mask.words_per_row(),
+            self.wpr,
+            "mask compiled for another machine"
+        );
         let base = self.base_row(time);
         let ii = self.ii as usize;
         for e in mask.entries() {
@@ -392,8 +351,8 @@ impl Mrt {
         }
     }
 
-    /// The node reserving `(time mod II, resource)`, if any. Used by the
-    /// validator and display code.
+    /// The node reserving `(time mod II, resource)`, if any: the owner
+    /// array the tests check the occupancy bitset against.
     pub fn occupant(&self, time: i64, res: usize) -> Option<NodeId> {
         self.slots[self.row(time, 0) * self.nres + res]
     }
@@ -402,7 +361,7 @@ impl Mrt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ims_machine::ResourceId;
+    use ims_machine::{ReservationTable, ResourceId};
 
     const NRES: usize = 4;
 
@@ -412,6 +371,16 @@ mod tests {
 
     fn mask(uses: &[(u32, u32)]) -> ConflictMask {
         ConflictMask::compile(&table(uses), NRES)
+    }
+
+    /// A per-cell probe: scans the owner array one `(resource, offset)`
+    /// cell at a time. By the §5d invariant the bitset answer always
+    /// equals it.
+    fn scan_conflicts(mrt: &Mrt, table: &ReservationTable, time: i64) -> bool {
+        table
+            .uses()
+            .iter()
+            .any(|&(r, off)| mrt.occupant(time + off as i64, r.index()).is_some())
     }
 
     #[test]
@@ -448,8 +417,11 @@ mod tests {
         let wide = mask(&[(0, 0), (1, 0)]);
         mrt.place(NodeId(3), &wide, 0);
         let probe = mask(&[(0, 0), (1, 0)]);
-        assert_eq!(mrt.conflicting_nodes(&probe, 2), vec![NodeId(3)]);
-        assert!(mrt.conflicting_nodes(&probe, 1).is_empty());
+        let mut out = Vec::new();
+        mrt.conflicting_nodes_into(&probe, 2, &mut out);
+        assert_eq!(out, vec![NodeId(3)]);
+        mrt.conflicting_nodes_into(&probe, 1, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -470,8 +442,6 @@ mod tests {
         let free = mask(&[(1, 0)]);
         mrt.conflicting_nodes_into(&free, 0, &mut scratch);
         assert!(scratch.is_empty());
-        // The allocating wrapper agrees.
-        assert_eq!(mrt.conflicting_nodes(&probe, 0), vec![NodeId(2), NodeId(7)]);
     }
 
     #[test]
@@ -506,8 +476,7 @@ mod tests {
     #[test]
     fn probe_work_is_charged_up_front_and_ignored_by_equality() {
         let mut mrt = Mrt::new(3, NRES);
-        let wide_t = table(&[(0, 0), (1, 1)]);
-        let wide = ConflictMask::compile(&wide_t, NRES);
+        let wide = mask(&[(0, 0), (1, 1)]);
         mrt.place(NodeId(1), &wide, 0);
         assert_eq!(mrt.probes(), 0, "place is not a probe");
         // A conflicting probe and a free probe cost the same: the full
@@ -517,9 +486,6 @@ mod tests {
         assert_eq!(mrt.probes(), 2 * wide.footprint());
         mrt.conflicting_nodes_into(&wide, 0, &mut Vec::new());
         assert_eq!(mrt.probes(), 3 * wide.footprint());
-        // The scan reference charges the identical cost per probe.
-        assert!(mrt.conflicts_scan(&wide_t, 0));
-        assert_eq!(mrt.probes(), 4 * wide.footprint());
         // Equality sees only the schedule state.
         let mut fresh = Mrt::new(3, NRES);
         fresh.place(NodeId(1), &wide, 0);
@@ -543,8 +509,7 @@ mod tests {
         // Pin the §5d agreement invariant on a small hand-built history;
         // the property suite fuzzes the same invariant at scale.
         let mut mrt = Mrt::new(5, NRES);
-        let shapes: [&[(u32, u32)]; 3] =
-            [&[(0, 0), (1, 3)], &[(2, 0), (2, 1), (2, 2)], &[(3, 4)]];
+        let shapes: [&[(u32, u32)]; 3] = [&[(0, 0), (1, 3)], &[(2, 0), (2, 1), (2, 2)], &[(3, 4)]];
         for (i, s) in shapes.iter().enumerate() {
             let m = mask(s);
             if !mrt.conflicts(&m, i as i64) {
@@ -553,67 +518,12 @@ mod tests {
         }
         for s in &shapes {
             for t in -5..15 {
-                assert_eq!(mrt.conflicts(&mask(s), t), mrt.conflicts_scan(&table(s), t));
+                assert_eq!(
+                    mrt.conflicts(&mask(s), t),
+                    scan_conflicts(&mrt, &table(s), t)
+                );
             }
         }
-    }
-
-    #[test]
-    fn clear_empties_the_table_and_keeps_the_odometer() {
-        let mut mrt = Mrt::new(3, NRES);
-        let t = mask(&[(0, 0), (1, 1)]);
-        mrt.place(NodeId(1), &t, 1);
-        assert!(mrt.conflicts(&t, 4));
-        let spent = mrt.probes();
-        assert!(spent > 0);
-        mrt.clear();
-        assert!(mrt.occupancy_words().iter().all(|&w| w == 0));
-        for time in -3..6 {
-            assert!(!mrt.conflicts(&t, time), "stale reservation at {time}");
-        }
-        assert_eq!(mrt.occupant(1, 0), None);
-        // Clearing is not a probe; the lifetime odometer keeps counting.
-        assert!(mrt.probes() > spent);
-        // The cleared table is reusable.
-        mrt.place(NodeId(2), &t, 2);
-        assert!(mrt.conflicts(&t, 5));
-    }
-
-    #[test]
-    fn resize_invalidates_the_cached_base_row() {
-        let mut mrt = Mrt::new(3, 1);
-        let t = ConflictMask::compile(&table(&[(0, 0)]), 1);
-        // Warm the base cache with a reduction taken modulo the old II:
-        // time 4 → row 1 at II 3, but row 4 at II 5.
-        assert!(!mrt.conflicts(&t, 4));
-        mrt.resize(5);
-        assert_eq!(mrt.ii(), 5);
-        assert_eq!(mrt.occupancy_words().len(), 5);
-        // A stale cached (4, 1) would route this placement to row 1; the
-        // owner array (indexed by a fresh division) proves it landed in
-        // row 4.
-        mrt.place(NodeId(1), &t, 4);
-        assert_eq!(mrt.occupant(4, 0), Some(NodeId(1)));
-        assert_eq!(mrt.occupant(1, 0), None);
-        assert!(mrt.conflicts(&t, 9)); // 9 ≡ 4 (mod 5)
-        assert!(!mrt.conflicts(&t, 1));
-    }
-
-    #[test]
-    fn clear_then_increment_probe_does_not_reuse_a_stale_base() {
-        // The increment-and-wrap fast path must not fire off a cleared
-        // cache: probe time 2 (caches (2, 2) at II 3), clear, then probe
-        // time 3 — a trusted stale entry would take the +1 path; either
-        // way the answer must come out as a fresh reduction.
-        let mut mrt = Mrt::new(3, 1);
-        let t = ConflictMask::compile(&table(&[(0, 0)]), 1);
-        assert!(!mrt.conflicts(&t, 2));
-        mrt.clear();
-        mrt.place(NodeId(1), &t, 3); // row 0
-        assert_eq!(mrt.occupant(0, 0), Some(NodeId(1)));
-        assert!(mrt.conflicts(&t, 0));
-        assert!(mrt.conflicts(&t, 3));
-        assert!(!mrt.conflicts(&t, 1));
     }
 
     #[test]
@@ -624,7 +534,11 @@ mod tests {
             let word = mrt.occupancy_words()[row];
             for r in 0..NRES {
                 let bit_set = word & (1 << r) != 0;
-                assert_eq!(bit_set, mrt.occupant(row as i64, r).is_some(), "row {row} res {r}");
+                assert_eq!(
+                    bit_set,
+                    mrt.occupant(row as i64, r).is_some(),
+                    "row {row} res {r}"
+                );
             }
         }
     }

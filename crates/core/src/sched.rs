@@ -1,9 +1,10 @@
 //! The iterative modulo scheduling algorithm (§3).
 //!
-//! [`modulo_schedule`] is the paper's `ModuloSchedule` procedure (Figure 2):
-//! it computes the MII and calls [`iterative_schedule_observed`] (Figure 3) with
-//! successively larger candidate IIs until a schedule is found, giving each
-//! attempt a budget of `BudgetRatio · N` operation-scheduling steps.
+//! [`Scheduler::run`](crate::Scheduler::run) is the paper's
+//! `ModuloSchedule` procedure (Figure 2): it computes the MII and calls
+//! [`iterative_schedule_observed`] (Figure 3) with successively larger
+//! candidate IIs until a schedule is found, giving each attempt a budget of
+//! `BudgetRatio · N` operation-scheduling steps.
 //!
 //! [`iterative_schedule_observed`] differs from acyclic list scheduling exactly as
 //! §3.1 enumerates: operations can be unscheduled and rescheduled; the
@@ -22,7 +23,7 @@ use crate::counters::Counters;
 use crate::list_sched::list_schedule;
 use crate::mii::{compute_mii, MiiInfo};
 use crate::mrt::Mrt;
-use crate::observe::{NullObserver, SchedObserver};
+use crate::observe::SchedObserver;
 use crate::priority::{priorities, PriorityKind};
 use crate::problem::Problem;
 
@@ -53,7 +54,7 @@ pub struct SchedConfig {
     /// in §4 use 6.
     pub budget_ratio: f64,
     /// Upper bound on candidate IIs. `None` derives a guaranteed-feasible
-    /// cap from the acyclic list schedule (see [`modulo_schedule`]).
+    /// cap from the acyclic list schedule.
     pub max_ii: Option<i64>,
     /// The scheduling priority function (§3.2); HeightR by default.
     pub priority: PriorityKind,
@@ -116,11 +117,6 @@ impl SchedConfig {
         self.pressure_limit = Some(limit);
         self
     }
-
-    /// A config with the given budget ratio and automatic II cap.
-    pub fn with_budget_ratio(budget_ratio: f64) -> Self {
-        Self::new().budget_ratio(budget_ratio)
-    }
 }
 
 /// A legal modulo schedule.
@@ -168,7 +164,7 @@ pub struct IiAttempt {
     pub succeeded: bool,
 }
 
-/// Cost statistics for a [`modulo_schedule`] run.
+/// Cost statistics of one [`Scheduler::run`](crate::Scheduler::run) call.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedStats {
     /// Every candidate II attempted, in order; the last one succeeded.
@@ -195,7 +191,7 @@ impl SchedStats {
     }
 }
 
-/// The result of [`modulo_schedule`].
+/// The result of [`Scheduler::run`](crate::Scheduler::run).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedOutcome {
     /// The legal schedule found.
@@ -213,10 +209,9 @@ impl SchedOutcome {
     }
 }
 
-/// Failure of a scheduling run, surfaced uniformly from
-/// [`Scheduler::run`](crate::Scheduler::run) and the legacy
-/// [`modulo_schedule`] wrapper. Match on the variants, not on the
-/// [`Display`](std::fmt::Display) text.
+/// Failure of a scheduling run, surfaced from
+/// [`Scheduler::run`](crate::Scheduler::run). Match on the variants, not
+/// on the [`Display`](std::fmt::Display) text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScheduleError {
     /// The configured II cap is below the MII, so no candidate II was
@@ -282,57 +277,13 @@ impl std::fmt::Display for ScheduleError {
 impl std::error::Error for ScheduleError {}
 
 /// Figure 2: compute the MII, then try `IterativeSchedule` at II = MII,
-/// MII+1, … until a schedule is found.
+/// MII+1, … until a schedule is found, with scheduler events reported to
+/// `observer` — the body of [`Scheduler::run`](crate::Scheduler::run),
+/// which documents the errors.
 ///
-/// # Example
-///
-/// ```
-/// use ims_core::{modulo_schedule, validate_schedule, ProblemBuilder, SchedConfig};
-/// use ims_graph::DepKind;
-/// use ims_ir::{OpId, Opcode};
-/// use ims_machine::minimal;
-///
-/// let machine = minimal();
-/// let mut pb = ProblemBuilder::new(&machine);
-/// let a = pb.add_op(Opcode::Add, OpId(0));
-/// let b = pb.add_op(Opcode::Mul, OpId(1));
-/// pb.add_dep(a, b, 1, 0, DepKind::Flow, false);
-/// let problem = pb.finish();
-///
-/// let out = modulo_schedule(&problem, &SchedConfig::default()).unwrap();
-/// assert!(out.schedule.ii >= out.mii.mii);
-/// assert!(validate_schedule(&problem, &out.schedule).is_ok());
-/// ```
-///
-/// # Errors
-///
-/// Returns [`ScheduleError::IiCapExceeded`] when an explicit `max_ii` is
-/// below the MII, and [`ScheduleError::BudgetExhausted`] if no schedule
-/// is found up to the configured (or automatically derived) II cap; with
-/// a well-formed dependence graph and the automatic cap the latter cannot
-/// happen, because a large enough II always admits the acyclic list
-/// schedule.
-///
-/// This is the original entry point, kept as a thin wrapper; prefer the
-/// [`Scheduler`](crate::Scheduler) builder, which also accepts an
-/// observer.
-pub fn modulo_schedule(
-    problem: &Problem<'_>,
-    config: &SchedConfig,
-) -> Result<SchedOutcome, ScheduleError> {
-    modulo_schedule_observed(problem, config, &mut NullObserver)
-}
-
-/// [`modulo_schedule`] with scheduler events reported to `observer` —
-/// the workhorse behind [`Scheduler::run`](crate::Scheduler::run).
-///
-/// Monomorphized per observer type: with [`NullObserver`] this compiles
-/// to exactly the unobserved scheduler.
-///
-/// # Errors
-///
-/// As [`modulo_schedule`].
-pub fn modulo_schedule_observed<O: SchedObserver>(
+/// Monomorphized per observer type: with [`NullObserver`](crate::NullObserver)
+/// this compiles to exactly the unobserved scheduler.
+pub(crate) fn modulo_schedule_observed<O: SchedObserver>(
     problem: &Problem<'_>,
     config: &SchedConfig,
     observer: &mut O,
@@ -422,7 +373,10 @@ pub fn modulo_schedule_observed<O: SchedObserver>(
     // completing. Both mean "this loop does not fit the declared file up
     // to the cap".
     if let Some(limit) = config.pressure_limit {
-        return Err(ScheduleError::PressureInfeasible { limit, last_ii: cap });
+        return Err(ScheduleError::PressureInfeasible {
+            limit,
+            last_ii: cap,
+        });
     }
     Err(ScheduleError::BudgetExhausted {
         last_ii: cap,
@@ -664,7 +618,10 @@ pub fn iterative_schedule_observed<O: SchedObserver>(
     }
 
     counters.mrt_probes += mrt.probes();
-    let time: Vec<i64> = time.into_iter().map(|t| t.expect("all scheduled")).collect();
+    let time: Vec<i64> = time
+        .into_iter()
+        .map(|t| t.expect("all scheduled"))
+        .collect();
     let length = time[stop.index()];
     (
         Some(Schedule {
@@ -697,7 +654,11 @@ fn unschedule<O: SchedObserver>(
         .take()
         .expect("only scheduled operations are displaced");
     if let Some(info) = problem.info(victim) {
-        mrt.remove(victim, info.alternatives[alternative[victim.index()]].mask(), t);
+        mrt.remove(
+            victim,
+            info.alternatives[alternative[victim.index()]].mask(),
+            t,
+        );
     }
     *unscheduled += 1;
     // Reinsert into the priority worklist so the displaced operation
@@ -713,6 +674,7 @@ mod tests {
     use super::*;
     use crate::problem::ProblemBuilder;
     use crate::validate::validate_schedule;
+    use crate::Scheduler;
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
     use ims_machine::{cydra, cydra_simple, minimal, single_alu, wide};
@@ -735,7 +697,7 @@ mod tests {
     fn trivial_chain_schedules_at_resmii() {
         let m = minimal();
         let p = chain(&m, &[Opcode::Add, Opcode::Mul, Opcode::Add]);
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         assert_eq!(out.schedule.ii, 3); // single unit, 3 ops
         assert_eq!(out.delta_ii(), 0);
         assert!(validate_schedule(&p, &out.schedule).is_ok());
@@ -752,7 +714,7 @@ mod tests {
         pb.add_dep(a, b, 2, 0, DepKind::Flow, false);
         pb.add_dep(b, a, 2, 1, DepKind::Flow, false); // cycle delay 4, dist 1
         let p = pb.finish();
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         assert_eq!(out.mii.rec_mii, 4);
         assert_eq!(out.schedule.ii, 4);
         assert!(validate_schedule(&p, &out.schedule).is_ok());
@@ -768,7 +730,7 @@ mod tests {
             let _ = pb.add_op(Opcode::Add, OpId(i));
         }
         let p = pb.finish();
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         assert_eq!(out.schedule.ii, 1);
         assert!(validate_schedule(&p, &out.schedule).is_ok());
         assert!(out.schedule.stage_count() >= 1);
@@ -795,7 +757,10 @@ mod tests {
         pb.add_dep(p1, l1, 3, 1, DepKind::Flow, false);
         pb.add_dep(p2, l2, 3, 1, DepKind::Flow, false);
         let p = pb.finish();
-        let out = modulo_schedule(&p, &SchedConfig::with_budget_ratio(6.0)).unwrap();
+        let out = Scheduler::new(&p)
+            .config(SchedConfig::new().budget_ratio(6.0))
+            .run()
+            .unwrap();
         assert!(validate_schedule(&p, &out.schedule).is_ok());
         // Dot-product-like loop: the accumulator recurrence (delay 4) and
         // the shared source bus (2 arith ops) both allow II 4; loads allow
@@ -810,7 +775,7 @@ mod tests {
         let _ = pb.add_op(Opcode::Div, OpId(0));
         let _ = pb.add_op(Opcode::Mul, OpId(1));
         let p = pb.finish();
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         // Divide occupies the multiplier for 20 cycles; the extra multiply
         // needs one more.
         assert_eq!(out.mii.res_mii, 21);
@@ -823,7 +788,10 @@ mod tests {
         // still terminate with a valid (if larger-II) schedule.
         let m = minimal();
         let p = chain(&m, &[Opcode::Add; 8]);
-        let out = modulo_schedule(&p, &SchedConfig::new().budget_ratio(1.0)).unwrap();
+        let out = Scheduler::new(&p)
+            .config(SchedConfig::new().budget_ratio(1.0))
+            .run()
+            .unwrap();
         assert!(validate_schedule(&p, &out.schedule).is_ok());
         assert!(out.schedule.ii >= out.mii.mii);
     }
@@ -832,7 +800,7 @@ mod tests {
     fn attempts_are_recorded_in_order() {
         let m = minimal();
         let p = chain(&m, &[Opcode::Add, Opcode::Add]);
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         assert!(!out.stats.attempts.is_empty());
         assert!(out.stats.attempts.last().unwrap().succeeded);
         assert_eq!(out.stats.attempts.last().unwrap().ii, out.schedule.ii);
@@ -851,12 +819,11 @@ mod tests {
         pb.add_dep(a, b, 1, 0, DepKind::Flow, false);
         pb.add_dep(b, a, 1, 1, DepKind::Flow, false);
         let p = pb.finish();
-        let err = modulo_schedule(
-            &p,
+        let err = Scheduler::new(&p)
             // budget rounds up to 1 real step of the 2 needed
-            &SchedConfig::new().budget_ratio(0.1).max_ii(3),
-        )
-        .unwrap_err();
+            .config(SchedConfig::new().budget_ratio(0.1).max_ii(3))
+            .run()
+            .unwrap_err();
         match err {
             ScheduleError::BudgetExhausted { last_ii, spent } => {
                 assert_eq!(last_ii, 3, "every II up to the cap was attempted");
@@ -874,7 +841,10 @@ mod tests {
         let a = pb.add_op(Opcode::Add, OpId(0));
         pb.add_dep(a, a, 5, 1, DepKind::Flow, false); // RecMII 5
         let p = pb.finish();
-        let err = modulo_schedule(&p, &SchedConfig::new().max_ii(4)).unwrap_err();
+        let err = Scheduler::new(&p)
+            .config(SchedConfig::new().max_ii(4))
+            .run()
+            .unwrap_err();
         assert_eq!(err, ScheduleError::IiCapExceeded { mii: 5, max_ii: 4 });
         assert!(!err.to_string().is_empty());
     }
@@ -892,7 +862,10 @@ mod tests {
         let mut pb = ProblemBuilder::new(&m);
         let _ = pb.add_op(Opcode::Add, OpId(0));
         let p = pb.finish();
-        let out = modulo_schedule(&p, &SchedConfig::new().budget_ratio(0.5)).unwrap();
+        let out = Scheduler::new(&p)
+            .config(SchedConfig::new().budget_ratio(0.5))
+            .run()
+            .unwrap();
         assert_eq!(out.schedule.ii, out.mii.mii);
         assert_eq!(out.stats.attempts.len(), 1, "first candidate II succeeds");
         assert_eq!(out.stats.final_steps(), 1, "exactly one real step spent");
@@ -903,7 +876,7 @@ mod tests {
     fn empty_loop_schedules() {
         let m = minimal();
         let p = ProblemBuilder::new(&m).finish();
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         assert_eq!(out.schedule.length, 0);
         assert_eq!(out.schedule.ii, 1);
     }
@@ -930,7 +903,7 @@ mod tests {
     fn schedule_times_are_nonnegative_and_start_is_zero() {
         let m = single_alu();
         let p = chain(&m, &[Opcode::Load, Opcode::Add, Opcode::Store]);
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         assert_eq!(out.schedule.time_of(p.start()), 0);
         assert!(out.schedule.time.iter().all(|&t| t >= 0));
     }
@@ -970,7 +943,7 @@ mod tests {
             veto_all: true,
             ..Default::default()
         };
-        let out = modulo_schedule_observed(&p, &SchedConfig::default(), &mut obs).unwrap();
+        let out = Scheduler::new(&p).observer(&mut obs).run().unwrap();
         assert!(obs.vetoes_asked > 0, "the veto hook was consulted");
         assert!(validate_schedule(&p, &out.schedule).is_ok());
     }
@@ -979,12 +952,12 @@ mod tests {
     fn rejected_attempts_bump_the_ii() {
         let m = minimal();
         let p = chain(&m, &[Opcode::Add, Opcode::Add]);
-        let baseline = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let baseline = Scheduler::new(&p).run().unwrap();
         let mut obs = StrictObserver {
             reject: 2,
             ..Default::default()
         };
-        let out = modulo_schedule_observed(&p, &SchedConfig::default(), &mut obs).unwrap();
+        let out = Scheduler::new(&p).observer(&mut obs).run().unwrap();
         assert_eq!(out.schedule.ii, baseline.schedule.ii + 2);
         assert_eq!(obs.accepts_asked, 3, "each completed attempt was judged");
         // The rejected attempts are recorded as failures.
@@ -1002,7 +975,11 @@ mod tests {
             reject: usize::MAX,
             ..Default::default()
         };
-        let err = modulo_schedule_observed(&p, &cfg, &mut obs).unwrap_err();
+        let err = Scheduler::new(&p)
+            .config(cfg)
+            .observer(&mut obs)
+            .run()
+            .unwrap_err();
         assert_eq!(
             err,
             ScheduleError::PressureInfeasible {
@@ -1024,8 +1001,15 @@ mod tests {
             reject: usize::MAX,
             ..Default::default()
         };
-        let err = modulo_schedule_observed(&p, &cfg, &mut obs).unwrap_err();
-        assert!(matches!(err, ScheduleError::BudgetExhausted { last_ii: 4, .. }));
+        let err = Scheduler::new(&p)
+            .config(cfg)
+            .observer(&mut obs)
+            .run()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ScheduleError::BudgetExhausted { last_ii: 4, .. }
+        ));
     }
 }
 
@@ -1034,6 +1018,7 @@ mod extra_tests {
     use super::*;
     use crate::problem::ProblemBuilder;
     use crate::validate::validate_schedule;
+    use crate::Scheduler;
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
     use ims_machine::figure1_machine;
@@ -1053,9 +1038,16 @@ mod extra_tests {
         pb.add_dep(mul, add, 5, 0, DepKind::Flow, false);
         pb.add_dep(add, mul, 4, 2, DepKind::Flow, false);
         let p = pb.finish();
-        let out = modulo_schedule(&p, &SchedConfig::with_budget_ratio(8.0)).unwrap();
+        let out = Scheduler::new(&p)
+            .config(SchedConfig::new().budget_ratio(8.0))
+            .run()
+            .unwrap();
         assert_eq!(out.mii.mii, 5, "cycle delay 9 over distance 2");
-        assert!(out.delta_ii() > 0, "II {} should exceed the MII", out.schedule.ii);
+        assert!(
+            out.delta_ii() > 0,
+            "II {} should exceed the MII",
+            out.schedule.ii
+        );
         assert!(validate_schedule(&p, &out.schedule).is_ok());
         // The failed attempt at the MII is on record.
         assert!(!out.stats.attempts[0].succeeded);
@@ -1067,12 +1059,7 @@ mod extra_tests {
         let build = || {
             let mut pb = ProblemBuilder::new(&m);
             let ops: Vec<_> = (0..6)
-                .map(|i| {
-                    pb.add_op(
-                        if i % 2 == 0 { Opcode::Add } else { Opcode::Mul },
-                        OpId(i),
-                    )
-                })
+                .map(|i| pb.add_op(if i % 2 == 0 { Opcode::Add } else { Opcode::Mul }, OpId(i)))
                 .collect();
             for w in ops.windows(2) {
                 pb.add_dep(w[0], w[1], 4, 0, DepKind::Flow, false);
@@ -1082,8 +1069,8 @@ mod extra_tests {
         };
         let p1 = build();
         let p2 = build();
-        let a = modulo_schedule(&p1, &SchedConfig::default()).unwrap();
-        let b = modulo_schedule(&p2, &SchedConfig::default()).unwrap();
+        let a = Scheduler::new(&p1).run().unwrap();
+        let b = Scheduler::new(&p2).run().unwrap();
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.stats.attempts.len(), b.stats.attempts.len());
     }
@@ -1098,7 +1085,10 @@ mod extra_tests {
             let _ = pb.add_op(if i % 2 == 0 { Opcode::Add } else { Opcode::Mul }, OpId(i));
         }
         let p = pb.finish();
-        let out = modulo_schedule(&p, &SchedConfig::with_budget_ratio(8.0)).unwrap();
+        let out = Scheduler::new(&p)
+            .config(SchedConfig::new().budget_ratio(8.0))
+            .run()
+            .unwrap();
         assert!(validate_schedule(&p, &out.schedule).is_ok());
         // Six single-cycle source-bus users need II >= 6.
         assert!(out.schedule.ii >= 6);

@@ -3,8 +3,8 @@
 //! persisted regression seeds).
 
 use ims_core::{
-    compute_mii, iterative_schedule_observed, modulo_schedule, validate_schedule, Counters, Mrt,
-    NullObserver, PriorityKind, ProblemBuilder, SchedConfig,
+    compute_mii, iterative_schedule_observed, validate_schedule, Counters, Mrt, NullObserver,
+    PriorityKind, ProblemBuilder, Scheduler,
 };
 use ims_graph::{DepKind, NodeId};
 use ims_ir::{OpId, Opcode};
@@ -19,11 +19,7 @@ type Edges = (usize, Vec<(usize, usize, u32)>);
 fn gen_edges(g: &mut Gen) -> Edges {
     let n = g.usize_in(2, 12);
     let edges = g.vec_with(2 * n, |g| {
-        (
-            g.usize_in(0, n),
-            g.usize_in(0, n),
-            g.u32_in(0, 3),
-        )
+        (g.usize_in(0, n), g.usize_in(0, n), g.u32_in(0, 3))
     });
     (n, edges)
 }
@@ -65,7 +61,7 @@ fn random_problems_schedule_and_validate() {
         |(n, edges)| {
             let machine = wide(3);
             let p = build_problem(&machine, *n, edges, 2);
-            let out = modulo_schedule(&p, &SchedConfig::default()).expect("schedules");
+            let out = Scheduler::new(&p).run().expect("schedules");
             prop_assert!(validate_schedule(&p, &out.schedule).is_ok());
             prop_assert!(out.schedule.ii >= out.mii.mii);
             prop_assert!(out.schedule.length >= 0);
@@ -82,7 +78,7 @@ fn random_problems_schedule_and_validate() {
 fn legacy_regression_two_node_cycle() {
     let machine = wide(3);
     let p = build_problem(&machine, 2, &[(1, 0, 1), (0, 1, 0)], 2);
-    let out = modulo_schedule(&p, &SchedConfig::default()).expect("schedules");
+    let out = Scheduler::new(&p).run().expect("schedules");
     assert!(validate_schedule(&p, &out.schedule).is_ok());
     assert!(out.schedule.ii >= out.mii.mii);
     assert!(out.schedule.length >= 0);
@@ -103,7 +99,7 @@ fn mii_is_a_true_lower_bound() {
             // Only probe below the MII when recurrences still permit it:
             // HeightR (correctly) diverges for IIs below the RecMII.
             let pure_rec = ims_core::rec_mii(&p, 1, &mut Counters::new());
-            if mii.mii > 1 && mii.mii - 1 >= pure_rec {
+            if mii.mii > 1 && mii.mii > pure_rec {
                 let (result, _) = iterative_schedule_observed(
                     &p,
                     mii.mii - 1,
@@ -254,7 +250,7 @@ fn gen_mrt_script(g: &mut Gen) -> MrtScript {
             g.usize_in(0, ntables),
             g.i64_in(-10, 31),
             // 0: probe only, 1: place if free, 2: evict conflicts,
-            // 3: clear the whole table (tests base-cache invalidation).
+            // 3: start over on a fresh table.
             g.u32_in(0, 4) as u8,
         )
     });
@@ -266,9 +262,8 @@ fn bitset_mrt_agrees_with_reference_scan() {
     // The §5d equivalence oracle: drive the word-parallel Mrt and the
     // naive per-resource RefMrt through the same random probe / install /
     // evict script built from ims-testkit-generated reservation tables,
-    // and demand identical answers at every step — conflict verdicts
-    // (bitset, scan entry point, and oracle), colliding-node sets, and
-    // the final occupant map.
+    // and demand identical answers at every step — conflict verdicts,
+    // colliding-node sets, and the final occupant map.
     check(
         "bitset_mrt_agrees_with_reference_scan",
         &PropConfig::with_cases(128),
@@ -279,25 +274,26 @@ fn bitset_mrt_agrees_with_reference_scan() {
             let tabs: Vec<ReservationTable> = tables
                 .iter()
                 .map(|uses| {
-                    ReservationTable::new(
-                        uses.iter().map(|&(r, t)| (ResourceId(r), t)).collect(),
-                    )
+                    ReservationTable::new(uses.iter().map(|&(r, t)| (ResourceId(r), t)).collect())
                 })
                 .collect();
-            let masks: Vec<ConflictMask> =
-                tabs.iter().map(|t| ConflictMask::compile(t, nres)).collect();
+            let masks: Vec<ConflictMask> = tabs
+                .iter()
+                .map(|t| ConflictMask::compile(t, nres))
+                .collect();
             let mut mrt = Mrt::new(ii, nres);
             let mut oracle = RefMrt::new(ii, nres);
             let mut next_node = 0u32;
             let mut placed: Vec<(NodeId, usize, i64)> = Vec::new();
+            let mut colliders = Vec::new();
             for &(ti, t, action) in script {
                 let (tab, mask) = (&tabs[ti], &masks[ti]);
                 let hit = mrt.conflicts(mask, t);
                 prop_assert_eq!(hit, oracle.conflicts(tab, t), "probe at {}", t);
-                prop_assert_eq!(hit, mrt.conflicts_scan(tab, t), "scan entry point at {}", t);
+                mrt.conflicting_nodes_into(mask, t, &mut colliders);
                 prop_assert_eq!(
-                    mrt.conflicting_nodes(mask, t),
-                    oracle.conflicting_nodes(tab, t),
+                    &colliders,
+                    &oracle.conflicting_nodes(tab, t),
                     "colliding sets at {}",
                     t
                 );
@@ -328,7 +324,7 @@ fn bitset_mrt_agrees_with_reference_scan() {
                     2 => {
                         // Evict every collider, exactly as the §3.4 forced
                         // placement does.
-                        for victim in mrt.conflicting_nodes(mask, t) {
+                        for &victim in &colliders {
                             let k = placed
                                 .iter()
                                 .position(|&(n, _, _)| n == victim)
@@ -339,12 +335,9 @@ fn bitset_mrt_agrees_with_reference_scan() {
                         }
                     }
                     3 => {
-                        // Wipe the table mid-script. The probes that warmed
-                        // the base cache just above make this the stale-base
-                        // trap: a clear that failed to invalidate it would
-                        // desynchronize the next probe from the oracle
-                        // (which recomputes every reduction from scratch).
-                        mrt.clear();
+                        // Start over mid-script: a fresh table must agree
+                        // with the oracle from its first probe on.
+                        mrt = Mrt::new(ii, nres);
                         oracle = RefMrt::new(ii, nres);
                         placed.clear();
                     }

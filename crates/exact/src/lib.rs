@@ -25,8 +25,8 @@
 //!   one II *exhaustively* (see the `search` module docs for the pruning
 //!   rules: MinDist windows over an SCC-topological scheduling order,
 //!   modulo reservation conflicts, and failed-state memoization). Its
-//!   work unit is a search node; an optional wall-clock deadline
-//!   ([`BranchAndBound::deadline`]) bounds it further.
+//!   work unit is a search node, so a node budget is its only limit and
+//!   every run is deterministic.
 //!
 //! The CDCL decider lives in `ims-sat` and shares the same walk; so does
 //! `ims_sat::schedule_leaf`, the dispatch from a backend name to its
@@ -49,14 +49,12 @@
 //! let problem = pb.finish();
 //!
 //! let config = ProverConfig::new(BranchAndBound::DEFAULT_WORK_LIMIT);
-//! let out = prove(&problem, &BranchAndBound::default(), &config, &mut NullObserver, &mut NullSink)?;
+//! let out = prove(&problem, &BranchAndBound, &config, &mut NullObserver, &mut NullSink)?;
 //! assert!(out.optimal());
 //! assert_eq!(out.schedule.ii, out.bounds.proved_lb);
 //! assert!(validate_schedule(&problem, &out.schedule).is_ok());
 //! # Ok::<(), ims_core::ScheduleError>(())
 //! ```
-
-use std::time::Instant;
 
 use ims_core::{BackendKind, Problem};
 use ims_prof::{phase, ProfSink};
@@ -72,15 +70,7 @@ pub use prover::{prove, Decider, Decision, ProverConfig, ProverOutcome, WalkPhas
 /// Its default work limit (`2^22` nodes) decides every corpus loop in well
 /// under a second.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BranchAndBound {
-    /// Wall-clock instant after which every search gives up with
-    /// [`Decision::LimitHit`]. `None` — the default — leaves the search
-    /// bounded only by the work budget. Deadlines trade determinism for
-    /// latency control: two runs under the same deadline may abort at
-    /// different points, so deterministic harnesses should meter with
-    /// the work limit instead.
-    pub deadline: Option<Instant>,
-}
+pub struct BranchAndBound;
 
 impl Decider for BranchAndBound {
     const KIND: BackendKind = BackendKind::Exact;
@@ -98,7 +88,7 @@ impl Decider for BranchAndBound {
         remaining: u64,
         sink: &mut P,
     ) -> (Decision, u64) {
-        search::search_ii(problem, ii, remaining, self.deadline, sink)
+        search::search_ii(problem, ii, remaining, sink)
     }
 }
 
@@ -130,7 +120,7 @@ mod tests {
         let config = ProverConfig::new(BranchAndBound::DEFAULT_WORK_LIMIT);
         let out = prove(
             &p,
-            &BranchAndBound::default(),
+            &BranchAndBound,
             &config,
             &mut NullObserver,
             &mut NullSink,
@@ -144,22 +134,6 @@ mod tests {
         );
         assert!(out.work > 0, "IMS misses the MII here, so a search ran");
         assert_eq!(out.schedule.ii, out.bounds.best_ub);
-        assert!(validate_schedule(&p, &out.schedule).is_ok());
-    }
-
-    #[test]
-    fn expired_deadline_degrades_deterministically() {
-        let m = figure1_machine();
-        let p = figure1_problem(&m);
-        let decider = BranchAndBound {
-            deadline: Some(Instant::now()),
-        };
-        let config = ProverConfig::new(BranchAndBound::DEFAULT_WORK_LIMIT);
-        let out = prove(&p, &decider, &config, &mut NullObserver, &mut NullSink).unwrap();
-        assert!(out.limit_hit, "an already-expired deadline aborts at entry");
-        assert_eq!(out.work, 0);
-        assert_eq!(out.bounds.proved_lb, out.mii.mii);
-        assert_eq!(out.bounds.best_ub, out.ims_ii);
         assert!(validate_schedule(&p, &out.schedule).is_ok());
     }
 }

@@ -21,13 +21,13 @@
 //!    infeasible, nothing is known about the rest. When every candidate
 //!    is infeasible the heuristic schedule is proven optimal.
 //!
-//! The paper's own walk (`modulo_schedule_observed` in `ims-core`) stays
-//! separate: it continues past a budget-exhausted II, budgets each attempt
-//! on its own and consults `attempt_accept`, none of which a proof allows.
+//! The paper's own walk (`Scheduler::run` in `ims-core`) stays separate:
+//! it continues past a budget-exhausted II, budgets each attempt on its
+//! own and consults `attempt_accept`, none of which a proof allows.
 
 use ims_core::{
-    modulo_schedule, BackendKind, IiBounds, MiiInfo, Problem, SchedConfig, SchedObserver,
-    Schedule, ScheduleError,
+    BackendKind, IiBounds, MiiInfo, Problem, SchedConfig, SchedObserver, Schedule, ScheduleError,
+    Scheduler,
 };
 use ims_graph::NodeId;
 use ims_prof::ProfSink;
@@ -96,7 +96,7 @@ impl ProverConfig {
     /// decider's [`Decider::DEFAULT_WORK_LIMIT`] for its defaults.
     pub fn new(work_limit: Option<u64>) -> Self {
         ProverConfig {
-            heuristic: SchedConfig::with_budget_ratio(6.0),
+            heuristic: SchedConfig::new().budget_ratio(6.0),
             work_limit,
         }
     }
@@ -165,7 +165,9 @@ pub fn prove<D: Decider, O: SchedObserver, P: ProfSink>(
     sink: &mut P,
 ) -> Result<ProverOutcome, ScheduleError> {
     observer.backend(D::KIND);
-    let ims = modulo_schedule(problem, &config.heuristic)?;
+    let ims = Scheduler::new(problem)
+        .config(config.heuristic.clone())
+        .run()?;
     let ims_ii = ims.schedule.ii;
     let limit = config.work_limit.unwrap_or(u64::MAX);
     let mut work = 0u64;

@@ -37,12 +37,11 @@
 //!   growing (still sound, just fewer hits).
 //!
 //! Search effort is metered in **nodes** (placements tried). The caller
-//! supplies a node budget and an optional wall-clock deadline; exceeding
-//! either aborts the search with [`Decision::LimitHit`], in which case
-//! infeasibility has *not* been proven.
+//! supplies a node budget; exceeding it aborts the search with
+//! [`Decision::LimitHit`], in which case infeasibility has *not* been
+//! proven.
 
 use std::collections::HashSet;
-use std::time::Instant;
 
 use ims_core::{Mrt, Problem, Schedule};
 use ims_graph::{sccs, MinDist, MinDistSolver, NodeId, NEG_INF};
@@ -66,9 +65,6 @@ struct MemoKey {
 /// Cap on memo entries; beyond this the table stops growing (sound).
 const MEMO_CAP: usize = 1 << 20;
 
-/// How often (in nodes) the wall-clock deadline is polled.
-const DEADLINE_STRIDE: u64 = 0xFF;
-
 struct Dfs<'a, 'm> {
     problem: &'a Problem<'m>,
     md: &'a MinDist,
@@ -89,7 +85,6 @@ struct Dfs<'a, 'm> {
     alt: Vec<usize>,
     nodes: u64,
     node_budget: u64,
-    deadline: Option<Instant>,
     memo: HashSet<MemoKey>,
     /// Deterministic search statistics, flushed to the caller's
     /// [`ProfSink`] when the search returns.
@@ -183,7 +178,11 @@ impl Dfs<'_, '_> {
 
     fn place(&mut self, v: NodeId, ai: usize, t: i64) {
         let problem = self.problem;
-        let mask = problem.info(v).expect("order holds real operations").alternatives[ai].mask();
+        let mask = problem
+            .info(v)
+            .expect("order holds real operations")
+            .alternatives[ai]
+            .mask();
         self.mrt.place(v, mask, t);
         self.time[v.index()] = t;
         self.alt[v.index()] = ai;
@@ -191,7 +190,11 @@ impl Dfs<'_, '_> {
 
     fn unplace(&mut self, v: NodeId, ai: usize, t: i64) {
         let problem = self.problem;
-        let mask = problem.info(v).expect("order holds real operations").alternatives[ai].mask();
+        let mask = problem
+            .info(v)
+            .expect("order holds real operations")
+            .alternatives[ai]
+            .mask();
         self.mrt.remove(v, mask, t);
     }
 
@@ -219,16 +222,13 @@ impl Dfs<'_, '_> {
             .len();
         for t in lo..=hi {
             for ai in 0..n_alts {
-                let mask =
-                    self.problem.info(v).expect("real operation").alternatives[ai].mask();
+                let mask = self.problem.info(v).expect("real operation").alternatives[ai].mask();
                 if self.mrt.conflicts(mask, t) {
                     self.prune_mrt += 1;
                     continue;
                 }
                 self.nodes += 1;
-                if self.nodes > self.node_budget
-                    || (self.nodes & DEADLINE_STRIDE) == 0 && self.deadline_passed()
-                {
+                if self.nodes > self.node_budget {
                     return None;
                 }
                 self.place(v, ai, t);
@@ -246,16 +246,11 @@ impl Dfs<'_, '_> {
         self.note_failed(depth);
         Some(false)
     }
-
-    fn deadline_passed(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
 }
 
 /// Exhaustively decides feasibility of `problem` at candidate `ii`,
-/// spending at most `node_budget` placement attempts (and respecting
-/// `deadline`, polled every few hundred nodes and once on entry).
-/// Returns the result plus the nodes actually spent.
+/// spending at most `node_budget` placement attempts. Returns the result
+/// plus the nodes actually spent.
 ///
 /// Deterministic search statistics — nodes, memoization hits/inserts,
 /// prune reasons, MinDist/SCC/MRT work — flow into `prof` under their
@@ -264,12 +259,8 @@ pub(crate) fn search_ii<P: ProfSink>(
     problem: &Problem<'_>,
     ii: i64,
     node_budget: u64,
-    deadline: Option<Instant>,
     prof: &mut P,
 ) -> (Decision, u64) {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return (Decision::LimitHit, 0);
-    }
     let graph = problem.graph();
     let all: Vec<NodeId> = graph.nodes().collect();
     let md = MinDistSolver::new(graph, &all).solve(ii, &mut *prof);
@@ -334,7 +325,6 @@ pub(crate) fn search_ii<P: ProfSink>(
         alt: vec![0usize; graph.num_nodes()],
         nodes: 0,
         node_budget,
-        deadline,
         memo: HashSet::new(),
         memo_hits: 0,
         memo_inserts: 0,

@@ -170,11 +170,6 @@ pub struct MrtHeat {
 }
 
 impl MrtHeat {
-    /// Total reservations of one resource across all rows.
-    pub fn resource_total(&self, resource: usize) -> u64 {
-        self.rows[resource].iter().sum()
-    }
-
     /// The `k` hottest `(resource, row, count)` cells, hottest first
     /// (ties to the smaller resource, then the smaller row). Cells with a
     /// zero count are never reported.
@@ -415,7 +410,7 @@ mod tests {
         let unit: Vec<u64> = heat.rows.iter().map(|r| r.iter().sum()).collect();
         assert_eq!(unit.iter().sum::<u64>(), 2);
         assert_eq!(heat.hottest(10).len(), 2);
-        assert_eq!(heat.resource_total(heat.hottest(1)[0].0), 2);
+        assert_eq!(heat.rows[heat.hottest(1)[0].0].iter().sum::<u64>(), 2);
     }
 
     #[test]
@@ -461,11 +456,14 @@ mod tests {
         let out = Scheduler::new(&p).observer(&mut rec).run().unwrap();
         let mine = TraceMine::from_events(&rec.events);
         assert_eq!(mine.summary.evictions, out.stats.counters.evictions);
-        assert_eq!(mine.summary.slots_examined, out.stats.counters.findslot_iters);
+        assert_eq!(
+            mine.summary.slots_examined,
+            out.stats.counters.findslot_iters
+        );
         let heat = mrt_heat(&p, &rec.events).expect("run succeeded");
         assert_eq!(heat.ii, out.schedule.ii);
         // Every real op reserves the single unit exactly once.
-        let total: u64 = (0..heat.rows.len()).map(|r| heat.resource_total(r)).sum();
+        let total: u64 = heat.rows.iter().flatten().sum();
         assert_eq!(total, 4);
     }
 }

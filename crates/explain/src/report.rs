@@ -55,16 +55,6 @@ impl LoopReport {
         self.final_ii().map(|ii| ii - self.attribution.mii)
     }
 
-    /// `II − proved upper bound`: the true optimality gap, when an
-    /// `optgap` run proved the bounds (`lb == ub`).
-    pub fn proved_gap(&self) -> Option<i64> {
-        let (lb, ub) = self.bounds?;
-        if lb != ub {
-            return None;
-        }
-        Some(self.final_ii()? - ub)
-    }
-
     /// One flat JSON object (no trailing newline), deterministic for a
     /// given loop regardless of thread count.
     pub fn to_json_line(&self, machine: &MachineModel) -> String {
@@ -96,10 +86,7 @@ impl LoopReport {
             att.rec.circuits_truncated,
         ));
         match self.final_ii() {
-            Some(ii) => out.push_str(&format!(
-                ",\"ii\":{ii},\"gap\":{}",
-                ii - att.mii
-            )),
+            Some(ii) => out.push_str(&format!(",\"ii\":{ii},\"gap\":{}", ii - att.mii)),
             None => out.push_str(",\"ii\":null,\"gap\":null"),
         }
         out.push_str(&format!(
@@ -228,10 +215,7 @@ impl CorpusStats {
         }
         self.wasted_by_loop
             .push((report.label.clone(), s.wasted_steps()));
-        if matches!(
-            report.attribution.bound,
-            MiiBound::Resource | MiiBound::Tie
-        ) {
+        if matches!(report.attribution.bound, MiiBound::Resource | MiiBound::Tie) {
             for name in report.attribution.res.binding_names(machine) {
                 *self.binding_res_counts.entry(name.to_string()).or_insert(0) += 1;
             }
@@ -357,15 +341,10 @@ mod tests {
     }
 
     #[test]
-    fn gaps_are_computed_against_both_references() {
+    fn mii_gap_is_measured_from_the_mii() {
         let (r, _) = sample_report(Some((2, 2)));
         assert_eq!(r.final_ii(), Some(2));
         assert_eq!(r.mii_gap(), Some(0));
-        assert_eq!(r.proved_gap(), Some(0));
-        let (r, _) = sample_report(Some((2, 3)));
-        assert_eq!(r.proved_gap(), None, "unproved bounds give no gap");
-        let (r, _) = sample_report(None);
-        assert_eq!(r.proved_gap(), None);
     }
 
     #[test]
@@ -399,14 +378,16 @@ mod tests {
 
     #[test]
     fn top_wasted_orders_and_truncates() {
-        let mut stats = CorpusStats::default();
-        stats.wasted_by_loop = vec![
-            ("loop_b".into(), 5),
-            ("loop_a".into(), 9),
-            ("loop_c".into(), 0),
-            ("loop_d".into(), 5),
-        ];
-        stats.wasted = 19;
+        let stats = CorpusStats {
+            wasted_by_loop: vec![
+                ("loop_b".into(), 5),
+                ("loop_a".into(), 9),
+                ("loop_c".into(), 0),
+                ("loop_d".into(), 5),
+            ],
+            wasted: 19,
+            ..Default::default()
+        };
         assert_eq!(
             stats.top_wasted(2),
             vec![("loop_a".to_string(), 9), ("loop_b".to_string(), 5)]

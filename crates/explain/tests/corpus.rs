@@ -25,7 +25,7 @@ use ims_trace::{parse_trace_prefix, Recorder};
 fn mined_totals_match_scheduler_counters_across_the_corpus() {
     let corpus = corpus_of_size(0xC4D5, 300);
     let machine = cydra();
-    let config = SchedConfig::with_budget_ratio(6.0);
+    let config = SchedConfig::new().budget_ratio(6.0);
     for (index, l) in corpus.loops.iter().enumerate() {
         let body = back_substitute(&l.body, &machine);
         let problem = build_problem(&body, &machine, &BuildOptions::default());
@@ -123,7 +123,11 @@ fn every_corpus_loop_gets_a_named_binding_constraint() {
                 "loop {index}: a representative circuit unless enumeration truncated"
             );
             if let Some(c) = &att.rec.circuit {
-                assert_eq!(c.min_ii(), att.rec.rec_mii, "loop {index}: circuit proves the RecMII");
+                assert_eq!(
+                    c.min_ii(),
+                    att.rec.rec_mii,
+                    "loop {index}: circuit proves the RecMII"
+                );
             }
         }
     }

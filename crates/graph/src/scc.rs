@@ -33,13 +33,6 @@ impl SccInfo {
         self.components[c].len() > 1
     }
 
-    /// Number of non-trivial components.
-    pub fn num_non_trivial(&self) -> usize {
-        (0..self.components.len())
-            .filter(|&c| self.is_non_trivial(c))
-            .count()
-    }
-
     /// Whether component `c` lies on a recurrence: it is non-trivial, or its
     /// single node has a self-edge in `graph`.
     pub fn is_recurrence(&self, c: usize, graph: &DepGraph) -> bool {
@@ -152,6 +145,12 @@ mod tests {
         g.add_edge(a, b, 1, 0, DepKind::Flow, false);
     }
 
+    fn non_trivial(info: &SccInfo) -> usize {
+        (0..info.components.len())
+            .filter(|&c| info.is_non_trivial(c))
+            .count()
+    }
+
     #[test]
     fn acyclic_graph_has_singleton_components() {
         let mut g = DepGraph::with_nodes(3);
@@ -161,7 +160,7 @@ mod tests {
         let mut w = 0;
         let info = sccs(&g, &mut w);
         assert_eq!(info.components.len(), 3);
-        assert_eq!(info.num_non_trivial(), 0);
+        assert_eq!(non_trivial(&info), 0);
         assert!(w >= 3);
     }
 
@@ -176,7 +175,7 @@ mod tests {
         let mut w = 0;
         let info = sccs(&g, &mut w);
         assert_eq!(info.components.len(), 2);
-        assert_eq!(info.num_non_trivial(), 1);
+        assert_eq!(non_trivial(&info), 1);
         let big = info.component_of[0];
         assert_eq!(info.components[big], vec![ns[0], ns[1], ns[2]]);
         assert_eq!(info.component_of[1], big);
@@ -204,7 +203,7 @@ mod tests {
         let mut w = 0;
         let info = sccs(&g, &mut w);
         assert_eq!(info.components.len(), 2);
-        assert_eq!(info.num_non_trivial(), 0);
+        assert_eq!(non_trivial(&info), 0);
         let c0 = info.component_of[0];
         let c1 = info.component_of[1];
         assert!(info.is_recurrence(c0, &g));
@@ -221,7 +220,7 @@ mod tests {
         let mut w = 0;
         let info = sccs(&g, &mut w);
         assert_eq!(info.components.len(), 2);
-        assert_eq!(info.num_non_trivial(), 2);
+        assert_eq!(non_trivial(&info), 2);
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl LoopBody {
         self.trip_count
     }
 
-    /// Sets the trip count (used by the corpus generator's profiles).
-    pub fn set_trip_count(&mut self, n: u32) {
-        self.trip_count = n;
-    }
-
     /// The operations, in body order.
     pub fn ops(&self) -> &[Operation] {
         &self.ops
@@ -270,7 +265,13 @@ mod tests {
         let a = b.add_array("a", 8);
         assert_eq!(a, ArrayId(0));
         let r = b.new_vreg();
-        b.add_live_in(r, LiveInValue::ArrayBase { array: a, offset: 0 });
+        b.add_live_in(
+            r,
+            LiveInValue::ArrayBase {
+                array: a,
+                offset: 0,
+            },
+        );
         assert!(b.is_live_in(r));
         assert!(!b.is_live_in(VReg(0)));
         assert_eq!(b.arrays().len(), 1);

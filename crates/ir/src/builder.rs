@@ -86,28 +86,13 @@ impl LoopBuilder {
         self.body.add_live_in(reg, LiveInValue::Const(value));
     }
 
-    /// Binds the pre-loop instance of `reg` from `lag` iterations back
-    /// (used to seed higher-order and back-substituted recurrences).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lag` is zero.
-    pub fn bind_live_in_lag(&mut self, reg: VReg, lag: u32, value: Value) {
-        self.body.add_live_in_lag(reg, lag, LiveInValue::Const(value));
-    }
-
     /// Emits a raw operation.
     pub fn emit(&mut self, op: Operation) -> OpId {
         self.body.push(op)
     }
 
     /// Emits `opcode` with a fresh destination register.
-    pub fn op(
-        &mut self,
-        name: &str,
-        opcode: Opcode,
-        srcs: Vec<Operand>,
-    ) -> VReg {
+    pub fn op(&mut self, name: &str, opcode: Opcode, srcs: Vec<Operand>) -> VReg {
         let d = self.fresh(name);
         let mut op = Operation::new(opcode, Some(d), srcs);
         op.name = Some(name.to_string());
@@ -121,12 +106,7 @@ impl LoopBuilder {
     }
 
     /// `dest = a + b` re-binding an existing register (accumulator idiom).
-    pub fn rebind_add(
-        &mut self,
-        dest: VReg,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-    ) -> OpId {
+    pub fn rebind_add(&mut self, dest: VReg, a: impl Into<Operand>, b: impl Into<Operand>) -> OpId {
         self.rebind(dest, Opcode::Add, vec![a.into(), b.into()])
     }
 
@@ -143,12 +123,7 @@ impl LoopBuilder {
     }
 
     /// Loads from the address in `addr`, with an optional affine descriptor.
-    pub fn load(
-        &mut self,
-        name: &str,
-        addr: impl Into<Operand>,
-        mem: Option<MemRef>,
-    ) -> VReg {
+    pub fn load(&mut self, name: &str, addr: impl Into<Operand>, mem: Option<MemRef>) -> VReg {
         let d = self.fresh(name);
         let mut op = Operation::new(Opcode::Load, Some(d), vec![addr.into()]);
         op.mem = mem;
@@ -201,7 +176,10 @@ impl LoopBuilder {
     ///
     /// Panics if `op` is out of range.
     pub fn guard(&mut self, op: OpId, pred: impl Into<RegUse>) {
-        assert!(op.index() < self.body.num_ops(), "operation id out of range");
+        assert!(
+            op.index() < self.body.num_ops(),
+            "operation id out of range"
+        );
         self.body.op_mut(op).pred = Some(pred.into());
     }
 
@@ -218,12 +196,6 @@ impl LoopBuilder {
     pub fn finish(self) -> Result<LoopBody, ValidateError> {
         validate::validate(&self.body)?;
         Ok(self.body)
-    }
-
-    /// Finishes the build without validation (for tests that construct
-    /// deliberately invalid bodies).
-    pub fn finish_unchecked(self) -> LoopBody {
-        self.body
     }
 
     /// Read-only access to the body under construction.
@@ -327,10 +299,7 @@ mod tests {
         let two_back = b.back(x, 1);
         b.rebind(x, Opcode::Add, vec![x.into(), two_back]);
         let body = b.finish().unwrap();
-        assert_eq!(
-            body.op(OpId(0)).srcs[1].as_reg(),
-            Some(RegUse::back(x, 1))
-        );
+        assert_eq!(body.op(OpId(0)).srcs[1].as_reg(), Some(RegUse::back(x, 1)));
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl MemRef {
             stride,
         }
     }
-
-    /// The element index accessed on iteration `i`.
-    pub fn element_at(&self, i: i64) -> i64 {
-        self.stride * i + self.offset
-    }
 }
 
 impl fmt::Display for MemRef {
@@ -238,13 +233,6 @@ mod tests {
         assert_eq!(Operand::from(3i64), Operand::ImmInt(3));
         assert_eq!(Operand::from(3.5f64), Operand::ImmFloat(3.5));
         assert_eq!(Operand::ImmInt(1).as_reg(), None);
-    }
-
-    #[test]
-    fn memref_elements() {
-        let m = MemRef::new(ArrayId(0), 2, 3);
-        assert_eq!(m.element_at(0), 2);
-        assert_eq!(m.element_at(4), 14);
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl SchedObserver for PressureObserver<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ims_core::{modulo_schedule, SchedConfig, ScheduleError, Scheduler};
+    use ims_core::{SchedConfig, ScheduleError, Scheduler};
     use ims_deps::{build_problem, BuildOptions};
     use ims_ir::{LoopBuilder, Value};
     use ims_machine::{cydra_rf, cydra_simple};
@@ -184,7 +184,7 @@ mod tests {
         let m = cydra_rf(64);
         let body = dot_body();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let blind = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let blind = Scheduler::new(&p).run().unwrap();
         let mut obs = PressureObserver::for_body(&body, &p, 64);
         let aware = Scheduler::new(&p)
             .config(SchedConfig::default().pressure_limit(64))

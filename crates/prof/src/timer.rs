@@ -51,12 +51,8 @@ impl PhaseTimer {
         ns
     }
 
-    /// Drops the span without recording (e.g. an error path the caller
-    /// accounts separately).
-    pub fn cancel(self) {}
-
     /// [`finish`](PhaseTimer::finish) into `reg` when a registry is given
-    /// (the driver is profiling), [`cancel`](PhaseTimer::cancel) otherwise.
+    /// (the run is being profiled); otherwise drops the span unrecorded.
     pub fn finish_if(self, reg: Option<&mut MetricsRegistry>) {
         if let Some(reg) = reg {
             self.finish(reg);
@@ -89,13 +85,5 @@ mod tests {
         assert!(h.max().unwrap() >= 0);
         assert_eq!(reg.counter("p"), 0, "wall never leaks into counters");
         assert!(reg.hist("p").is_none());
-    }
-
-    #[test]
-    fn cancel_records_nothing() {
-        let reg = MetricsRegistry::new();
-        PhaseTimer::start("p").cancel();
-        assert!(reg.wall("p").is_none());
-        let _ = reg;
     }
 }

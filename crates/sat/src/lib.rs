@@ -28,9 +28,10 @@
 //!
 //! This is the lowest crate that sees all three leaf backends, so it
 //! also holds the one dispatch from a [`BackendKind`] to its scheduler:
-//! [`schedule_leaf`] runs the paper's iterative scheduler for `ims` and
-//! the prover walk around [`BranchAndBound`] or [`Cdcl`] for `exact` and
-//! `sat`, and returns each outcome unchanged as a [`LeafOutcome`].
+//! [`schedule_leaf`] runs the paper's iterative scheduler through the
+//! [`Scheduler`] builder for `ims` and the prover walk around
+//! [`BranchAndBound`] or [`Cdcl`] for `exact` and `sat`, and returns each
+//! outcome unchanged as a [`LeafOutcome`].
 //!
 //! ```
 //! use ims_core::{NullObserver, ProblemBuilder, validate_schedule};
@@ -57,8 +58,8 @@
 //! ```
 
 use ims_core::{
-    modulo_schedule_observed, BackendKind, MiiInfo, Problem, SchedConfig, SchedObserver,
-    SchedOutcome, Schedule, ScheduleError,
+    BackendKind, MiiInfo, Problem, SchedConfig, SchedObserver, SchedOutcome, Schedule,
+    ScheduleError, Scheduler,
 };
 use ims_exact::{
     prove, BranchAndBound, Decider, Decision, ProverConfig, ProverOutcome, WalkPhases,
@@ -151,8 +152,8 @@ impl LeafOutcome {
 
 /// Schedules `problem` with the leaf backend `kind`.
 ///
-/// * `ims` runs [`modulo_schedule_observed`] under `sched`; `work_limit`
-///   and `sink` are unused.
+/// * `ims` runs [`Scheduler`] under `sched`; `work_limit` and `sink` are
+///   unused.
 /// * `exact` and `sat` run the [`prove`] walk around [`BranchAndBound`]
 ///   or [`Cdcl`], with `sched` configuring the walk's internal heuristic
 ///   run and `work_limit` its work budget (nodes or conflicts; `None` is
@@ -174,17 +175,14 @@ pub fn schedule_leaf<O: SchedObserver, P: ProfSink>(
 ) -> Result<LeafOutcome, ScheduleError> {
     let config = || ProverConfig::new(work_limit).heuristic(sched.clone());
     match kind {
-        BackendKind::Ims => {
-            modulo_schedule_observed(problem, sched, observer).map(LeafOutcome::Ims)
+        BackendKind::Ims => Scheduler::new(problem)
+            .config(sched.clone())
+            .observer(observer)
+            .run()
+            .map(LeafOutcome::Ims),
+        BackendKind::Exact => {
+            prove(problem, &BranchAndBound, &config(), observer, sink).map(LeafOutcome::Prover)
         }
-        BackendKind::Exact => prove(
-            problem,
-            &BranchAndBound::default(),
-            &config(),
-            observer,
-            sink,
-        )
-        .map(LeafOutcome::Prover),
         BackendKind::Sat => {
             prove(problem, &Cdcl::default(), &config(), observer, sink).map(LeafOutcome::Prover)
         }
@@ -194,7 +192,7 @@ pub fn schedule_leaf<O: SchedObserver, P: ProfSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ims_core::{modulo_schedule, validate_schedule, NullObserver, ProblemBuilder};
+    use ims_core::{validate_schedule, NullObserver, ProblemBuilder};
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
     use ims_machine::figure1_machine;
@@ -224,18 +222,18 @@ mod tests {
     fn each_leaf_equals_the_scheduler_it_dispatches_to() {
         let m = figure1_machine();
         let p = figure1_problem(&m);
-        let sched = SchedConfig::with_budget_ratio(6.0);
+        let sched = SchedConfig::new().budget_ratio(6.0);
         let limit = Some(1 << 16);
         let config = ProverConfig::new(limit).heuristic(sched.clone());
 
-        let ims = modulo_schedule(&p, &sched).unwrap();
+        let ims = Scheduler::new(&p).config(sched.clone()).run().unwrap();
         assert_eq!(
             leaf(BackendKind::Ims, &p, &sched, limit).unwrap(),
             LeafOutcome::Ims(ims)
         );
         let exact = prove(
             &p,
-            &BranchAndBound::default(),
+            &BranchAndBound,
             &config,
             &mut NullObserver,
             &mut NullSink,
@@ -285,7 +283,7 @@ mod tests {
     fn the_work_limit_reaches_the_prover_walk() {
         let m = figure1_machine();
         let p = figure1_problem(&m);
-        let sched = SchedConfig::with_budget_ratio(6.0);
+        let sched = SchedConfig::new().budget_ratio(6.0);
         for kind in [BackendKind::Exact, BackendKind::Sat] {
             let Ok(LeafOutcome::Prover(starved)) = leaf(kind, &p, &sched, Some(1)) else {
                 panic!("{kind} runs the prover walk");

@@ -1,9 +1,9 @@
 //! The prover walk's contracts, checked once per decider: whatever engine
 //! decides each II, the walk around it short-circuits at the MII, falls
 //! back to the heuristic schedule when starved, reports a replayable
-//! event stream, and profiles deterministically. Engine-specific limits
-//! (the branch-and-bound deadline, the SAT clause cap) and the
-//! cross-engine agreement on Figure 1 are checked separately below.
+//! event stream, and profiles deterministically. The SAT clause cap, an
+//! engine-specific limit, and the cross-engine agreement on Figure 1 are
+//! checked separately below.
 
 use ims_core::{
     validate_schedule, BackendKind, NullObserver, Problem, ProblemBuilder, SchedObserver,
@@ -183,11 +183,7 @@ fn sat_agrees_with_branch_and_bound_on_figure1() {
     let m = figure1_machine();
     let p = figure1_problem(&m);
     let sat = run(&Cdcl::default(), &p, Cdcl::DEFAULT_WORK_LIMIT);
-    let bnb = run(
-        &BranchAndBound::default(),
-        &p,
-        BranchAndBound::DEFAULT_WORK_LIMIT,
-    );
+    let bnb = run(&BranchAndBound, &p, BranchAndBound::DEFAULT_WORK_LIMIT);
     assert!(sat.optimal() && bnb.optimal());
     assert_eq!(sat.schedule.ii, bnb.schedule.ii, "two proofs, one optimum");
     assert_eq!(sat.bounds, bnb.bounds);

@@ -122,12 +122,16 @@ fn run_job(job: &Job) -> Entry {
             .run()
         {
             Ok(out) => entry_ok(&out.schedule, out.mii.mii, Some(obs.max_live())),
-            Err(e) => Entry::Failed { error: format!("schedule failed: {e}") },
+            Err(e) => Entry::Failed {
+                error: format!("schedule failed: {e}"),
+            },
         };
     }
     match race(&job.backend, &problem, &cfg, job.node_limit) {
         Ok(out) => entry_ok(out.schedule(), out.mii().mii, None),
-        Err(e) => Entry::Failed { error: format!("schedule failed: {e}") },
+        Err(e) => Entry::Failed {
+            error: format!("schedule failed: {e}"),
+        },
     }
 }
 
@@ -204,7 +208,7 @@ fn parse_line(line: &[u8]) -> Parsed {
     match request_from_value(&v) {
         Ok(req) => {
             let keyed = key_request(&req);
-            Parsed::Request(req, keyed)
+            Parsed::Request(Box::new(req), keyed)
         }
         Err(e) => {
             let id = v
@@ -228,7 +232,14 @@ fn render_error(id: &str, key: Option<u128>, error: &str) -> String {
 fn render_response(req: &Request, keyed: &Keyed, entry: &Entry) -> String {
     match entry {
         Entry::Failed { error } => render_error(&req.id, Some(keyed.key), error),
-        Entry::Ok { ii, mii, length, max_live, times, alts } => {
+        Entry::Ok {
+            ii,
+            mii,
+            length,
+            max_live,
+            times,
+            alts,
+        } => {
             let mut s = format!(
                 "{{\"id\":\"{}\",\"ok\":true,\"key\":\"{:032x}\",\"ii\":{},\"mii\":{},\"length\":{}",
                 json::escape(&req.id),
@@ -265,7 +276,7 @@ fn render_response(req: &Request, keyed: &Keyed, entry: &Entry) -> String {
 /// One input line after stage 1: a schedulable request, a stats probe,
 /// or a pre-rendered error response.
 enum Parsed {
-    Request(Request, Keyed),
+    Request(Box<Request>, Keyed),
     Stats(String),
     Invalid(String),
 }
@@ -375,7 +386,9 @@ impl Engine {
         let mut jobs: Vec<Job> = Vec::new();
         let mut queued: HashSet<u128> = HashSet::new();
         for item in &parsed {
-            let Parsed::Request(req, keyed) = item else { continue };
+            let Parsed::Request(req, keyed) = item else {
+                continue;
+            };
             if self.cache.get(keyed.key).is_none() && queued.insert(keyed.key) {
                 jobs.push(Job {
                     key: keyed.key,
@@ -425,7 +438,11 @@ impl Engine {
         for item in &parsed {
             match item {
                 Parsed::Stats(id) => {
-                    writeln!(out, "{}", self.render_stats(id, prior_entries + counted.len()))?;
+                    writeln!(
+                        out,
+                        "{}",
+                        self.render_stats(id, prior_entries + counted.len())
+                    )?;
                     self.requests += 1;
                 }
                 Parsed::Invalid(line) => {
@@ -558,9 +575,11 @@ mod tests {
             .collect()
     }
 
-    const CHAIN: &str = r#"{"id":"c1","machine":"minimal","ops":["add","mul"],"edges":[[0,1,1,0,"flow",false]]}"#;
+    const CHAIN: &str =
+        r#"{"id":"c1","machine":"minimal","ops":["add","mul"],"edges":[[0,1,1,0,"flow",false]]}"#;
     /// The same chain with the two ops listed in the other order.
-    const CHAIN_PERM: &str = r#"{"id":"c2","machine":"minimal","ops":["mul","add"],"edges":[[1,0,1,0,"flow",false]]}"#;
+    const CHAIN_PERM: &str =
+        r#"{"id":"c2","machine":"minimal","ops":["mul","add"],"edges":[[1,0,1,0,"flow",false]]}"#;
 
     #[test]
     fn schedules_and_caches_a_simple_chain() {
@@ -610,11 +629,19 @@ mod tests {
             for chunk in reqs.chunks(split) {
                 engine.process_batch(chunk, &mut out).unwrap();
             }
-            (String::from_utf8(out).unwrap(), engine.cache.hits, engine.cache.misses)
+            (
+                String::from_utf8(out).unwrap(),
+                engine.cache.hits,
+                engine.cache.misses,
+            )
         };
         let baseline = run(1, reqs.len());
         for (threads, split) in [(4, 12), (4, 5), (2, 1), (8, 3)] {
-            assert_eq!(run(threads, split), baseline, "threads={threads} split={split}");
+            assert_eq!(
+                run(threads, split),
+                baseline,
+                "threads={threads} split={split}"
+            );
         }
         // 3 distinct delays → 3 canonical problems.
         assert_eq!(baseline.2, 3);
@@ -651,7 +678,10 @@ mod tests {
         let first = respond(&mut a, &[line, CHAIN]);
         assert!(first[0].contains("\"ok\":false"), "{}", first[0]);
         assert!(first[0].contains("panicked"), "{}", first[0]);
-        assert!(first[1].contains("\"ok\":true"), "healthy request unaffected");
+        assert!(
+            first[1].contains("\"ok\":true"),
+            "healthy request unaffected"
+        );
         // Replay: the failure is served from cache, byte-identical.
         let again = respond(&mut a, &[line]);
         assert_eq!(first[0], again[0]);
@@ -670,7 +700,10 @@ mod tests {
         let out = respond(&mut engine, &[line]);
         assert!(out[0].contains("\"ok\":false"), "{}", out[0]);
         assert!(out[0].contains("schedule failed"), "{}", out[0]);
-        assert!(out[0].contains("\"key\":\""), "failures still carry the key");
+        assert!(
+            out[0].contains("\"key\":\""),
+            "failures still carry the key"
+        );
     }
 
     #[test]
@@ -826,7 +859,11 @@ mod tests {
         let mut engine = Engine::new(1);
         let out = respond(&mut engine, &[plain, limited, limited]);
         assert!(out[0].contains("\"ok\":true"), "{}", out[0]);
-        assert!(!out[0].contains("max_live"), "unlimited requests stay unchanged: {}", out[0]);
+        assert!(
+            !out[0].contains("max_live"),
+            "unlimited requests stay unchanged: {}",
+            out[0]
+        );
         assert!(out[1].contains("\"ok\":true"), "{}", out[1]);
         let m: u32 = out[1]
             .split("\"max_live\":")
@@ -837,7 +874,7 @@ mod tests {
             .unwrap()
             .parse()
             .unwrap();
-        assert!(m >= 1 && m <= 8, "max_live {m} within the limit");
+        assert!((1..=8).contains(&m), "max_live {m} within the limit");
         // The limit is part of the key: two entries, one hit on replay.
         assert_eq!(engine.cache.len(), 2);
         assert_eq!(out[1], out[2]);
@@ -852,8 +889,15 @@ mod tests {
         let mut engine = Engine::new(1);
         let out = respond(&mut engine, &[line]);
         assert!(out[0].contains("\"ok\":false"), "{}", out[0]);
-        assert!(out[0].contains("pressure_limit requires the ims backend"), "{}", out[0]);
-        assert!(out[0].contains("\"key\":\""), "clean failure still carries the key");
+        assert!(
+            out[0].contains("pressure_limit requires the ims backend"),
+            "{}",
+            out[0]
+        );
+        assert!(
+            out[0].contains("\"key\":\""),
+            "clean failure still carries the key"
+        );
     }
 
     #[test]
@@ -865,7 +909,11 @@ mod tests {
         let mut engine = Engine::new(1);
         let out = respond(&mut engine, &[line]);
         assert!(out[0].contains("\"ok\":false"), "{}", out[0]);
-        assert!(out[0].contains("pressure"), "structured pressure error: {}", out[0]);
+        assert!(
+            out[0].contains("pressure"),
+            "structured pressure error: {}",
+            out[0]
+        );
         // Deterministic: the failure replays from cache byte-identically.
         let again = respond(&mut engine, &[line]);
         assert_eq!(out[0], again[0]);
@@ -902,7 +950,10 @@ mod tests {
             out[5],
             r#"{"id":"s","ok":true,"stats":{"requests":5,"hits":1,"misses":1,"failed":1,"entries":1}}"#
         );
-        assert_eq!(engine.requests, 6, "stats probes count as requests after rendering");
+        assert_eq!(
+            engine.requests, 6,
+            "stats probes count as requests after rendering"
+        );
         // A probe in a later batch sees the accumulated totals.
         let next = respond(&mut engine, &[STATS]);
         assert_eq!(
@@ -927,7 +978,11 @@ mod tests {
         };
         let baseline = run(1, lines.len());
         for (threads, split) in [(4, 7), (4, 2), (2, 1), (8, 3)] {
-            assert_eq!(run(threads, split), baseline, "threads={threads} split={split}");
+            assert_eq!(
+                run(threads, split),
+                baseline,
+                "threads={threads} split={split}"
+            );
         }
     }
 

@@ -73,19 +73,6 @@ impl DistributionStats {
             count: n,
         }
     }
-
-    /// Convenience constructor for integer-valued measurements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    pub fn from_integers<I>(samples: I, minimum_possible: i64) -> Self
-    where
-        I: IntoIterator<Item = i64>,
-    {
-        let v: Vec<f64> = samples.into_iter().map(|x| x as f64).collect();
-        Self::from_samples(&v, minimum_possible as f64)
-    }
 }
 
 impl fmt::Display for DistributionStats {
@@ -134,13 +121,6 @@ mod tests {
         assert_eq!(s.mean, 3.0);
         assert_eq!(s.maximum, 6.0);
         assert_eq!(s.count, 4);
-    }
-
-    #[test]
-    fn from_integers_matches_float_path() {
-        let a = DistributionStats::from_integers([4, 12, 163], 4);
-        let b = DistributionStats::from_samples(&[4.0, 12.0, 163.0], 4.0);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 
 //! Std-only test infrastructure for the IMS reproduction.
 //!
-//! The repository needs four things that are usually imported from
+//! The repository needs three things that are usually imported from
 //! crates.io — a seeded random number generator, a property-testing
-//! harness, a micro-benchmark harness, and a JSON reader and writer. To
-//! keep the whole workspace hermetic (buildable with a bare Rust toolchain
-//! and no network), this crate provides small in-repo substitutes:
+//! harness, and a JSON reader and writer. To keep the whole workspace
+//! hermetic (buildable with a bare Rust toolchain and no network), this
+//! crate provides small in-repo substitutes:
 //!
 //! * [`rng`] — a deterministic SplitMix64-seeded xoshiro256++ generator
 //!   with the minimal [`Rng`] surface the workspace uses (`gen_range`,
@@ -14,18 +14,15 @@
 //! * [`prop`] — seeded property-based testing: case generation from a
 //!   `(seed, size)` pair, an iteration budget, failure shrinking by
 //!   halving the size, and explicit persisted regression seeds;
-//! * [`bench`][mod@bench] — wall-clock micro-benchmarks (warmup + N timed
-//!   iterations, median/p90 statistics) that print one machine-readable
-//!   JSON line per benchmark;
 //! * [`json`] — the workspace's one JSON module: a depth-bounded parser
 //!   with exact integers, the one string escaper, and a flat-object
 //!   writer. Service requests, traces, profile snapshots, optgap lines
 //!   and benchmark results are all read back through it.
 //!
 //! None of this aims to be a general-purpose replacement for `rand`,
-//! `proptest`, `criterion`, or `serde_json`; it implements exactly the
-//! surface the IMS workspace needs, deterministically, in a few hundred
-//! lines of std-only Rust.
+//! `proptest`, or `serde_json`; it implements exactly the surface the IMS
+//! workspace needs, deterministically, in a few hundred lines of std-only
+//! Rust.
 //!
 //! # Reproducing a failing property case
 //!
@@ -43,7 +40,6 @@
 //! to the test's regression list — regressions are re-run before any new
 //! cases are generated.
 
-pub mod bench;
 pub mod json;
 pub mod prop;
 pub mod rng;

@@ -68,9 +68,19 @@ impl CodeState {
         }
     }
 
-    fn read(&self, op: ims_ir::OpId, reg: CodeReg, pass: i64, cycle: i64) -> Result<Value, SimError> {
+    fn read(
+        &self,
+        op: ims_ir::OpId,
+        reg: CodeReg,
+        pass: i64,
+        cycle: i64,
+    ) -> Result<Value, SimError> {
         let (rot, idx) = self.resolve(reg, pass);
-        let cell = if rot { &self.rotating[idx] } else { &self.statics[idx] };
+        let cell = if rot {
+            &self.rotating[idx]
+        } else {
+            &self.statics[idx]
+        };
         cell.read(op, cycle)
     }
 
@@ -202,16 +212,17 @@ pub fn run_mve(
 ) -> Result<ExecResult, SimError> {
     let mut st = seeded_state(memory, code.num_static_regs, 0, &code.seeds);
     let mut cycle = 0i64;
-    let run_section = |st: &mut CodeState, insts: &[Inst], cycle: &mut i64| -> Result<(), SimError> {
-        for inst in insts {
-            st.commit_stores(*cycle)?;
-            for slot in &inst.ops {
-                st.exec(body, machine, slot, 0, *cycle)?;
+    let run_section =
+        |st: &mut CodeState, insts: &[Inst], cycle: &mut i64| -> Result<(), SimError> {
+            for inst in insts {
+                st.commit_stores(*cycle)?;
+                for slot in &inst.ops {
+                    st.exec(body, machine, slot, 0, *cycle)?;
+                }
+                *cycle += 1;
             }
-            *cycle += 1;
-        }
-        Ok(())
-    };
+            Ok(())
+        };
     run_section(&mut st, &code.prologue, &mut cycle)?;
     for _ in 0..code.kernel_reps {
         run_section(&mut st, &code.kernel, &mut cycle)?;
@@ -236,7 +247,12 @@ pub fn run_rotating(
     memory: MemoryImage,
 ) -> Result<ExecResult, SimError> {
     let n = body.trip_count() as i64;
-    let mut st = seeded_state(memory, code.num_static_regs, code.rotating_size, &code.seeds);
+    let mut st = seeded_state(
+        memory,
+        code.num_static_regs,
+        code.rotating_size,
+        &code.seeds,
+    );
     let mut cycle = 0i64;
     for pass in 0..code.passes as i64 {
         for inst in &code.kernel {
@@ -260,7 +276,7 @@ mod tests {
     use crate::compare::compare_memory;
     use crate::sequential::run_sequential;
     use ims_codegen::{generate_mve, generate_rotating, lifetimes};
-    use ims_core::{modulo_schedule, SchedConfig};
+    use ims_core::Scheduler;
     use ims_deps::{build_problem, BuildOptions};
     use ims_ir::{ArrayId, LoopBuilder, MemRef};
     use ims_machine::cydra_simple;
@@ -296,7 +312,7 @@ mod tests {
         let body = saxpy(n);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_mve(&body, &p, &out.schedule, &lt);
         let img = seeded_image(&body, n as usize);
@@ -312,7 +328,7 @@ mod tests {
         let body = saxpy(n);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_rotating(&body, &p, &out.schedule, &lt).unwrap();
         let img = seeded_image(&body, n as usize);
@@ -327,7 +343,7 @@ mod tests {
         let body = saxpy(n);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_mve(&body, &p, &out.schedule, &lt);
         assert_eq!(code.kernel_reps, 0);
@@ -357,7 +373,7 @@ mod tests {
         let body = b.finish().unwrap();
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out_s = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out_s = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out_s.schedule);
         let img = seeded_image(&body, n as usize);
         let seq = run_sequential(&body, img.clone()).unwrap();
@@ -377,7 +393,7 @@ mod tests {
         let body = saxpy(n);
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let lt = lifetimes(&body, &p, &out.schedule);
         let code = generate_mve(&body, &p, &out.schedule, &lt);
         let total = code.total_cycles();

@@ -1,6 +1,6 @@
 //! Equivalence checking between execution modes.
 
-use ims_ir::{Value, VReg};
+use ims_ir::{VReg, Value};
 
 use crate::memory::MemoryImage;
 use crate::ExecResult;
@@ -82,7 +82,7 @@ mod tests {
     fn image() -> MemoryImage {
         let mut b = LoopBuilder::new("t", 1);
         let _ = b.array("a", 2);
-        MemoryImage::for_body(&b.finish_unchecked())
+        MemoryImage::for_body(&b.finish().expect("a body with no operations is valid"))
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use ims_vliw::{run_overlapped, run_sequential, compare_results, MemoryImage};
-//! use ims_core::{modulo_schedule, SchedConfig};
+//! use ims_core::Scheduler;
 //! use ims_deps::{build_problem, BuildOptions};
 //! use ims_ir::{LoopBuilder, MemRef, Value};
 //! use ims_machine::cydra_simple;
@@ -47,7 +47,7 @@
 //!
 //! let m = cydra_simple();
 //! let problem = build_problem(&body, &m, &BuildOptions::default());
-//! let out = modulo_schedule(&problem, &SchedConfig::default()).expect("schedulable");
+//! let out = Scheduler::new(&problem).run().expect("schedulable");
 //!
 //! let mut image = MemoryImage::for_body(&body);
 //! for i in 0..16 {

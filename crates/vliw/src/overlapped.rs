@@ -197,14 +197,17 @@ mod tests {
     use super::*;
     use crate::compare::compare_results;
     use crate::sequential::run_sequential;
-    use ims_core::{modulo_schedule, SchedConfig};
+    use ims_core::{SchedConfig, Scheduler};
     use ims_deps::{build_problem, BuildOptions};
     use ims_ir::{ArrayId, LoopBuilder, MemRef};
     use ims_machine::{cydra, cydra_simple};
 
     fn check_equivalent(body: &LoopBody, machine: &ims_machine::MachineModel, img: MemoryImage) {
         let p = build_problem(body, machine, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::with_budget_ratio(6.0)).unwrap();
+        let out = Scheduler::new(&p)
+            .config(SchedConfig::new().budget_ratio(6.0))
+            .run()
+            .unwrap();
         let seq = run_sequential(body, img.clone()).unwrap();
         let pipe = run_overlapped(body, &p, &out.schedule, img).unwrap();
         if let Some(m) = compare_results(&seq, &pipe) {
@@ -290,7 +293,7 @@ mod tests {
         let body = b.finish().unwrap();
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let mut bad = out.schedule.clone();
         // Move the add to one cycle after the load.
         let load_t = bad.time_of(ims_deps::node_of(OpId(0)));
@@ -314,7 +317,7 @@ mod tests {
         let body = b.finish().unwrap();
         let m = cydra_simple();
         let p = build_problem(&body, &m, &BuildOptions::default());
-        let out = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let out = Scheduler::new(&p).run().unwrap();
         let pipe = run_overlapped(&body, &p, &out.schedule, MemoryImage::for_body(&body)).unwrap();
         let serial_estimate = n as u64 * out.schedule.length as u64;
         assert!(

@@ -4,7 +4,7 @@
 //! On the in-repo [`ims_testkit::prop`] harness.
 
 use ims_codegen::{generate_mve, generate_rotating, lifetimes};
-use ims_core::{modulo_schedule, SchedConfig};
+use ims_core::{SchedConfig, Scheduler};
 use ims_deps::{back_substitute, build_problem, unroll, BuildOptions};
 use ims_loopgen::{generate_loop, SynthConfig};
 use ims_machine::{cydra, cydra_simple};
@@ -37,7 +37,9 @@ fn four_execution_modes_agree() {
                 let raw = generate_loop(&mut Xoshiro256::seed_from_u64(*seed), cfg);
                 let body = back_substitute(&raw, &machine);
                 let problem = build_problem(&body, &machine, &BuildOptions::default());
-                let out = modulo_schedule(&problem, &SchedConfig::with_budget_ratio(6.0))
+                let out = Scheduler::new(&problem)
+                    .config(SchedConfig::new().budget_ratio(6.0))
+                    .run()
                     .expect("schedules");
 
                 let image = MemoryImage::for_body(&body);
@@ -76,8 +78,7 @@ fn unrolling_preserves_semantics() {
             for u in [2u32, 4] {
                 let unrolled = unroll(&raw, u);
                 let a = run_sequential(&raw, MemoryImage::for_body(&raw)).expect("runs");
-                let b =
-                    run_sequential(&unrolled, MemoryImage::for_body(&unrolled)).expect("runs");
+                let b = run_sequential(&unrolled, MemoryImage::for_body(&unrolled)).expect("runs");
                 prop_assert!(compare_memory(&a.memory, &b.memory).is_none(), "factor {u}");
             }
             Ok(())

@@ -50,7 +50,11 @@ fn main() {
                 alt.fu,
                 alt.table.uses().len(),
                 mask.entries().len(),
-                if mask.entries().len() == 1 { "y" } else { "ies" }
+                if mask.entries().len() == 1 {
+                    "y"
+                } else {
+                    "ies"
+                }
             );
             for e in mask.entries() {
                 println!(
@@ -77,7 +81,11 @@ fn main() {
     let mul = &m.info(Opcode::Mul).alternatives[0];
 
     mrt.place(NodeId(0), mul.mask(), 0);
-    println!("\nII = {ii}; placed a {} on `{}` at time 0", Opcode::Mul, mul.fu);
+    println!(
+        "\nII = {ii}; placed a {} on `{}` at time 0",
+        Opcode::Mul,
+        mul.fu
+    );
     println!(
         "occupancy words by row: {:?}",
         mrt.occupancy_words()
@@ -93,11 +101,13 @@ fn main() {
             mrt.conflicts(add.mask(), 0)
         );
     }
+    let mut colliders = Vec::new();
+    mrt.conflicting_nodes_into(mul.mask(), 0, &mut colliders);
     println!(
         "probe {} at time 0 -> conflicts: {} (colliders: {:?})",
         Opcode::Mul,
         mrt.conflicts(mul.mask(), 0),
-        mrt.conflicting_nodes(mul.mask(), 0)
+        colliders
     );
 
     // Evict (§3.4 forced placement does exactly this) and show the table

@@ -9,15 +9,18 @@
 
 use std::time::Instant;
 
-use ims::bench::pool::default_threads;
 use ims::bench::{corpus_jsonl, measure_corpus, LoopMeasurement, MeasureParams};
 use ims::loopgen::corpus_of_size;
 use ims::machine::cydra;
+use ims::serve::pool::default_threads;
 
 fn main() {
     let machine = cydra();
     let corpus = corpus_of_size(0xC4D5, 200);
-    println!("corpus: {} loops on the Cydra-5-like machine", corpus.loops.len());
+    println!(
+        "corpus: {} loops on the Cydra-5-like machine",
+        corpus.loops.len()
+    );
     let measure = |threads| -> Vec<LoopMeasurement> {
         measure_corpus(
             &corpus,
@@ -51,10 +54,13 @@ fn main() {
     // --- 3. Determinism: identical rendered output -------------------
     // Results come back in corpus order no matter how the OS schedules
     // the workers, so anything rendered from them is byte-identical.
-    let a = corpus_jsonl(&seq);
-    let b = corpus_jsonl(&par);
+    let a = corpus_jsonl(&seq, false);
+    let b = corpus_jsonl(&par, false);
     assert_eq!(a, b, "corpus output must not depend on the thread count");
-    println!("output: {} JSON lines, byte-identical across thread counts", a.lines().count());
+    println!(
+        "output: {} JSON lines, byte-identical across thread counts",
+        a.lines().count()
+    );
 
     // The aggregate line summarises the whole run.
     println!("aggregate: {}", a.lines().last().unwrap());

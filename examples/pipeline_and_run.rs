@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example pipeline_and_run`
 
 use ims::codegen::{generate_mve, generate_rotating, lifetimes};
-use ims::core::{modulo_schedule, SchedConfig};
+use ims::core::Scheduler;
 use ims::deps::{back_substitute, build_problem, BuildOptions};
 use ims::ir::{ArrayId, LoopBuilder, MemRef, Value};
 use ims::machine::cydra;
@@ -39,7 +39,7 @@ fn main() {
     let machine = cydra();
     let body = back_substitute(&body, &machine);
     let problem = build_problem(&body, &machine, &BuildOptions::default());
-    let out = modulo_schedule(&problem, &SchedConfig::default()).expect("schedulable");
+    let out = Scheduler::new(&problem).run().expect("schedulable");
     println!(
         "saxpy: MII {} -> II {} ({} stages, schedule length {})",
         out.mii.mii,
@@ -61,7 +61,10 @@ fn main() {
     // 2. The schedule executed directly with overlapped iterations
     //    (latency-checked EVR semantics).
     let pipe = run_overlapped(&body, &problem, &out.schedule, image.clone()).expect("runs");
-    assert!(compare_results(&seq, &pipe).is_none(), "overlapped == sequential");
+    assert!(
+        compare_results(&seq, &pipe).is_none(),
+        "overlapped == sequential"
+    );
     println!(
         "overlapped execution: {} cycles (sequential issue would need ~{})",
         pipe.cycles,
@@ -81,7 +84,10 @@ fn main() {
         mve.num_static_regs
     );
     let mve_run = run_mve(&mve, &body, &machine, image.clone()).expect("MVE code runs");
-    assert!(compare_memory(&seq.memory, &mve_run.memory).is_none(), "MVE == sequential");
+    assert!(
+        compare_memory(&seq.memory, &mve_run.memory).is_none(),
+        "MVE == sequential"
+    );
 
     // 4. Kernel-only rotating-register code.
     let rot = generate_rotating(&body, &problem, &out.schedule, &lt).expect("allocatable");
@@ -93,7 +99,13 @@ fn main() {
         rot.rotating_size
     );
     let rot_run = run_rotating(&rot, &body, &machine, image).expect("rotating code runs");
-    assert!(compare_memory(&seq.memory, &rot_run.memory).is_none(), "rotating == sequential");
+    assert!(
+        compare_memory(&seq.memory, &rot_run.memory).is_none(),
+        "rotating == sequential"
+    );
 
-    println!("\nall four executions agree; y[7] = {}", seq.memory.get(ArrayId(1), 7));
+    println!(
+        "\nall four executions agree; y[7] = {}",
+        seq.memory.get(ArrayId(1), 7)
+    );
 }

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example predicated_loop`
 
-use ims::core::{modulo_schedule, SchedConfig};
+use ims::core::Scheduler;
 use ims::deps::{back_substitute, build_problem, BuildOptions};
 use ims::graph::DepKind;
 use ims::ir::{ArrayId, CmpKind, LoopBuilder, MemRef, Value};
@@ -47,9 +47,7 @@ fn main() {
         .edges()
         .iter()
         .filter(|e| {
-            e.kind == DepKind::Control
-                && e.from != problem.start()
-                && e.to != problem.stop()
+            e.kind == DepKind::Control && e.from != problem.start() && e.to != problem.stop()
         })
         .count();
     println!(
@@ -59,7 +57,7 @@ fn main() {
         control_edges
     );
 
-    let out = modulo_schedule(&problem, &SchedConfig::default()).expect("schedulable");
+    let out = Scheduler::new(&problem).run().expect("schedulable");
     println!(
         "MII {} -> II {} (schedule length {})",
         out.mii.mii, out.schedule.ii, out.schedule.length
@@ -75,7 +73,11 @@ fn main() {
 
     print!("out = [");
     for i in 0..n as usize {
-        print!("{}{}", if i > 0 { ", " } else { "" }, seq.memory.get(ArrayId(1), i));
+        print!(
+            "{}{}",
+            if i > 0 { ", " } else { "" },
+            seq.memory.get(ArrayId(1), i)
+        );
     }
     println!("]");
     println!("pipelined and sequential executions agree under predication.");

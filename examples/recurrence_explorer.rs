@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example recurrence_explorer`
 
-use ims::core::{modulo_schedule, SchedConfig};
+use ims::core::Scheduler;
 use ims::deps::{back_substitute, build_problem, BuildOptions};
 use ims::ir::{LoopBody, LoopBuilder, MemRef, Opcode, Value};
 use ims::machine::cydra;
@@ -79,12 +79,17 @@ fn main() {
         "RecMII(backsub)".into(),
         "II(backsub)".into(),
     ]);
-    for body in [accumulator(), second_order(), multiply_chain(), memory_recurrence()] {
+    for body in [
+        accumulator(),
+        second_order(),
+        multiply_chain(),
+        memory_recurrence(),
+    ] {
         let raw = build_problem(&body, &machine, &BuildOptions::default());
-        let raw_out = modulo_schedule(&raw, &SchedConfig::default()).expect("schedules");
+        let raw_out = Scheduler::new(&raw).run().expect("schedules");
         let bs = back_substitute(&body, &machine);
         let bsp = build_problem(&bs, &machine, &BuildOptions::default());
-        let bs_out = modulo_schedule(&bsp, &SchedConfig::default()).expect("schedules");
+        let bs_out = Scheduler::new(&bsp).run().expect("schedules");
         t.row(vec![
             body.name().to_string(),
             raw_out.mii.res_mii.to_string(),

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Canonical hermetic verification: build, test, and document the whole
+# Canonical hermetic verification: build, test, lint, and document the whole
 # workspace with the network disabled. Run from the repository root.
 #
 # The workspace has no external dependencies — a bare Rust toolchain and an
@@ -15,6 +15,9 @@ cargo build --release --offline --workspace
 
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
+
+echo "==> cargo clippy --offline (warnings are errors)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 bench_dir=target/bench
 rm -rf "$bench_dir"
@@ -383,4 +386,4 @@ if grep -q "^warning" "$doc_log"; then
     exit 1
 fi
 
-echo "OK: build, tests, determinism, cross-prover agreement, profiling gates, pressure gates, II attribution, service cache, portfolio racing, and docs all clean offline"
+echo "OK: build, tests, clippy, determinism, cross-prover agreement, profiling gates, pressure gates, II attribution, service cache, portfolio racing, and docs all clean offline"

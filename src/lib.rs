@@ -26,7 +26,7 @@
 //! * a benchmark-loop corpus generator ([`loopgen`]),
 //! * the statistics toolkit used by the evaluation harness ([`stats`]),
 //! * the pipeline-wide phase profiler — metrics registry, wall-clock
-//!   spans, `BENCH_*.json` snapshots and their diff engine ([`prof`]),
+//!   spans and `BENCH_*.json` snapshots ([`prof`]),
 //! * event-level scheduler observability — JSON-lines traces, replay,
 //!   convergence reports ([`mod@trace`]),
 //! * II-attribution and trace-mining diagnostics — *which* resource or
@@ -83,13 +83,14 @@ pub use ims_vliw as vliw;
 
 /// One-stop imports for driving the scheduler and observing it.
 ///
-/// Re-exports the builder-style entry point ([`Scheduler`](ims_core::Scheduler)), its
-/// configuration and error types, the observer trait, and the recording
-/// observer and trace utilities from [`mod@trace`].
+/// Re-exports the one entry point into the II walk
+/// ([`Scheduler`](ims_core::Scheduler)), its configuration and error types,
+/// the observer trait, and the recording observer and trace utilities from
+/// [`mod@trace`].
 pub mod prelude {
     pub use ims_core::{
-        modulo_schedule, BackendKind, BackendSpec, IiBounds, NullObserver, ProblemBuilder,
-        SchedConfig, SchedObserver, SchedOutcome, ScheduleError, Scheduler,
+        BackendKind, BackendSpec, IiBounds, NullObserver, ProblemBuilder, SchedConfig,
+        SchedObserver, SchedOutcome, ScheduleError, Scheduler,
     };
     pub use ims_exact::{prove, BranchAndBound, Decider, ProverConfig, ProverOutcome};
     pub use ims_sat::{schedule_leaf, Cdcl, LeafOutcome};

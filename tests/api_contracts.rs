@@ -95,11 +95,11 @@ fn budget_exhaustion_reports_attempts_and_spend() {
 }
 
 #[test]
-fn builder_and_legacy_entry_point_agree() {
-    // `modulo_schedule` is documented as a thin wrapper over the builder;
-    // the two must produce identical schedules, and a `Recorder` observer
-    // must see events consistent with the returned outcome.
-    use ims::core::{modulo_schedule, Scheduler};
+fn observed_and_unobserved_runs_agree() {
+    // Attaching a `Recorder` must not change the schedule an unobserved
+    // run finds, and the recorded events must be consistent with the
+    // returned outcome.
+    use ims::core::Scheduler;
     use ims::deps::{build_problem, BuildOptions};
     use ims::loopgen::corpus_of_size;
     use ims::machine::cydra;
@@ -108,12 +108,12 @@ fn builder_and_legacy_entry_point_agree() {
     let machine = cydra();
     for l in &corpus.loops {
         let p = build_problem(&l.body, &machine, &BuildOptions::default());
-        let legacy = modulo_schedule(&p, &SchedConfig::default()).unwrap();
+        let plain = Scheduler::new(&p).run().unwrap();
 
         let mut rec = Recorder::default();
         let built = Scheduler::new(&p).observer(&mut rec).run().unwrap();
-        assert_eq!(built.schedule.ii, legacy.schedule.ii);
-        assert_eq!(built.schedule.time, legacy.schedule.time);
+        assert_eq!(built.schedule.ii, plain.schedule.ii);
+        assert_eq!(built.schedule.time, plain.schedule.time);
 
         let summary = TraceSummary::from_events(&rec.events);
         assert_eq!(summary.final_ii(), Some(built.schedule.ii));
@@ -125,7 +125,7 @@ fn builder_and_legacy_entry_point_agree() {
 fn corpus_runs_are_parallelizable() {
     // The whole measurement pipeline is shared-state-free: running loops
     // from several threads must give the same results as serially.
-    use ims::core::modulo_schedule;
+    use ims::core::Scheduler;
     use ims::deps::{build_problem, BuildOptions};
     use ims::loopgen::corpus_of_size;
     use ims::machine::cydra;
@@ -137,10 +137,7 @@ fn corpus_runs_are_parallelizable() {
         .iter()
         .map(|l| {
             let p = build_problem(&l.body, &machine, &BuildOptions::default());
-            modulo_schedule(&p, &SchedConfig::default())
-                .unwrap()
-                .schedule
-                .ii
+            Scheduler::new(&p).run().unwrap().schedule.ii
         })
         .collect();
 
@@ -152,10 +149,7 @@ fn corpus_runs_are_parallelizable() {
                 let machine = &machine;
                 scope.spawn(move || {
                     let p = build_problem(&l.body, machine, &BuildOptions::default());
-                    modulo_schedule(&p, &SchedConfig::default())
-                        .unwrap()
-                        .schedule
-                        .ii
+                    Scheduler::new(&p).run().unwrap().schedule.ii
                 })
             })
             .collect();

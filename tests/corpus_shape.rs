@@ -2,7 +2,7 @@
 //! *shape* of the paper's Table 3 statistics, and every corpus loop must
 //! schedule to a valid schedule.
 
-use ims::core::{modulo_schedule, validate_schedule, SchedConfig};
+use ims::core::{validate_schedule, SchedConfig, Scheduler};
 use ims::deps::{back_substitute, build_problem, BuildOptions};
 use ims::graph::sccs;
 use ims::loopgen::corpus_of_size;
@@ -15,7 +15,9 @@ fn corpus_schedules_validate() {
     for l in &corpus.loops {
         let body = back_substitute(&l.body, &machine);
         let problem = build_problem(&body, &machine, &BuildOptions::default());
-        let out = modulo_schedule(&problem, &SchedConfig::with_budget_ratio(6.0))
+        let out = Scheduler::new(&problem)
+            .config(SchedConfig::new().budget_ratio(6.0))
+            .run()
             .expect("corpus loops schedule");
         validate_schedule(&problem, &out.schedule).expect("schedules are legal");
     }
@@ -36,7 +38,9 @@ fn corpus_statistics_match_the_papers_shape() {
     for l in &corpus.loops {
         let body = back_substitute(&l.body, &machine);
         let problem = build_problem(&body, &machine, &BuildOptions::default());
-        let out = modulo_schedule(&problem, &SchedConfig::with_budget_ratio(6.0))
+        let out = Scheduler::new(&problem)
+            .config(SchedConfig::new().budget_ratio(6.0))
+            .run()
             .expect("schedules");
         if out.schedule.ii == out.mii.mii {
             optimal += 1;

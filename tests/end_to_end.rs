@@ -4,7 +4,7 @@
 //! recurrence back-substitution.
 
 use ims::codegen::{generate_mve, generate_rotating, lifetimes};
-use ims::core::{modulo_schedule, validate_schedule, SchedConfig};
+use ims::core::{validate_schedule, SchedConfig, Scheduler};
 use ims::deps::{back_substitute, build_problem, BuildOptions};
 use ims::ir::LoopBody;
 use ims::loopgen::kernels;
@@ -32,7 +32,9 @@ fn check_kernel(kernel: &ims::loopgen::Kernel, machine: &MachineModel, backsub: 
         kernel.body.clone()
     };
     let problem = build_problem(&body, machine, &BuildOptions::default());
-    let out = modulo_schedule(&problem, &SchedConfig::with_budget_ratio(6.0))
+    let out = Scheduler::new(&problem)
+        .config(SchedConfig::new().budget_ratio(6.0))
+        .run()
         .unwrap_or_else(|e| panic!("{} fails to schedule: {e}", kernel.name));
     validate_schedule(&problem, &out.schedule)
         .unwrap_or_else(|v| panic!("{} produced an illegal schedule: {v}", kernel.name));
@@ -142,7 +144,10 @@ fn pressure_limited_schedules_fit_their_register_file() {
                 Ok(out) => {
                     fitted += 1;
                     validate_schedule(&problem, &out.schedule).unwrap_or_else(|v| {
-                        panic!("{} rf{limit}: illegal pressure-limited schedule: {v}", k.name)
+                        panic!(
+                            "{} rf{limit}: illegal pressure-limited schedule: {v}",
+                            k.name
+                        )
                     });
                     assert!(
                         obs.max_live() <= limit,
@@ -169,9 +174,7 @@ fn pressure_limited_schedules_fit_their_register_file() {
                     match generate_rotating(&body, &problem, &out.schedule, &lt) {
                         Ok(rot) => {
                             let rot_run = run_rotating(&rot, &body, &machine, image)
-                                .unwrap_or_else(|e| {
-                                    panic!("{} rotating run failed: {e}", k.name)
-                                });
+                                .unwrap_or_else(|e| panic!("{} rotating run failed: {e}", k.name));
                             if let Some(m) = compare_memory(&seq.memory, &rot_run.memory) {
                                 panic!("{} rf{limit}: rotating != sequential: {m:?}", k.name);
                             }
@@ -206,7 +209,7 @@ fn exact_schedules_execute_correctly() {
         let problem = build_problem(&body, &machine, &BuildOptions::default());
         let out = prove(
             &problem,
-            &BranchAndBound::default(),
+            &BranchAndBound,
             &config,
             &mut NullObserver,
             &mut NullSink,
@@ -215,7 +218,10 @@ fn exact_schedules_execute_correctly() {
         validate_schedule(&problem, &out.schedule)
             .unwrap_or_else(|v| panic!("{} produced an illegal exact schedule: {v}", k.name));
         assert!(out.schedule.ii >= out.mii.mii);
-        assert!(out.schedule.ii <= out.ims_ii, "exact beats or matches the heuristic");
+        assert!(
+            out.schedule.ii <= out.ims_ii,
+            "exact beats or matches the heuristic"
+        );
         assert!(out.bounds.proved_lb <= out.bounds.best_ub);
 
         let image = image_for(&k, &body);
@@ -224,7 +230,10 @@ fn exact_schedules_execute_correctly() {
         let pipe = run_overlapped(&body, &problem, &out.schedule, image)
             .unwrap_or_else(|e| panic!("{} overlapped run failed: {e}", k.name));
         if let Some(m) = compare_results(&seq, &pipe) {
-            panic!("{}: exact-scheduled overlapped != sequential: {m:?}", k.name);
+            panic!(
+                "{}: exact-scheduled overlapped != sequential: {m:?}",
+                k.name
+            );
         }
     }
 }
@@ -239,7 +248,10 @@ fn pipelining_actually_overlaps_iterations() {
     for k in kernels(48) {
         let body = back_substitute(&k.body, &machine);
         let problem = build_problem(&body, &machine, &BuildOptions::default());
-        let out = modulo_schedule(&problem, &SchedConfig::with_budget_ratio(6.0)).unwrap();
+        let out = Scheduler::new(&problem)
+            .config(SchedConfig::new().budget_ratio(6.0))
+            .run()
+            .unwrap();
         let image = image_for(&k, &body);
         let pipe = run_overlapped(&body, &problem, &out.schedule, image).unwrap();
         let serialized = 48 * out.schedule.length as u64;
@@ -278,7 +290,9 @@ fn unrolled_loops_compute_the_same_results() {
             }
             // And the unrolled body is itself modulo-schedulable.
             let p = build_problem(&unrolled, &machine, &BuildOptions::default());
-            let out = modulo_schedule(&p, &SchedConfig::with_budget_ratio(6.0))
+            let out = Scheduler::new(&p)
+                .config(SchedConfig::new().budget_ratio(6.0))
+                .run()
                 .unwrap_or_else(|e| panic!("{} x{u} does not schedule: {e}", k.name));
             validate_schedule(&p, &out.schedule)
                 .unwrap_or_else(|v| panic!("{} x{u} illegal schedule: {v}", k.name));

@@ -7,8 +7,7 @@
 //! enumeration.
 
 use ims::core::{
-    height_r, modulo_schedule, rec_mii, rec_mii_by_circuits, validate_schedule, Counters,
-    SchedConfig,
+    height_r, rec_mii, rec_mii_by_circuits, validate_schedule, Counters, SchedConfig, Scheduler,
 };
 use ims::deps::{back_substitute, build_problem, BuildOptions};
 use ims::graph::compute_min_dist;
@@ -39,7 +38,7 @@ fn every_generated_loop_schedules_and_validates() {
             let machine = cydra();
             let body = back_substitute(&body, &machine);
             let problem = build_problem(&body, &machine, &BuildOptions::default());
-            let out = modulo_schedule(&problem, &SchedConfig::default()).expect("schedules");
+            let out = Scheduler::new(&problem).run().expect("schedules");
             prop_assert!(out.schedule.ii >= out.mii.mii);
             prop_assert!(validate_schedule(&problem, &out.schedule).is_ok());
             // Every operation issues within the schedule length.
@@ -110,10 +109,14 @@ fn larger_budget_never_worsens_ii() {
             let body = generate_loop(&mut Xoshiro256::seed_from_u64(*seed), cfg);
             let machine = cydra();
             let problem = build_problem(&body, &machine, &BuildOptions::default());
-            let tight =
-                modulo_schedule(&problem, &SchedConfig::with_budget_ratio(1.0)).expect("schedules");
-            let loose =
-                modulo_schedule(&problem, &SchedConfig::with_budget_ratio(8.0)).expect("schedules");
+            let tight = Scheduler::new(&problem)
+                .config(SchedConfig::new().budget_ratio(1.0))
+                .run()
+                .expect("schedules");
+            let loose = Scheduler::new(&problem)
+                .config(SchedConfig::new().budget_ratio(8.0))
+                .run()
+                .expect("schedules");
             prop_assert!(loose.schedule.ii <= tight.schedule.ii);
             Ok(())
         },
@@ -189,23 +192,23 @@ fn null_observer_is_invisible() {
             let body = generate_loop(&mut Xoshiro256::seed_from_u64(*seed), cfg);
             let machine = cydra();
             let problem = build_problem(&body, &machine, &BuildOptions::default());
-            let legacy = modulo_schedule(&problem, &SchedConfig::default()).expect("schedules");
+            let plain = Scheduler::new(&problem).run().expect("schedules");
             let built = Scheduler::new(&problem)
                 .observer(&mut NullObserver)
                 .run()
                 .expect("schedules");
-            // The builder with the no-op observer is the legacy entry
-            // point: same schedule, same instrumentation counters.
-            prop_assert_eq!(&built.schedule.time, &legacy.schedule.time);
-            prop_assert_eq!(built.schedule.ii, legacy.schedule.ii);
-            prop_assert_eq!(built.stats.total_steps(), legacy.stats.total_steps());
+            // Attaching the no-op observer changes nothing: same
+            // schedule, same instrumentation counters.
+            prop_assert_eq!(&built.schedule.time, &plain.schedule.time);
+            prop_assert_eq!(built.schedule.ii, plain.schedule.ii);
+            prop_assert_eq!(built.stats.total_steps(), plain.stats.total_steps());
             prop_assert_eq!(
                 built.stats.counters.findslot_iters,
-                legacy.stats.counters.findslot_iters
+                plain.stats.counters.findslot_iters
             );
             prop_assert_eq!(
                 built.stats.counters.evictions,
-                legacy.stats.counters.evictions
+                plain.stats.counters.evictions
             );
             Ok(())
         },
@@ -228,12 +231,14 @@ fn exact_backend_brackets_the_heuristic() {
             let machine = cydra();
             let body = back_substitute(&body, &machine);
             let problem = build_problem(&body, &machine, &BuildOptions::default());
-            let ims =
-                modulo_schedule(&problem, &SchedConfig::with_budget_ratio(6.0)).expect("schedules");
+            let ims = Scheduler::new(&problem)
+                .config(SchedConfig::new().budget_ratio(6.0))
+                .run()
+                .expect("schedules");
             let config = ProverConfig::new(Some(500_000));
             let exact = prove(
                 &problem,
-                &BranchAndBound::default(),
+                &BranchAndBound,
                 &config,
                 &mut NullObserver,
                 &mut NullSink,

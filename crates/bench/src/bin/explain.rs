@@ -21,10 +21,8 @@
 //!
 //! * by default each loop is scheduled in-process and the observer's
 //!   event stream is mined directly — no trace files needed. The mined
-//!   totals are checked against the scheduler's deterministic
-//!   [`Counters`] (evictions, `FindTimeSlot` iterations, steps) and any
-//!   mismatch aborts with exit 1: the report is *proved* consistent with
-//!   the run it describes.
+//!   totals and the profiler's counters fold the same events, so they
+//!   agree by construction.
 //! * `--from-trace DIR` re-analyzes a previously written trace directory
 //!   (`loop_00042.jsonl`, …) instead of scheduling. Because the JSONL
 //!   encoding is lossless, stdout is byte-identical to the in-process
@@ -41,7 +39,7 @@
 
 use std::path::PathBuf;
 
-use ims_bench::profile::{flush_counters, write_profile};
+use ims_bench::profile::{write_profile, ProfObserver};
 use ims_bench::run_corpus;
 use ims_core::{Counters, SchedConfig, Scheduler};
 use ims_explain::{
@@ -99,13 +97,13 @@ fn main() {
         profile_path.is_some(),
         |index, _, _, problem, rec, mut reg| {
             let label = format!("loop_{index:05}");
-            let (mine, consistent) = match &from_trace {
+            let mine = match &from_trace {
                 Some(dir) => {
                     let text = std::fs::read_to_string(dir.join(format!("{label}.jsonl")))
                         .unwrap_or_default();
                     // Truncated or damaged traces contribute their
                     // well-formed prefix, like trace_report.
-                    (TraceMine::from_events(&parse_trace_prefix(&text).0), true)
+                    TraceMine::from_events(&parse_trace_prefix(&text).0)
                 }
                 None => {
                     // The runner's recorder when tracing, so the written
@@ -113,24 +111,13 @@ fn main() {
                     let mut own = Recorder::new();
                     let rec = rec.unwrap_or(&mut own);
                     let t = PhaseTimer::start(phase::WALL_SCHED);
-                    let out = Scheduler::new(problem)
+                    Scheduler::new(problem)
                         .config(config.clone())
-                        .observer(&mut *rec)
+                        .observer((ProfObserver::new(reg.as_deref_mut()), &mut *rec))
                         .run()
                         .expect("corpus loops always schedule under the automatic II cap");
                     t.finish_if(reg.as_deref_mut());
-                    if let Some(r) = reg.as_deref_mut() {
-                        flush_counters(&out.stats.counters, r);
-                        r.add(phase::SCHED_STEPS, out.stats.total_steps());
-                    }
-                    // Exact-match accounting: what the trace says happened
-                    // must be what the scheduler's counters say happened.
-                    let mine = TraceMine::from_events(&rec.events);
-                    let consistent = mine.summary.evictions == out.stats.counters.evictions
-                        && mine.summary.slots_examined == out.stats.counters.findslot_iters
-                        && mine.summary.total_steps() == out.stats.total_steps()
-                        && mine.summary.final_ii() == Some(out.schedule.ii);
-                    (mine, consistent)
+                    TraceMine::from_events(&rec.events)
                 }
             };
 
@@ -145,7 +132,9 @@ fn main() {
             };
 
             if let Some(r) = reg {
-                flush_counters(&counters, r);
+                r.add(phase::GRAPH_SCC_WORK, counters.scc_work);
+                r.add(phase::SCHED_RESMII_WORK, counters.resmii_work);
+                r.add(phase::GRAPH_MINDIST_WORK, counters.mindist_work);
                 r.add(phase::EXPLAIN_LOOPS, 1);
                 r.add(
                     match report.attribution.bound {
@@ -166,26 +155,15 @@ fn main() {
                     r.add(phase::EXPLAIN_CIRCUITS_TRUNCATED, 1);
                 }
             }
-            (report, consistent)
+            report
         },
     );
-    let (results, total) = run.unwrap_or_else(|e| {
+    let (reports, total) = run.unwrap_or_else(|e| {
         eprintln!("explain: cannot write traces: {e}");
         std::process::exit(1);
     });
     let elapsed = t0.elapsed();
 
-    let mut reports = Vec::with_capacity(results.len());
-    for (index, (report, consistent)) in results.into_iter().enumerate() {
-        if !consistent {
-            eprintln!(
-                "explain: loop_{index:05}: mined totals disagree with scheduler counters \
-                 (trace/observer accounting bug)"
-            );
-            std::process::exit(1);
-        }
-        reports.push(report);
-    }
     if let Some(p) = &profile_path {
         if let Err(e) = write_profile(p, "explain", &total) {
             eprintln!("explain: cannot write profile {}: {e}", p.display());

@@ -105,7 +105,6 @@ fn mii_is_a_true_lower_bound() {
                     mii.mii - 1,
                     10_000,
                     PriorityKind::HeightR,
-                    &mut Counters::new(),
                     &mut NullObserver,
                 );
                 if let Some(s) = result {

@@ -38,7 +38,6 @@
 //! use ims_graph::DepKind;
 //! use ims_ir::{OpId, Opcode};
 //! use ims_machine::minimal;
-//! use ims_prof::NullSink;
 //!
 //! let m = minimal();
 //! let mut pb = ProblemBuilder::new(&m);
@@ -49,7 +48,7 @@
 //! let problem = pb.finish();
 //!
 //! let config = ProverConfig::new(BranchAndBound::DEFAULT_WORK_LIMIT);
-//! let out = prove(&problem, &BranchAndBound, &config, &mut NullObserver, &mut NullSink)?;
+//! let out = prove(&problem, &BranchAndBound, &config, &mut NullObserver)?;
 //! assert!(out.optimal());
 //! assert_eq!(out.schedule.ii, out.bounds.proved_lb);
 //! assert!(validate_schedule(&problem, &out.schedule).is_ok());
@@ -99,7 +98,6 @@ mod tests {
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
     use ims_machine::figure1_machine;
-    use ims_prof::NullSink;
 
     /// The Figure 1 loop of the paper: a mul/add recurrence of delay 9 at
     /// distance 2 (RecMII 5), which the iterative scheduler schedules at
@@ -118,14 +116,7 @@ mod tests {
         let m = figure1_machine();
         let p = figure1_problem(&m);
         let config = ProverConfig::new(BranchAndBound::DEFAULT_WORK_LIMIT);
-        let out = prove(
-            &p,
-            &BranchAndBound,
-            &config,
-            &mut NullObserver,
-            &mut NullSink,
-        )
-        .unwrap();
+        let out = prove(&p, &BranchAndBound, &config, &mut NullObserver).unwrap();
         assert_eq!(out.mii.mii, 5);
         assert!(
             out.optimal(),

@@ -254,7 +254,7 @@ impl Dfs<'_, '_> {
 ///
 /// Deterministic search statistics — nodes, memoization hits/inserts,
 /// prune reasons, MinDist/SCC/MRT work — flow into `prof` under their
-/// [`phase`] names; pass `&mut NullSink` to discard them.
+/// [`phase`] names; the prover walk turns them into `work` events.
 pub(crate) fn search_ii<P: ProfSink>(
     problem: &Problem<'_>,
     ii: i64,

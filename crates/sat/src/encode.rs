@@ -483,7 +483,6 @@ mod tests {
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
     use ims_machine::{figure1_machine, MachineBuilder, ReservationTable};
-    use ims_prof::NullSink;
 
     const WIDE: SatLimits = SatLimits {
         conflict_budget: 1 << 20,
@@ -509,9 +508,9 @@ mod tests {
         let p = figure1(&m);
         let mii = compute_mii(&p, &mut Counters::default()).mii;
         assert_eq!(mii, 5);
-        let (at_mii, _) = decide_ii(&p, 5, &WIDE, &mut NullSink);
+        let (at_mii, _) = decide_ii(&p, 5, &WIDE, &mut 0u64);
         assert_eq!(at_mii, Decision::Infeasible, "RecMII 5 loses to the bus");
-        let (at_six, _) = decide_ii(&p, 6, &WIDE, &mut NullSink);
+        let (at_six, _) = decide_ii(&p, 6, &WIDE, &mut 0u64);
         let Decision::Feasible(s) = at_six else {
             panic!("figure 1 is feasible at 6, got {at_six:?}");
         };
@@ -527,7 +526,7 @@ mod tests {
         let m = figure1_machine();
         let p = figure1(&m);
         for ii in 1..5 {
-            let (decision, _) = decide_ii(&p, ii, &WIDE, &mut NullSink);
+            let (decision, _) = decide_ii(&p, ii, &WIDE, &mut 0u64);
             assert_eq!(decision, Decision::Infeasible, "II {ii} is below RecMII");
         }
     }
@@ -544,9 +543,9 @@ mod tests {
         let p = pb.finish();
         let mii = compute_mii(&p, &mut Counters::default()).mii;
         assert!(mii > 1, "four adds cannot fit in a single II row");
-        let (below, _) = decide_ii(&p, mii - 1, &WIDE, &mut NullSink);
+        let (below, _) = decide_ii(&p, mii - 1, &WIDE, &mut 0u64);
         assert_eq!(below, Decision::Infeasible, "below ResMII");
-        let (at, _) = decide_ii(&p, mii, &WIDE, &mut NullSink);
+        let (at, _) = decide_ii(&p, mii, &WIDE, &mut 0u64);
         let Decision::Feasible(s) = at else {
             panic!("feasible at ResMII, got {at:?}");
         };
@@ -568,13 +567,13 @@ mod tests {
         let mut pb = ProblemBuilder::new(&m);
         let _ = pb.add_op(Opcode::Add, OpId(0));
         let p = pb.finish();
-        let (at_two, _) = decide_ii(&p, 2, &WIDE, &mut NullSink);
+        let (at_two, _) = decide_ii(&p, 2, &WIDE, &mut 0u64);
         assert_eq!(
             at_two,
             Decision::Infeasible,
             "the add collides with itself at II 2"
         );
-        let (at_three, _) = decide_ii(&p, 3, &WIDE, &mut NullSink);
+        let (at_three, _) = decide_ii(&p, 3, &WIDE, &mut 0u64);
         let Decision::Feasible(s) = at_three else {
             panic!("feasible at II 3, got {at_three:?}");
         };
@@ -625,7 +624,7 @@ mod tests {
             clause_limit: 1,
             slot_limit: 1 << 16,
         };
-        let (decision, _) = decide_ii(&p, 5, &starved, &mut NullSink);
+        let (decision, _) = decide_ii(&p, 5, &starved, &mut 0u64);
         assert_eq!(decision, Decision::LimitHit);
 
         let no_slots = SatLimits {
@@ -633,7 +632,7 @@ mod tests {
             clause_limit: 1 << 22,
             slot_limit: 1,
         };
-        let (decision, _) = decide_ii(&p, 5, &no_slots, &mut NullSink);
+        let (decision, _) = decide_ii(&p, 5, &no_slots, &mut 0u64);
         assert_eq!(decision, Decision::LimitHit);
     }
 }

@@ -40,7 +40,6 @@
 //! use ims_graph::DepKind;
 //! use ims_ir::{OpId, Opcode};
 //! use ims_machine::minimal;
-//! use ims_prof::NullSink;
 //!
 //! let m = minimal();
 //! let mut pb = ProblemBuilder::new(&m);
@@ -51,7 +50,7 @@
 //! let problem = pb.finish();
 //!
 //! let config = ProverConfig::new(Cdcl::DEFAULT_WORK_LIMIT);
-//! let out = prove(&problem, &Cdcl::default(), &config, &mut NullObserver, &mut NullSink)?;
+//! let out = prove(&problem, &Cdcl::default(), &config, &mut NullObserver)?;
 //! assert!(out.optimal());
 //! assert!(validate_schedule(&problem, &out.schedule).is_ok());
 //! # Ok::<(), ims_core::ScheduleError>(())
@@ -152,26 +151,25 @@ impl LeafOutcome {
 
 /// Schedules `problem` with the leaf backend `kind`.
 ///
-/// * `ims` runs [`Scheduler`] under `sched`; `work_limit` and `sink` are
-///   unused.
+/// * `ims` runs [`Scheduler`] under `sched`; `work_limit` is unused.
 /// * `exact` and `sat` run the [`prove`] walk around [`BranchAndBound`]
 ///   or [`Cdcl`], with `sched` configuring the walk's internal heuristic
 ///   run and `work_limit` its work budget (nodes or conflicts; `None` is
-///   unlimited). The deciders' deterministic counters go to `sink`.
+///   unlimited).
 ///
-/// Every scheduler event goes to `observer`.
+/// Every scheduler event goes to `observer`, the backends' work counts
+/// among them as `work` events.
 ///
 /// # Errors
 ///
 /// The iterative scheduler's [`ScheduleError`]; a prover forwards the
 /// error of its internal heuristic run.
-pub fn schedule_leaf<O: SchedObserver, P: ProfSink>(
+pub fn schedule_leaf<O: SchedObserver>(
     kind: BackendKind,
     problem: &Problem<'_>,
     sched: &SchedConfig,
     work_limit: Option<u64>,
     observer: &mut O,
-    sink: &mut P,
 ) -> Result<LeafOutcome, ScheduleError> {
     let config = || ProverConfig::new(work_limit).heuristic(sched.clone());
     match kind {
@@ -181,10 +179,10 @@ pub fn schedule_leaf<O: SchedObserver, P: ProfSink>(
             .run()
             .map(LeafOutcome::Ims),
         BackendKind::Exact => {
-            prove(problem, &BranchAndBound, &config(), observer, sink).map(LeafOutcome::Prover)
+            prove(problem, &BranchAndBound, &config(), observer).map(LeafOutcome::Prover)
         }
         BackendKind::Sat => {
-            prove(problem, &Cdcl::default(), &config(), observer, sink).map(LeafOutcome::Prover)
+            prove(problem, &Cdcl::default(), &config(), observer).map(LeafOutcome::Prover)
         }
     }
 }
@@ -196,7 +194,6 @@ mod tests {
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
     use ims_machine::figure1_machine;
-    use ims_prof::NullSink;
 
     /// The Figure 1 loop of the paper (RecMII 5; IMS and both provers
     /// land on the optimal II 6).
@@ -215,7 +212,7 @@ mod tests {
         sched: &SchedConfig,
         work_limit: Option<u64>,
     ) -> Result<LeafOutcome, ScheduleError> {
-        schedule_leaf(kind, p, sched, work_limit, &mut NullObserver, &mut NullSink)
+        schedule_leaf(kind, p, sched, work_limit, &mut NullObserver)
     }
 
     #[test]
@@ -231,26 +228,12 @@ mod tests {
             leaf(BackendKind::Ims, &p, &sched, limit).unwrap(),
             LeafOutcome::Ims(ims)
         );
-        let exact = prove(
-            &p,
-            &BranchAndBound,
-            &config,
-            &mut NullObserver,
-            &mut NullSink,
-        )
-        .unwrap();
+        let exact = prove(&p, &BranchAndBound, &config, &mut NullObserver).unwrap();
         assert_eq!(
             leaf(BackendKind::Exact, &p, &sched, limit).unwrap(),
             LeafOutcome::Prover(exact)
         );
-        let sat = prove(
-            &p,
-            &Cdcl::default(),
-            &config,
-            &mut NullObserver,
-            &mut NullSink,
-        )
-        .unwrap();
+        let sat = prove(&p, &Cdcl::default(), &config, &mut NullObserver).unwrap();
         assert_eq!(
             leaf(BackendKind::Sat, &p, &sched, limit).unwrap(),
             LeafOutcome::Prover(sat)

@@ -10,19 +10,12 @@ use ims_deps::{back_substitute, build_problem, BuildOptions};
 use ims_exact::{prove, BranchAndBound, Decider, ProverConfig, ProverOutcome};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
-use ims_prof::NullSink;
 use ims_sat::Cdcl;
 
 fn run<D: Decider + Default>(problem: &Problem<'_>) -> ProverOutcome {
     let config = ProverConfig::new(D::DEFAULT_WORK_LIMIT);
-    prove(
-        problem,
-        &D::default(),
-        &config,
-        &mut NullObserver,
-        &mut NullSink,
-    )
-    .expect("corpus loops schedule under the automatic II cap")
+    prove(problem, &D::default(), &config, &mut NullObserver)
+        .expect("corpus loops schedule under the automatic II cap")
 }
 
 #[test]

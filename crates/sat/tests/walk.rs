@@ -12,7 +12,7 @@ use ims_exact::{prove, BranchAndBound, Decider, ProverConfig, ProverOutcome};
 use ims_graph::{DepKind, NodeId};
 use ims_ir::{OpId, Opcode};
 use ims_machine::{figure1_machine, minimal, MachineModel};
-use ims_prof::{MetricsRegistry, NullSink};
+use ims_prof::MetricsRegistry;
 use ims_sat::Cdcl;
 
 /// The Figure 1 loop of the paper: a mul/add recurrence of delay 9 at
@@ -35,9 +35,19 @@ fn run<D: Decider>(decider: &D, problem: &Problem<'_>, work_limit: Option<u64>) 
         decider,
         &ProverConfig::new(work_limit),
         &mut NullObserver,
-        &mut NullSink,
     )
     .expect("the heuristic run schedules these loops")
+}
+
+/// Files every `work` event into a registry, as the profiler's observer
+/// does.
+#[derive(Default)]
+struct Filed(MetricsRegistry);
+
+impl SchedObserver for Filed {
+    fn work(&mut self, phase: &'static str, n: u64) {
+        self.0.add(phase, n);
+    }
 }
 
 #[derive(Default)]
@@ -121,7 +131,7 @@ fn walk_contracts<D: Decider + Default>() {
     // inside the last (successful) attempt replays the final schedule.
     let mut spy = Spy::default();
     let config = ProverConfig::new(D::DEFAULT_WORK_LIMIT);
-    let out = prove(&p, &decider, &config, &mut spy, &mut NullSink).unwrap();
+    let out = prove(&p, &decider, &config, &mut spy).unwrap();
     assert_eq!(spy.backend, Some(D::KIND), "{name}");
     assert_eq!(
         spy.attempts.last(),
@@ -137,11 +147,13 @@ fn walk_contracts<D: Decider + Default>() {
 
     // Profiling is deterministic and invisible: two profiled runs file
     // identical registries, and both match the unprofiled outcome.
-    let profiled =
-        |reg: &mut MetricsRegistry| prove(&p, &decider, &config, &mut NullObserver, reg).unwrap();
-    let (mut r1, mut r2) = (MetricsRegistry::new(), MetricsRegistry::new());
-    let o1 = profiled(&mut r1);
-    let o2 = profiled(&mut r2);
+    let profiled = || {
+        let mut filed = Filed::default();
+        let out = prove(&p, &decider, &config, &mut filed).unwrap();
+        (out, filed.0)
+    };
+    let (o1, r1) = profiled();
+    let (o2, r2) = profiled();
     assert_eq!(r1, r2, "{name}");
     assert_eq!(o1, o2, "{name}");
     assert_eq!(o1, full, "{name}: profiling changed the outcome");

@@ -42,7 +42,7 @@ use ims_core::{
 };
 use ims_exact::{BranchAndBound, Decider};
 use ims_press::PressureObserver;
-use ims_prof::{phase, MetricsRegistry, NullSink};
+use ims_prof::{phase, MetricsRegistry};
 use ims_sat::{schedule_leaf, Cdcl, LeafOutcome};
 use ims_stats::Histogram;
 
@@ -158,14 +158,7 @@ fn race(
             BackendKind::Exact => node_limit.or(BranchAndBound::DEFAULT_WORK_LIMIT),
             BackendKind::Sat => Cdcl::DEFAULT_WORK_LIMIT,
         };
-        schedule_leaf(
-            kind,
-            problem,
-            cfg,
-            work_limit,
-            &mut NullObserver,
-            &mut NullSink,
-        )
+        schedule_leaf(kind, problem, cfg, work_limit, &mut NullObserver)
     };
     let results: Vec<_> = match spec.members() {
         &[kind] => vec![run(kind)],

@@ -6,7 +6,7 @@
 use ims_bench::{corpus_jsonl, measure_corpus, MeasureParams};
 use ims_core::BackendKind;
 use ims_loopgen::corpus_of_size;
-use ims_machine::cydra;
+use ims_machine::{cydra, cydra_rf};
 use ims_prof::phase;
 use ims_prof::snapshot::{deterministic_section, render_snapshot};
 
@@ -86,4 +86,47 @@ fn exact_backend_profiling_reports_search_work() {
     // The profiled run also lowers and simulates each loop.
     assert!(reg.counter(phase::CODEGEN_INSTS) > 0);
     assert!(reg.counter(phase::VLIW_SIM_CYCLES) > 0);
+}
+
+/// Failed runs are counted: the pressure-aware runs of pressure-infeasible
+/// loops end in an error, yet their work reaches the profile, so every
+/// per-step counter equals its histogram's count or sum.
+#[test]
+fn pressure_infeasible_runs_are_counted() {
+    let corpus = corpus_of_size(0xC4D5, 31);
+    let params = MeasureParams {
+        pressure_limit: Some(16),
+        ..MeasureParams::ims(6.0)
+    };
+    let (ms, reg) = measure_corpus(&corpus, &cydra_rf(16), &params, 2, None, true).expect("no I/O");
+    assert!(
+        ms.iter().any(|m| !m.press.expect("pressure verdict").ok),
+        "the corpus has a pressure-infeasible loop"
+    );
+
+    let slots = reg.hist(phase::HIST_SLOT_SEARCH).expect("slot histogram");
+    assert_eq!(reg.counter(phase::SCHED_STEPS), slots.total());
+    assert_eq!(
+        reg.counter(phase::SCHED_FINDSLOT_ITERS) as i128,
+        slots.sum()
+    );
+    let estart = reg
+        .hist(phase::HIST_ESTART_PREDS)
+        .expect("estart histogram");
+    assert_eq!(reg.counter(phase::SCHED_ESTART_PREDS) as i128, estart.sum());
+}
+
+/// The hand kernels simulate on their own initial memory, so the index
+/// arrays of `gather` and `scatter` hold integers and every loop runs.
+#[test]
+fn hand_kernels_simulate_without_errors() {
+    // corpus_of_size floors at the 31 hand kernels.
+    let corpus = corpus_of_size(0xC4D5, 31);
+    let (_, reg) =
+        measure_corpus(&corpus, &cydra(), &MeasureParams::ims(6.0), 2, None, true).expect("no I/O");
+    assert_eq!(reg.counter(phase::VLIW_SIM_ERRORS), 0);
+    assert_eq!(
+        reg.counter(phase::VLIW_SIM_LOOPS),
+        reg.counter(phase::CORPUS_LOOPS)
+    );
 }

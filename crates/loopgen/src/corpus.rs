@@ -1,6 +1,6 @@
 //! Assembly of the full substitute corpus.
 
-use ims_ir::LoopBody;
+use ims_ir::{ArrayId, LoopBody, Value};
 use ims_testkit::{Rng, Xoshiro256};
 
 use crate::kernels::kernels;
@@ -39,6 +39,9 @@ pub struct CorpusLoop {
     pub profile: Profile,
     /// Provenance.
     pub source: Source,
+    /// Initial contents per array: the hand kernel's `init`, empty for
+    /// synthetic loops, whose arrays start zero-filled.
+    pub init: Vec<(ArrayId, Vec<Value>)>,
 }
 
 /// The full corpus.
@@ -130,6 +133,7 @@ pub fn corpus_of_size(seed: u64, size: usize) -> Corpus {
             body: k.body,
             profile: sample_profile(&mut rng),
             source: Source::Kernel(k.name),
+            init: k.init,
         });
     }
     while loops.len() < size {
@@ -143,6 +147,7 @@ pub fn corpus_of_size(seed: u64, size: usize) -> Corpus {
             body: generate_loop(&mut rng, &config),
             profile: sample_profile(&mut rng),
             source: Source::Synthetic,
+            init: Vec::new(),
         });
     }
     Corpus { loops }

@@ -8,7 +8,7 @@ use crate::sink::ProfSink;
 
 /// Phase-keyed metrics for one profiled run (or one loop of it).
 ///
-/// Three deterministic sections — counters, gauges, histograms — plus a
+/// Two deterministic sections — counters and histograms — plus a
 /// wall-clock section fed by [`PhaseTimer`](crate::PhaseTimer) spans that
 /// is kept strictly apart: merging registries, rendering snapshots, and
 /// diffing all treat the deterministic sections as byte-comparable across
@@ -19,7 +19,6 @@ use crate::sink::ProfSink;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
     hists: BTreeMap<&'static str, Histogram>,
     wall: BTreeMap<&'static str, Histogram>,
 }
@@ -33,12 +32,6 @@ impl MetricsRegistry {
     /// Adds `n` to the counter for `phase`.
     pub fn add(&mut self, phase: &'static str, n: u64) {
         *self.counters.entry(phase).or_insert(0) += n;
-    }
-
-    /// Sets the gauge for `phase` (last write wins; merging keeps the
-    /// *maximum* so gauges stay order-independent across merges).
-    pub fn set_gauge(&mut self, phase: &'static str, value: i64) {
-        self.gauges.insert(phase, value);
     }
 
     /// Records one observation in the deterministic histogram for `phase`.
@@ -55,18 +48,14 @@ impl MetricsRegistry {
             .add(ns.min(i64::MAX as u64) as i64);
     }
 
-    /// Merges `other` into `self`: counters sum, gauges keep the maximum,
-    /// histograms (deterministic and wall) merge. Summing and histogram
+    /// Merges `other` into `self`: counters sum, histograms
+    /// (deterministic and wall) merge. Summing and histogram
     /// merging are commutative and associative, so any merge order over
     /// per-loop registries yields the same totals; the harness still
     /// merges in corpus order for good measure.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (k, v) in &other.counters {
             *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            let e = self.gauges.entry(k).or_insert(*v);
-            *e = (*e).max(*v);
         }
         for (k, h) in &other.hists {
             self.hists.entry(k).or_default().merge(h);
@@ -79,11 +68,6 @@ impl MetricsRegistry {
     /// The counter for `phase` (0 if never touched).
     pub fn counter(&self, phase: &str) -> u64 {
         self.counters.get(phase).copied().unwrap_or(0)
-    }
-
-    /// The gauge for `phase`, if set.
-    pub fn gauge(&self, phase: &str) -> Option<i64> {
-        self.gauges.get(phase).copied()
     }
 
     /// The deterministic histogram for `phase`, if any observation was
@@ -103,11 +87,6 @@ impl MetricsRegistry {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Iterates `(phase, value)` over the gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, i64)> + '_ {
-        self.gauges.iter().map(|(k, v)| (*k, *v))
-    }
-
     /// Iterates `(phase, histogram)` over the deterministic histograms in
     /// name order.
     pub fn hists(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
@@ -122,10 +101,7 @@ impl MetricsRegistry {
 
     /// Whether nothing at all was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
-            && self.wall.is_empty()
+        self.counters.is_empty() && self.hists.is_empty() && self.wall.is_empty()
     }
 }
 
@@ -143,18 +119,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_and_hists_round_trip() {
+    fn counters_and_hists_round_trip() {
         let mut r = MetricsRegistry::new();
         assert!(r.is_empty());
         r.add("a", 2);
         r.add("a", 3);
-        r.set_gauge("g", 7);
         r.observe("h", 1);
         r.observe("h", 9);
         r.record_wall_ns("w", 100);
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("g"), Some(7));
         assert_eq!(r.hist("h").unwrap().total(), 2);
         assert_eq!(r.wall("w").unwrap().total(), 1);
         assert!(!r.is_empty());
@@ -166,7 +140,6 @@ mod tests {
             let mut r = MetricsRegistry::new();
             r.add("c", c);
             r.observe("h", h);
-            r.set_gauge("g", h);
             r
         };
         let (a, b, c) = (mk(1, 10), mk(2, 20), mk(3, 30));
@@ -180,7 +153,6 @@ mod tests {
         }
         assert_eq!(ab, ba);
         assert_eq!(ab.counter("c"), 6);
-        assert_eq!(ab.gauge("g"), Some(30), "gauges merge by max");
         assert_eq!(ab.hist("h").unwrap().total(), 3);
     }
 

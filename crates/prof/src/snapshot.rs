@@ -1,8 +1,8 @@
 //! Versioned `BENCH_<name>.json` profile snapshots.
 //!
 //! A snapshot is a small, stable JSON document with the **deterministic
-//! sections first** (counters, gauges, histogram summaries — byte-
-//! identical for any `--threads` value) and the **wall section last**
+//! sections first** (counters and histogram summaries — byte-identical
+//! for any `--threads` value) and the **wall section last**
 //! (span counts and p50/p90/p99 percentiles in nanoseconds — machine- and
 //! run-dependent). The split is load-bearing: determinism tests and
 //! `scripts/verify.sh` byte-compare [`deterministic_section`] across
@@ -67,8 +67,6 @@ pub struct Snapshot {
     pub name: String,
     /// Deterministic work counters by phase.
     pub counters: BTreeMap<String, u64>,
-    /// Deterministic gauges by phase.
-    pub gauges: BTreeMap<String, i64>,
     /// Deterministic histogram summaries by phase.
     pub histograms: BTreeMap<String, HistSummary>,
     /// Wall-clock span summaries by phase (non-deterministic).
@@ -85,9 +83,6 @@ impl Snapshot {
         };
         for (k, v) in reg.counters() {
             s.counters.insert(k.to_string(), v);
-        }
-        for (k, v) in reg.gauges() {
-            s.gauges.insert(k.to_string(), v);
         }
         for (k, h) in reg.hists() {
             s.histograms.insert(
@@ -127,8 +122,6 @@ impl Snapshot {
         out.push_str(&format!("  \"name\": \"{}\",\n", json::escape(&self.name)));
         out.push_str("  \"deterministic\": {\n");
         render_map(&mut out, "counters", &self.counters, 4, |v| v.to_string());
-        out.push_str(",\n");
-        render_map(&mut out, "gauges", &self.gauges, 4, |v| v.to_string());
         out.push_str(",\n");
         render_map(&mut out, "histograms", &self.histograms, 4, |h| {
             format!(
@@ -175,12 +168,6 @@ impl Snapshot {
             for (k, v) in c {
                 s.counters
                     .insert(k.clone(), v.as_int().ok_or("counter is not a u64")?);
-            }
-        }
-        if let Some(g) = det.get("gauges").and_then(Value::as_obj) {
-            for (k, v) in g {
-                s.gauges
-                    .insert(k.clone(), v.as_int().ok_or("gauge is not an i64")?);
             }
         }
         if let Some(hs) = det.get("histograms").and_then(Value::as_obj) {
@@ -277,7 +264,6 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.add(phase::GRAPH_MINDIST_WORK, 1234);
         reg.add(phase::SCHED_EVICTIONS, 5);
-        reg.set_gauge(phase::CORPUS_LOOPS, 60);
         for v in [1, 1, 2, 3, 10] {
             reg.observe(phase::HIST_SLOT_SEARCH, v);
         }
@@ -294,7 +280,6 @@ mod tests {
         assert_eq!(snap.schema, SCHEMA_VERSION);
         assert_eq!(snap.name, "corpus");
         assert_eq!(snap.counters[phase::GRAPH_MINDIST_WORK], 1234);
-        assert_eq!(snap.gauges[phase::CORPUS_LOOPS], 60);
         let h = snap.histograms[phase::HIST_SLOT_SEARCH];
         assert_eq!(h.count, 5);
         assert_eq!(h.sum, 17);
@@ -349,7 +334,6 @@ mod tests {
             "{\"bench_schema\": 1, \"name\": \"x\"}",
             "not json at all",
             "{\"bench_schema\": 1, \"name\": \"x\", \"deterministic\": {\"counters\": {\"c\": -1}}}",
-            "{\"bench_schema\": 1, \"name\": \"x\", \"deterministic\": {\"gauges\": {\"g\": 2.0}}}",
             &"[".repeat(200_000),
         ] {
             let err = Snapshot::parse(bad).unwrap_err();
@@ -361,7 +345,6 @@ mod tests {
     fn integer_extremes_round_trip() {
         let mut snap = Snapshot::from_registry("x", &sample_registry());
         snap.counters.insert("c".into(), u64::MAX);
-        snap.gauges.insert("g".into(), i64::MIN);
         let h = HistSummary {
             count: u64::MAX,
             sum: i128::MAX,

@@ -20,9 +20,11 @@
 //!   §3.4, under the `BudgetRatio` operation-scheduling budget;
 //! * an **event-level observer layer** ([`SchedObserver`]): every
 //!   scheduling decision (placements, evictions, slot searches, budget
-//!   exhaustion) is reported to a monomorphized observer, at zero cost
-//!   for the default [`NullObserver`] — the `ims-trace` crate builds
-//!   JSON-lines tracing and metrics aggregation on top;
+//!   exhaustion) and every work count (the `work` hook, keyed by
+//!   `ims_prof::phase` names) is reported to a monomorphized observer,
+//!   at zero cost for the default [`NullObserver`] — the `ims-trace`
+//!   crate builds JSON-lines tracing on top, and the profiler folds the
+//!   same stream into its registry;
 //! * the **backend names and bounds** the exact provers share with it
 //!   ([`BackendKind`], [`BackendSpec`], [`IiBounds`]): the iterative
 //!   scheduler, the exact branch-and-bound scheduler in `ims-exact`, and
@@ -37,7 +39,8 @@
 //! * an independent **schedule validator** ([`validate_schedule`]) that
 //!   re-checks every dependence and modulo resource constraint of a
 //!   schedule, and the per-loop **instrumentation counters** ([`Counters`])
-//!   behind the paper's Table 4.
+//!   behind the paper's Table 4, a fold of the observer stream that
+//!   [`Scheduler::run`] attaches to every run.
 //!
 //! # Examples
 //!

@@ -28,7 +28,7 @@ trap 'rm -rf "$tmp"' EXIT
 # The snapshot's "deterministic" object, without the wall section.
 det() { awk '/^  "deterministic": \{/{p=1} p{print} p&&/^  \}/{exit}' "$1"; }
 # Fails unless two profile snapshots have the same non-empty deterministic
-# section, byte for byte: counters, gauges and every histogram field.
+# section, byte for byte: counters and every histogram field.
 # Their wall sections are expected to differ and are not compared.
 same_det() {
     if [ -n "$(det "$1")" ] && cmp -s <(det "$1") <(det "$2"); then
@@ -157,15 +157,14 @@ cargo run --release --offline -q -p ims-bench --bin trace_report -- \
     "$tr1_dir" --top 3 >"$bench_dir/trace_report.txt"
 echo "    trace_report renders the trace directory"
 
-echo "==> explain: II attribution determinism + exact-match accounting"
+echo "==> explain: II attribution determinism + trace replay"
 ex1_log="$tmp/ex1.log"
 ex4_log="$tmp/ex4.log"
 exr_log="$tmp/exr.log"
 ex_traces="$bench_dir/explain_traces"
-# The driver itself asserts, per loop, that mined trace totals equal the
-# scheduler's counters (exit 1 otherwise), so a clean run IS the
-# accounting gate. --trace also writes every event stream for the replay
-# leg below.
+# Gates thread determinism of the report, the --from-trace replay of the
+# event streams --trace writes, and the deterministic profile sections.
+# Mined totals and counters fold the same events, so they need no check.
 cargo run --release --offline -q -p ims-bench --bin explain -- \
     --threads 1 --trace "$ex_traces" \
     --profile "$bench_dir/BENCH_explain_t1.json" >"$ex1_log" 2>/dev/null

@@ -293,6 +293,24 @@ not json
 {"id":"probe","stats":true}
 {"id":"good","machine":"minimal","ops":["add","mul"],"edges":[[0,1,1,0,"flow",false]]}
 EOF
+# Valid request lines in shapes the generator never writes: keys out of
+# order, unknown and nested fields, escaped keys and ids, float and
+# integral-float numbers, null caps, whitespace between tokens (a tab
+# included), a duplicate key and a stats probe with extra fields. Each
+# must keep the reply it gets from the tree parser.
+cargo run --release --offline -q -p ims-serve --bin scheduled -- \
+    --threads 2 >"$bench_dir/scheduled_wire.jsonl" 2>/dev/null <<'EOF'
+{"ops":["add","mul"],"edges":[[0,1,1,0,"flow",false]],"backend":"ims","machine":"minimal","id":"order"}
+{"id":"extra-π","note":{"a":[1,{"b":null}],"c":"x\"y"},"machine":"minimal","tags":[[],{},true,-0.5e3],"ops":["add","mul"],"edges":[[1,0,2,1,"anti",true]],"zz":null}
+{"\u0069d":"esc\"id\\é\/\t","m\u0061chine":"minimal","ops":["add"]}
+{"id":"nums","machine":"cydra","budget_ratio":2.5,"max_ii":40.0,"node_limit":null,"pressure_limit":null,"ops":["load","add","store"],"edges":[[0,1,13,0,"flow",false],[1,2,1,0,"flow",false]]}
+{"id":"ints","machine":"cydra","budget_ratio":3,"max_ii":1e2,"ops":["load","add","store"],"edges":[[0,1,13.0,-0,"flow",false],[1,2,1,0,"output",false],[2,0,-4,2,"control",true]]}
+ { "id" : "ws" ,	"machine" : "minimal" , "ops" : [ "add" , "mul" ] , "edges" : [ [ 0 , 1 , 1 , 0 , "flow" , false ] ] }
+{"id":"dupA","machine":"minimal","ops":["add"],"ops":["add","mul"],"id":"dupB"}
+{"id":"probe","ops":["add"],"stats":true,"extra":{"k":[1,2]}}
+{"id":"race","machine":"minimal","backend":" portfolio( exact , ims ) ","node_limit":500,"ops":["add","mul"],"edges":[[0,1,1,0,"flow",false]]}
+{"id":"press","machine":"cydra_rf16","pressure_limit":16.0,"ops":["load","add"],"edges":[[0,1,13,0,"flow",false]]}
+EOF
 # The portfolio(ims,sat) requests of the serve-portfolio benchmark, and
 # the provers behind the service on request loop-00004 of that set: ims
 # alone answers II 5 and both provers II 4; a one-node exact budget falls
@@ -370,6 +388,7 @@ golden="$bench_dir/golden.sha256"
     echo "$(sum <"$bench_dir/scheduled_press16.jsonl")  scheduled_press16.stdout"
     echo "$(sum <"$bench_dir/scheduled_press8.jsonl")  scheduled_press8.stdout"
     echo "$(sum <"$bench_dir/scheduled_malformed.jsonl")  scheduled_malformed.stdout"
+    echo "$(sum <"$bench_dir/scheduled_wire.jsonl")  scheduled_wire.stdout"
     echo "$(sum <"$bench_dir/trace_report.txt")  trace_report.stdout"
 } >"$golden"
 if ! diff -u scripts/golden.sha256 "$golden" >&2; then

@@ -49,7 +49,7 @@ use ims_stats::Histogram;
 use crate::cache::{key_request, CanonProblem, Entry, Keyed, ScheduleCache};
 use crate::json;
 use crate::pool;
-use crate::wire::{machine_by_name, request_from_value, stats_id, Request};
+use crate::wire::{decode, machine_by_name, request_from_value, stats_id, Request, MAX_LINE_BYTES};
 
 /// Everything a worker needs to schedule one cache miss. Derived from the
 /// first request that missed on the key; every field below is part of the
@@ -184,16 +184,29 @@ fn race(
 }
 
 /// Classifies one request line: a stats probe, a keyed request, or an
-/// error response. An invalid request's response still echoes its `id`
-/// when the line is JSON carrying a string `id`, so the client can
-/// correlate it.
+/// error response. A line over [`MAX_LINE_BYTES`] is refused before any
+/// of it is parsed. Other lines go through [`decode`] first; what it
+/// leaves to the tree parser is answered from the tree. An invalid
+/// request's response still echoes its `id` when the line is JSON
+/// carrying a string `id`, so the client can correlate it.
 fn parse_line(line: &[u8]) -> Parsed {
-    let v = match std::str::from_utf8(line)
-        .map_err(|e| format!("line is not UTF-8: {e}"))
-        .and_then(|line| json::parse(line).map_err(|e| format!("invalid JSON: {e}")))
-    {
+    let invalid = |id: &str, e: &str| {
+        Parsed::Invalid(render_error(id, None, &format!("invalid request: {e}")))
+    };
+    if line.len() > MAX_LINE_BYTES {
+        return invalid("", &format!("line longer than {MAX_LINE_BYTES} bytes"));
+    }
+    let text = match std::str::from_utf8(line) {
+        Ok(text) => text,
+        Err(e) => return invalid("", &format!("line is not UTF-8: {e}")),
+    };
+    if let Some(req) = decode(text) {
+        let keyed = key_request(&req);
+        return Parsed::Request(Box::new(req), keyed);
+    }
+    let v = match json::parse(text) {
         Ok(v) => v,
-        Err(e) => return Parsed::Invalid(render_error("", None, &format!("invalid request: {e}"))),
+        Err(e) => return invalid("", &format!("invalid JSON: {e}")),
     };
     if let Some(id) = stats_id(&v) {
         return Parsed::Stats(id);
@@ -208,7 +221,7 @@ fn parse_line(line: &[u8]) -> Parsed {
                 .get("id")
                 .and_then(json::Value::as_str)
                 .unwrap_or_default();
-            Parsed::Invalid(render_error(id, None, &format!("invalid request: {e}")))
+            invalid(id, &e)
         }
     }
 }
@@ -488,28 +501,30 @@ impl Engine {
 /// and sockets see answers without waiting for EOF). Lines end at `\n`
 /// (an `\r` before it is dropped) and are read as bytes, so a line that
 /// is not UTF-8 is answered with an error instead of ending the stream.
-/// Blank lines are skipped.
+/// At most [`MAX_LINE_BYTES`]` + 1` bytes of a line are kept, and the
+/// rest is skipped: a line over the cap is answered with one error, and
+/// memory stays bounded whatever the stream holds. Blank lines are
+/// skipped.
 ///
 /// # Errors
 ///
 /// I/O errors from either side of the stream.
 pub fn serve_stream(
     engine: &mut Engine,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
     batch: usize,
 ) -> io::Result<()> {
     let batch = batch.max(1);
     let mut pending: Vec<Vec<u8>> = Vec::with_capacity(batch);
-    for line in reader.split(b'\n') {
-        let mut line = line?;
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        if std::str::from_utf8(&line).is_ok_and(|s| s.trim().is_empty()) {
+    let mut line = Vec::new();
+    while read_line(&mut reader, &mut line)? {
+        if line.len() <= MAX_LINE_BYTES
+            && std::str::from_utf8(&line).is_ok_and(|s| s.trim().is_empty())
+        {
             continue;
         }
-        pending.push(line);
+        pending.push(std::mem::take(&mut line));
         if pending.len() >= batch {
             engine.process_batch(&pending, &mut writer)?;
             writer.flush()?;
@@ -520,6 +535,40 @@ pub fn serve_stream(
         engine.process_batch(&pending, &mut writer)?;
     }
     writer.flush()
+}
+
+/// Reads the next `\n`-terminated line into `line`, without the `\n` or
+/// an `\r` before it. Keeps at most [`MAX_LINE_BYTES`]` + 1` bytes, so a
+/// longer line still reads as over the cap while its rest is skipped.
+/// Returns `false` at the end of the stream.
+fn read_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<bool> {
+    line.clear();
+    let (mut read_any, mut skipped) = (false, false);
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            break;
+        }
+        read_any = true;
+        let end = buf.iter().position(|&b| b == b'\n');
+        let part = &buf[..end.unwrap_or(buf.len())];
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len());
+        skipped |= part.len() > room;
+        line.extend_from_slice(&part[..part.len().min(room)]);
+        let used = end.map_or(buf.len(), |i| i + 1);
+        reader.consume(used);
+        if end.is_some() {
+            break;
+        }
+    }
+    if !skipped && line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    Ok(read_any)
 }
 
 /// Serves JSONL request streams over a Unix domain socket: binds `path`,
@@ -925,6 +974,49 @@ mod tests {
         assert_eq!(engine.cache.hits, 2);
     }
 
+    #[test]
+    fn lines_over_the_cap_are_refused_before_parsing() {
+        let mut engine = Engine::new(1);
+        let at_cap = CHAIN.to_string() + &" ".repeat(MAX_LINE_BYTES - CHAIN.len());
+        let over = format!("{at_cap} ");
+        let out = respond(&mut engine, &[&at_cap, &over]);
+        assert!(out[0].contains("\"ok\":true"), "{}", out[0]);
+        assert_eq!(
+            out[1],
+            r#"{"id":"","ok":false,"error":"invalid request: line longer than 1048576 bytes"}"#
+        );
+    }
+
+    #[test]
+    fn read_line_keeps_at_most_one_byte_past_the_cap() {
+        let cap = MAX_LINE_BYTES;
+        let input = [
+            "a".repeat(cap) + "\r\n",
+            "b".repeat(cap + 1) + "\r\n",
+            "c".repeat(cap) + "\r" + &"c".repeat(2 * cap) + "\n",
+            "d\r\n".to_string(),
+            "e".to_string(),
+        ]
+        .concat();
+        // A small buffer, so lines span many reads.
+        let mut reader = io::BufReader::with_capacity(4096, input.as_bytes());
+        let mut line = Vec::new();
+        let mut read = Vec::new();
+        while read_line(&mut reader, &mut line).unwrap() {
+            read.push((line.len(), line[0], line.last().copied()));
+        }
+        assert_eq!(
+            read,
+            [
+                (cap, b'a', Some(b'a')),
+                (cap + 1, b'b', Some(b'b')),
+                (cap + 1, b'c', Some(b'\r')),
+                (1, b'd', Some(b'd')),
+                (1, b'e', Some(b'e')),
+            ]
+        );
+    }
+
     const STATS: &str = r#"{"id":"s","stats":true}"#;
 
     #[test]
@@ -952,6 +1044,17 @@ mod tests {
         assert_eq!(
             next[0],
             r#"{"id":"s","ok":true,"stats":{"requests":6,"hits":1,"misses":1,"failed":1,"entries":1}}"#
+        );
+    }
+
+    #[test]
+    fn a_stats_probe_stays_a_probe_whatever_rides_along() {
+        let mut engine = Engine::new(1);
+        let probe = r#"{"id":"s","machine":"minimal","ops":["add"],"stats":true}"#;
+        let out = respond(&mut engine, &[probe]);
+        assert_eq!(
+            out[0],
+            r#"{"id":"s","ok":true,"stats":{"requests":0,"hits":0,"misses":0,"failed":0,"entries":0}}"#
         );
     }
 

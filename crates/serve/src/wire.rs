@@ -15,8 +15,8 @@
 //! * `edges`: `[from, to, delay, distance, kind, is_mem]` sextuples with
 //!   `kind` one of `"flow" | "anti" | "output" | "control"`.
 //! * `machine` (default `"cydra"`): a named machine model —
-//!   `cydra`, `cydra_simple`, `figure1`, `minimal`, `single_alu`, or
-//!   `wide<K>`.
+//!   `cydra`, `cydra_simple`, `figure1`, `minimal`, `single_alu`,
+//!   `cydra_rf<N>`, or `wide<K>` with `K` at most [`MAX_WIDE`].
 //! * `backend` (default `"ims"`): any backend spec — `"ims"`,
 //!   `"exact"`, `"sat"`, or `"portfolio(a,b,...)"` over those names.
 //!   Unknown names are rejected *at parse time* with a structured
@@ -47,6 +47,16 @@
 //! deterministic by construction, so clients can interleave stats probes
 //! with work without breaking the byte-identity contract. See
 //! [`Engine`](crate::service::Engine).
+//!
+//! **Reading a line.** A line longer than [`MAX_LINE_BYTES`] is refused
+//! before any of it is parsed. Every other line is first decoded straight
+//! from the JSON pull reader ([`json::Reader`]), with no tree. The
+//! decoder reads scalars through the same [`Value`] accessors as the tree
+//! path, and it gives up on any error, a duplicate field, a `stats` field
+//! or `edges` before `ops`. The line then goes through [`json::parse`]
+//! and the tree path, which gives the answer. So the decoder only has to
+//! agree with the tree on lines the tree accepts, and every error text
+//! is the tree's.
 
 use ims_core::BackendSpec;
 use ims_graph::{DepGraph, DepKind};
@@ -55,7 +65,7 @@ use ims_machine::{
     cydra, cydra_rf, cydra_simple, figure1_machine, minimal, single_alu, wide, MachineModel,
 };
 
-use crate::json::{self, Value};
+use crate::json::{self, Reader, Token, Value};
 
 #[cfg(doc)]
 use ims_core::SchedConfig;
@@ -106,8 +116,18 @@ pub struct Request {
     pub edges: Vec<WireEdge>,
 }
 
-/// Resolves a wire-format machine name to a model. `wide<K>` and
-/// `cydra_rf<N>` accept any numeric suffix (e.g. `wide3`, `cydra_rf16`).
+/// The widest `wide<K>` machine a request may name: one occupancy word
+/// per MRT row. A wider name is an unknown machine, so a request cannot
+/// make the worker allocate tables of any size it likes.
+pub const MAX_WIDE: usize = 64;
+
+/// The longest request line, in bytes, that the service reads. A longer
+/// line is answered with an error before any of it is parsed.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Resolves a wire-format machine name to a model. `cydra_rf<N>` accepts
+/// any `u32` suffix (e.g. `cydra_rf16`), `wide<K>` any suffix up to
+/// [`MAX_WIDE`] (e.g. `wide3`).
 ///
 /// # Panics
 ///
@@ -127,10 +147,15 @@ pub fn machine_by_name(name: &str) -> Option<MachineModel> {
             if let Some(n) = name.strip_prefix("cydra_rf") {
                 return n.parse().ok().map(cydra_rf);
             }
-            let k: usize = name.strip_prefix("wide")?.parse().ok()?;
-            Some(wide(k))
+            wide_width(name).map(wide)
         }
     }
+}
+
+/// The `K` of a `wide<K>` name, if it is at most [`MAX_WIDE`].
+fn wide_width(name: &str) -> Option<usize> {
+    let k: usize = name.strip_prefix("wide")?.parse().ok()?;
+    (k <= MAX_WIDE).then_some(k)
 }
 
 /// Shape-only name check used at parse time; construction (and any
@@ -139,9 +164,7 @@ fn machine_name_is_wellformed(name: &str) -> bool {
     matches!(
         name,
         "cydra" | "cydra_simple" | "figure1" | "minimal" | "single_alu"
-    ) || name
-        .strip_prefix("wide")
-        .is_some_and(|k| k.parse::<usize>().is_ok())
+    ) || wide_width(name).is_some()
         || name
             .strip_prefix("cydra_rf")
             .is_some_and(|n| n.parse::<u32>().is_ok())
@@ -186,32 +209,173 @@ pub(crate) fn stats_id(v: &Value) -> Option<String> {
 /// out-of-range edge endpoints. The error string is a pure function of
 /// the line, so error responses are as deterministic as successes.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    request_from_value(&v)
+    match decode(line) {
+        Some(req) => Ok(req),
+        None => {
+            let v = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+            request_from_value(&v)
+        }
+    }
+}
+
+/// The fields of a request besides `ops` and `edges`, in the order
+/// [`request_from_value`] checks them.
+const HEAD: [&str; 7] = [
+    "id",
+    "machine",
+    "backend",
+    "budget_ratio",
+    "max_ii",
+    "node_limit",
+    "pressure_limit",
+];
+
+/// Decodes a request line straight from the pull reader, with no tree.
+///
+/// `None` sends the line to the tree path ([`json::parse`] and
+/// [`request_from_value`]), which then gives the answer: any syntax or
+/// field error, a duplicate field, a `stats` field, or `edges` before
+/// `ops`. So this path only has to agree with the tree on lines the tree
+/// accepts, and it reads their numbers through the same [`Value`]
+/// accessors.
+pub(crate) fn decode(line: &str) -> Option<Request> {
+    let mut r = Reader::new(line);
+    if !matches!(r.next_token(), Ok(Token::ObjectStart)) {
+        return None;
+    }
+    let mut head: [Option<Value>; HEAD.len()] = Default::default();
+    let mut ops = None;
+    let mut edges = None;
+    while let Ok(Token::Key(key)) = r.next_token() {
+        if let Some(i) = HEAD.iter().position(|&h| h == key) {
+            let value = match r.next_token() {
+                Ok(Token::Str(s)) => Value::Str(s.into_owned()),
+                Ok(Token::Scalar(v)) => v,
+                _ => return None,
+            };
+            if head[i].replace(value).is_some() {
+                return None;
+            }
+        } else if key == "ops" && ops.is_none() {
+            ops = Some(decode_ops(&mut r)?);
+        } else if key == "edges" && edges.is_none() {
+            let n_ops = ops.as_ref().map(Vec::len)?;
+            edges = Some(decode_edges(&mut r, n_ops)?);
+        } else if matches!(&*key, "ops" | "edges" | "stats") {
+            return None;
+        } else {
+            r.skip_value().ok()?;
+        }
+    }
+    // The loop also ends on an error; only a complete document passes.
+    r.finish().ok()?;
+    let mut req = request_head(head).ok()?;
+    req.ops = ops.filter(|ops| !ops.is_empty())?;
+    req.edges = edges.unwrap_or_default();
+    Some(req)
+}
+
+/// The `ops` array, from its `[` on.
+fn decode_ops(r: &mut Reader<'_>) -> Option<Vec<Opcode>> {
+    if !matches!(r.next_token(), Ok(Token::ArrayStart)) {
+        return None;
+    }
+    let mut ops = Vec::new();
+    loop {
+        match r.next_token() {
+            Ok(Token::Str(s)) => ops.push(opcode_by_mnemonic(&s)?),
+            Ok(Token::ArrayEnd) => return Some(ops),
+            _ => return None,
+        }
+    }
+}
+
+/// The `edges` array, from its `[` on, over `n_ops` operations.
+fn decode_edges(r: &mut Reader<'_>, n_ops: usize) -> Option<Vec<WireEdge>> {
+    if !matches!(r.next_token(), Ok(Token::ArrayStart)) {
+        return None;
+    }
+    let mut edges = Vec::new();
+    loop {
+        match r.next_token() {
+            Ok(Token::ArrayStart) => {}
+            Ok(Token::ArrayEnd) => return Some(edges),
+            _ => return None,
+        }
+        let mut scalar = || match r.next_token() {
+            Ok(Token::Scalar(v)) => Some(v),
+            _ => None,
+        };
+        let [from, to, delay, distance] = [scalar()?, scalar()?, scalar()?, scalar()?];
+        let kind = match r.next_token() {
+            Ok(Token::Str(s)) => kind_by_name(&s),
+            _ => return None,
+        };
+        let is_mem = match r.next_token() {
+            Ok(Token::Scalar(v)) => v,
+            _ => return None,
+        };
+        if !matches!(r.next_token(), Ok(Token::ArrayEnd)) {
+            return None;
+        }
+        let nums = [&from, &to, &delay, &distance, &is_mem];
+        edges.push(edge(edges.len(), n_ops, nums, kind).ok()?);
+    }
 }
 
 /// [`parse_request`] over an already-parsed line.
 pub(crate) fn request_from_value(v: &Value) -> Result<Request, String> {
     let obj = v.as_obj().ok_or("request must be a JSON object")?;
+    let mut req = request_head(HEAD.map(|k| obj.get(k).cloned()))?;
 
-    let id = obj
-        .get("id")
-        .and_then(Value::as_str)
-        .ok_or("missing string field \"id\"")?
-        .to_string();
-
-    let machine = match obj.get("machine") {
-        None => "cydra".to_string(),
-        Some(m) => m
+    let ops_v = obj
+        .get("ops")
+        .and_then(Value::as_arr)
+        .ok_or("missing array field \"ops\"")?;
+    if ops_v.is_empty() {
+        return Err("\"ops\" must name at least one operation".to_string());
+    }
+    for (i, o) in ops_v.iter().enumerate() {
+        let s = o
             .as_str()
-            .ok_or("field \"machine\" must be a string")?
-            .to_string(),
+            .ok_or_else(|| format!("ops[{i}] must be a mnemonic string"))?;
+        req.ops
+            .push(opcode_by_mnemonic(s).ok_or_else(|| format!("unknown opcode {s:?}"))?);
+    }
+
+    if let Some(edges_v) = obj.get("edges") {
+        let arr = edges_v.as_arr().ok_or("field \"edges\" must be an array")?;
+        for (i, e) in arr.iter().enumerate() {
+            let t = e.as_arr().filter(|t| t.len() == 6).ok_or_else(|| {
+                format!("edges[{i}] must be [from,to,delay,distance,kind,is_mem]")
+            })?;
+            let kind = t[4].as_str().and_then(kind_by_name);
+            let nums = [&t[0], &t[1], &t[2], &t[3], &t[5]];
+            req.edges.push(edge(i, req.ops.len(), nums, kind)?);
+        }
+    }
+    Ok(req)
+}
+
+/// A request with every field but `ops` and `edges` checked and set from
+/// `head`, the values of the [`HEAD`] fields in that order; `ops` and
+/// `edges` are empty.
+fn request_head(head: [Option<Value>; HEAD.len()]) -> Result<Request, String> {
+    let [id, machine, backend, budget_ratio, max_ii, node_limit, pressure_limit] = head;
+    let Some(Value::Str(id)) = id else {
+        return Err("missing string field \"id\"".to_string());
+    };
+
+    let machine = match machine {
+        None => "cydra".to_string(),
+        Some(Value::Str(m)) => m,
+        Some(_) => return Err("field \"machine\" must be a string".to_string()),
     };
     if !machine_name_is_wellformed(&machine) {
         return Err(format!("unknown machine {machine:?}"));
     }
 
-    let backend = match obj.get("backend") {
+    let backend = match backend {
         None => BackendSpec::default(),
         Some(b) => {
             let s = b.as_str().ok_or("field \"backend\" must be a string")?;
@@ -219,7 +383,7 @@ pub(crate) fn request_from_value(v: &Value) -> Result<Request, String> {
         }
     };
 
-    let budget_ratio = match obj.get("budget_ratio") {
+    let budget_ratio = match budget_ratio {
         None => 2.0,
         Some(r) => {
             let f = r
@@ -232,7 +396,7 @@ pub(crate) fn request_from_value(v: &Value) -> Result<Request, String> {
         }
     };
 
-    let max_ii = match obj.get("max_ii") {
+    let max_ii = match max_ii {
         None | Some(Value::Null) => None,
         Some(m) => {
             let n = m.as_i64().ok_or("field \"max_ii\" must be an integer")?;
@@ -243,7 +407,7 @@ pub(crate) fn request_from_value(v: &Value) -> Result<Request, String> {
         }
     };
 
-    let node_limit = match obj.get("node_limit") {
+    let node_limit = match node_limit {
         None | Some(Value::Null) => None,
         Some(m) => {
             let n = m
@@ -256,7 +420,7 @@ pub(crate) fn request_from_value(v: &Value) -> Result<Request, String> {
         }
     };
 
-    let pressure_limit = match obj.get("pressure_limit") {
+    let pressure_limit = match pressure_limit {
         None | Some(Value::Null) => None,
         Some(m) => {
             let n = m
@@ -269,61 +433,6 @@ pub(crate) fn request_from_value(v: &Value) -> Result<Request, String> {
         }
     };
 
-    let ops_v = obj
-        .get("ops")
-        .and_then(Value::as_arr)
-        .ok_or("missing array field \"ops\"")?;
-    if ops_v.is_empty() {
-        return Err("\"ops\" must name at least one operation".to_string());
-    }
-    let mut ops = Vec::with_capacity(ops_v.len());
-    for (i, o) in ops_v.iter().enumerate() {
-        let s = o
-            .as_str()
-            .ok_or_else(|| format!("ops[{i}] must be a mnemonic string"))?;
-        ops.push(opcode_by_mnemonic(s).ok_or_else(|| format!("unknown opcode {s:?}"))?);
-    }
-
-    let mut edges = Vec::new();
-    if let Some(edges_v) = obj.get("edges") {
-        let arr = edges_v.as_arr().ok_or("field \"edges\" must be an array")?;
-        for (i, e) in arr.iter().enumerate() {
-            let t = e.as_arr().filter(|t| t.len() == 6).ok_or_else(|| {
-                format!("edges[{i}] must be [from,to,delay,distance,kind,is_mem]")
-            })?;
-            let from = t[0]
-                .as_i64()
-                .filter(|&n| n >= 0 && (n as usize) < ops.len())
-                .ok_or_else(|| format!("edges[{i}]: from out of range"))?;
-            let to = t[1]
-                .as_i64()
-                .filter(|&n| n >= 0 && (n as usize) < ops.len())
-                .ok_or_else(|| format!("edges[{i}]: to out of range"))?;
-            let delay = t[2]
-                .as_i64()
-                .ok_or_else(|| format!("edges[{i}]: delay must be an integer"))?;
-            let distance = t[3]
-                .as_i64()
-                .filter(|&n| (0..=u32::MAX as i64).contains(&n))
-                .ok_or_else(|| format!("edges[{i}]: distance must be a u32"))?;
-            let kind = t[4]
-                .as_str()
-                .and_then(kind_by_name)
-                .ok_or_else(|| format!("edges[{i}]: unknown dependence kind"))?;
-            let is_mem = t[5]
-                .as_bool()
-                .ok_or_else(|| format!("edges[{i}]: is_mem must be a boolean"))?;
-            edges.push(WireEdge {
-                from: from as u32,
-                to: to as u32,
-                delay,
-                distance: distance as u32,
-                kind,
-                is_mem,
-            });
-        }
-    }
-
     Ok(Request {
         id,
         machine,
@@ -332,8 +441,40 @@ pub(crate) fn request_from_value(v: &Value) -> Result<Request, String> {
         max_ii,
         node_limit,
         pressure_limit,
-        ops,
-        edges,
+        ops: Vec::new(),
+        edges: Vec::new(),
+    })
+}
+
+/// Edge `i` over `n_ops` operations, from its `from`, `to`, `delay`,
+/// `distance` and `is_mem` values and its resolved kind.
+fn edge(
+    i: usize,
+    n_ops: usize,
+    [from, to, delay, distance, is_mem]: [&Value; 5],
+    kind: Option<DepKind>,
+) -> Result<WireEdge, String> {
+    let endpoint = |v: &Value| v.as_i64().filter(|&n| n >= 0 && (n as usize) < n_ops);
+    let from = endpoint(from).ok_or_else(|| format!("edges[{i}]: from out of range"))?;
+    let to = endpoint(to).ok_or_else(|| format!("edges[{i}]: to out of range"))?;
+    let delay = delay
+        .as_i64()
+        .ok_or_else(|| format!("edges[{i}]: delay must be an integer"))?;
+    let distance = distance
+        .as_i64()
+        .filter(|&n| (0..=u32::MAX as i64).contains(&n))
+        .ok_or_else(|| format!("edges[{i}]: distance must be a u32"))?;
+    let kind = kind.ok_or_else(|| format!("edges[{i}]: unknown dependence kind"))?;
+    let is_mem = is_mem
+        .as_bool()
+        .ok_or_else(|| format!("edges[{i}]: is_mem must be a boolean"))?;
+    Ok(WireEdge {
+        from: from as u32,
+        to: to as u32,
+        delay,
+        distance: distance as u32,
+        kind,
+        is_mem,
     })
 }
 
@@ -420,6 +561,9 @@ impl Request {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::gen_requests;
+    use crate::json::MAX_DEPTH;
+    use ims_testkit::rng::{Rng, Xoshiro256};
 
     #[test]
     fn parses_a_full_request() {
@@ -561,6 +705,109 @@ mod tests {
         let line = r#"{"id":"w","machine":"wide0","ops":["add"]}"#;
         assert_eq!(parse_request(line).unwrap().machine, "wide0");
         assert!(std::panic::catch_unwind(|| machine_by_name("wide0")).is_err());
+    }
+
+    #[test]
+    fn wide_machines_stop_at_one_occupancy_word() {
+        let line = |m: &str| format!(r#"{{"id":"w","machine":"{m}","ops":["add"]}}"#);
+        assert_eq!(parse_request(&line("wide64")).unwrap().machine, "wide64");
+        assert_eq!(machine_by_name("wide64").unwrap().name(), "wide64");
+        // Constructing wide10000000000 would allocate 40 GB and abort the
+        // process, out of reach of any panic containment.
+        for name in ["wide65", "wide10000000000", "wide99999999999999999999"] {
+            assert_eq!(
+                parse_request(&line(name)),
+                Err(format!("unknown machine {name:?}"))
+            );
+            assert!(machine_by_name(name).is_none(), "{name}");
+        }
+    }
+
+    /// `parse_request` before the decoder: the tree alone.
+    fn tree(line: &str) -> Result<Request, String> {
+        let v = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+        request_from_value(&v)
+    }
+
+    /// Lines in shapes the generator never writes, made from `line`: the
+    /// decoder takes some of them and leaves the rest to the tree.
+    fn mutations(line: &str, rng: &mut Xoshiro256) -> Vec<String> {
+        let body = &line[1..line.len() - 1];
+        let (head, edges) = body.split_at(body.find(r#","edges":"#).unwrap());
+        let (id, rest) = body.split_at(body.find(r#","machine":"#).unwrap());
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let n_ops = tree(line).unwrap().ops.len();
+        let out_of_range = format!(r#"[[{n_ops},0,1,0,"flow",false],["#);
+        let mut out = vec![
+            // Duplicate keys: the last one wins.
+            format!(r#"{{{body},"machine":"minimal"}}"#),
+            format!(r#"{{"id":"first",{body}}}"#),
+            format!(r#"{{{body},"zz":1,"zz":[2]}}"#),
+            // Keys out of order: edges before ops, also with an edge out
+            // of their range, and id last.
+            format!("{{{},{head}}}", &edges[1..]),
+            format!("{{{},{head}}}", &edges[1..]).replacen("[[", &out_of_range, 1),
+            format!("{{{},{id}}}", &rest[1..]),
+            // Unknown and nested fields.
+            format!(r#"{{"zz":{{"a":[1,{{"b":null}}],"c":"\""}},{body},"more":[[],{{}},true]}}"#),
+            // Escaped keys and an escaped id.
+            line.replacen(r#""id":"l"#, r#""\u0069d":"\u006c"#, 1),
+            line.replacen(r#""ops""#, r#""\u006fps""#, 1),
+            line.replacen(r#""id":"l"#, r#""id":"\"\\\/l"#, 1),
+            // Numbers: integral floats, -0, 1e17, fractions and signs.
+            line.replace(r#",0,""#, r#",-0,""#),
+            line.replace(r#",0,""#, r#",0.0,""#),
+            line.replacen(r#",0,""#, r#",0.5,""#, 1),
+            line.replacen(",3,", ",3e0,", 1),
+            line.replacen(",3,", ",3.5,", 1),
+            line.replacen(",3,", ",+3,", 1),
+            line.replacen(r#""ops""#, r#""max_ii":1e17,"ops""#, 1),
+            line.replacen(
+                r#""ops""#,
+                r#""budget_ratio":2.5,"max_ii":40.0,"node_limit":null,"pressure_limit":null,"ops""#,
+                1,
+            ),
+            line.replacen(r#""ops""#, r#""budget_ratio":-0,"ops""#, 1),
+            // Whitespace between tokens.
+            format!(" {} ", line.replace(',', " ,\t").replace(':', " :\n")),
+            // Nesting at and past the depth bound.
+            format!(r#"{{"deep":{},{body}}}"#, nest(MAX_DEPTH - 1)),
+            format!(r#"{{"deep":{},{body}}}"#, nest(MAX_DEPTH)),
+            // A stats key, which only a stats probe reads.
+            format!(r#"{{"stats":true,{body}}}"#),
+        ];
+        // Byte flips and truncations.
+        for _ in 0..4 {
+            let mut bytes = line.as_bytes().to_vec();
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] = *rng.choose(br#""\,:[]{}0-.e x"#).unwrap();
+            out.push(String::from_utf8(bytes).expect("generated lines are ASCII"));
+            out.push(line[..rng.gen_range(0..line.len())].to_string());
+        }
+        out
+    }
+
+    #[test]
+    fn the_decoder_agrees_with_the_tree() {
+        let mut rng = Xoshiro256::seed_from_u64(0xC4D5);
+        let (mut decoded, mut fell_back) = (0, 0);
+        for line in gen_requests(50389, 1327) {
+            // The decoder alone reads every generated request.
+            let fast = decode(&line).unwrap_or_else(|| panic!("decoder fell back on {line}"));
+            assert_eq!(Ok(fast), tree(&line), "{line}");
+            for m in mutations(&line, &mut rng) {
+                assert_eq!(parse_request(&m), tree(&m), "{m}");
+                match decode(&m) {
+                    Some(_) => decoded += 1,
+                    None => fell_back += 1,
+                }
+            }
+        }
+        // Both paths see thousands of the mutated lines.
+        assert!(
+            decoded > 10_000 && fell_back > 10_000,
+            "{decoded} / {fell_back}"
+        );
     }
 
     #[test]

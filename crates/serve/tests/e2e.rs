@@ -8,8 +8,8 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
-use ims_prof::snapshot::Snapshot;
 use ims_prof::phase;
+use ims_prof::snapshot::Snapshot;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ims_serve_e2e_{tag}_{}", std::process::id()));
@@ -64,7 +64,11 @@ fn replay_is_byte_identical_and_second_pass_fully_cached() {
         &["--threads", "1", "--profile", profile.to_str().unwrap()],
         &doubled,
     );
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let text = stdout(&out);
     let lines: Vec<&str> = text.lines().collect();
@@ -81,8 +85,14 @@ fn replay_is_byte_identical_and_second_pass_fully_cached() {
     let misses = c[phase::SERVE_CACHE_MISSES];
     assert_eq!(c[phase::SERVE_REQUESTS], 16);
     assert_eq!(hits + misses, 16);
-    assert!(misses <= 8, "at most one miss per distinct problem: {misses}");
-    assert!(hits >= 8, "the whole second pass must be cache-served: {hits}");
+    assert!(
+        misses <= 8,
+        "at most one miss per distinct problem: {misses}"
+    );
+    assert!(
+        hits >= 8,
+        "the whole second pass must be cache-served: {hits}"
+    );
     assert_eq!(c[phase::SERVE_FAILED], 0);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -116,7 +126,10 @@ fn requests_file_flag_matches_stdin() {
     let path = dir.join("reqs.jsonl");
     std::fs::write(&path, &reqs).unwrap();
     let from_stdin = scheduled(&["--threads", "2"], &reqs);
-    let from_file = scheduled(&["--threads", "2", "--requests", path.to_str().unwrap()], "");
+    let from_file = scheduled(
+        &["--threads", "2", "--requests", path.to_str().unwrap()],
+        "",
+    );
     assert!(from_file.status.success());
     assert_eq!(stdout(&from_stdin), stdout(&from_file));
     std::fs::remove_dir_all(&dir).ok();
@@ -148,7 +161,11 @@ fn failures_are_structured_responses_not_crashes() {
     assert_eq!(lines.len(), 8, "one response per request line:\n{text}");
     assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
     assert!(lines[1].contains("\"ok\":false") && lines[1].contains("invalid JSON"));
-    assert!(lines[2].contains("\"ok\":false") && lines[2].contains("panicked"), "{}", lines[2]);
+    assert!(
+        lines[2].contains("\"ok\":false") && lines[2].contains("panicked"),
+        "{}",
+        lines[2]
+    );
     assert!(lines[3].contains("\"ok\":false") && lines[3].contains("schedule failed"));
     for deep in &lines[4..6] {
         assert!(
@@ -162,6 +179,42 @@ fn failures_are_structured_responses_not_crashes() {
         lines[6]
     );
     assert!(lines[7].contains("\"ok\":true"), "{}", lines[7]);
+}
+
+#[test]
+fn oversized_input_is_refused_without_killing_the_service() {
+    // A line past the 1 MiB cap, and a machine so wide that building it
+    // would abort the process on a 40 GB allocation, each get an error in
+    // place between good requests.
+    let good = "{\"id\":\"ok\",\"machine\":\"minimal\",\"ops\":[\"add\"]}\n";
+    let long = format!(
+        "{{\"id\":\"long\",\"ops\":[\"add\"],\"pad\":\"{}\"}}\n",
+        "x".repeat(2 << 20)
+    );
+    let wide = "{\"id\":\"w\",\"machine\":\"wide10000000000\",\"ops\":[\"add\"]}\n";
+    let out = scheduled(
+        &["--threads", "2"],
+        [good, &long, good, wide, good].concat(),
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 5, "one response per request line:\n{text}");
+    for ok in [lines[0], lines[2], lines[4]] {
+        assert!(ok.contains("\"ok\":true"), "{ok}");
+    }
+    assert_eq!(
+        lines[1],
+        r#"{"id":"","ok":false,"error":"invalid request: line longer than 1048576 bytes"}"#
+    );
+    assert_eq!(
+        lines[3],
+        r#"{"id":"w","ok":false,"error":"invalid request: unknown machine \"wide10000000000\""}"#
+    );
 }
 
 #[test]
@@ -228,7 +281,14 @@ fn socket_mode_serves_a_connection() {
     let dir = scratch("socket");
     let sock = dir.join("scheduled.sock");
     let mut child = Command::new(env!("CARGO_BIN_EXE_scheduled"))
-        .args(["--threads", "2", "--socket", sock.to_str().unwrap(), "--conns", "1"])
+        .args([
+            "--threads",
+            "2",
+            "--socket",
+            sock.to_str().unwrap(),
+            "--conns",
+            "1",
+        ])
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -251,7 +311,10 @@ fn socket_mode_serves_a_connection() {
     stream.shutdown(std::net::Shutdown::Write).unwrap();
     let mut reply = String::new();
     stream.read_to_string(&mut reply).unwrap();
-    assert!(reply.contains("\"id\":\"s\"") && reply.contains("\"ok\":true"), "{reply}");
+    assert!(
+        reply.contains("\"id\":\"s\"") && reply.contains("\"ok\":true"),
+        "{reply}"
+    );
 
     let status = child.wait().expect("exits after --conns 1");
     assert!(status.success());

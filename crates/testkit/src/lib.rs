@@ -14,10 +14,11 @@
 //! * [`prop`] — seeded property-based testing: case generation from a
 //!   `(seed, size)` pair, an iteration budget, failure shrinking by
 //!   halving the size, and explicit persisted regression seeds;
-//! * [`json`] — the workspace's one JSON module: a depth-bounded parser
-//!   with exact integers, the one string escaper, and a flat-object
-//!   writer. Service requests, traces, profile snapshots, optgap lines
-//!   and benchmark results are all read back through it.
+//! * [`json`] — the workspace's one JSON module: a depth-bounded pull
+//!   reader (the one lexer), the tree parser built on it with exact
+//!   integers, the one string escaper, and a flat-object writer. Service
+//!   requests, traces, profile snapshots, optgap lines and benchmark
+//!   results are all read back through it.
 //!
 //! None of this aims to be a general-purpose replacement for `rand`,
 //! `proptest`, or `serde_json`; it implements exactly the surface the IMS

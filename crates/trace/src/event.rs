@@ -26,8 +26,7 @@ pub enum SchedEvent {
         /// branch-and-bound nodes (exact backend) available.
         budget: i64,
         /// Which backend is attempting. Serialized as a `"backend"`
-        /// string field; absent in pre-backend traces, which parse as
-        /// [`BackendKind::Ims`].
+        /// string field, which a line must carry to parse.
         backend: BackendKind,
     },
     /// An operation was placed.
@@ -90,7 +89,11 @@ impl SchedEvent {
     pub fn to_json_line(&self) -> String {
         let ev = ("ev", Value::Str(self.name().into()));
         match *self {
-            SchedEvent::AttemptStart { ii, budget, backend } => json_object(&[
+            SchedEvent::AttemptStart {
+                ii,
+                budget,
+                backend,
+            } => json_object(&[
                 ev,
                 ("ii", Value::Int(ii.into())),
                 ("budget", Value::Int(budget.into())),
@@ -144,11 +147,7 @@ impl SchedEvent {
             "attempt_start" => SchedEvent::AttemptStart {
                 ii: int(&v, "ii")?,
                 budget: int(&v, "budget")?,
-                // Traces predating the backend field are iterative ones.
-                backend: match v.get("backend") {
-                    Some(name) => BackendKind::from_name(name.as_str()?)?,
-                    None => BackendKind::Ims,
-                },
+                backend: BackendKind::from_name(v.get("backend")?.as_str()?)?,
             },
             "op_scheduled" => SchedEvent::OpScheduled {
                 node: int(&v, "node")?,
@@ -268,6 +267,11 @@ mod tests {
         assert_eq!(SchedEvent::parse(r#"{"ev":"unknown","ii":1}"#), None);
         assert_eq!(SchedEvent::parse(r#"{"ev":"attempt_start","ii":1}"#), None);
         assert_eq!(
+            SchedEvent::parse(r#"{"ev":"attempt_start","ii":5,"budget":16}"#),
+            None,
+            "the backend field is required"
+        );
+        assert_eq!(
             SchedEvent::parse(r#"{"ev":"attempt_start","ii":1,"budget":2,"backend":"sa"}"#),
             None,
             "an unknown backend name is malformed, not defaulted"
@@ -306,21 +310,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_attempt_start_defaults_to_ims_backend() {
-        let ev = SchedEvent::parse(r#"{"ev":"attempt_start","ii":5,"budget":16}"#).unwrap();
-        assert_eq!(
-            ev,
-            SchedEvent::AttemptStart {
-                ii: 5,
-                budget: 16,
-                backend: BackendKind::Ims,
-            }
-        );
-    }
-
-    #[test]
     fn parse_trace_collects_lines_and_skips_blanks() {
-        let text = "{\"ev\":\"attempt_start\",\"ii\":2,\"budget\":4}\n\n\
+        let text = "{\"ev\":\"attempt_start\",\"ii\":2,\"budget\":4,\"backend\":\"ims\"}\n\n\
                     {\"ev\":\"attempt_done\",\"ii\":2,\"ok\":true}\n";
         let events = parse_trace(text).unwrap();
         assert_eq!(events.len(), 2);
@@ -329,7 +320,7 @@ mod tests {
 
     #[test]
     fn parse_trace_prefix_recovers_the_wellformed_prefix() {
-        let good = "{\"ev\":\"attempt_start\",\"ii\":2,\"budget\":4}\n\
+        let good = "{\"ev\":\"attempt_start\",\"ii\":2,\"budget\":4,\"backend\":\"ims\"}\n\
                     {\"ev\":\"attempt_done\",\"ii\":2,\"ok\":true}\n";
         let (events, complete) = parse_trace_prefix(good);
         assert_eq!(events.len(), 2);
@@ -341,7 +332,11 @@ mod tests {
         let (events, complete) = parse_trace_prefix(&truncated);
         assert_eq!(events.len(), 2);
         assert!(!complete);
-        assert_eq!(parse_trace(&truncated), None, "strict parsing still rejects");
+        assert_eq!(
+            parse_trace(&truncated),
+            None,
+            "strict parsing still rejects"
+        );
 
         // Garbage from the first line: empty prefix, not a panic.
         let (events, complete) = parse_trace_prefix("not json\n");

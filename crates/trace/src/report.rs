@@ -24,8 +24,8 @@ pub struct AttemptSummary {
 /// Everything a convergence report needs about one scheduled loop.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSummary {
-    /// The backend that produced the trace (from the `AttemptStart`
-    /// events; [`BackendKind::Ims`] for traces predating the field).
+    /// The backend that produced the trace, from its `AttemptStart`
+    /// events ([`BackendKind::Ims`] for a trace with none).
     pub backend: BackendKind,
     /// Every candidate-II attempt, in order.
     pub attempts: Vec<AttemptSummary>,
@@ -50,7 +50,11 @@ impl TraceSummary {
         let mut evict_counts: std::collections::BTreeMap<u32, u64> = Default::default();
         for ev in events {
             match *ev {
-                SchedEvent::AttemptStart { ii, budget, backend } => {
+                SchedEvent::AttemptStart {
+                    ii,
+                    budget,
+                    backend,
+                } => {
                     s.backend = backend;
                     s.mid_attempt = true;
                     s.attempts.push(AttemptSummary {

@@ -249,7 +249,8 @@ mod tests {
             assert_ne!(k0, kv, "{variant}");
         }
         // The id is NOT part of the key.
-        let renamed = key_request(&parse_request(r#"{"id":"zzz","ops":["add"],"edges":[]}"#).unwrap());
+        let renamed =
+            key_request(&parse_request(r#"{"id":"zzz","ops":["add"],"edges":[]}"#).unwrap());
         assert_eq!(k0, renamed.key);
     }
 

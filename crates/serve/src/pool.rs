@@ -216,7 +216,11 @@ where
         for handle in handles {
             // The closure's panics are contained per item; a panic escaping
             // the worker itself would be a pool bug, not a workload bug.
-            indexed.extend(handle.join().expect("pool worker died outside the user closure"));
+            indexed.extend(
+                handle
+                    .join()
+                    .expect("pool worker died outside the user closure"),
+            );
         }
     });
 
@@ -272,10 +276,7 @@ mod tests {
     #[test]
     fn thread_count_zero_behaves_like_one() {
         let items: Vec<u32> = (0..10).collect();
-        assert_eq!(
-            par_map(&items, 0, |_, &x| x),
-            par_map(&items, 1, |_, &x| x)
-        );
+        assert_eq!(par_map(&items, 0, |_, &x| x), par_map(&items, 1, |_, &x| x));
     }
 
     #[test]
@@ -359,11 +360,11 @@ mod tests {
 
     #[test]
     fn worker_panic_display_names_item_and_chunk() {
-        let p = WorkerPanic { index: 19, message: "kaput".into() };
-        assert_eq!(
-            p.to_string(),
-            "worker panicked on item 19 (chunk 2): kaput"
-        );
+        let p = WorkerPanic {
+            index: 19,
+            message: "kaput".into(),
+        };
+        assert_eq!(p.to_string(), "worker panicked on item 19 (chunk 2): kaput");
     }
 
     #[test]

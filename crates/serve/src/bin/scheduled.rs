@@ -28,13 +28,15 @@
 //!   generated from the seeded benchmark corpus, routed to SPEC (`ims`,
 //!   `exact`, `sat`, or `portfolio(a,b,...)`; default `ims`), then exit.
 //! * `--dedup FILE`: canonicalize the request lines of FILE and report
-//!   distinct-problem / structural-duplicate counts, then exit.
+//!   distinct-problem / structural-duplicate counts, then exit. FILE is
+//!   read as the service reads a stream, so a line that is not UTF-8 or
+//!   is over the line cap is skipped as unparsable.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 
 use ims_prof::{snapshot, MetricsRegistry};
-use ims_serve::{dedup_keys, gen_requests_backend, pool, serve_stream, Engine};
+use ims_serve::{dedup_keys, gen_requests_backend, pool, read_line, serve_stream, Engine};
 
 const USAGE: &str = "usage: scheduled [--threads N] [--batch N] [--requests FILE] [--profile FILE]
                  [--latency] [--socket PATH [--conns N]]
@@ -65,9 +67,11 @@ fn main() -> io::Result<()> {
     }
 
     if let Some(path) = flag::<String>(&args, "--dedup") {
-        let lines: Vec<String> = BufReader::new(File::open(&path)?)
-            .lines()
-            .collect::<io::Result<_>>()?;
+        let mut reader = BufReader::new(File::open(&path)?);
+        let (mut lines, mut line) = (Vec::new(), Vec::new());
+        while read_line(&mut reader, &mut line)? {
+            lines.push(std::mem::take(&mut line));
+        }
         let (keys, dups) = dedup_keys(&lines);
         println!(
             "{} lines, {} distinct canonical problems, {} structural duplicates",

@@ -19,6 +19,7 @@ use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
 
 use crate::cache::key_request;
+use crate::service::line_text;
 use crate::wire::{parse_request, Request, WireEdge};
 
 /// Generates `n` deterministic request lines from the seeded corpus,
@@ -84,12 +85,15 @@ pub fn gen_requests_backend(seed: u64, n: usize, backend: &ims_core::BackendSpec
 /// Canonical cache keys of a request-line corpus, plus the number of
 /// structural duplicates (lines whose canonical key was already seen —
 /// i.e. the same labeled graph up to node renumbering and the same
-/// scheduling configuration). Unparsable lines are skipped.
-pub fn dedup_keys(lines: &[String]) -> (HashSet<u128>, usize) {
+/// scheduling configuration). Unparsable lines are skipped, and so are
+/// the lines the service refuses unread: one longer than
+/// [`MAX_LINE_BYTES`](crate::wire::MAX_LINE_BYTES), or not UTF-8.
+pub fn dedup_keys<L: AsRef<[u8]>>(lines: &[L]) -> (HashSet<u128>, usize) {
     let mut keys = HashSet::new();
     let mut dups = 0usize;
     for line in lines {
-        if let Ok(req) = parse_request(line) {
+        let text = line_text(line.as_ref());
+        if let Ok(req) = text.and_then(parse_request) {
             if !keys.insert(key_request(&req).key) {
                 dups += 1;
             }

@@ -272,6 +272,43 @@ fn gen_requests_is_reproducible_and_dedup_reports() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn dedup_skips_lines_the_service_refuses_unread() {
+    // A line that is not UTF-8 and one past the 1 MiB cap, between good
+    // lines: dedup counts only the good ones instead of failing.
+    let dir = scratch("dedup_bytes");
+    let path = dir.join("mixed.jsonl");
+    let a = r#"{"id":"a","ops":["load","add"],"edges":[[0,1,13,0,"flow",false]]}"#;
+    let b = r#"{"id":"b","ops":["add","load"],"edges":[[1,0,13,0,"flow",false]]}"#;
+    let long = format!(
+        r#"{{"id":"long","ops":["add"],"pad":"{}"}}"#,
+        "x".repeat(2 << 20)
+    );
+    let input = [
+        a.as_bytes(),
+        b"\n{\"id\":\"b\xff\",\"ops\":[\"add\"]}\n",
+        b.as_bytes(),
+        b"\n",
+        long.as_bytes(),
+        b"\n",
+        a.as_bytes(),
+        b"\n",
+    ]
+    .concat();
+    std::fs::write(&path, input).unwrap();
+    let out = scheduled(&["--dedup", path.to_str().unwrap()], "");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        stdout(&out),
+        "5 lines, 1 distinct canonical problems, 2 structural duplicates\n"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[cfg(unix)]
 #[test]
 fn socket_mode_serves_a_connection() {

@@ -274,9 +274,11 @@ for b in exact sat; do
         --profile "$bench_dir/BENCH_corpus_$b.json" >"$bench_dir/corpus_$b.jsonl" 2>/dev/null
 done
 # The SAT member of the serve-portfolio benchmark: every corpus loop at
-# budget ratio 2, of which only the proved bounds are pinned.
+# budget ratio 2. Its stdout and the sat.* counters of its profile pin
+# the solver's search: every decision, propagation and model.
 cargo run --release --offline -q -p ims-bench --bin corpus -- \
     --loops 1327 --budget 2 --backend sat --threads 4 \
+    --profile "$bench_dir/BENCH_corpus_sat_b2.json" \
     >"$bench_dir/corpus_sat_b2.jsonl" 2>/dev/null
 # Malformed and edge-case request lines: each must get exactly the
 # response bytes it got before (error strings reach the wire), and the
@@ -401,6 +403,8 @@ golden="$bench_dir/golden.sha256"
     done
     bounds='"loop":[0-9]*\|"ii":[0-9]*\|"proved_lb":[0-9]*,"best_ub":[0-9]*,"limit_hit":[a-z]*\|"proven_optimal":[0-9]*,"open_gap":[0-9]*,"limit_hits":[0-9]*'
     echo "$(grep -o "$bounds" "$bench_dir/corpus_sat_b2.jsonl" | sum)  corpus_sat_b2.bounds"
+    echo "$(sum <"$bench_dir/corpus_sat_b2.jsonl")  corpus_sat_b2.stdout"
+    echo "$(det "$bench_dir/BENCH_corpus_sat_b2.json" | sum)  corpus_sat_b2.profile"
     echo "$(sum <"$pl1_log")  corpus_press16.stdout"
     echo "$(det "$bench_dir/BENCH_press_t1.json" | sum)  corpus_press16.profile"
     echo "$(tree_sum "$tr1_dir")  corpus.trace"

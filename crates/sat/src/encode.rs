@@ -239,27 +239,31 @@ fn windows(
     Some((lo, ub))
 }
 
-/// Decides feasibility of `problem` at candidate `ii` by CNF encoding +
-/// CDCL, spending at most `limits.conflict_budget` conflicts. Returns
-/// the decision plus the conflicts actually spent.
-///
-/// Deterministic statistics — variables, clauses, conflicts, decisions,
-/// propagations, restarts, plus MinDist/SCC work — flow into `prof`
-/// under their [`phase`] names.
-pub(crate) fn decide_ii<P: ProfSink>(
+/// One II's formula: a solver holding every clause and row, and the
+/// per-operation variables a model decodes through.
+pub(crate) struct Encoding {
+    pub(crate) solver: Solver,
+    ops: Vec<OpEnc>,
+}
+
+/// Encodes "a legal schedule of `problem` exists at `ii`", or answers
+/// without a formula: `Infeasible` when MinDist or an empty window
+/// refutes the II, `LimitHit` when the formula would pass a cap of
+/// `limits`. MinDist/SCC work flows into `prof`.
+pub(crate) fn encode<P: ProfSink>(
     problem: &Problem<'_>,
     ii: i64,
     limits: &SatLimits,
     prof: &mut P,
-) -> (Decision, u64) {
+) -> Result<Encoding, Decision> {
     let graph = problem.graph();
     let all: Vec<NodeId> = graph.nodes().collect();
     let md = MinDistSolver::new(graph, &all).solve(ii, &mut *prof);
     if !md.feasible() {
-        return (Decision::Infeasible, 0);
+        return Err(Decision::Infeasible);
     }
     let Some((lo, ub)) = windows(problem, &md, ii, &mut *prof) else {
-        return (Decision::Infeasible, 0);
+        return Err(Decision::Infeasible);
     };
 
     let total_slots: i64 = problem
@@ -267,7 +271,7 @@ pub(crate) fn decide_ii<P: ProfSink>(
         .map(|v| ub[v.index()] - lo[v.index()] + 1)
         .sum();
     if total_slots as u64 > limits.slot_limit {
-        return (Decision::LimitHit, 0);
+        return Err(Decision::LimitHit);
     }
 
     // Variable allocation, in node-id order: ladder, alternatives,
@@ -315,13 +319,16 @@ pub(crate) fn decide_ii<P: ProfSink>(
         }
     }
 
-    // Family 2: exactly-one alternative.
+    // Family 2: exactly-one alternative. Clauses and rows longer than
+    // two literals are built in one reused buffer.
+    let mut clause: Vec<Lit> = Vec::new();
     for op in &ops {
         if op.z.is_empty() {
             continue;
         }
-        let alo: Vec<Lit> = op.z.iter().map(|&v| Lit::pos(v)).collect();
-        solver.add_clause(&alo);
+        clause.clear();
+        clause.extend(op.z.iter().map(|&v| Lit::pos(v)));
+        solver.add_clause(&clause);
         for i in 0..op.z.len() {
             for j in (i + 1)..op.z.len() {
                 solver.add_clause(&[Lit::neg(op.z[i]), Lit::neg(op.z[j])]);
@@ -335,7 +342,7 @@ pub(crate) fn decide_ii<P: ProfSink>(
             for j in 0..op.width {
                 let slot = (op.lo + j).rem_euclid(ii);
                 let mv = op.m_var(a, slot).expect("achievable slot has a var");
-                let mut clause = Vec::with_capacity(4);
+                clause.clear();
                 if j > 0 {
                     clause.push(Lit::neg(op.g[(j - 1) as usize])); // ¬(t ≥ lo+j)
                 }
@@ -351,7 +358,7 @@ pub(crate) fn decide_ii<P: ProfSink>(
         }
     }
     if over_limit(&solver) {
-        return (Decision::LimitHit, 0);
+        return Err(Decision::LimitHit);
     }
 
     // Family 4: dependences as ladder implications. Index OpEnc by node.
@@ -396,7 +403,7 @@ pub(crate) fn decide_ii<P: ProfSink>(
         }
     }
     if over_limit(&solver) {
-        return (Decision::LimitHit, 0);
+        return Err(Decision::LimitHit);
     }
 
     // Family 5: the clause cap also counts the colliding pairs the rows
@@ -404,28 +411,65 @@ pub(crate) fn decide_ii<P: ProfSink>(
     if !solver.is_trivially_unsat() {
         let room = limits.clause_limit - solver.num_clauses() as u64;
         if colliding_pairs(problem, &ops, ii, room) > room {
-            return (Decision::LimitHit, 0);
+            return Err(Decision::LimitHit);
         }
     }
     // One at-most-one row per (resource, MRT row): every occupancy bit
-    // whose alternative reserves the resource there.
-    let mut cells: Vec<(u32, i64, Lit)> = Vec::new();
+    // whose alternative reserves the resource there. A counting sort
+    // groups the cells by row `r·II + MRT row`, each in cell order.
+    let mut cells: Vec<(usize, Lit)> = Vec::new();
     for op in &ops {
         let alts = &problem.info(op.node).expect("real operation").alternatives;
         for (alt, slots) in alts.iter().zip(&op.m) {
             for &(s, var) in slots {
                 for &(r, off) in alt.table.uses() {
-                    cells.push((r.0, (s + off as i64).rem_euclid(ii), Lit::pos(var)));
+                    let row = (s + off as i64).rem_euclid(ii) as usize;
+                    cells.push((r.0 as usize * ii as usize + row, Lit::pos(var)));
                 }
             }
         }
     }
-    cells.sort_unstable();
-    for row in cells.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-        let lits: Vec<Lit> = row.iter().map(|&(_, _, l)| l).collect();
-        solver.add_row(&lits);
+    // Per row: its length, then its start, then (once filled) its end.
+    let mut ends = vec![0usize; problem.machine().num_resources() * ii as usize];
+    for &(row, _) in &cells {
+        ends[row] += 1;
+    }
+    let mut start = 0;
+    for e in &mut ends {
+        (*e, start) = (start, start + *e);
+    }
+    clause.clear();
+    clause.resize(cells.len(), Lit::pos(0));
+    for &(row, lit) in &cells {
+        clause[ends[row]] = lit;
+        ends[row] += 1;
+    }
+    let mut start = 0;
+    for &end in &ends {
+        solver.add_row(&clause[start..end]);
+        start = end;
     }
 
+    Ok(Encoding { solver, ops })
+}
+
+/// Decides feasibility of `problem` at candidate `ii` by CNF encoding +
+/// CDCL, spending at most `limits.conflict_budget` conflicts. Returns
+/// the decision plus the conflicts actually spent.
+///
+/// Deterministic statistics — variables, clauses, conflicts, decisions,
+/// propagations, restarts, plus MinDist/SCC work — flow into `prof`
+/// under their [`phase`] names.
+pub(crate) fn decide_ii<P: ProfSink>(
+    problem: &Problem<'_>,
+    ii: i64,
+    limits: &SatLimits,
+    prof: &mut P,
+) -> (Decision, u64) {
+    let Encoding { mut solver, ops } = match encode(problem, ii, limits, prof) {
+        Ok(encoding) => encoding,
+        Err(decision) => return (decision, 0),
+    };
     prof.count(phase::SAT_VARS, solver.num_vars() as u64);
     prof.count(phase::SAT_CLAUSES, solver.num_clauses() as u64);
     prof.count(phase::SAT_ROWS, solver.num_rows() as u64);
@@ -441,6 +485,7 @@ pub(crate) fn decide_ii<P: ProfSink>(
         SolveResult::Unsat => Decision::Infeasible,
         SolveResult::Unknown => Decision::LimitHit,
         SolveResult::Sat(model) => {
+            let graph = problem.graph();
             let mut time = vec![0i64; graph.num_nodes()];
             let mut alternative = vec![0usize; graph.num_nodes()];
             for op in &ops {

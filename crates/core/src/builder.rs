@@ -85,7 +85,8 @@ impl<'p, 'm, O: SchedObserver> Scheduler<'p, 'm, O> {
     /// # Errors
     ///
     /// [`ScheduleError::IiCapExceeded`] when the configured `max_ii` is
-    /// below the MII (no candidate II is admissible at all), and
+    /// below the MII or the MII is above 2^16 (no candidate II is
+    /// admissible at all), and
     /// [`ScheduleError::BudgetExhausted`] when every candidate II up to
     /// the cap ran out of scheduling budget or was rejected by the
     /// observer. When the configuration sets a `pressure_limit`, that

@@ -218,12 +218,14 @@ impl SchedOutcome {
 /// on the [`Display`](std::fmt::Display) text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScheduleError {
-    /// The configured II cap is below the MII, so no candidate II was
-    /// admissible and no attempt was made.
+    /// The II cap is below the MII, so no candidate II was admissible and
+    /// no attempt was made. The cap is the configured `max_ii`, or else
+    /// the automatic one; an MII above 2^16, the ceiling of every
+    /// automatic cap, is refused before any MRT is allocated.
     IiCapExceeded {
         /// The MII the search would have started from.
         mii: i64,
-        /// The configured cap that excluded it.
+        /// The cap that excluded it.
         max_ii: i64,
     },
     /// Every candidate II from the MII up to the cap ran out of its
@@ -280,6 +282,12 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
+/// No run considers an MII above this, and the automatic II cap stops
+/// here: an MRT has II rows, so an unchecked II near 10^9 (one long
+/// dependence) would abort the process on its allocation. The corpus's
+/// largest MII is 228.
+const MII_CEILING: i64 = 1 << 16;
+
 /// Figure 2: compute the MII, then try `IterativeSchedule` at II = MII,
 /// MII+1, … until a schedule is found, with scheduler events reported to
 /// `observer` — the body of [`Scheduler::run`](crate::Scheduler::run),
@@ -298,10 +306,17 @@ pub(crate) fn modulo_schedule_observed<O: SchedObserver>(
     observer.work(phase::GRAPH_SCC_WORK, mii_work.scc_work);
     observer.work(phase::SCHED_RESMII_WORK, mii_work.resmii_work);
     observer.work(phase::GRAPH_MINDIST_WORK, mii_work.mindist_work);
+    if mii.mii > MII_CEILING {
+        return Err(ScheduleError::IiCapExceeded {
+            mii: mii.mii,
+            max_ii: MII_CEILING,
+        });
+    }
 
     // A guaranteed-feasible fallback II: at II ≥ list-schedule length plus
     // the largest delay/table span, consecutive iterations cannot interact,
-    // so the acyclic schedule itself is a legal modulo schedule.
+    // so the acyclic schedule itself is a legal modulo schedule. It stops
+    // at the ceiling.
     let cap = config.max_ii.unwrap_or_else(|| {
         let ls = list_schedule(problem);
         let max_delay = problem
@@ -318,7 +333,9 @@ pub(crate) fn modulo_schedule_observed<O: SchedObserver>(
             .flat_map(|i| i.alternatives.iter().map(|a| a.table.max_offset() as i64))
             .max()
             .unwrap_or(0);
-        (ls.length + max_delay.max(max_span) + 1).max(mii.mii)
+        (ls.length + max_delay.max(max_span) + 1)
+            .max(mii.mii)
+            .min(MII_CEILING)
     });
 
     // The paper defines BudgetRatio relative to "the number of operations
@@ -845,6 +862,34 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ScheduleError::IiCapExceeded { mii: 5, max_ii: 4 });
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn an_mii_above_the_ceiling_is_refused_before_any_mrt() {
+        // Two adds on a recurrence of delay d + 1 over distance 1: RecMII
+        // d + 1. At d = 10^9 an MRT would need 16 GB, so the run must
+        // answer before allocating one, under any cap; the ceiling itself
+        // still schedules.
+        let m = minimal();
+        let recurrence = |d: i64| {
+            let mut pb = ProblemBuilder::new(&m);
+            let a = pb.add_op(Opcode::Add, OpId(0));
+            let b = pb.add_op(Opcode::Add, OpId(1));
+            pb.add_dep(a, b, d, 0, DepKind::Flow, false);
+            pb.add_dep(b, a, 1, 1, DepKind::Flow, false);
+            pb.finish()
+        };
+        let huge = recurrence(1_000_000_000);
+        let refused = ScheduleError::IiCapExceeded {
+            mii: 1_000_000_001,
+            max_ii: MII_CEILING,
+        };
+        for config in [SchedConfig::new(), SchedConfig::new().max_ii(i64::MAX)] {
+            let err = Scheduler::new(&huge).config(config).run().unwrap_err();
+            assert_eq!(err, refused);
+        }
+        let out = Scheduler::new(&recurrence(MII_CEILING - 1)).run().unwrap();
+        assert_eq!(out.schedule.ii, MII_CEILING);
     }
 
     #[test]

@@ -218,6 +218,43 @@ fn oversized_input_is_refused_without_killing_the_service() {
 }
 
 #[test]
+fn an_mii_past_the_ceiling_is_refused_without_killing_the_service() {
+    // One long dependence gives a RecMII near 10^9, whose MRT would need
+    // 16 GB: every backend refuses it before allocating, in place between
+    // good requests.
+    let good = "{\"id\":\"ok\",\"machine\":\"minimal\",\"ops\":[\"add\"]}\n";
+    let big = |backend: &str| {
+        format!(
+            "{{\"id\":\"big\",\"machine\":\"minimal\",\"backend\":\"{backend}\",\"ops\":[\"add\",\"add\"],\
+             \"edges\":[[0,1,1000000000,0,\"flow\",false],[1,0,1,1,\"flow\",false]]}}\n"
+        )
+    };
+    let bigs = ["ims", "exact", "sat"].map(big);
+    let out = scheduled(
+        &["--threads", "1"],
+        [good, &bigs[0], good, &bigs[1], &bigs[2], good].concat(),
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 6, "one response per request line:\n{text}");
+    for ok in [lines[0], lines[2], lines[5]] {
+        assert!(ok.contains("\"ok\":true"), "{ok}");
+    }
+    for refused in [lines[1], lines[3], lines[4]] {
+        assert!(
+            refused.contains("\"ok\":false")
+                && refused.contains("II cap 65536 is below the MII 1000000001"),
+            "{refused}"
+        );
+    }
+}
+
+#[test]
 fn malformed_threads_is_a_usage_error() {
     for args in [
         &["--threads", "zero"][..],

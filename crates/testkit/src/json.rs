@@ -228,8 +228,10 @@ fn escape_into(out: &mut impl Write, s: &str) -> fmt::Result {
 /// offset where it was detected.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut reader = Reader::new(text);
-    let first = reader.next_token()?;
-    let value = reader.build(first)?;
+    let value = match reader.next_token() {
+        Ok(first) => reader.build(first)?,
+        Err(e) => return Err(e),
+    };
     reader.finish()?;
     Ok(value)
 }
@@ -395,7 +397,9 @@ impl<'a> Reader<'a> {
 
     /// The tree of the value that begins with `first`, read to its end.
     /// The recursion is as deep as the document, which the reader bounds
-    /// by [`MAX_DEPTH`].
+    /// by [`MAX_DEPTH`]. Each token is matched inside the `Result` that
+    /// [`Reader::next_token`] returns: moving a whole `Token` out with `?`
+    /// first costs more than lexing a scalar.
     fn build(&mut self, first: Token<'a>) -> Result<Value, String> {
         Ok(match first {
             Token::Scalar(v) => v,
@@ -403,23 +407,29 @@ impl<'a> Reader<'a> {
             Token::ArrayStart => {
                 let mut items = Vec::new();
                 loop {
-                    items.push(match self.next_token()? {
-                        Token::ArrayEnd => break Value::Arr(items),
-                        Token::Scalar(v) => v,
-                        token => self.build(token)?,
+                    items.push(match self.next_token() {
+                        Ok(Token::ArrayEnd) => break Value::Arr(items),
+                        Ok(Token::Scalar(v)) => v,
+                        Ok(token) => self.build(token)?,
+                        Err(e) => return Err(e),
                     });
                 }
             }
             Token::ObjectStart => {
                 let mut map = BTreeMap::new();
-                while let Token::Key(key) = self.next_token()? {
-                    let value = match self.next_token()? {
-                        Token::Scalar(v) => v,
-                        token => self.build(token)?,
+                loop {
+                    let key = match self.next_token() {
+                        Ok(Token::Key(key)) => key.into_owned(),
+                        Ok(_) => break Value::Obj(map),
+                        Err(e) => return Err(e),
                     };
-                    map.insert(key.into_owned(), value);
+                    let value = match self.next_token() {
+                        Ok(Token::Scalar(v)) => v,
+                        Ok(token) => self.build(token)?,
+                        Err(e) => return Err(e),
+                    };
+                    map.insert(key, value);
                 }
-                Value::Obj(map)
             }
             Token::ObjectEnd | Token::ArrayEnd | Token::Key(_) => {
                 unreachable!("a value never starts with {first:?}")

@@ -57,6 +57,7 @@
 use ims_core::{Problem, Schedule};
 use ims_exact::Decision;
 use ims_graph::{sccs, MinDist, MinDistSolver, NodeId, NEG_INF};
+use ims_machine::OpcodeInfo;
 use ims_prof::{phase, ProfSink};
 
 use crate::solver::{Lit, SolveResult, Solver};
@@ -137,25 +138,50 @@ impl OpEnc {
 /// `b` the same resource at `o_b`. Each pair is one implied clause of
 /// Family 5's rows.
 fn colliding_pairs(problem: &Problem<'_>, ops: &[OpEnc], ii: i64, cap: u64) -> u64 {
-    let alts = |op: &OpEnc| &problem.info(op.node).expect("real operation").alternatives;
+    // The deltas depend only on two reservation tables and the II, so
+    // they are found once per pair of alternatives. Each distinct opcode
+    // numbers its alternatives in one run of `alts`; `spans[i]` is the
+    // run of `ops[i]`.
+    let mut alts = Vec::new();
+    let mut runs: Vec<(&OpcodeInfo, usize)> = Vec::new();
+    let spans: Vec<(usize, usize)> = ops
+        .iter()
+        .map(|op| {
+            let info = problem.info(op.node).expect("real operation");
+            let first = match runs.iter().find(|(seen, _)| std::ptr::eq(*seen, info)) {
+                Some(&(_, first)) => first,
+                None => {
+                    let first = alts.len();
+                    runs.push((info, first));
+                    alts.extend(&info.alternatives);
+                    first
+                }
+            };
+            (first, first + info.alternatives.len())
+        })
+        .collect();
+    let n = alts.len();
+    let deltas: Vec<Vec<i64>> = (0..n * n)
+        .map(|k| {
+            let mut ds = Vec::new();
+            for &(r1, o1) in alts[k / n].table.uses() {
+                for &(r2, o2) in alts[k % n].table.uses() {
+                    let d = (o1 as i64 - o2 as i64).rem_euclid(ii);
+                    if r1 == r2 && !ds.contains(&d) {
+                        ds.push(d);
+                    }
+                }
+            }
+            ds
+        })
+        .collect();
+
     let mut total = 0u64;
-    let mut deltas: Vec<i64> = Vec::new();
     for (i, u) in ops.iter().enumerate() {
-        for v in &ops[i + 1..] {
-            for ua in alts(u) {
-                for va in alts(v) {
-                    deltas.clear();
-                    for &(r1, o1) in ua.table.uses() {
-                        for &(r2, o2) in va.table.uses() {
-                            let d = (o1 as i64 - o2 as i64).rem_euclid(ii);
-                            if r1 == r2 && !deltas.contains(&d) {
-                                deltas.push(d);
-                            }
-                        }
-                    }
-                    for &d in &deltas {
-                        total += u.slots_meeting(v, d, ii);
-                    }
+        for (v, &(v_first, v_end)) in ops.iter().zip(&spans).skip(i + 1) {
+            for a in spans[i].0..spans[i].1 {
+                for &d in deltas[a * n + v_first..a * n + v_end].iter().flatten() {
+                    total += u.slots_meeting(v, d, ii);
                 }
             }
             if total > cap {
@@ -658,6 +684,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The former count, which found the deltas of each pair of
+    /// alternatives again for every pair of operations.
+    fn colliding_pairs_per_op_pair(p: &Problem<'_>, ops: &[OpEnc], ii: i64, cap: u64) -> u64 {
+        let alts = |op: &OpEnc| &p.info(op.node).expect("real operation").alternatives;
+        let mut total = 0u64;
+        let mut deltas: Vec<i64> = Vec::new();
+        for (i, u) in ops.iter().enumerate() {
+            for v in &ops[i + 1..] {
+                for ua in alts(u) {
+                    for va in alts(v) {
+                        deltas.clear();
+                        for &(r1, o1) in ua.table.uses() {
+                            for &(r2, o2) in va.table.uses() {
+                                let d = (o1 as i64 - o2 as i64).rem_euclid(ii);
+                                if r1 == r2 && !deltas.contains(&d) {
+                                    deltas.push(d);
+                                }
+                            }
+                        }
+                        for &d in &deltas {
+                            total += u.slots_meeting(v, d, ii);
+                        }
+                    }
+                }
+                if total > cap {
+                    return total;
+                }
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn colliding_pairs_match_the_per_op_pair_count() {
+        // Corpus loops on cydra mix opcodes with one and with two
+        // alternatives; the windows are arbitrary but fixed.
+        let machine = ims_machine::cydra();
+        let corpus = ims_loopgen::corpus_of_size(5, 40);
+        let mut capped = 0;
+        for l in &corpus.loops {
+            let body = ims_deps::back_substitute(&l.body, &machine);
+            let p = ims_deps::build_problem(&body, &machine, &ims_deps::BuildOptions::default());
+            let ops: Vec<OpEnc> = p
+                .op_nodes()
+                .enumerate()
+                .map(|(i, node)| OpEnc {
+                    node,
+                    lo: (i as i64 * 7) % 11 - 3,
+                    width: 1 + (i as i64 * 5) % 9,
+                    g: Vec::new(),
+                    z: Vec::new(),
+                    m: Vec::new(),
+                })
+                .collect();
+            for ii in 1..9 {
+                for cap in [0, 40, 1_000, u64::MAX] {
+                    let got = colliding_pairs(&p, &ops, ii, cap);
+                    assert_eq!(got, colliding_pairs_per_op_pair(&p, &ops, ii, cap));
+                    capped += usize::from(got > cap);
+                }
+            }
+        }
+        assert!(capped > 0, "some counts stop early at their cap");
     }
 
     #[test]

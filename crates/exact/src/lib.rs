@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use ims_core::{NullObserver, ProblemBuilder, validate_schedule};
-//! use ims_exact::{prove, BranchAndBound, Decider, ProverConfig};
+//! use ims_exact::{prove, BranchAndBound, ProverConfig};
 //! use ims_graph::DepKind;
 //! use ims_ir::{OpId, Opcode};
 //! use ims_machine::minimal;
@@ -47,8 +47,7 @@
 //! pb.add_dep(b, a, 1, 1, DepKind::Flow, false); // loop-carried
 //! let problem = pb.finish();
 //!
-//! let config = ProverConfig::new(BranchAndBound::DEFAULT_WORK_LIMIT);
-//! let out = prove(&problem, &BranchAndBound, &config, &mut NullObserver)?;
+//! let out = prove(&problem, &BranchAndBound, &ProverConfig::new(None), &mut NullObserver)?;
 //! assert!(out.optimal());
 //! assert_eq!(out.schedule.ii, out.bounds.proved_lb);
 //! assert!(validate_schedule(&problem, &out.schedule).is_ok());
@@ -78,7 +77,7 @@ impl Decider for BranchAndBound {
         infeasible: phase::EXACT_IIS_INFEASIBLE,
         limit_hits: phase::EXACT_LIMIT_HITS,
     };
-    const DEFAULT_WORK_LIMIT: Option<u64> = Some(1 << 22);
+    const DEFAULT_WORK_LIMIT: u64 = 1 << 22;
 
     fn decide<P: ProfSink>(
         &self,
@@ -115,7 +114,7 @@ mod tests {
     fn figure1_is_decided_exactly() {
         let m = figure1_machine();
         let p = figure1_problem(&m);
-        let config = ProverConfig::new(BranchAndBound::DEFAULT_WORK_LIMIT);
+        let config = ProverConfig::new(None);
         let out = prove(&p, &BranchAndBound, &config, &mut NullObserver).unwrap();
         assert_eq!(out.mii.mii, 5);
         assert!(

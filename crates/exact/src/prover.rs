@@ -65,9 +65,8 @@ pub trait Decider {
     const KIND: BackendKind;
     /// Where the walk files its candidate-II outcomes.
     const PHASES: WalkPhases;
-    /// The work budget across a whole walk when none is configured
-    /// (`None` is unlimited).
-    const DEFAULT_WORK_LIMIT: Option<u64>;
+    /// The work budget across a whole walk when none is configured.
+    const DEFAULT_WORK_LIMIT: u64;
 
     /// Decides feasibility of `problem` at `ii`, spending at most
     /// `remaining` units of work, and returns the decision plus the work
@@ -91,13 +90,14 @@ pub struct ProverConfig {
     /// MII and the heuristic II is as small as possible.
     pub heuristic: SchedConfig,
     /// Work budget across all candidate IIs, in the decider's unit
-    /// (branch-and-bound nodes, CDCL conflicts). `None` is unlimited.
+    /// (branch-and-bound nodes, CDCL conflicts). `None` is the decider's
+    /// [`Decider::DEFAULT_WORK_LIMIT`].
     pub work_limit: Option<u64>,
 }
 
 impl ProverConfig {
-    /// A BudgetRatio-6 heuristic run and the given work budget; pass a
-    /// decider's [`Decider::DEFAULT_WORK_LIMIT`] for its defaults.
+    /// A BudgetRatio-6 heuristic run and the given work budget; `None`
+    /// runs each decider under its [`Decider::DEFAULT_WORK_LIMIT`].
     pub fn new(work_limit: Option<u64>) -> Self {
         ProverConfig {
             heuristic: SchedConfig::new().budget_ratio(6.0),
@@ -182,7 +182,7 @@ pub fn prove<D: Decider, O: SchedObserver>(
         .config(config.heuristic.clone())
         .run()?;
     let ims_ii = ims.schedule.ii;
-    let limit = config.work_limit.unwrap_or(u64::MAX);
+    let limit = config.work_limit.unwrap_or(D::DEFAULT_WORK_LIMIT);
     let mut work = 0u64;
     let mut proved_lb = ims_ii;
     for ii in ims.mii.mii..ims_ii {

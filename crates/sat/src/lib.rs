@@ -35,7 +35,7 @@
 //!
 //! ```
 //! use ims_core::{NullObserver, ProblemBuilder, validate_schedule};
-//! use ims_exact::{prove, Decider, ProverConfig};
+//! use ims_exact::{prove, ProverConfig};
 //! use ims_sat::Cdcl;
 //! use ims_graph::DepKind;
 //! use ims_ir::{OpId, Opcode};
@@ -49,8 +49,7 @@
 //! pb.add_dep(b, a, 1, 1, DepKind::Flow, false); // loop-carried
 //! let problem = pb.finish();
 //!
-//! let config = ProverConfig::new(Cdcl::DEFAULT_WORK_LIMIT);
-//! let out = prove(&problem, &Cdcl::default(), &config, &mut NullObserver)?;
+//! let out = prove(&problem, &Cdcl::default(), &ProverConfig::new(None), &mut NullObserver)?;
 //! assert!(out.optimal());
 //! assert!(validate_schedule(&problem, &out.schedule).is_ok());
 //! # Ok::<(), ims_core::ScheduleError>(())
@@ -103,7 +102,7 @@ impl Decider for Cdcl {
     };
     /// Conflicts are deterministic, so — unlike a wall-clock deadline —
     /// the same budget always aborts at the same point.
-    const DEFAULT_WORK_LIMIT: Option<u64> = Some(1 << 18);
+    const DEFAULT_WORK_LIMIT: u64 = 1 << 18;
 
     fn decide<P: ProfSink>(
         &self,
@@ -155,7 +154,7 @@ impl LeafOutcome {
 /// * `exact` and `sat` run the [`prove`] walk around [`BranchAndBound`]
 ///   or [`Cdcl`], with `sched` configuring the walk's internal heuristic
 ///   run and `work_limit` its work budget (nodes or conflicts; `None` is
-///   unlimited).
+///   the decider's [`Decider::DEFAULT_WORK_LIMIT`]).
 ///
 /// Every scheduler event goes to `observer`, the backends' work counts
 /// among them as `work` events.

@@ -13,9 +13,13 @@ use ims_machine::cydra;
 use ims_sat::Cdcl;
 
 fn run<D: Decider + Default>(problem: &Problem<'_>) -> ProverOutcome {
-    let config = ProverConfig::new(D::DEFAULT_WORK_LIMIT);
-    prove(problem, &D::default(), &config, &mut NullObserver)
-        .expect("corpus loops schedule under the automatic II cap")
+    prove(
+        problem,
+        &D::default(),
+        &ProverConfig::new(None),
+        &mut NullObserver,
+    )
+    .expect("corpus loops schedule under the automatic II cap")
 }
 
 #[test]

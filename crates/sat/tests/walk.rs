@@ -54,6 +54,7 @@ impl SchedObserver for Filed {
 struct Spy {
     backend: Option<BackendKind>,
     attempts: Vec<(i64, bool)>,
+    budgets: Vec<i64>,
     placed: Vec<(u32, i64)>,
 }
 
@@ -61,8 +62,9 @@ impl SchedObserver for Spy {
     fn backend(&mut self, kind: BackendKind) {
         self.backend = Some(kind);
     }
-    fn attempt_start(&mut self, ii: i64, _budget: i64) {
+    fn attempt_start(&mut self, ii: i64, budget: i64) {
         self.attempts.push((ii, false));
+        self.budgets.push(budget);
     }
     fn attempt_done(&mut self, ii: i64, ok: bool) {
         let last = self.attempts.last_mut().expect("done follows start");
@@ -86,7 +88,7 @@ fn walk_contracts<D: Decider + Default>() {
     pb.add_dep(a, b, 1, 0, DepKind::Flow, false);
     pb.add_dep(b, a, 1, 1, DepKind::Flow, false);
     let p = pb.finish();
-    let out = run(&decider, &p, D::DEFAULT_WORK_LIMIT);
+    let out = run(&decider, &p, None);
     assert!(out.optimal(), "{name}");
     assert_eq!(
         out.work, 0,
@@ -99,7 +101,7 @@ fn walk_contracts<D: Decider + Default>() {
     // heuristic schedule with nothing proven beyond the MII.
     let m = figure1_machine();
     let p = figure1_problem(&m);
-    let full = run(&decider, &p, D::DEFAULT_WORK_LIMIT);
+    let full = run(&decider, &p, None);
     assert!(
         full.optimal() && !full.limit_hit,
         "{name}: {:?}",
@@ -129,10 +131,17 @@ fn walk_contracts<D: Decider + Default>() {
 
     // The observer sees the backend, and the trailing placement burst
     // inside the last (successful) attempt replays the final schedule.
+    // With no work limit configured, the first decision runs under the
+    // decider's default budget.
     let mut spy = Spy::default();
-    let config = ProverConfig::new(D::DEFAULT_WORK_LIMIT);
+    let config = ProverConfig::new(None);
     let out = prove(&p, &decider, &config, &mut spy).unwrap();
     assert_eq!(spy.backend, Some(D::KIND), "{name}");
+    assert_eq!(
+        spy.budgets.first(),
+        Some(&(D::DEFAULT_WORK_LIMIT as i64)),
+        "{name}"
+    );
     assert_eq!(
         spy.attempts.last(),
         Some(&(out.schedule.ii, true)),
@@ -183,7 +192,7 @@ fn starved_clause_cap_degrades_to_bounds_and_ims_schedule() {
         clause_limit: Some(1),
         ..Cdcl::default()
     };
-    let out = run(&starved, &p, Cdcl::DEFAULT_WORK_LIMIT);
+    let out = run(&starved, &p, None);
     assert!(out.limit_hit);
     assert_eq!(out.bounds.proved_lb, out.mii.mii, "nothing decided yet");
     assert_eq!(out.bounds.best_ub, out.ims_ii);
@@ -194,8 +203,8 @@ fn starved_clause_cap_degrades_to_bounds_and_ims_schedule() {
 fn sat_agrees_with_branch_and_bound_on_figure1() {
     let m = figure1_machine();
     let p = figure1_problem(&m);
-    let sat = run(&Cdcl::default(), &p, Cdcl::DEFAULT_WORK_LIMIT);
-    let bnb = run(&BranchAndBound, &p, BranchAndBound::DEFAULT_WORK_LIMIT);
+    let sat = run(&Cdcl::default(), &p, None);
+    let bnb = run(&BranchAndBound, &p, None);
     assert!(sat.optimal() && bnb.optimal());
     assert_eq!(sat.schedule.ii, bnb.schedule.ii, "two proofs, one optimum");
     assert_eq!(sat.bounds, bnb.bounds);

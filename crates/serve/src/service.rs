@@ -40,10 +40,9 @@ use ims_core::{
     BackendKind, BackendSpec, NullObserver, Problem, ProblemBuilder, SchedConfig, ScheduleError,
     Scheduler,
 };
-use ims_exact::{BranchAndBound, Decider};
 use ims_press::PressureObserver;
 use ims_prof::{phase, MetricsRegistry};
-use ims_sat::{schedule_leaf, Cdcl, LeafOutcome};
+use ims_sat::{schedule_leaf, LeafOutcome};
 use ims_stats::Histogram;
 
 use crate::cache::{key_request, CanonProblem, Entry, Keyed, ScheduleCache};
@@ -140,11 +139,7 @@ fn race(
     node_limit: Option<u64>,
 ) -> Result<LeafOutcome, ScheduleError> {
     let run = |kind: BackendKind| {
-        let work_limit = match kind {
-            BackendKind::Ims => None,
-            BackendKind::Exact => node_limit.or(BranchAndBound::DEFAULT_WORK_LIMIT),
-            BackendKind::Sat => Cdcl::DEFAULT_WORK_LIMIT,
-        };
+        let work_limit = node_limit.filter(|_| kind == BackendKind::Exact);
         schedule_leaf(kind, problem, cfg, work_limit, &mut NullObserver)
     };
     let results: Vec<_> = match spec.members() {

@@ -53,7 +53,7 @@ where
 }
 
 fn main() -> io::Result<()> {
-    let args: Vec<String> = std::env::args().collect();
+    let args = pool::args_or_exit(USAGE);
 
     if let Some(n) = flag::<usize>(&args, "--gen-requests") {
         let seed = flag::<u64>(&args, "--seed").unwrap_or(7);

@@ -54,6 +54,87 @@ pub fn threads_or_exit(args: &[String], usage: &str) -> usize {
     flag_or_exit(args, "--threads", usage).map_or_else(default_threads, NonZeroUsize::get)
 }
 
+/// The process's arguments, program name first, once every one of them
+/// is declared by `usage`: a `--flag` it names (with its value when it
+/// names one, as `--flag V` or `--flag=V`) or one of the positional
+/// arguments it lists. Any other argument — an unknown flag, a value
+/// given to a switch, one positional too many — is a hard error like a
+/// malformed value (see [`flag_or_exit`]): a misspelt flag must not run
+/// the default. The declared names are read from `usage` itself, so
+/// there is no second list to drift from it. Every driver reads its
+/// arguments through here.
+pub fn args_or_exit(usage: &str) -> Vec<String> {
+    let args: Vec<String> = std::env::args().collect();
+    if let Err(e) = check_args(&args[1..], usage) {
+        eprintln!("error: {e}");
+        eprintln!("{usage}");
+        std::process::exit(2);
+    }
+    args
+}
+
+/// [`args_or_exit`] without the exit, over the arguments after the
+/// program name.
+fn check_args(args: &[String], usage: &str) -> Result<(), String> {
+    let (flags, positionals) = declared(usage);
+    let mut seen = 0;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            seen += 1;
+            if seen > positionals {
+                return Err(format!("unexpected argument {arg:?}"));
+            }
+            continue;
+        }
+        let (name, inline) = arg
+            .split_once('=')
+            .map_or((arg.as_str(), false), |(n, _)| (n, true));
+        match flags.iter().find(|&&(flag, _)| flag == name) {
+            None => return Err(format!("unknown flag {name}")),
+            Some(&(_, false)) if inline => return Err(format!("{name} takes no value")),
+            Some(&(_, takes_value)) => {
+                if takes_value && !inline {
+                    it.next();
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// What a usage text declares: every `--flag` with whether a value
+/// follows it, and the number of positional arguments. The text is
+/// `usage: PROGRAM ...`, each further form starting with `PROGRAM` again;
+/// a flag takes a value when its bracket stays open and a placeholder
+/// follows (`[--seed H]`, `--dedup FILE`), and is a switch otherwise
+/// (`[--latency]`).
+fn declared(usage: &str) -> (Vec<(&str, bool)>, usize) {
+    let mut words = usage
+        .split_whitespace()
+        .skip_while(|&w| w != "usage:")
+        .skip(1)
+        .peekable();
+    let program = words.next().unwrap_or_default();
+    let (mut flags, mut positionals) = (Vec::new(), 0);
+    while let Some(raw) = words.next() {
+        let word = raw.trim_matches(['[', ']']);
+        if word.starts_with("--") {
+            let takes_value = !raw.ends_with(']')
+                && words
+                    .next_if(|next| {
+                        let next = next.trim_start_matches('[');
+                        !next.starts_with("--") && next != program
+                    })
+                    .is_some();
+            flags.push((word, takes_value));
+        } else if word != program {
+            positionals += 1;
+        }
+    }
+    (flags, positionals)
+}
+
 /// Reads `--name V` (or `--name=V`) from an argument list, parsed as `T`;
 /// `None` when the flag is absent. A flag that is present but has a
 /// missing or malformed value is a hard error, never a silent default:
@@ -235,6 +316,70 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn usage_texts_declare_their_flags_and_positionals() {
+        let (flags, positionals) = declared(
+            "usage: scheduled [--threads N] [--latency] [--socket PATH [--conns N]]
+       scheduled --gen-requests N [--backend ims|exact|sat]
+       scheduled --dedup FILE",
+        );
+        assert_eq!(
+            flags,
+            [
+                ("--threads", true),
+                ("--latency", false),
+                ("--socket", true),
+                ("--conns", true),
+                ("--gen-requests", true),
+                ("--backend", true),
+                ("--dedup", true),
+            ]
+        );
+        assert_eq!(positionals, 0);
+        assert_eq!(
+            declared("usage: trace_report DIR [--top K]"),
+            (vec![("--top", true)], 1)
+        );
+        assert_eq!(declared("usage: table2"), (vec![], 0));
+    }
+
+    #[test]
+    fn undeclared_arguments_are_refused() {
+        let usage = "usage: corpus [--loops N] [--trace DIR] [--latency]";
+        let check = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            check_args(&args, usage)
+        };
+        for ok in [
+            &[][..],
+            &["--loops", "2", "--trace", "t", "--latency"][..],
+            &["--loops=2", "--trace=--latency"][..],
+            &["--trace", "--bogus"][..], // a value, as flag_or_exit reads it
+            &["--loops"][..],            // flag_or_exit reports the missing value
+        ] {
+            assert_eq!(check(ok), Ok(()), "{ok:?}");
+        }
+        for (bad, err) in [
+            (
+                &["--loops", "2", "--thread", "4"][..],
+                "unknown flag --thread",
+            ),
+            (&["--bogus=1"][..], "unknown flag --bogus"),
+            (&["--latency=1"][..], "--latency takes no value"),
+            (&["--latency", "1"][..], "unexpected argument \"1\""),
+            (&["extra"][..], "unexpected argument \"extra\""),
+            (&["--"][..], "unknown flag --"),
+        ] {
+            assert_eq!(check(bad), Err(err.to_string()), "{bad:?}");
+        }
+        let positional = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            check_args(&args, "usage: trace_report DIR [--top K]")
+        };
+        assert_eq!(positional(&["dir", "--top", "3"]), Ok(()));
+        assert!(positional(&["dir", "other"]).is_err());
+    }
 
     #[test]
     fn results_are_in_input_order_for_every_thread_count() {

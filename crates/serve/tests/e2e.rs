@@ -2,7 +2,7 @@
 //! file twice yields byte-identical response halves with the second pass
 //! fully cache-served, the response stream is byte-identical across
 //! `--threads` values, failures come back as structured responses, and a
-//! malformed `--threads` is a hard usage error.
+//! malformed `--threads` or an undeclared argument is a hard usage error.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -279,6 +279,27 @@ fn malformed_numeric_flags_are_usage_errors() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
             err.contains("--batch") && err.contains("usage:"),
+            "{args:?} -> {err}"
+        );
+        assert!(out.stdout.is_empty());
+    }
+}
+
+#[test]
+fn undeclared_arguments_are_usage_errors() {
+    // An argument the usage line does not declare exits 2 with it, never
+    // runs the defaults: here a misspelt `--seed`, a value given to the
+    // `--latency` switch, and a stray word.
+    for (args, named) in [
+        (&["--gen-requests", "1", "--sed", "9"][..], "--sed"),
+        (&["--latency=1"][..], "--latency"),
+        (&["--threads", "1", "extra"][..], "extra"),
+    ] {
+        let out = scheduled(args, "");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(named) && err.contains("usage: scheduled"),
             "{args:?} -> {err}"
         );
         assert!(out.stdout.is_empty());

@@ -12,19 +12,29 @@
 //!    MinDist formulation.
 
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
-use ims_bench::{measure_corpus, MeasureParams};
-use ims_core::{rec_mii, rec_mii_by_circuits, Counters, PriorityKind, SchedConfig, Scheduler};
+use ims_bench::{measure_corpus, run_corpus, LoopMeasurement, MeasureParams};
+use ims_core::{
+    rec_mii, rec_mii_by_circuits, Counters, PriorityKind, Problem, SchedConfig, Scheduler,
+};
 use ims_deps::{build_problem, BuildOptions, DelayModel};
 use ims_loopgen::corpus_of_size;
-use ims_machine::{cydra, cydra_simple};
-use ims_serve::pool::{flag_or_exit, threads_or_exit};
+use ims_machine::{cydra, cydra_simple, MachineModel};
+use ims_serve::pool::{args_or_exit, flag_or_exit, threads_or_exit};
 use ims_stats::table::{num, Table};
 
 const USAGE: &str = "usage: ablation [--threads N] [--trace DIR]";
 
+/// The priority functions of part 3 (§3.2's claim).
+const PRIORITIES: [(&str, PriorityKind); 3] = [
+    ("HeightR (paper)", PriorityKind::HeightR),
+    ("critical path (no II discount)", PriorityKind::CriticalPath),
+    ("input order", PriorityKind::InputOrder),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = args_or_exit(USAGE);
     let threads = threads_or_exit(&args, USAGE);
     // With --trace DIR, the two reservation-table runs write their
     // per-loop traces side by side (`complex_loop_*` / `simple_loop_*`).
@@ -33,7 +43,7 @@ fn main() {
     println!("Ablations over {} corpus loops\n", corpus.len());
 
     // ----- 1. Complex vs simple reservation tables -----
-    let trace = |machine: &ims_machine::MachineModel, prefix: &str| {
+    let trace = |machine: &MachineModel, prefix: &str| {
         let trace = trace_dir.as_deref().map(|dir| (dir, prefix));
         measure_corpus(
             &corpus,
@@ -44,7 +54,7 @@ fn main() {
             false,
         )
         .unwrap_or_else(|e| {
-            eprintln!("ablation: cannot write traces: {e}");
+            eprintln!("ablation: {e}");
             std::process::exit(1);
         })
         .0
@@ -52,12 +62,12 @@ fn main() {
     let complex = trace(&cydra(), "complex_");
     let simple = trace(&cydra_simple(), "simple_");
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-    let ineff = |ms: &[ims_bench::LoopMeasurement]| {
+    let ineff = |ms: &[LoopMeasurement]| {
         let steps: u64 = ms.iter().map(|m| m.total_steps).sum();
         let ops: usize = ms.iter().map(|m| m.n_ops).sum();
         steps as f64 / ops as f64
     };
-    let frac_opt = |ms: &[ims_bench::LoopMeasurement]| {
+    let frac_opt = |ms: &[LoopMeasurement]| {
         ms.iter().filter(|m| m.delta_ii() == 0).count() as f64 / ms.len() as f64
     };
     let mut t = Table::new(vec![
@@ -85,29 +95,62 @@ fn main() {
          multiplier, so it can be *harder* to pack than the complex one)\n"
     );
 
-    // ----- 2. Delay models -----
+    // Parts 2-4 take each loop as part 1 does, back-substituted with its
+    // problem built for cydra under the VLIW delay model, in one pass.
     let machine = cydra();
+    let (per_loop, _) = run_corpus(
+        &corpus,
+        &machine,
+        threads,
+        None,
+        false,
+        |_, _, body, problem, _, _| {
+            let schedule = |p: &Problem<'_>, priority| {
+                Scheduler::new(p)
+                    .config(SchedConfig::new().budget_ratio(6.0).priority(priority))
+                    .run()
+                    .expect("corpus loops schedule")
+            };
+            let conservative = BuildOptions {
+                delay_model: DelayModel::Conservative,
+            };
+            let conservative = build_problem(body, &machine, &conservative);
+            let delays = [problem, &conservative].map(|p| {
+                let out = schedule(p, PriorityKind::HeightR);
+                (out.mii.mii as f64, out.schedule.ii as f64)
+            });
+            let priorities = PRIORITIES.map(|(_, kind)| {
+                let out = schedule(problem, kind);
+                (
+                    out.delta_ii() == 0,
+                    out.schedule.ii,
+                    out.stats.total_steps(),
+                )
+            });
+            let s = Instant::now();
+            let by_mindist = rec_mii(problem, 1, &mut Counters::new());
+            let mindist_time = s.elapsed();
+            let s = Instant::now();
+            let by_circuits = rec_mii_by_circuits(problem, 200_000);
+            let rec = (by_mindist, by_circuits, mindist_time, s.elapsed());
+            (delays, problem.num_ops(), priorities, rec)
+        },
+    )
+    .expect("no trace directory, so no I/O");
+
+    // ----- 2. Delay models -----
     let mut rows = Table::new(vec![
         "Delay model".into(),
         "mean MII".into(),
         "mean II".into(),
     ]);
-    for (name, model) in [
-        ("VLIW (Table 1 left)", DelayModel::Vliw),
-        ("conservative (Table 1 right)", DelayModel::Conservative),
-    ] {
-        let mut miis = Vec::new();
-        let mut iis = Vec::new();
-        for l in &corpus.loops {
-            let p = build_problem(&l.body, &machine, &BuildOptions { delay_model: model });
-            let out = Scheduler::new(&p)
-                .config(SchedConfig::new().budget_ratio(6.0))
-                .run()
-                .expect("corpus loops schedule");
-            miis.push(out.mii.mii as f64);
-            iis.push(out.schedule.ii as f64);
-        }
-        rows.row(vec![name.into(), num(mean(&miis), 3), num(mean(&iis), 3)]);
+    for (k, name) in ["VLIW (Table 1 left)", "conservative (Table 1 right)"]
+        .into_iter()
+        .enumerate()
+    {
+        let miis: Vec<f64> = per_loop.iter().map(|(delays, ..)| delays[k].0).collect();
+        let iis: Vec<f64> = per_loop.iter().map(|(delays, ..)| delays[k].1).collect();
+        rows.row(vec![name.into(), num(mean(&miis), 2), num(mean(&iis), 2)]);
     }
     print!("{}", rows.render());
     println!(
@@ -119,38 +162,23 @@ fn main() {
     );
 
     // ----- 3. Priority functions (§3.2's claim) -----
+    let ops: usize = per_loop.iter().map(|(_, ops, ..)| ops).sum();
+    let loops = per_loop.len() as f64;
     let mut pt = Table::new(vec![
         "priority".into(),
         "II=MII".into(),
         "mean II".into(),
         "sched inefficiency".into(),
     ]);
-    for (name, kind) in [
-        ("HeightR (paper)", PriorityKind::HeightR),
-        ("critical path (no II discount)", PriorityKind::CriticalPath),
-        ("input order", PriorityKind::InputOrder),
-    ] {
-        let mut optimal = 0usize;
-        let mut ii_sum = 0f64;
-        let mut steps = 0u64;
-        let mut ops = 0usize;
-        for l in &corpus.loops {
-            let p = build_problem(&l.body, &machine, &BuildOptions::default());
-            let out = Scheduler::new(&p)
-                .config(SchedConfig::new().budget_ratio(6.0).priority(kind))
-                .run()
-                .expect("corpus loops schedule");
-            if out.delta_ii() == 0 {
-                optimal += 1;
-            }
-            ii_sum += out.schedule.ii as f64;
-            steps += out.stats.total_steps();
-            ops += p.num_ops();
-        }
+    for (k, (name, _)) in PRIORITIES.into_iter().enumerate() {
+        let runs = || per_loop.iter().map(|(_, _, runs, _)| runs[k]);
+        let optimal = runs().filter(|run| run.0).count();
+        let ii_sum: i64 = runs().map(|run| run.1).sum();
+        let steps: u64 = runs().map(|run| run.2).sum();
         pt.row(vec![
             name.into(),
-            format!("{:.1}%", 100.0 * optimal as f64 / corpus.loops.len() as f64),
-            num(ii_sum / corpus.loops.len() as f64, 2),
+            format!("{:.1}%", 100.0 * optimal as f64 / loops),
+            num(ii_sum as f64 / loops, 2),
             num(steps as f64 / ops as f64, 3),
         ]);
     }
@@ -163,37 +191,16 @@ fn main() {
     );
 
     // ----- 4. RecMII: MinDist vs circuit enumeration -----
-    let mut agree = 0usize;
-    let mut enumerable = 0usize;
-    let mut truncated = 0usize;
-    let t0 = std::time::Instant::now();
-    let mut mindist_time = std::time::Duration::ZERO;
-    let mut circuits_time = std::time::Duration::ZERO;
-    for l in &corpus.loops {
-        let p = build_problem(&l.body, &machine, &BuildOptions::default());
-        let s = std::time::Instant::now();
-        let by_mindist = rec_mii(&p, 1, &mut Counters::new());
-        mindist_time += s.elapsed();
-        let s = std::time::Instant::now();
-        let by_circuits = rec_mii_by_circuits(&p, 200_000);
-        circuits_time += s.elapsed();
-        match by_circuits {
-            Some(c) => {
-                enumerable += 1;
-                if c == by_mindist {
-                    agree += 1;
-                }
-            }
-            None => truncated += 1,
-        }
-    }
+    let recs = || per_loop.iter().map(|(.., rec)| rec);
+    let enumerable = recs().filter(|rec| rec.1.is_some()).count();
+    let agree = recs().filter(|rec| rec.1 == Some(rec.0)).count();
+    let truncated = per_loop.len() - enumerable;
+    let mindist_time: Duration = recs().map(|rec| rec.2).sum();
+    let circuits_time: Duration = recs().map(|rec| rec.3).sum();
     println!(
         "RecMII cross-check: {agree}/{enumerable} agreements, {truncated} loops with\n\
          too many elementary circuits to enumerate (cap 200k).\n\
-         MinDist method: {:?} total; circuit enumeration: {:?} total ({:?} elapsed).",
-        mindist_time,
-        circuits_time,
-        t0.elapsed()
+         MinDist method: {mindist_time:?} total; circuit enumeration: {circuits_time:?} total."
     );
     assert_eq!(agree, enumerable, "the two RecMII methods must agree");
 }

@@ -56,7 +56,7 @@ const USAGE: &str = "usage: explain [--seed H] [--loops N] [--threads T] [--budg
                [--optgap FILE] [--profile FILE]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = pool::args_or_exit(USAGE);
     let seed: u64 = pool::flag_or_exit(&args, "--seed", USAGE).unwrap_or(0xC4D5);
     let loops: usize = pool::flag_or_exit(&args, "--loops", USAGE).unwrap_or(300);
     let budget_ratio: f64 = pool::flag_or_exit(&args, "--budget-ratio", USAGE).unwrap_or(6.0);

@@ -7,6 +7,9 @@
 
 use ims_ir::Opcode;
 use ims_machine::{figure1_machine, MachineModel, ReservationTable};
+use ims_serve::pool::args_or_exit;
+
+const USAGE: &str = "usage: figure1";
 
 fn print_table(machine: &MachineModel, name: &str, table: &ReservationTable) {
     println!("({name})  [{} reservation table]", table.class());
@@ -32,6 +35,7 @@ fn print_table(machine: &MachineModel, name: &str, table: &ReservationTable) {
 }
 
 fn main() {
+    args_or_exit(USAGE);
     let m = figure1_machine();
     println!("Figure 1 — reservation tables (machine: {})\n", m.name());
     let add = &m.info(Opcode::Add).alternatives[0].table;

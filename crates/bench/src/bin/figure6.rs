@@ -15,13 +15,13 @@ use std::path::PathBuf;
 use ims_bench::{aggregate_figure6, measure_corpus, MeasureParams};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
-use ims_serve::pool::{flag_or_exit, threads_or_exit};
+use ims_serve::pool::{args_or_exit, flag_or_exit, threads_or_exit};
 use ims_stats::table::{num, Table};
 
 const USAGE: &str = "usage: figure6 [--threads N] [--trace DIR]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = args_or_exit(USAGE);
     let threads = threads_or_exit(&args, USAGE);
     // With --trace DIR, every sweep point writes its own per-loop traces,
     // prefixed by the BudgetRatio (`b1.25_loop_00042.jsonl`, ...).
@@ -52,7 +52,7 @@ fn main() {
             false,
         )
         .unwrap_or_else(|e| {
-            eprintln!("figure6: cannot write traces: {e}");
+            eprintln!("figure6: {e}");
             std::process::exit(1);
         });
         let (dilation, inefficiency) = aggregate_figure6(&ms);

@@ -7,19 +7,20 @@
 //! quantify how far Rau's heuristic sits from optimal at each budget.
 //!
 //! ```text
-//! optgap [--seed H] [--loops N] [--threads T] [--deadline-ms D]
-//!        [--backend exact|sat] [--wall] [--trace DIR] [--profile FILE]
+//! optgap [--seed H] [--loops N] [--threads T] [--backend exact|sat]
+//!        [--trace DIR] [--profile FILE]
 //! ```
 //!
-//! Defaults: 300 loops at seed `0xC4D5`, one worker per core, a 5-second
-//! per-loop deadline, the branch-and-bound (`exact`) prover. The deadline
-//! is applied as a deterministic work budget (`D × NODES_PER_MS`
-//! branch-and-bound nodes, or `D × CONFLICTS_PER_MS` CDCL conflicts with
-//! `--backend sat`), never as wall-clock, so stdout is byte-identical
-//! across runs and `--threads` values — `scripts/verify.sh` diffs
-//! `--threads 1` against `--threads 4` on every run. Because the gap is
-//! measured *against* an exact prover, `--backend ims` (and portfolio
-//! specs, which include it) are rejected with exit 2.
+//! Defaults: 300 loops at seed `0xC4D5`, one worker per core, the
+//! branch-and-bound (`exact`) prover. Each prover runs under its
+//! decider's default work budget, the one the service uses: 2^22
+//! branch-and-bound nodes, or 2^18 CDCL conflicts with `--backend sat`.
+//! The budget counts work, never wall-clock time, so stdout is
+//! byte-identical across runs and `--threads` values —
+//! `scripts/verify.sh` diffs `--threads 1` against `--threads 4` on
+//! every run. Because the gap is measured *against* an exact prover,
+//! `--backend ims` (and portfolio specs, which include it) are rejected
+//! with exit 2.
 //!
 //! Per-loop fields: `exact_lb`/`exact_ub` bound the true minimum II
 //! (equal when proven), `limit_hit` flags an aborted search, `nodes` its
@@ -31,9 +32,6 @@
 //! The corpus driver's opt-in extras work here too, with the same
 //! determinism contract:
 //!
-//! * `--wall` appends the (non-deterministic) per-loop `wall_ns` timing
-//!   to each line — the whole loop's work: the exact search plus all four
-//!   heuristic runs.
 //! * `--trace DIR` writes one JSON-lines event trace per loop
 //!   (`loop_00042.jsonl`, …), byte-identical across thread counts. Each
 //!   trace carries five back-to-back runs: the exact backend's, then the
@@ -47,7 +45,7 @@
 use std::path::PathBuf;
 
 use ims_bench::profile::{write_profile, ProfObserver};
-use ims_bench::{run_corpus, work_limit_for_ms};
+use ims_bench::run_corpus;
 use ims_core::{BackendKind, BackendSpec, NullObserver, SchedConfig, SchedObserver, Scheduler};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
@@ -55,8 +53,8 @@ use ims_prof::{phase, PhaseTimer};
 use ims_sat::{schedule_leaf, LeafOutcome};
 use ims_serve::pool;
 
-const USAGE: &str = "usage: optgap [--seed H] [--loops N] [--threads T] [--deadline-ms D]
-              [--backend exact|sat] [--wall] [--trace DIR] [--profile FILE]";
+const USAGE: &str = "usage: optgap [--seed H] [--loops N] [--threads T] [--backend exact|sat]
+              [--trace DIR] [--profile FILE]";
 
 /// The §4.3 BudgetRatio sweep, labeled `b1` … `b6` in the output.
 const RATIOS: [(f64, &str); 4] = [(1.0, "b1"), (2.0, "b2"), (3.0, "b3"), (6.0, "b6")];
@@ -69,16 +67,13 @@ struct Row {
     limit_hit: bool,
     nodes: u64,
     iis: [i64; RATIOS.len()],
-    wall_ns: u64,
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = pool::args_or_exit(USAGE);
     let seed: u64 = pool::flag_or_exit(&args, "--seed", USAGE).unwrap_or(0xC4D5);
     let loops: usize = pool::flag_or_exit(&args, "--loops", USAGE).unwrap_or(300);
-    let deadline_ms: u64 = pool::flag_or_exit(&args, "--deadline-ms", USAGE).unwrap_or(5000);
     let threads = pool::threads_or_exit(&args, USAGE);
-    let with_wall = args.iter().any(|a| a == "--wall");
     let trace_dir: Option<PathBuf> = pool::flag_or_exit(&args, "--trace", USAGE);
     let profile_path: Option<PathBuf> = pool::flag_or_exit(&args, "--profile", USAGE);
 
@@ -97,7 +92,6 @@ fn main() {
 
     let corpus = corpus_of_size(seed, loops);
     let machine = cydra();
-    let work_limit = work_limit_for_ms(backend, deadline_ms);
     let sched = SchedConfig::new().budget_ratio(6.0);
 
     let t0 = std::time::Instant::now();
@@ -109,7 +103,6 @@ fn main() {
         trace,
         profile_path.is_some(),
         |_, _, _, problem, rec, mut reg| {
-            let wall0 = std::time::Instant::now();
             let mut null = NullObserver;
             let obs: &mut dyn SchedObserver = match rec {
                 Some(r) => r,
@@ -122,7 +115,7 @@ fn main() {
             });
             let mut prover_obs = (ProfObserver::new(reg.as_deref_mut()), &mut *obs);
             let Ok(LeafOutcome::Prover(proof)) =
-                schedule_leaf(backend, problem, &sched, work_limit, &mut prover_obs)
+                schedule_leaf(backend, problem, &sched, None, &mut prover_obs)
             else {
                 panic!("corpus loops always schedule under the automatic II cap");
             };
@@ -148,7 +141,6 @@ fn main() {
                 limit_hit: proof.limit_hit,
                 nodes: proof.work,
                 iis,
-                wall_ns: wall0.elapsed().as_nanos() as u64,
             }
         },
     );
@@ -174,9 +166,6 @@ fn main() {
         ));
         for (&ii, (_, label)) in r.iis.iter().zip(RATIOS) {
             out.push_str(&format!(",\"ii_{label}\":{ii}"));
-        }
-        if with_wall {
-            out.push_str(&format!(",\"wall_ns\":{}", r.wall_ns));
         }
         out.push_str("}\n");
     }

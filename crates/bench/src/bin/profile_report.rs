@@ -16,6 +16,7 @@
 
 use ims_prof::phase;
 use ims_prof::snapshot::Snapshot;
+use ims_serve::pool::args_or_exit;
 use ims_stats::table::{num, Table};
 
 /// The registry description for `name`, or a placeholder for a phase this
@@ -24,10 +25,12 @@ fn what(name: &str) -> &'static str {
     phase::describe(name).map_or("(unregistered phase)", |d| d.what)
 }
 
+const USAGE: &str = "usage: profile_report FILE";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let [path] = args.as_slice() else {
-        eprintln!("usage: profile_report FILE");
+    let args = args_or_exit(USAGE);
+    let [_, path] = args.as_slice() else {
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
 

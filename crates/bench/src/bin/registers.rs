@@ -10,48 +10,49 @@
 //! corpus — the data a machine designer would use to size a rotating
 //! register file.
 
+use ims_bench::run_corpus;
 use ims_codegen::{allocate_rotating, lifetimes};
 use ims_core::{SchedConfig, Scheduler};
-use ims_deps::{back_substitute, build_problem, BuildOptions};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
+use ims_serve::pool::{args_or_exit, default_threads};
 use ims_stats::table::{num, Table};
 use ims_stats::DistributionStats;
 
+const USAGE: &str = "usage: registers";
+
 fn main() {
+    args_or_exit(USAGE);
     let machine = cydra();
     let corpus = paper_corpus(0xC4D5);
     eprintln!("scheduling {} loops...", corpus.len());
 
-    let mut unrolls = Vec::new();
-    let mut rotating_sizes = Vec::new();
-    let mut max_names = Vec::new();
-    let mut live_values = Vec::new();
-
-    for l in &corpus.loops {
-        let body = back_substitute(&l.body, &machine);
-        let problem = build_problem(&body, &machine, &BuildOptions::default());
-        let Ok(out) = Scheduler::new(&problem)
-            .config(SchedConfig::new().budget_ratio(6.0))
-            .run()
-        else {
-            continue;
-        };
-        let lts = lifetimes(&body, &problem, &out.schedule);
-        if lts.is_empty() {
-            continue;
-        }
-        let k = lts.iter().map(|t| t.names).max().unwrap_or(1);
-        unrolls.push(k as f64);
-        max_names.push(lts.iter().map(|t| t.names).max().unwrap_or(1) as f64);
-        live_values.push(lts.len() as f64);
-        let alloc = allocate_rotating(&body, &lts, out.schedule.ii);
-        rotating_sizes.push(alloc.size as f64);
-    }
+    // Per loop with loop-variant values: their count, the MVE unroll
+    // factor (the most names any one value needs) and the rotating-file
+    // size.
+    let (per_loop, _) = run_corpus(
+        &corpus,
+        &machine,
+        default_threads(),
+        None,
+        false,
+        |_, _, body, problem, _, _| {
+            let out = Scheduler::new(problem)
+                .config(SchedConfig::new().budget_ratio(6.0))
+                .run()
+                .expect("corpus loops schedule under the automatic II cap");
+            let lts = lifetimes(body, problem, &out.schedule);
+            let unroll = lts.iter().map(|t| t.names).max()?;
+            let alloc = allocate_rotating(body, &lts, out.schedule.ii);
+            Some([lts.len() as f64, unroll as f64, alloc.size as f64])
+        },
+    )
+    .expect("no trace directory, so no I/O");
+    let per_loop: Vec<[f64; 3]> = per_loop.into_iter().flatten().collect();
 
     println!(
         "Register requirements across {} scheduled loops\n",
-        unrolls.len()
+        per_loop.len()
     );
     let mut t = Table::new(vec![
         "quantity".into(),
@@ -59,19 +60,23 @@ fn main() {
         "mean".into(),
         "max".into(),
     ]);
-    let mut row = |name: &str, xs: &[f64], min: f64| {
-        let s = DistributionStats::from_samples(xs, min);
+    for (k, name) in [
+        "loop-variant values per loop",
+        "MVE kernel-unroll factor (Lam's kmax)",
+        "rotating register file size",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let xs: Vec<f64> = per_loop.iter().map(|l| l[k]).collect();
+        let s = DistributionStats::from_samples(&xs, 1.0);
         t.row(vec![
             name.into(),
             num(s.median, 1),
             num(s.mean, 2),
             num(s.maximum, 0),
         ]);
-    };
-    row("loop-variant values per loop", &live_values, 1.0);
-    row("MVE kernel-unroll factor (Lam's kmax)", &unrolls, 1.0);
-    row("max register names for one value", &max_names, 1.0);
-    row("rotating register file size", &rotating_sizes, 1.0);
+    }
     print!("{}", t.render());
     println!(
         "\nReading: with rotating registers the kernel is never unrolled and\n\

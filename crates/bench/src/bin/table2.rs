@@ -2,9 +2,13 @@
 
 use ims_ir::{FuClass, Opcode};
 use ims_machine::cydra;
+use ims_serve::pool::args_or_exit;
 use ims_stats::table::Table;
 
+const USAGE: &str = "usage: table2";
+
 fn main() {
+    args_or_exit(USAGE);
     let m = cydra();
     println!("Table 2 — machine model ({})\n", m.name());
     let mut t = Table::new(vec![
@@ -28,8 +32,16 @@ fn main() {
             }
             let info = m.info(op);
             t.row(vec![
-                if first { class.to_string() } else { String::new() },
-                if first { number.to_string() } else { String::new() },
+                if first {
+                    class.to_string()
+                } else {
+                    String::new()
+                },
+                if first {
+                    number.to_string()
+                } else {
+                    String::new()
+                },
                 op.to_string(),
                 info.latency.to_string(),
             ]);

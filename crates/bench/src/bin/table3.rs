@@ -13,7 +13,7 @@ use ims_bench::profile::write_profile;
 use ims_bench::{measure_corpus, LoopMeasurement, MeasureParams};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
-use ims_serve::pool::{flag_or_exit, threads_or_exit};
+use ims_serve::pool::{args_or_exit, flag_or_exit, threads_or_exit};
 use ims_stats::table::{num, Table};
 use ims_stats::{DistributionStats, Histogram};
 
@@ -31,7 +31,7 @@ fn row(t: &mut Table, name: &str, s: &DistributionStats) {
 const USAGE: &str = "usage: table3 [--threads N] [--trace DIR] [--profile FILE]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = args_or_exit(USAGE);
     let threads = threads_or_exit(&args, USAGE);
     let trace_dir: Option<PathBuf> = flag_or_exit(&args, "--trace", USAGE);
     let profile_path: Option<PathBuf> = flag_or_exit(&args, "--profile", USAGE);
@@ -51,7 +51,7 @@ fn main() {
         profile_path.is_some(),
     )
     .unwrap_or_else(|e| {
-        eprintln!("table3: cannot write traces: {e}");
+        eprintln!("table3: {e}");
         std::process::exit(1);
     });
     if let Some(profile_path) = &profile_path {

@@ -15,14 +15,14 @@ use ims_bench::profile::write_profile;
 use ims_bench::{measure_corpus, MeasureParams};
 use ims_loopgen::paper_corpus;
 use ims_machine::cydra;
-use ims_serve::pool::{flag_or_exit, threads_or_exit};
+use ims_serve::pool::{args_or_exit, flag_or_exit, threads_or_exit};
 use ims_stats::table::Table;
 use ims_stats::{linear_fit_through_origin, polyfit};
 
 const USAGE: &str = "usage: table4 [--threads N] [--trace DIR] [--profile FILE]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = args_or_exit(USAGE);
     let threads = threads_or_exit(&args, USAGE);
     let trace_dir: Option<PathBuf> = flag_or_exit(&args, "--trace", USAGE);
     let profile_path: Option<PathBuf> = flag_or_exit(&args, "--profile", USAGE);
@@ -42,7 +42,7 @@ fn main() {
         profile_path.is_some(),
     )
     .unwrap_or_else(|e| {
-        eprintln!("table4: cannot write traces: {e}");
+        eprintln!("table4: {e}");
         std::process::exit(1);
     });
     if let Some(profile_path) = &profile_path {

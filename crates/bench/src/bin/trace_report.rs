@@ -17,13 +17,13 @@
 //! trace ends inside is reported as unresolved (`II…`), never as a bogus
 //! success or failure.
 
-use ims_serve::pool::flag_or_exit;
+use ims_serve::pool::{args_or_exit, flag_or_exit};
 use ims_trace::{parse_trace_prefix, TraceSummary};
 
 const USAGE: &str = "usage: trace_report DIR [--top K]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = args_or_exit(USAGE);
     let Some(dir) = args.get(1).filter(|a| !a.starts_with("--")) else {
         eprintln!("{USAGE}");
         std::process::exit(2);

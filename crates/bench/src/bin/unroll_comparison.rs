@@ -14,52 +14,46 @@
 //! U ∈ {1, 2, 4, 8, 16} against the modulo scheduler's II, along with the
 //! code-size expansion each needs.
 
+use ims_bench::run_corpus;
 use ims_core::{list_schedule, SchedConfig, Scheduler};
-use ims_deps::{back_substitute, build_problem, unroll, BuildOptions};
+use ims_deps::{build_problem, unroll, BuildOptions};
 use ims_loopgen::corpus_of_size;
 use ims_machine::cydra;
+use ims_serve::pool::{args_or_exit, default_threads};
 use ims_stats::table::{num, Table};
 
+const USAGE: &str = "usage: unroll_comparison";
+
+const FACTORS: [u32; 5] = [1, 2, 4, 8, 16];
+
 fn main() {
+    args_or_exit(USAGE);
     let machine = cydra();
     let corpus = corpus_of_size(0xC4D5, 300);
-    let factors = [1u32, 2, 4, 8, 16];
 
-    // Per-loop modulo II, and per-factor unrolled effective II.
-    let mut modulo_total = 0f64;
-    let mut unrolled_totals = vec![0f64; factors.len()];
-    let mut kernel_ops_modulo = 0usize;
-    let mut wins = vec![0usize; factors.len()];
-    let mut count = 0usize;
-
-    for l in &corpus.loops {
-        let body = back_substitute(&l.body, &machine);
-        let problem = build_problem(&body, &machine, &BuildOptions::default());
-        let out = match Scheduler::new(&problem)
-            .config(SchedConfig::new().budget_ratio(6.0))
-            .run()
-        {
-            Ok(o) => o,
-            Err(_) => continue,
-        };
-        count += 1;
-        modulo_total += out.schedule.ii as f64;
-        // Modulo scheduling's code size: the kernel is the loop body (plus
-        // MVE unrolling where rotating registers are absent; the paper's
-        // 2.18x figure includes scheduling effort, not MVE copies).
-        kernel_ops_modulo += problem.num_ops();
-
-        for (fi, &u) in factors.iter().enumerate() {
-            let unrolled = unroll(&body, u);
-            let up = build_problem(&unrolled, &machine, &BuildOptions::default());
-            let sl = list_schedule(&up).length;
-            let eff = sl as f64 / u as f64;
-            unrolled_totals[fi] += eff;
-            if out.schedule.ii as f64 <= eff {
-                wins[fi] += 1;
-            }
-        }
-    }
+    // Per loop: the modulo II, and the unrolled baseline's effective II
+    // at each factor.
+    let (per_loop, _) = run_corpus(
+        &corpus,
+        &machine,
+        default_threads(),
+        None,
+        false,
+        |_, _, body, problem, _, _| {
+            let out = Scheduler::new(problem)
+                .config(SchedConfig::new().budget_ratio(6.0))
+                .run()
+                .expect("corpus loops schedule under the automatic II cap");
+            let effective = FACTORS.map(|u| {
+                let unrolled = unroll(body, u);
+                let up = build_problem(&unrolled, &machine, &BuildOptions::default());
+                list_schedule(&up).length as f64 / u as f64
+            });
+            (out.schedule.ii as f64, effective)
+        },
+    )
+    .expect("no trace directory, so no I/O");
+    let count = per_loop.len();
 
     println!("Unroll-before-scheduling vs iterative modulo scheduling ({count} loops)\n");
     let mut t = Table::new(vec![
@@ -69,7 +63,7 @@ fn main() {
         "code size".into(),
         "modulo wins/ties".into(),
     ]);
-    let modulo_mean = modulo_total / count as f64;
+    let modulo_mean = per_loop.iter().map(|l| l.0).sum::<f64>() / count as f64;
     t.row(vec![
         "modulo scheduling".into(),
         num(modulo_mean, 2),
@@ -77,18 +71,18 @@ fn main() {
         "1x body".into(),
         "-".into(),
     ]);
-    for (fi, &u) in factors.iter().enumerate() {
-        let mean = unrolled_totals[fi] / count as f64;
+    for (fi, u) in FACTORS.into_iter().enumerate() {
+        let mean = per_loop.iter().map(|l| l.1[fi]).sum::<f64>() / count as f64;
+        let wins = per_loop.iter().filter(|l| l.0 <= l.1[fi]).count();
         t.row(vec![
             format!("unroll x{u} + list schedule"),
             num(mean, 2),
             format!("{:.2}x", mean / modulo_mean),
             format!("{u}x body"),
-            format!("{}/{}", wins[fi], count),
+            format!("{wins}/{count}"),
         ]);
     }
     print!("{}", t.render());
-    let _ = kernel_ops_modulo;
     println!(
         "\nThe unrolled baseline pays the back-edge drain every U iterations;\n\
          its effective II approaches the modulo II only as the unroll factor\n\

@@ -60,33 +60,6 @@ use profile::{profile_backend_tail, ProfObserver};
 
 pub mod profile;
 
-/// Deterministic stand-in for a wall-clock deadline in the harness
-/// paths: `--deadline-ms N` is converted to a branch-and-bound node
-/// budget of `N × NODES_PER_MS`, so two runs (and any `--threads` value)
-/// abort the exact search at exactly the same point. Calibrated on the
-/// default corpus's hardest loop: one node — a placement plus its window
-/// recomputation and memo probe — costs ~2 µs in a release build.
-pub const NODES_PER_MS: u64 = 500;
-
-/// [`NODES_PER_MS`]'s counterpart for the SAT backend: `--deadline-ms N`
-/// becomes a CDCL conflict budget of `N × CONFLICTS_PER_MS`. A conflict —
-/// analysis, clause learning, backjumping, and the propagation leading to
-/// it — costs ~20 µs in a release build on the default corpus, orders of
-/// magnitude more than a branch-and-bound node.
-pub const CONFLICTS_PER_MS: u64 = 50;
-
-/// The prover work budget equivalent of a `--deadline-ms` value: nodes
-/// for `exact`, conflicts for `sat`. `None` — unlimited — for 0, and for
-/// the iterative backend, which has no work budget.
-pub fn work_limit_for_ms(backend: BackendKind, deadline_ms: u64) -> Option<u64> {
-    let per_ms = match backend {
-        BackendKind::Ims => return None,
-        BackendKind::Exact => NODES_PER_MS,
-        BackendKind::Sat => CONFLICTS_PER_MS,
-    };
-    (deadline_ms > 0).then(|| deadline_ms.saturating_mul(per_ms))
-}
-
 /// What the exact backend proved about one loop (absent from
 /// iterative-backend measurements).
 #[derive(Debug, Clone, Copy)]
@@ -155,10 +128,6 @@ pub struct LoopMeasurement {
     pub counters: Counters,
     /// The loop's synthetic execution profile.
     pub profile: Profile,
-    /// Wall-clock time spent scheduling this loop. Excluded from the
-    /// default JSON rendering (timings are non-deterministic); opt in
-    /// with the corpus driver's `--wall` flag.
-    pub wall_ns: u64,
     /// Exact-backend bounds; `None` for the iterative backend.
     pub exact: Option<ExactInfo>,
     /// Register-pressure results; `None` outside `--pressure-limit` runs.
@@ -186,7 +155,11 @@ impl LoopMeasurement {
     }
 }
 
-/// What [`measure_corpus`] runs: which backend, under which budgets.
+/// What [`measure_corpus`] runs: which backend, under which budgets. A
+/// prover runs under its decider's default work budget, the one the
+/// service runs it under; the unit (branch-and-bound nodes, CDCL
+/// conflicts) is deterministic, unlike a wall-clock deadline, so output
+/// stays byte-identical across thread counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasureParams {
     /// The leaf backend that schedules each loop.
@@ -194,12 +167,6 @@ pub struct MeasureParams {
     /// The iterative scheduler's BudgetRatio — for the provers, the
     /// BudgetRatio of their internal heuristic run.
     pub budget_ratio: f64,
-    /// The provers' work budget per loop (branch-and-bound nodes for
-    /// `exact`, CDCL conflicts for `sat`; `None` is unlimited). Both
-    /// units are deterministic, unlike a wall-clock deadline, so output
-    /// stays byte-identical across thread counts. The iterative backend
-    /// ignores it.
-    pub work_limit: Option<u64>,
     /// A register-file capacity to schedule against (iterative backend
     /// only; the provers ignore it). See [`PressInfo`].
     pub pressure_limit: Option<u32>,
@@ -211,7 +178,6 @@ impl MeasureParams {
         MeasureParams {
             backend: BackendKind::Ims,
             budget_ratio,
-            work_limit: None,
             pressure_limit: None,
         }
     }
@@ -220,6 +186,7 @@ impl MeasureParams {
 /// [`measure_corpus`]'s per-loop body: schedules one built loop under
 /// `params`, reporting scheduler events to `observer` and, with `prof`,
 /// every pipeline phase to the registry; neither changes the measurement.
+/// Only the profiled tail can fail (see [`profile_backend_tail`]).
 fn measure_loop<O: SchedObserver>(
     l: &CorpusLoop,
     body: &LoopBody,
@@ -227,13 +194,12 @@ fn measure_loop<O: SchedObserver>(
     params: &MeasureParams,
     observer: &mut O,
     mut prof: Option<&mut MetricsRegistry>,
-) -> LoopMeasurement {
+) -> Result<LoopMeasurement, String> {
     let t = PhaseTimer::start(match params.backend {
         BackendKind::Ims => phase::WALL_SCHED,
         BackendKind::Exact => phase::WALL_EXACT,
         BackendKind::Sat => phase::WALL_SAT,
     });
-    let t0 = std::time::Instant::now();
     let run = match (params.backend, params.pressure_limit) {
         (BackendKind::Ims, Some(limit)) => {
             let mut obs = (ProfObserver::new(prof.as_deref_mut()), &mut *observer);
@@ -249,17 +215,16 @@ fn measure_loop<O: SchedObserver>(
         (kind, _) => {
             let sched = SchedConfig::new().budget_ratio(params.budget_ratio);
             let mut obs = (ProfObserver::new(prof.as_deref_mut()), &mut *observer);
-            let out = schedule_leaf(kind, problem, &sched, params.work_limit, &mut obs);
+            let out = schedule_leaf(kind, problem, &sched, None, &mut obs);
             Run::from(out.expect("corpus loops always schedule under the automatic II cap"))
         }
     };
-    let wall_ns = t0.elapsed().as_nanos() as u64;
     t.finish_if(prof.as_deref_mut());
 
     if let Some(reg) = prof {
-        profile_backend_tail(l, body, problem, &run.schedule, reg);
+        profile_backend_tail(l, body, problem, &run.schedule, reg)?;
     }
-    finish_measurement(problem, l, run, wall_ns)
+    Ok(finish_measurement(problem, l, run))
 }
 
 /// One scheduling run inside [`measure_loop`], before the
@@ -405,12 +370,7 @@ fn schedule_pressure<O: SchedObserver>(
 
 /// The backend-independent tail of a loop measurement: SCC statistics and
 /// the schedule-length lower bound, packaged with the run's quantities.
-fn finish_measurement(
-    problem: &Problem<'_>,
-    l: &CorpusLoop,
-    run: Run,
-    wall_ns: u64,
-) -> LoopMeasurement {
+fn finish_measurement(problem: &Problem<'_>, l: &CorpusLoop, run: Run) -> LoopMeasurement {
     // SCC statistics over real operations only (START/STOP would otherwise
     // show up as two extra trivial components).
     let mut scc_work = 0u64;
@@ -454,7 +414,6 @@ fn finish_measurement(
         total_steps: run.total_steps,
         counters: run.counters,
         profile: l.profile,
-        wall_ns,
         exact: run.exact,
         press: run.press,
     }
@@ -560,15 +519,19 @@ where
 ///
 /// With `profile`, every pipeline phase's deterministic work and wall
 /// time is filed into the registry, and each loop is also lowered by
-/// modulo variable expansion and executed on the VLIW simulator so
-/// `codegen.*` and `vliw.sim.*` describe real code. With `trace`, each
-/// loop's events are written as [`run_corpus`] describes. Neither tracing
-/// nor profiling changes a measurement, and the output — [`corpus_jsonl`]
+/// modulo variable expansion and the emitted code executed on the VLIW
+/// simulator and checked against the sequential run, so `codegen.*` and
+/// `vliw.sim.*` describe real, correct code. With `trace`, each loop's
+/// events are written as [`run_corpus`] describes. Neither tracing nor
+/// profiling changes a measurement, and the output — [`corpus_jsonl`]
 /// and the trace files alike — is identical for every thread count.
 ///
 /// # Errors
 ///
-/// An I/O error creating the trace directory or writing a trace file.
+/// A message naming the cause: an I/O error creating the trace directory
+/// or writing a trace file, or, in a profiled run, the first loop in
+/// corpus order whose emitted code fails on the simulator or leaves
+/// memory unlike the sequential run's.
 ///
 /// # Panics
 ///
@@ -581,19 +544,24 @@ pub fn measure_corpus(
     threads: usize,
     trace: Option<(&Path, &str)>,
     profile: bool,
-) -> std::io::Result<(Vec<LoopMeasurement>, MetricsRegistry)> {
-    run_corpus(
+) -> Result<(Vec<LoopMeasurement>, MetricsRegistry), String> {
+    let (ms, reg) = run_corpus(
         corpus,
         machine,
         threads,
         trace,
         profile,
-        |_, l, body, problem, rec, reg| match rec {
-            Some(rec) => measure_loop(l, body, problem, params, rec, reg),
-            // Untraced runs stay monomorphized over the null observer.
-            None => measure_loop(l, body, problem, params, &mut NullObserver, reg),
+        |index, l, body, problem, rec, reg| {
+            let m = match rec {
+                Some(rec) => measure_loop(l, body, problem, params, rec, reg),
+                // Untraced runs stay monomorphized over the null observer.
+                None => measure_loop(l, body, problem, params, &mut NullObserver, reg),
+            };
+            m.map_err(|e| format!("loop {index} ({}): {e}", body.name()))
         },
     )
+    .map_err(|e| format!("cannot write traces: {e}"))?;
+    Ok((ms.into_iter().collect::<Result<_, _>>()?, reg))
 }
 
 /// Renders one corpus loop's measurement as a JSON line: every per-loop
@@ -601,10 +569,9 @@ pub fn measure_corpus(
 /// steps, the Table 4 work counters). Exact-backend measurements append
 /// their `proved_lb`/`best_ub`/`limit_hit` bounds, and pressure-aware
 /// measurements their `press_limit`/`press_ok`/`max_live`/`rot_size`
-/// verdict. `with_wall` appends the non-deterministic `wall_ns` timing;
-/// without it the line holds no timings and no thread identity, so
-/// corpus runs at different thread counts produce byte-identical output.
-pub fn measurement_json_line(index: usize, m: &LoopMeasurement, with_wall: bool) -> String {
+/// verdict. The line holds no timings and no thread identity, so corpus
+/// runs at different thread counts produce byte-identical output.
+pub fn measurement_json_line(index: usize, m: &LoopMeasurement) -> String {
     let mut line = measurement_json_core(index, m);
     if let Some(e) = m.exact {
         line.pop();
@@ -619,10 +586,6 @@ pub fn measurement_json_line(index: usize, m: &LoopMeasurement, with_wall: bool)
             ",\"press_limit\":{},\"press_ok\":{},\"max_live\":{},\"rot_size\":{}}}",
             p.limit, p.ok, p.max_live, p.rot_size
         ));
-    }
-    if with_wall {
-        line.pop();
-        line.push_str(&format!(",\"wall_ns\":{}}}", m.wall_ns));
     }
     line
 }
@@ -662,14 +625,14 @@ fn measurement_json_core(index: usize, m: &LoopMeasurement) -> String {
 /// aggregate line summing the deterministic quantities. When any
 /// measurement carries exact bounds, the aggregate line additionally
 /// reports how many loops were proven optimal, the summed proven gap, and
-/// how many searches hit their node budget. Without `with_wall` the
-/// output is byte-identical across thread counts by construction.
-pub fn corpus_jsonl(ms: &[LoopMeasurement], with_wall: bool) -> String {
+/// how many searches hit their node budget. The output is
+/// byte-identical across thread counts by construction.
+pub fn corpus_jsonl(ms: &[LoopMeasurement]) -> String {
     let mut out = String::with_capacity(ms.len() * 200);
     let mut total = Counters::new();
     let (mut steps, mut ops, mut delta) = (0u64, 0usize, 0i64);
     for (i, m) in ms.iter().enumerate() {
-        out.push_str(&measurement_json_line(i, m, with_wall));
+        out.push_str(&measurement_json_line(i, m));
         out.push('\n');
         total.add(&m.counters);
         steps += m.total_steps;
@@ -790,7 +753,6 @@ mod tests {
             &machine,
             MeasureParams {
                 backend: BackendKind::Exact,
-                work_limit: Some(200_000),
                 ..MeasureParams::ims(6.0)
             },
         );
@@ -807,14 +769,11 @@ mod tests {
         }
 
         // Exact lines grow bounds fields; iterative lines are unchanged.
-        let line = measurement_json_line(0, &exact[0], false);
+        let line = measurement_json_line(0, &exact[0]);
         assert!(line.contains("\"proved_lb\":"), "{line}");
         assert!(line.ends_with('}'), "{line}");
-        assert!(!measurement_json_line(0, &ims[0], false).contains("proved_lb"));
-        assert!(!measurement_json_line(0, &ims[0], false).contains("wall_ns"));
-        let timed = measurement_json_line(0, &ims[0], true);
-        assert!(timed.contains("\"wall_ns\":"), "{timed}");
-        let agg = corpus_jsonl(&exact, false);
+        assert!(!measurement_json_line(0, &ims[0]).contains("proved_lb"));
+        let agg = corpus_jsonl(&exact);
         assert!(agg.contains("\"proven_optimal\":"), "{agg}");
     }
 
@@ -844,12 +803,12 @@ mod tests {
                 assert!(a.ii >= b.ii, "pressure can only push the II up");
             }
             // Blind lines are byte-unchanged; pressure lines grow fields.
-            let line = measurement_json_line(0, a, false);
+            let line = measurement_json_line(0, a);
             assert!(line.contains("\"press_limit\":"), "{line}");
-            assert!(!measurement_json_line(0, b, false).contains("press_limit"));
+            assert!(!measurement_json_line(0, b).contains("press_limit"));
         }
         assert!(fits > 0, "a 16-register file fits some small loops");
-        let agg = corpus_jsonl(&aware, false);
+        let agg = corpus_jsonl(&aware);
         assert!(agg.contains("\"press_fit\":"), "{agg}");
         assert!(agg.contains("\"peak_max_live\":"), "{agg}");
     }
@@ -867,7 +826,7 @@ mod tests {
                 .unwrap()
                 .0
         };
-        assert_eq!(corpus_jsonl(&run(1), false), corpus_jsonl(&run(4), false));
+        assert_eq!(corpus_jsonl(&run(1)), corpus_jsonl(&run(4)));
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!   wall section.
 //!
 //! Profiled runs extend the pipeline past scheduling: each loop is also
-//! lowered by modulo variable expansion and executed on the VLIW
-//! simulator from its own initial memory, so `codegen.*` and
-//! `vliw.sim.*` describe real emitted code and real simulated cycles.
+//! lowered by modulo variable expansion, and the emitted code is executed
+//! on the VLIW simulator from the loop's own initial memory and checked
+//! against the sequential run, so `codegen.*` and `vliw.sim.*` describe
+//! real emitted code and real simulated cycles. A simulator error or a
+//! memory mismatch fails the run.
 //!
 //! Per-loop registries come back from the worker pool in corpus order and
 //! are merged in that order; merging is commutative on the deterministic
@@ -39,7 +41,7 @@ use ims_core::SchedObserver;
 use ims_graph::NodeId;
 use ims_loopgen::CorpusLoop;
 use ims_prof::{phase, snapshot, MetricsRegistry, PhaseTimer, ProfSink};
-use ims_vliw::{run_overlapped, MemoryImage};
+use ims_vliw::{compare_memory, run_mve, run_sequential, MemoryImage};
 
 /// [`SchedObserver`] that files a run's work into a [`MetricsRegistry`]
 /// (when one is given). Every `work` event goes in under its phase name.
@@ -81,23 +83,29 @@ impl SchedObserver for ProfObserver<'_> {
     }
 }
 
-/// Runs modulo variable expansion and the overlapped VLIW simulation for
-/// an already-scheduled loop, filing `codegen.*` and `vliw.sim.*` metrics
-/// (and their wall spans) into `reg`: the static names MVE needs, the
-/// emitted code's instructions (prologue + unrolled kernel + coda),
-/// unroll factor, stage count and preloaded seeds, then one
-/// `vliw.sim.loops` and the executed `vliw.sim.cycles` per simulated loop.
-/// The simulation starts from the corpus loop's own initial memory
-/// (`l.init`), so a hand kernel's index arrays hold integers. Simulation
-/// errors are counted in `vliw.sim.errors`, not propagated — a profile
-/// must never change what a run reports.
+/// Runs modulo variable expansion for an already-scheduled loop and
+/// executes the emitted code on the VLIW simulator, filing `codegen.*`
+/// and `vliw.sim.*` metrics (and their wall spans) into `reg`: the
+/// static names MVE needs, the emitted code's instructions (prologue +
+/// unrolled kernel + coda), unroll factor, stage count and preloaded
+/// seeds, then one `vliw.sim.loops` and the executed `vliw.sim.cycles`
+/// per simulated loop. The code runs from the corpus loop's own initial
+/// memory (`l.init`), so a hand kernel's index arrays hold integers, and
+/// its final memory is compared with the sequential run's from the same
+/// image.
+///
+/// # Errors
+///
+/// A simulator error in either run, or the first memory cell where the
+/// two runs differ. Each is a bug in the scheduler, the code generator
+/// or the simulator, so the run that met it fails rather than counts it.
 pub(crate) fn profile_backend_tail(
     l: &CorpusLoop,
     body: &ims_ir::LoopBody,
     problem: &ims_core::Problem<'_>,
     schedule: &ims_core::Schedule,
     reg: &mut MetricsRegistry,
-) {
+) -> Result<(), String> {
     let t = PhaseTimer::start(phase::WALL_CODEGEN);
     let lt = lifetimes(body, problem, schedule);
     reg.add(
@@ -116,14 +124,19 @@ pub(crate) fn profile_backend_tail(
 
     let t = PhaseTimer::start(phase::WALL_VLIW);
     let memory = MemoryImage::with_init(body, &l.init);
-    match run_overlapped(body, problem, schedule, memory) {
-        Ok(exec) => {
-            reg.add(phase::VLIW_SIM_LOOPS, 1);
-            reg.add(phase::VLIW_SIM_CYCLES, exec.cycles);
-        }
-        Err(_) => reg.add(phase::VLIW_SIM_ERRORS, 1),
+    let reference = run_sequential(body, memory.clone())
+        .map_err(|e| format!("the sequential run fails: {e}"))?;
+    let exec = run_mve(&code, body, problem.machine(), memory)
+        .map_err(|e| format!("the MVE code fails: {e}"))?;
+    if let Some(m) = compare_memory(&reference.memory, &exec.memory) {
+        return Err(format!(
+            "the MVE code leaves memory unlike the sequential run: {m:?}"
+        ));
     }
+    reg.add(phase::VLIW_SIM_LOOPS, 1);
+    reg.add(phase::VLIW_SIM_CYCLES, exec.cycles);
     t.finish(reg);
+    Ok(())
 }
 
 /// Renders `reg` as a versioned `BENCH_<name>.json` snapshot and writes it
@@ -134,4 +147,51 @@ pub(crate) fn profile_backend_tail(
 /// An I/O error writing `path`.
 pub fn write_profile(path: &Path, name: &str, reg: &MetricsRegistry) -> std::io::Result<()> {
     std::fs::write(path, snapshot::render_snapshot(name, reg))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ims_core::Scheduler;
+    use ims_deps::{back_substitute, build_problem, BuildOptions};
+    use ims_loopgen::corpus_of_size;
+    use ims_machine::cydra;
+
+    #[test]
+    fn the_tail_fails_on_an_illegal_schedule() {
+        let machine = cydra();
+        let corpus = corpus_of_size(0xC4D5, 31);
+        let l = &corpus.loops[0];
+        let body = back_substitute(&l.body, &machine);
+        let problem = build_problem(&body, &machine, &BuildOptions::default());
+        let legal = Scheduler::new(&problem)
+            .run()
+            .expect("corpus loops schedule");
+        let mut reg = MetricsRegistry::new();
+        profile_backend_tail(l, &body, &problem, &legal.schedule, &mut reg)
+            .expect("a legal schedule runs");
+        assert_eq!(reg.counter(phase::VLIW_SIM_LOOPS), 1);
+
+        // Issue the consumer of the longest-latency real edge one cycle
+        // after its producer, before the value is ready.
+        let e = problem
+            .graph()
+            .edges()
+            .iter()
+            .filter(|e| problem.info(e.from).is_some() && problem.info(e.to).is_some())
+            .filter(|e| e.distance == 0 && e.from != e.to)
+            .max_by_key(|e| e.delay)
+            .expect("the loop has a dependence");
+        assert!(e.delay > 1, "{e:?}");
+        let mut illegal = legal.schedule.clone();
+        illegal.time[e.to.index()] = illegal.time[e.from.index()] + 1;
+        let err = profile_backend_tail(l, &body, &problem, &illegal, &mut reg)
+            .expect_err("an illegal schedule fails");
+        assert!(err.contains("MVE code"), "{err}");
+        assert_eq!(
+            reg.counter(phase::VLIW_SIM_LOOPS),
+            1,
+            "a failure is not counted"
+        );
+    }
 }

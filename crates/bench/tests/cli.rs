@@ -1,8 +1,8 @@
 //! Exit-code and message contracts of the drivers: `trace_report` on
 //! missing or malformed trace directories, `profile_report` rendering
-//! and its rejection of malformed snapshots, and the strict flag parsing
-//! every driver shares (a bad flag exits 2 with the binary's own usage
-//! line).
+//! and its rejection of malformed snapshots, and the strict argument
+//! parsing every driver shares (a bad flag value or an undeclared
+//! argument exits 2 with the binary's own usage line).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -274,8 +274,7 @@ fn corpus_rejects_malformed_pressure_limits() {
         assert!(out.stdout.is_empty(), "no partial output on a bad flag");
     }
 
-    // Well-formed, but only the iterative backend tracks pressure, and a
-    // pressure run cannot also stream per-loop traces.
+    // Well-formed, but only the iterative backend tracks pressure.
     let out = run(
         env!("CARGO_BIN_EXE_corpus"),
         &[
@@ -289,26 +288,39 @@ fn corpus_rejects_malformed_pressure_limits() {
     );
     assert_eq!(code(&out), 2, "{}", stderr(&out));
     assert!(stderr(&out).contains("--backend ims"), "{}", stderr(&out));
+}
+
+/// Reads the names of the traces `dir` holds.
+fn trace_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("trace dir exists")
+        .map(|e| {
+            e.expect("readable entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn corpus_pressure_lines_carry_the_verdict() {
+    // A pressure run can trace too: one trace per loop.
+    let dir = scratch("press_trace");
     let out = run(
         env!("CARGO_BIN_EXE_corpus"),
         &[
             "--pressure-limit",
             "16",
-            "--trace",
-            "/tmp/ims_press_trace",
             "--loops",
+            "2",
+            "--threads",
             "1",
+            "--trace",
+            dir.to_str().unwrap(),
         ],
-    );
-    assert_eq!(code(&out), 2, "{}", stderr(&out));
-    assert!(stderr(&out).contains("--trace"), "{}", stderr(&out));
-}
-
-#[test]
-fn corpus_pressure_lines_carry_the_verdict() {
-    let out = run(
-        env!("CARGO_BIN_EXE_corpus"),
-        &["--pressure-limit", "16", "--loops", "2", "--threads", "1"],
     );
     assert_eq!(code(&out), 0, "{}", stderr(&out));
     let text = stdout(&out);
@@ -316,13 +328,26 @@ fn corpus_pressure_lines_carry_the_verdict() {
     assert!(text.contains("\"press_ok\":"), "{text}");
     assert!(text.contains("\"max_live\":"), "{text}");
     assert!(text.contains("\"press_fit\":"), "aggregate line: {text}");
+    assert_eq!(trace_names(&dir).len(), 31, "the 31 hand kernels");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn corpus_accepts_the_sat_backend() {
+    // The provers trace like the iterative backend: one trace per loop.
+    let dir = scratch("sat_trace");
     let out = run(
         env!("CARGO_BIN_EXE_corpus"),
-        &["--backend", "sat", "--loops", "1", "--threads", "1"],
+        &[
+            "--backend",
+            "sat",
+            "--loops",
+            "1",
+            "--threads",
+            "1",
+            "--trace",
+            dir.to_str().unwrap(),
+        ],
     );
     assert_eq!(code(&out), 0, "{}", stderr(&out));
     let text = stdout(&out);
@@ -330,6 +355,51 @@ fn corpus_accepts_the_sat_backend() {
         text.contains("\"proved_lb\":"),
         "sat lines carry bounds: {text}"
     );
+    let names = trace_names(&dir);
+    assert_eq!(names.len(), 31, "the 31 hand kernels");
+    assert_eq!(names[0], "loop_00000.jsonl");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn drivers_reject_undeclared_arguments() {
+    // An argument the usage line does not declare is a usage error, not a
+    // silent default: a misspelt `--thread`, a stray word, and the flags
+    // this harness no longer has. Every value here is rejected before any
+    // loop is scheduled.
+    let corpus = env!("CARGO_BIN_EXE_corpus");
+    let optgap = env!("CARGO_BIN_EXE_optgap");
+    for (bin, args, named) in [
+        (
+            corpus,
+            &["--loops", "2", "--thread", "4", "--bogus", "1"][..],
+            "--thread",
+        ),
+        (corpus, &["--deadline-ms", "0"][..], "--deadline-ms"),
+        (corpus, &["--wall"][..], "--wall"),
+        (corpus, &["--loops", "2", "extra"][..], "extra"),
+        (optgap, &["--deadline-ms=0"][..], "--deadline-ms"),
+        (optgap, &["--wall"][..], "--wall"),
+    ] {
+        assert_usage_error(bin, args, named);
+    }
+    for bin in [
+        env!("CARGO_BIN_EXE_ablation"),
+        env!("CARGO_BIN_EXE_explain"),
+        env!("CARGO_BIN_EXE_figure1"),
+        env!("CARGO_BIN_EXE_figure6"),
+        env!("CARGO_BIN_EXE_profile_report"),
+        env!("CARGO_BIN_EXE_registers"),
+        env!("CARGO_BIN_EXE_table2"),
+        env!("CARGO_BIN_EXE_table3"),
+        env!("CARGO_BIN_EXE_table4"),
+        env!("CARGO_BIN_EXE_unroll_comparison"),
+    ] {
+        assert_usage_error(bin, &["--bogus"], "--bogus");
+    }
+    let trace_report = env!("CARGO_BIN_EXE_trace_report");
+    assert_usage_error(trace_report, &["/tmp", "--bogus", "1"], "--bogus");
+    assert_usage_error(trace_report, &["/tmp", "/tmp"], "/tmp");
 }
 
 #[test]

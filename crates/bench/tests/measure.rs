@@ -1,6 +1,7 @@
-//! The one measurement path: for every backend, tracing and profiling
-//! leave the measurements — everything `corpus_jsonl` renders — byte for
-//! byte unchanged, and profiling leaves the traces unchanged.
+//! The one measurement path: for every backend, and for the
+//! pressure-aware iterative runs, tracing and profiling leave the
+//! measurements — everything `corpus_jsonl` renders — byte for byte
+//! unchanged, and profiling leaves the traces unchanged.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -8,7 +9,7 @@ use std::path::Path;
 use ims_bench::{corpus_jsonl, measure_corpus, MeasureParams};
 use ims_core::BackendKind;
 use ims_loopgen::corpus_of_size;
-use ims_machine::cydra;
+use ims_machine::{cydra, cydra_rf};
 
 fn read_traces(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
@@ -24,20 +25,23 @@ fn read_traces(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 #[test]
 fn tracing_and_profiling_never_change_a_measurement() {
     let corpus = corpus_of_size(5, 12);
-    let machine = cydra();
     let base = std::env::temp_dir().join(format!("ims_bench_measure_{}", std::process::id()));
-    for (backend, work_limit) in [
-        (BackendKind::Ims, None),
-        (BackendKind::Exact, Some(200_000)),
-        (BackendKind::Sat, Some(20_000)),
+    let prover = |backend| MeasureParams {
+        backend,
+        ..MeasureParams::ims(6.0)
+    };
+    let pressure = MeasureParams {
+        pressure_limit: Some(16),
+        ..MeasureParams::ims(6.0)
+    };
+    for (label, machine, params) in [
+        ("ims", cydra(), MeasureParams::ims(6.0)),
+        ("exact", cydra(), prover(BackendKind::Exact)),
+        ("sat", cydra(), prover(BackendKind::Sat)),
+        ("press16", cydra_rf(16), pressure),
     ] {
-        let params = MeasureParams {
-            backend,
-            work_limit,
-            ..MeasureParams::ims(6.0)
-        };
-        let traced_dir = base.join(format!("{backend}_traced"));
-        let both_dir = base.join(format!("{backend}_both"));
+        let traced_dir = base.join(format!("{label}_traced"));
+        let both_dir = base.join(format!("{label}_both"));
         let run = |trace: Option<&Path>, profile| {
             let (ms, reg) = measure_corpus(
                 &corpus,
@@ -51,43 +55,49 @@ fn tracing_and_profiling_never_change_a_measurement() {
             assert_eq!(
                 reg.counter(ims_prof::phase::CORPUS_LOOPS) > 0,
                 profile,
-                "{backend}"
+                "{label}"
             );
-            corpus_jsonl(&ms, false)
+            corpus_jsonl(&ms)
         };
 
         let plain = run(None, false);
         assert_eq!(
             plain,
             run(Some(&traced_dir), false),
-            "{backend}: tracing changed a measurement"
+            "{label}: tracing changed a measurement"
         );
         assert_eq!(
             plain,
             run(None, true),
-            "{backend}: profiling changed a measurement"
+            "{label}: profiling changed a measurement"
         );
         assert_eq!(
             plain,
             run(Some(&both_dir), true),
-            "{backend}: traced profiling diverged"
+            "{label}: traced profiling diverged"
         );
 
         let traces = read_traces(&traced_dir);
         assert_eq!(
             traces.len(),
             corpus.loops.len(),
-            "{backend}: one trace per loop"
+            "{label}: one trace per loop"
         );
         assert_eq!(
             traces,
             read_traces(&both_dir),
-            "{backend}: profiling changed a trace"
+            "{label}: profiling changed a trace"
         );
-        if backend != BackendKind::Ims {
+        if params.backend != BackendKind::Ims {
             assert!(
                 plain.contains("\"proved_lb\":"),
-                "{backend}: provers report bounds"
+                "{label}: provers report bounds"
+            );
+        }
+        if params.pressure_limit.is_some() {
+            assert!(
+                plain.contains("\"press_ok\":"),
+                "{label}: pressure runs report their verdict"
             );
         }
     }

@@ -24,7 +24,7 @@ fn corpus_output_is_byte_identical_across_thread_counts() {
             false,
         )
         .expect("no trace dir, no I/O");
-        corpus_jsonl(&ms, false)
+        corpus_jsonl(&ms)
     };
     let baseline = jsonl(1);
     assert_eq!(baseline.lines().count(), 61, "60 loops + 1 aggregate line");

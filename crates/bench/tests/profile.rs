@@ -21,7 +21,7 @@ fn profiled_runs_are_thread_count_invariant_and_cover_every_layer() {
 
     let (m1, r1) = measure_corpus(&corpus, &machine, &params, 1, None, true).expect("no I/O");
     let (m4, r4) = measure_corpus(&corpus, &machine, &params, 4, None, true).expect("no I/O");
-    assert_eq!(corpus_jsonl(&m1, false), corpus_jsonl(&m4, false));
+    assert_eq!(corpus_jsonl(&m1), corpus_jsonl(&m4));
 
     let s1 = render_snapshot("corpus", &r1);
     let s4 = render_snapshot("corpus", &r4);
@@ -71,7 +71,6 @@ fn exact_backend_profiling_reports_search_work() {
     let corpus = corpus_of_size(5, 12);
     let params = MeasureParams {
         backend: BackendKind::Exact,
-        work_limit: Some(200_000),
         ..MeasureParams::ims(6.0)
     };
     let (ms, reg) = measure_corpus(&corpus, &cydra(), &params, 2, None, true).expect("no I/O");
@@ -117,14 +116,14 @@ fn pressure_infeasible_runs_are_counted() {
 }
 
 /// The hand kernels simulate on their own initial memory, so the index
-/// arrays of `gather` and `scatter` hold integers and every loop runs.
+/// arrays of `gather` and `scatter` hold integers, and every loop's
+/// emitted code runs and leaves the memory of the sequential run.
 #[test]
 fn hand_kernels_simulate_without_errors() {
     // corpus_of_size floors at the 31 hand kernels.
     let corpus = corpus_of_size(0xC4D5, 31);
-    let (_, reg) =
-        measure_corpus(&corpus, &cydra(), &MeasureParams::ims(6.0), 2, None, true).expect("no I/O");
-    assert_eq!(reg.counter(phase::VLIW_SIM_ERRORS), 0);
+    let run = measure_corpus(&corpus, &cydra(), &MeasureParams::ims(6.0), 2, None, true);
+    let (_, reg) = run.unwrap_or_else(|e| panic!("the profiled run fails: {e}"));
     assert_eq!(
         reg.counter(phase::VLIW_SIM_LOOPS),
         reg.counter(phase::CORPUS_LOOPS)

@@ -131,8 +131,6 @@ pub const CODEGEN_LIFETIME_NAMES: &str = "codegen.lifetime.names";
 pub const VLIW_SIM_CYCLES: &str = "vliw.sim.cycles";
 /// Loops simulated to completion.
 pub const VLIW_SIM_LOOPS: &str = "vliw.sim.loops";
-/// Simulations that returned a `SimError`.
-pub const VLIW_SIM_ERRORS: &str = "vliw.sim.errors";
 
 // ---- harness ----
 /// Corpus loops measured.
@@ -234,7 +232,6 @@ pub const REGISTRY: &[PhaseDesc] = &[
     PhaseDesc { name: CODEGEN_LIFETIME_NAMES, kind: PhaseKind::Counter, what: "static names created by MVE" },
     PhaseDesc { name: VLIW_SIM_CYCLES, kind: PhaseKind::Counter, what: "simulated machine cycles" },
     PhaseDesc { name: VLIW_SIM_LOOPS, kind: PhaseKind::Counter, what: "loops simulated to completion" },
-    PhaseDesc { name: VLIW_SIM_ERRORS, kind: PhaseKind::Counter, what: "simulations returning SimError" },
     PhaseDesc { name: SERVE_REQUESTS, kind: PhaseKind::Counter, what: "service requests answered" },
     PhaseDesc { name: SERVE_CACHE_HITS, kind: PhaseKind::Counter, what: "responses served from the content-addressed cache" },
     PhaseDesc { name: SERVE_CACHE_MISSES, kind: PhaseKind::Counter, what: "responses that scheduled a new canonical problem" },

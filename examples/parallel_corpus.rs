@@ -54,8 +54,8 @@ fn main() {
     // --- 3. Determinism: identical rendered output -------------------
     // Results come back in corpus order no matter how the OS schedules
     // the workers, so anything rendered from them is byte-identical.
-    let a = corpus_jsonl(&seq, false);
-    let b = corpus_jsonl(&par, false);
+    let a = corpus_jsonl(&seq);
+    let b = corpus_jsonl(&par);
     assert_eq!(a, b, "corpus output must not depend on the thread count");
     println!(
         "output: {} JSON lines, byte-identical across thread counts",

@@ -23,7 +23,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # workspace still carries formatting debt (ROADMAP.md).
 echo "==> cargo fmt --check on the rustfmt-clean packages"
 cargo fmt --check -p ims -p ims-testkit -p ims-sat -p ims-exact -p ims-press \
-    -p ims-prof -p ims-codegen -p ims-explain -p ims-serve -p ims-trace
+    -p ims-prof -p ims-codegen -p ims-explain -p ims-serve -p ims-trace -p ims-bench
 
 bench_dir=target/bench
 rm -rf "$bench_dir"
@@ -401,6 +401,10 @@ golden="$bench_dir/golden.sha256"
         echo "$(sum <"$bench_dir/corpus_$b.jsonl")  corpus_$b.stdout"
         echo "$(det "$bench_dir/BENCH_corpus_$b.json" | sum)  corpus_$b.profile"
     done
+    # The per-loop II, proved bounds and limit-hit flags of the budget-2
+    # SAT run, apart from the whole stdout below. A solver change that finds
+    # other models re-pins the stdout (it holds schedule lengths); these
+    # must not move, so they keep a line of their own.
     bounds='"loop":[0-9]*\|"ii":[0-9]*\|"proved_lb":[0-9]*,"best_ub":[0-9]*,"limit_hit":[a-z]*\|"proven_optimal":[0-9]*,"open_gap":[0-9]*,"limit_hits":[0-9]*'
     echo "$(grep -o "$bounds" "$bench_dir/corpus_sat_b2.jsonl" | sum)  corpus_sat_b2.bounds"
     echo "$(sum <"$bench_dir/corpus_sat_b2.jsonl")  corpus_sat_b2.stdout"

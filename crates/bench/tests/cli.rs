@@ -40,7 +40,7 @@ fn registry() -> MetricsRegistry {
     reg.add(phase::GRAPH_MINDIST_WORK, 1000);
     reg.add(phase::SCHED_FINDSLOT_ITERS, 900);
     reg.observe(phase::HIST_SLOT_SEARCH, 3);
-    reg.record_wall_ns(phase::WALL_SCHED, 10_000_000);
+    reg.record_wall(phase::WALL_SCHED, 10_000_000);
     reg
 }
 
@@ -364,9 +364,9 @@ fn corpus_accepts_the_sat_backend() {
 #[test]
 fn drivers_reject_undeclared_arguments() {
     // An argument the usage line does not declare is a usage error, not a
-    // silent default: a misspelt `--thread`, a stray word, and the flags
-    // this harness no longer has. Every value here is rejected before any
-    // loop is scheduled.
+    // silent default: a misspelt `--thread`, a stray word, a flag of
+    // another driver and `--wall`, a switch this harness no longer has.
+    // Every value here is rejected before any loop is scheduled.
     let corpus = env!("CARGO_BIN_EXE_corpus");
     let optgap = env!("CARGO_BIN_EXE_optgap");
     for (bin, args, named) in [
@@ -375,10 +375,9 @@ fn drivers_reject_undeclared_arguments() {
             &["--loops", "2", "--thread", "4", "--bogus", "1"][..],
             "--thread",
         ),
-        (corpus, &["--deadline-ms", "0"][..], "--deadline-ms"),
         (corpus, &["--wall"][..], "--wall"),
         (corpus, &["--loops", "2", "extra"][..], "extra"),
-        (optgap, &["--deadline-ms=0"][..], "--deadline-ms"),
+        (optgap, &["--budget=2"][..], "--budget"),
         (optgap, &["--wall"][..], "--wall"),
     ] {
         assert_usage_error(bin, args, named);

@@ -41,7 +41,7 @@ impl MetricsRegistry {
 
     /// Records one wall-clock span of `ns` nanoseconds for `phase`
     /// (usually via [`PhaseTimer`](crate::PhaseTimer)).
-    pub fn record_wall_ns(&mut self, phase: &'static str, ns: u64) {
+    pub fn record_wall(&mut self, phase: &'static str, ns: u64) {
         self.wall
             .entry(phase)
             .or_default()
@@ -126,7 +126,7 @@ mod tests {
         r.add("a", 3);
         r.observe("h", 1);
         r.observe("h", 9);
-        r.record_wall_ns("w", 100);
+        r.record_wall("w", 100);
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.counter("missing"), 0);
         assert_eq!(r.hist("h").unwrap().total(), 2);

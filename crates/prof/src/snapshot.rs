@@ -267,8 +267,8 @@ mod tests {
         for v in [1, 1, 2, 3, 10] {
             reg.observe(phase::HIST_SLOT_SEARCH, v);
         }
-        reg.record_wall_ns(phase::WALL_SCHED, 1_000);
-        reg.record_wall_ns(phase::WALL_SCHED, 3_000);
+        reg.record_wall(phase::WALL_SCHED, 1_000);
+        reg.record_wall(phase::WALL_SCHED, 3_000);
         reg
     }
 
@@ -306,8 +306,8 @@ mod tests {
     fn wall_differences_leave_the_deterministic_section_identical() {
         let mut a = sample_registry();
         let mut b = sample_registry();
-        a.record_wall_ns(phase::WALL_BUILD, 7);
-        b.record_wall_ns(phase::WALL_BUILD, 999_999);
+        a.record_wall(phase::WALL_BUILD, 7);
+        b.record_wall(phase::WALL_BUILD, 999_999);
         let ta = render_snapshot("n", &a);
         let tb = render_snapshot("n", &b);
         assert_ne!(ta, tb);

@@ -47,7 +47,7 @@ impl PhaseTimer {
     /// elapsed nanoseconds (saturated to `u64`).
     pub fn finish(self, reg: &mut MetricsRegistry) -> u64 {
         let ns = self.t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        reg.record_wall_ns(self.phase, ns);
+        reg.record_wall(self.phase, ns);
         ns
     }
 

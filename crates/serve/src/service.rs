@@ -378,11 +378,11 @@ impl Engine {
         let fresh: HashSet<u128> = jobs.iter().map(|(_, keyed)| keyed.key).collect();
         for (&(req, keyed), result) in jobs.iter().zip(results) {
             let entry = match result {
-                Ok((entry, wall_ns)) => {
+                Ok((entry, ns)) => {
                     // Latency is folded in serially, keyed by canonical
                     // backend spec; it feeds only opt-in stats output.
                     if let Some(lat) = self.latency.as_mut() {
-                        lat.entry(req.backend.to_string()).or_default().add(wall_ns);
+                        lat.entry(req.backend.to_string()).or_default().add(ns);
                     }
                     entry
                 }

@@ -6,10 +6,16 @@
 //! 2. **VLIW vs. conservative delay model** (Table 1's two columns) — the
 //!    conservative model can only lengthen delays, so MIIs and IIs may
 //!    grow.
-//! 3. **RecMII via MinDist vs. circuit enumeration** — the two methods of
+//! 3. **Priority functions** — HeightR against a critical path without
+//!    the II discount and input order (§3.2's claim).
+//! 4. **RecMII via MinDist vs. circuit enumeration** — the two methods of
 //!    §2.2 must agree wherever enumeration is feasible; enumeration blows
 //!    up on dense recurrence structures, which is why the paper uses the
 //!    MinDist formulation.
+//!
+//! Every part takes the loops from `run_corpus`, back-substituted as the
+//! paper's corpus was, so parts 1-3 report the same mean II for cydra at
+//! BudgetRatio 6.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};

@@ -12,30 +12,31 @@
 //! | `table3`   | Table 3 — distribution statistics for all eleven measurements, plus the prose claims of §4.2/§4.3 |
 //! | `figure6`  | Figure 6 — execution-time dilation and scheduling inefficiency vs. BudgetRatio |
 //! | `table4`   | Table 4 — worst-case vs. empirical computational complexity (LMS fits) |
-//! | `ablation` | beyond-the-paper ablations: simple vs. complex reservation tables, VLIW vs. conservative delay model, MinDist vs. circuit-enumeration RecMII |
+//! | `ablation` | beyond-the-paper ablations: simple vs. complex reservation tables, VLIW vs. conservative delay model, priority functions, MinDist vs. circuit-enumeration RecMII |
 //! | `unroll_comparison` | the §4.3 baseline: unroll-before-scheduling vs. modulo scheduling |
 //! | `registers` | register-pressure extension: MVE unroll factors and rotating-file sizes |
 //! | `corpus`   | the parallel corpus-scheduling driver: JSON-line per-loop results, byte-identical across `--threads` values |
 //! | `trace_report` | per-loop convergence reports rendered from a `--trace` directory |
-//! | `optgap`   | the optimality-gap harness: exact branch-and-bound vs. the BudgetRatio sweep |
+//! | `optgap`   | the optimality-gap harness: an exact prover vs. the BudgetRatio sweep |
+//! | `explain`  | II attribution: which resource or recurrence binds each loop's II |
 //! | `profile_report` | human-readable tables rendered from a `BENCH_<name>.json` profile snapshot |
 //!
 //! This library holds the shared machinery, one measurement path for
-//! every driver: [`run_corpus`] builds each corpus loop and fans a
-//! per-loop closure out over the std-only worker pool in `ims_serve::pool`,
-//! recording traces and profiles on the way; [`measure_corpus`] runs it
-//! to schedule every loop with the backend and budgets in its
-//! [`MeasureParams`] and collect every quantity the paper reports;
-//! [`corpus_jsonl`] renders a run as deterministic JSON lines. All the
-//! corpus binaries accept `--threads N` (default: one worker per core)
-//! and `--trace DIR`, which additionally writes one JSON-lines event
-//! trace per loop — byte-identical across thread counts, inspectable with
-//! `trace_report`. The corpus drivers (`corpus`, `optgap`, `explain`,
-//! `table3`, `table4`) also accept `--profile FILE`, which measures every
-//! pipeline phase (see [`profile`]) and writes a versioned
-//! `BENCH_<name>.json` snapshot whose deterministic sections are
-//! byte-identical across thread counts; render snapshots with
-//! `profile_report`.
+//! every driver that visits the corpus: [`run_corpus`] builds each
+//! corpus loop and fans a per-loop closure out over the std-only worker
+//! pool in `ims_serve::pool`, recording traces and profiles on the way;
+//! [`measure_corpus`] runs it to schedule every loop with the backend in
+//! its [`MeasureParams`] and collect every quantity the paper reports;
+//! [`corpus_jsonl`] renders a run as deterministic JSON lines. The corpus
+//! binaries but `registers` and `unroll_comparison` accept `--threads N`
+//! (default: one worker per core) and `--trace DIR`, which additionally
+//! writes one JSON-lines event trace per loop — byte-identical across
+//! thread counts, inspectable with `trace_report`. The corpus drivers
+//! (`corpus`, `optgap`, `explain`, `table3`, `table4`) also accept
+//! `--profile FILE`, which measures every pipeline phase (see
+//! [`profile`]) and writes a versioned `BENCH_<name>.json` snapshot whose
+//! deterministic sections are byte-identical across thread counts; render
+//! snapshots with `profile_report`.
 
 use std::path::Path;
 

@@ -93,11 +93,8 @@ fn check_args(args: &[String], usage: &str) -> Result<(), String> {
         match flags.iter().find(|&&(flag, _)| flag == name) {
             None => return Err(format!("unknown flag {name}")),
             Some(&(_, false)) if inline => return Err(format!("{name} takes no value")),
-            Some(&(_, takes_value)) => {
-                if takes_value && !inline {
-                    it.next();
-                }
-            }
+            Some(&(_, true)) if !inline => _ = it.next(),
+            Some(_) => {}
         }
     }
     Ok(())

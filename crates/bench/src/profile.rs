@@ -152,46 +152,68 @@ pub fn write_profile(path: &Path, name: &str, reg: &MetricsRegistry) -> std::io:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ims_core::Scheduler;
+    use ims_core::{Problem, Schedule, Scheduler};
     use ims_deps::{back_substitute, build_problem, BuildOptions};
+    use ims_graph::DepKind;
     use ims_loopgen::corpus_of_size;
     use ims_machine::cydra;
 
-    #[test]
-    fn the_tail_fails_on_an_illegal_schedule() {
+    /// Schedules hand kernel `index`, lets `break_it` edit the schedule
+    /// and runs the tail on it: its result and the loops it counted.
+    fn tail_after(
+        index: usize,
+        break_it: impl Fn(&Problem<'_>, &mut Schedule),
+    ) -> (Result<(), String>, u64) {
         let machine = cydra();
         let corpus = corpus_of_size(0xC4D5, 31);
-        let l = &corpus.loops[0];
+        let l = &corpus.loops[index];
         let body = back_substitute(&l.body, &machine);
         let problem = build_problem(&body, &machine, &BuildOptions::default());
-        let legal = Scheduler::new(&problem)
+        let out = Scheduler::new(&problem)
             .run()
             .expect("corpus loops schedule");
+        let mut schedule = out.schedule;
+        break_it(&problem, &mut schedule);
         let mut reg = MetricsRegistry::new();
-        profile_backend_tail(l, &body, &problem, &legal.schedule, &mut reg)
-            .expect("a legal schedule runs");
-        assert_eq!(reg.counter(phase::VLIW_SIM_LOOPS), 1);
+        let result = profile_backend_tail(l, &body, &problem, &schedule, &mut reg);
+        (result, reg.counter(phase::VLIW_SIM_LOOPS))
+    }
 
-        // Issue the consumer of the longest-latency real edge one cycle
-        // after its producer, before the value is ready.
-        let e = problem
-            .graph()
-            .edges()
-            .iter()
-            .filter(|e| problem.info(e.from).is_some() && problem.info(e.to).is_some())
-            .filter(|e| e.distance == 0 && e.from != e.to)
-            .max_by_key(|e| e.delay)
-            .expect("the loop has a dependence");
-        assert!(e.delay > 1, "{e:?}");
-        let mut illegal = legal.schedule.clone();
-        illegal.time[e.to.index()] = illegal.time[e.from.index()] + 1;
-        let err = profile_backend_tail(l, &body, &problem, &illegal, &mut reg)
-            .expect_err("an illegal schedule fails");
-        assert!(err.contains("MVE code"), "{err}");
-        assert_eq!(
-            reg.counter(phase::VLIW_SIM_LOOPS),
-            1,
-            "a failure is not counted"
-        );
+    #[test]
+    fn the_tail_fails_on_an_illegal_schedule() {
+        assert_eq!(tail_after(0, |_, _| {}), (Ok(()), 1));
+
+        // Issue the consumer of the longest-latency register edge one
+        // cycle after its producer, before the value is ready.
+        let (result, loops) = tail_after(0, |p, s| {
+            let e = p
+                .graph()
+                .edges()
+                .iter()
+                .filter(|e| p.info(e.from).is_some() && p.info(e.to).is_some())
+                .filter(|e| !e.is_mem && e.distance == 0 && e.from != e.to)
+                .max_by_key(|e| e.delay)
+                .expect("the loop has a dependence");
+            s.time[e.to.index()] = s.time[e.from.index()] + 1;
+        });
+        let err = result.expect_err("a value read early fails");
+        assert!(err.contains("the MVE code fails"), "{err}");
+        assert_eq!(loops, 0, "a failure is not counted");
+
+        // Delay cumsum's store past the next iteration's load of the same
+        // cell: every register is read in time, but the load reads stale
+        // memory.
+        let (result, loops) = tail_after(1, |p, s| {
+            let e = p
+                .graph()
+                .edges()
+                .iter()
+                .find(|e| e.is_mem && e.kind == DepKind::Flow && e.distance > 0)
+                .expect("cumsum carries its sum through memory");
+            s.time[e.from.index()] += s.ii * (e.distance as i64 + 2);
+        });
+        let err = result.expect_err("a stale load fails");
+        assert!(err.contains("memory unlike the sequential run"), "{err}");
+        assert_eq!(loops, 0, "a failure is not counted");
     }
 }

@@ -183,7 +183,7 @@ mod tests {
     fn the_tail_fails_on_an_illegal_schedule() {
         assert_eq!(tail_after(0, |_, _| {}), (Ok(()), 1));
 
-        // Issue the consumer of the longest-latency register edge one
+        // Start the consumer of the longest-latency register edge one
         // cycle after its producer, before the value is ready.
         let (result, loops) = tail_after(0, |p, s| {
             let e = p

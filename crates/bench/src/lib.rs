@@ -156,11 +156,7 @@ impl LoopMeasurement {
     }
 }
 
-/// What [`measure_corpus`] runs: which backend, under which budgets. A
-/// prover runs under its decider's default work budget, the one the
-/// service runs it under; the unit (branch-and-bound nodes, CDCL
-/// conflicts) is deterministic, unlike a wall-clock deadline, so output
-/// stays byte-identical across thread counts.
+/// What [`measure_corpus`] runs: which backend, under which budgets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasureParams {
     /// The leaf backend that schedules each loop.
@@ -168,6 +164,12 @@ pub struct MeasureParams {
     /// The iterative scheduler's BudgetRatio — for the provers, the
     /// BudgetRatio of their internal heuristic run.
     pub budget_ratio: f64,
+    /// The provers' work budget per loop: branch-and-bound nodes for
+    /// `exact`, CDCL conflicts for `sat`, deterministic unlike a wall clock.
+    /// `None`, which every driver passes, is the decider's default budget,
+    /// the service's; tests set less to reach a limit hit. The iterative
+    /// backend ignores it.
+    pub work_limit: Option<u64>,
     /// A register-file capacity to schedule against (iterative backend
     /// only; the provers ignore it). See [`PressInfo`].
     pub pressure_limit: Option<u32>,
@@ -179,6 +181,7 @@ impl MeasureParams {
         MeasureParams {
             backend: BackendKind::Ims,
             budget_ratio,
+            work_limit: None,
             pressure_limit: None,
         }
     }
@@ -216,7 +219,7 @@ fn measure_loop<O: SchedObserver>(
         (kind, _) => {
             let sched = SchedConfig::new().budget_ratio(params.budget_ratio);
             let mut obs = (ProfObserver::new(prof.as_deref_mut()), &mut *observer);
-            let out = schedule_leaf(kind, problem, &sched, None, &mut obs);
+            let out = schedule_leaf(kind, problem, &sched, params.work_limit, &mut obs);
             Run::from(out.expect("corpus loops always schedule under the automatic II cap"))
         }
     };
@@ -423,8 +426,8 @@ fn finish_measurement(problem: &Problem<'_>, l: &CorpusLoop, run: Run) -> LoopMe
 /// The one corpus fan-out: builds every loop of `corpus` for `machine`
 /// and hands it to `per_loop` on `threads` worker threads, returning the
 /// results in corpus order with the merged profile when `profile` is set
-/// (an empty registry otherwise). `measure_corpus` and the `optgap` and
-/// `explain` drivers all run through it.
+/// (an empty registry otherwise). `measure_corpus` runs through it, and
+/// so does every other driver that visits the corpus.
 ///
 /// For each loop the runner back-substitutes recurrences and builds the
 /// scheduling problem — the preprocessing the paper's corpus went
@@ -749,14 +752,17 @@ mod tests {
         let corpus = corpus_of_size(5, 12);
         let machine = cydra();
         let ims = measure(&corpus, &machine, MeasureParams::ims(6.0));
+        // Hand kernel 23 needs 1,132,922 nodes, so it hits this budget.
         let exact = measure(
             &corpus,
             &machine,
             MeasureParams {
                 backend: BackendKind::Exact,
+                work_limit: Some(200_000),
                 ..MeasureParams::ims(6.0)
             },
         );
+        let mut open_gaps = 0;
         for (i, e) in ims.iter().zip(&exact) {
             assert!(i.exact.is_none());
             let b = e.exact.expect("exact measurements carry bounds");
@@ -766,8 +772,11 @@ mod tests {
             assert!(e.ii <= i.ii, "exact never does worse than the heuristic");
             if !b.limit_hit {
                 assert_eq!(b.proved_lb, b.best_ub, "a completed search is exact");
+            } else if b.proved_lb < b.best_ub {
+                open_gaps += 1;
             }
         }
+        assert!(open_gaps > 0, "a search cut by its budget leaves a gap");
 
         // Exact lines grow bounds fields; iterative lines are unchanged.
         let line = measurement_json_line(0, &exact[0]);

@@ -1,7 +1,8 @@
-//! The one measurement path: for every backend, and for the
-//! pressure-aware iterative runs, tracing and profiling leave the
-//! measurements — everything `corpus_jsonl` renders — byte for byte
-//! unchanged, and profiling leaves the traces unchanged.
+//! The one measurement path: for every backend, a prover search its
+//! budget cuts short included, and for the pressure-aware iterative runs,
+//! tracing and profiling leave the measurements — everything
+//! `corpus_jsonl` renders — byte for byte unchanged, and profiling leaves
+//! the traces unchanged.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -26,8 +27,11 @@ fn read_traces(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 fn tracing_and_profiling_never_change_a_measurement() {
     let corpus = corpus_of_size(5, 12);
     let base = std::env::temp_dir().join(format!("ims_bench_measure_{}", std::process::id()));
-    let prover = |backend| MeasureParams {
+    // Hand kernel 23 needs 1,132,922 nodes, so the exact run hits its
+    // budget there; the SAT run has its decider's default budget.
+    let prover = |backend, work_limit| MeasureParams {
         backend,
+        work_limit,
         ..MeasureParams::ims(6.0)
     };
     let pressure = MeasureParams {
@@ -36,8 +40,8 @@ fn tracing_and_profiling_never_change_a_measurement() {
     };
     for (label, machine, params) in [
         ("ims", cydra(), MeasureParams::ims(6.0)),
-        ("exact", cydra(), prover(BackendKind::Exact)),
-        ("sat", cydra(), prover(BackendKind::Sat)),
+        ("exact", cydra(), prover(BackendKind::Exact, Some(200_000))),
+        ("sat", cydra(), prover(BackendKind::Sat, None)),
         ("press16", cydra_rf(16), pressure),
     ] {
         let traced_dir = base.join(format!("{label}_traced"));
@@ -92,6 +96,12 @@ fn tracing_and_profiling_never_change_a_measurement() {
             assert!(
                 plain.contains("\"proved_lb\":"),
                 "{label}: provers report bounds"
+            );
+        }
+        if params.work_limit.is_some() {
+            assert!(
+                plain.contains("\"limit_hit\":true"),
+                "{label}: a search hits its budget"
             );
         }
         if params.pressure_limit.is_some() {

@@ -69,11 +69,15 @@ fn profiled_runs_are_thread_count_invariant_and_cover_every_layer() {
 #[test]
 fn exact_backend_profiling_reports_search_work() {
     let corpus = corpus_of_size(5, 12);
+    // Hand kernel 23 hits this budget, so a cut search's best schedule is
+    // lowered and simulated too.
     let params = MeasureParams {
         backend: BackendKind::Exact,
+        work_limit: Some(200_000),
         ..MeasureParams::ims(6.0)
     };
     let (ms, reg) = measure_corpus(&corpus, &cydra(), &params, 2, None, true).expect("no I/O");
+    assert!(ms.iter().any(|m| m.exact.unwrap().limit_hit));
 
     assert_eq!(reg.counter(phase::CORPUS_LOOPS), corpus.loops.len() as u64);
     let nodes: u64 = ms.iter().map(|m| m.exact.unwrap().nodes).sum();

@@ -184,7 +184,8 @@ impl<'m> ProblemBuilder<'m> {
                 .add_edge(node, stop, lat, 0, DepKind::Control, false);
         }
         // Degenerate (zero-op) problems still need START before STOP.
-        self.graph.add_edge(start, stop, 0, 0, DepKind::Control, false);
+        self.graph
+            .add_edge(start, stop, 0, 0, DepKind::Control, false);
         Problem {
             machine: self.machine,
             graph: self.graph,
@@ -214,17 +215,20 @@ mod tests {
         assert_eq!(p.stop(), NodeId(3));
         assert_eq!(p.kind(p.start()), NodeKind::Start);
         assert_eq!(p.kind(p.stop()), NodeKind::Stop);
-        assert!(matches!(p.kind(a), NodeKind::Op { opcode: Opcode::Add, .. }));
+        assert!(matches!(
+            p.kind(a),
+            NodeKind::Op {
+                opcode: Opcode::Add,
+                ..
+            }
+        ));
 
         // START precedes both ops; both ops precede STOP with delay=latency.
         assert!(p.graph().succs(p.start()).any(|e| e.to == a));
         assert!(p.graph().succs(p.start()).any(|e| e.to == b));
         let to_stop: Vec<_> = p.graph().preds(p.stop()).collect();
         assert_eq!(to_stop.len(), 3); // a, b, and the start->stop edge
-        assert!(p
-            .graph()
-            .succs(a)
-            .any(|e| e.to == p.stop() && e.delay == 1));
+        assert!(p.graph().succs(a).any(|e| e.to == p.stop() && e.delay == 1));
     }
 
     #[test]

@@ -194,7 +194,11 @@ mod tests {
         // b at the same time as a violates the delay-1 edge.
         let s = hand_schedule(2, vec![0, 0, 0, 2]);
         match validate_schedule(&p, &s) {
-            Err(ScheduleViolation::DependenceViolated { from, to, shortfall }) => {
+            Err(ScheduleViolation::DependenceViolated {
+                from,
+                to,
+                shortfall,
+            }) => {
                 assert_eq!((from, to, shortfall), (a, b, 1));
             }
             other => panic!("expected dependence violation, got {other:?}"),
@@ -237,9 +241,15 @@ mod tests {
         let m = minimal();
         let (p, _, _) = two_op_problem(&m);
         let s = hand_schedule(2, vec![0, 0]);
-        assert_eq!(validate_schedule(&p, &s), Err(ScheduleViolation::ShapeMismatch));
+        assert_eq!(
+            validate_schedule(&p, &s),
+            Err(ScheduleViolation::ShapeMismatch)
+        );
         let s = hand_schedule(2, vec![1, 1, 2, 3]);
-        assert_eq!(validate_schedule(&p, &s), Err(ScheduleViolation::StartNotAtZero));
+        assert_eq!(
+            validate_schedule(&p, &s),
+            Err(ScheduleViolation::StartNotAtZero)
+        );
         let mut s = hand_schedule(2, vec![0, 0, 1, 2]);
         s.time[1] = -1;
         assert!(matches!(

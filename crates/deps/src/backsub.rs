@@ -53,7 +53,9 @@ pub fn back_substitute(body: &LoopBody, machine: &MachineModel) -> LoopBody {
             continue;
         }
         let Some(dest) = op.dest else { continue };
-        let Some(u) = op.srcs[0].as_reg() else { continue };
+        let Some(u) = op.srcs[0].as_reg() else {
+            continue;
+        };
         if u.reg != dest || u.prev != 0 {
             continue;
         }

@@ -104,9 +104,7 @@ pub fn unroll(body: &LoopBody, factor: u32) -> LoopBody {
                         let positional = match r.cmp(&k) {
                             std::cmp::Ordering::Less => 0,
                             std::cmp::Ordering::Greater => 1,
-                            std::cmp::Ordering::Equal => {
-                                u32::from(def_id.index() >= id.index())
-                            }
+                            std::cmp::Ordering::Equal => u32::from(def_id.index() >= id.index()),
                         };
                         debug_assert!(q >= positional, "distance arithmetic is consistent");
                         RegUse::back(defined_map[&(r, use_.reg)], q - positional)

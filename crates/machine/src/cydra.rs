@@ -195,12 +195,8 @@ fn build_cydra_complex(name: &str, shared_buses: bool, register_file: u32) -> Ma
     }
 
     // Adder: Figure 1(a).
-    let adder_table = ReservationTable::new(vec![
-        (src, 0),
-        (add1, 1),
-        (add2, 2),
-        (res, ADD_LATENCY - 1),
-    ]);
+    let adder_table =
+        ReservationTable::new(vec![(src, 0), (add1, 1), (add2, 2), (res, ADD_LATENCY - 1)]);
     for add_op in [
         Opcode::Add,
         Opcode::Sub,
@@ -283,19 +279,20 @@ pub fn cydra_simple() -> MachineModel {
     let mult = b.resource("multiplier");
     let instr = b.resource("instr_unit");
 
-    let two_ports = |b: &mut MachineBuilder, fields: &[crate::model::ResourceId], op: Opcode, lat: u32| {
-        b.op_alts(
-            op,
-            lat,
-            cross_with_fields(
-                vec![
-                    ("mem_port0".into(), ReservationTable::simple(port0)),
-                    ("mem_port1".into(), ReservationTable::simple(port1)),
-                ],
-                fields,
-            ),
-        );
-    };
+    let two_ports =
+        |b: &mut MachineBuilder, fields: &[crate::model::ResourceId], op: Opcode, lat: u32| {
+            b.op_alts(
+                op,
+                lat,
+                cross_with_fields(
+                    vec![
+                        ("mem_port0".into(), ReservationTable::simple(port0)),
+                        ("mem_port1".into(), ReservationTable::simple(port1)),
+                    ],
+                    fields,
+                ),
+            );
+        };
     two_ports(&mut b, &fields, Opcode::Load, LOAD_LATENCY);
     two_ports(&mut b, &fields, Opcode::Store, STORE_LATENCY);
     two_ports(&mut b, &fields, Opcode::PredSet, PRED_LATENCY);
@@ -325,20 +322,29 @@ pub fn cydra_simple() -> MachineModel {
         b.op_alts(
             add_op,
             ADD_LATENCY,
-            cross_with_fields(vec![("adder".into(), ReservationTable::simple(adder))], &fields),
+            cross_with_fields(
+                vec![("adder".into(), ReservationTable::simple(adder))],
+                &fields,
+            ),
         );
     }
     b.op_alts(
         Opcode::Mul,
         MUL_LATENCY,
-        cross_with_fields(vec![("multiplier".into(), ReservationTable::simple(mult))], &fields),
+        cross_with_fields(
+            vec![("multiplier".into(), ReservationTable::simple(mult))],
+            &fields,
+        ),
     );
     // Unpipelined divide/sqrt: block the multiplier.
     b.op_alts(
         Opcode::Div,
         DIV_LATENCY,
         cross_with_fields(
-            vec![("multiplier".into(), ReservationTable::block(mult, DIV_LATENCY - 2))],
+            vec![(
+                "multiplier".into(),
+                ReservationTable::block(mult, DIV_LATENCY - 2),
+            )],
             &fields,
         ),
     );
@@ -346,7 +352,10 @@ pub fn cydra_simple() -> MachineModel {
         Opcode::Sqrt,
         SQRT_LATENCY,
         cross_with_fields(
-            vec![("multiplier".into(), ReservationTable::block(mult, SQRT_LATENCY - 2))],
+            vec![(
+                "multiplier".into(),
+                ReservationTable::block(mult, SQRT_LATENCY - 2),
+            )],
             &fields,
         ),
     );
@@ -447,7 +456,10 @@ mod tests {
         // The adder's pipeline spans several cycles; an address ALU's does
         // not (only its unit and an instruction field at issue).
         assert!(m.info(Opcode::Add).alternatives[0].table.max_offset() >= 3);
-        assert_eq!(m.info(Opcode::AddrAdd).alternatives[0].table.max_offset(), 0);
+        assert_eq!(
+            m.info(Opcode::AddrAdd).alternatives[0].table.max_offset(),
+            0
+        );
     }
 
     #[test]
@@ -493,9 +505,7 @@ mod tests {
                     .table
                     .uses()
                     .iter()
-                    .filter(|&&(r, t)| {
-                        t == 0 && m.resource(r).name.starts_with("instr_field")
-                    })
+                    .filter(|&&(r, t)| t == 0 && m.resource(r).name.starts_with("instr_field"))
                     .count();
                 assert_eq!(fields, 1, "{op} alternative {}", alt.fu);
             }

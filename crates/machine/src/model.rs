@@ -295,7 +295,13 @@ impl MachineBuilder {
                         Alternative { fu, table, mask }
                     })
                     .collect();
-                (opcode, OpcodeInfo { latency, alternatives })
+                (
+                    opcode,
+                    OpcodeInfo {
+                        latency,
+                        alternatives,
+                    },
+                )
             })
             .collect();
         MachineModel {

@@ -16,7 +16,7 @@
 
 use ims_prof::phase;
 use ims_prof::snapshot::Snapshot;
-use ims_serve::pool::args_or_exit;
+use ims_serve::pool::{args_or_exit, positionals};
 use ims_stats::table::{num, Table};
 
 /// The registry description for `name`, or a placeholder for a phase this
@@ -29,7 +29,7 @@ const USAGE: &str = "usage: profile_report FILE";
 
 fn main() {
     let args = args_or_exit(USAGE);
-    let [_, path] = args.as_slice() else {
+    let [path] = positionals(&args, USAGE)[..] else {
         eprintln!("{USAGE}");
         std::process::exit(2);
     };

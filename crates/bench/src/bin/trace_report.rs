@@ -9,7 +9,9 @@
 //! [`ims_trace::TraceSummary`], and prints an aggregate convergence
 //! picture followed by the `K` (default 10) loops that wasted the most
 //! scheduling budget on failed II attempts — the loops worth staring at
-//! when tuning BudgetRatio or the priority function.
+//! when tuning BudgetRatio or the priority function. Traces of the
+//! provers (`corpus --backend exact|sat --trace DIR`) record no
+//! scheduling steps, so for them the report says so instead of ranking.
 //!
 //! Truncated or damaged traces (a killed run, a half-flushed file) are
 //! summarized from their longest well-formed prefix and flagged
@@ -17,14 +19,14 @@
 //! trace ends inside is reported as unresolved (`II…`), never as a bogus
 //! success or failure.
 
-use ims_serve::pool::{args_or_exit, flag_or_exit};
+use ims_serve::pool::{args_or_exit, flag_or_exit, positionals};
 use ims_trace::{parse_trace_prefix, TraceSummary};
 
 const USAGE: &str = "usage: trace_report DIR [--top K]";
 
 fn main() {
     let args = args_or_exit(USAGE);
-    let Some(dir) = args.get(1).filter(|a| !a.starts_with("--")) else {
+    let [dir] = positionals(&args, USAGE)[..] else {
         eprintln!("{USAGE}");
         std::process::exit(2);
     };
@@ -102,6 +104,12 @@ fn main() {
         println!("  {truncated} truncated trace(s) summarized from their well-formed prefix");
     }
 
+    // A prover reports its search as work counters, which traces do not
+    // keep, so its traces carry no step to rank loops by.
+    if total_steps == 0 {
+        println!("\nno trace records a scheduling step, so no loop ranks as hardest");
+        return;
+    }
     summaries.sort_by(|a, b| {
         b.1.wasted_steps()
             .cmp(&a.1.wasted_steps())

@@ -135,6 +135,59 @@ fn trace_report_summarizes_a_malformed_trace_from_its_prefix() {
 }
 
 #[test]
+fn trace_report_takes_its_directory_anywhere_among_the_flags() {
+    let dir = scratch("report_order");
+    let trace = dir.to_str().unwrap();
+    let out = run(
+        env!("CARGO_BIN_EXE_corpus"),
+        &["--loops", "1", "--threads", "2", "--trace", trace],
+    );
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    let report = env!("CARGO_BIN_EXE_trace_report");
+    let last = run(report, &["--top", "2", trace]);
+    let first = run(report, &[trace, "--top", "2"]);
+    assert_eq!(code(&last), 0, "{}", stderr(&last));
+    assert_eq!(stdout(&last), stdout(&first));
+    assert!(stdout(&last).contains("hardest loops"), "{}", stdout(&last));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trace_report_does_not_rank_prover_traces_by_steps_they_lack() {
+    let dir = scratch("prover_report");
+    let all = dir.join("all");
+    let out = run(
+        env!("CARGO_BIN_EXE_corpus"),
+        &[
+            "--backend",
+            "sat",
+            "--loops",
+            "1",
+            "--threads",
+            "2",
+            "--trace",
+            all.to_str().unwrap(),
+        ],
+    );
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    let few = dir.join("few");
+    std::fs::create_dir_all(&few).unwrap();
+    for name in &trace_names(&all)[..3] {
+        std::fs::copy(all.join(name), few.join(name)).unwrap();
+    }
+    let out = run(env!("CARGO_BIN_EXE_trace_report"), &[few.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.starts_with("trace report — 3 loops"), "{text}");
+    assert!(
+        text.contains("no trace records a scheduling step"),
+        "{text}"
+    );
+    assert!(!text.contains("hardest loops"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_report_rejects_an_empty_directory() {
     let dir = scratch("empty");
     let out = run(env!("CARGO_BIN_EXE_trace_report"), &[dir.to_str().unwrap()]);

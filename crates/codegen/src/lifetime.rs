@@ -1,7 +1,7 @@
 //! Register lifetime analysis over a modulo schedule.
 
 use ims_core::{Problem, Schedule};
-use ims_deps::{node_of, resolve_use};
+use ims_deps::{node_of, DefSites};
 use ims_ir::{LoopBody, VReg};
 
 /// The live range of the value a virtual register carries, measured on the
@@ -43,25 +43,29 @@ pub fn unroll_factor(birth: i64, death: i64, ii: i64) -> u32 {
 /// Computes the lifetime of every register defined in the body, under the
 /// given schedule. Registers with no defining operation (pure live-ins) get
 /// no entry.
+///
+/// One pass resolves every use through a [`DefSites`] index and keeps the
+/// latest read of each register; a second pass emits the lifetimes in
+/// body order.
 pub fn lifetimes(body: &LoopBody, problem: &Problem<'_>, schedule: &Schedule) -> Vec<Lifetime> {
+    let sites = DefSites::new(body);
+    let mut last_read: Vec<Option<i64>> = vec![None; body.num_vregs()];
+    for (use_id, use_op) in body.iter() {
+        let issue = schedule.time_of(node_of(use_id));
+        for u in use_op.reg_uses() {
+            if let Some((_, distance)) = sites.resolve(use_id, u) {
+                let read = issue + schedule.ii * distance as i64;
+                let last = &mut last_read[u.reg.index()];
+                *last = Some(last.map_or(read, |l| l.max(read)));
+            }
+        }
+    }
     let mut out = Vec::new();
     for (def_id, def_op) in body.iter() {
         let Some(reg) = def_op.dest else { continue };
         let def_issue = schedule.time_of(node_of(def_id));
         let birth = def_issue + problem.latency(node_of(def_id));
-        let mut death = birth;
-        for (use_id, use_op) in body.iter() {
-            for u in use_op.reg_uses() {
-                if u.reg != reg {
-                    continue;
-                }
-                if let Some((d, distance)) = resolve_use(body, use_id, u) {
-                    debug_assert_eq!(d, def_id, "single assignment: one def per register");
-                    let read = schedule.time_of(node_of(use_id)) + schedule.ii * distance as i64;
-                    death = death.max(read);
-                }
-            }
-        }
+        let death = last_read[reg.index()].map_or(birth, |r| r.max(birth));
         out.push(Lifetime {
             reg,
             def_issue,

@@ -2,7 +2,7 @@
 //! prologue and coda for DO-loops.
 
 use ims_core::{Problem, Schedule};
-use ims_deps::{node_of, resolve_use};
+use ims_deps::{node_of, DefSites};
 #[cfg(test)]
 use ims_ir::LiveInValue;
 use ims_ir::{LoopBody, OpId, Operand, VReg};
@@ -74,6 +74,12 @@ impl MveRegs {
 /// (prologue only), which is what a compiler's short-trip-count fallback
 /// does.
 ///
+/// Each register use is resolved once, and each instance is placed
+/// straight into its instruction: an operation issued at `t` lands in
+/// cycle `t + i·II` for every iteration `i` whose instance falls inside a
+/// section. Operations are placed in body order, so each instruction
+/// lists its instances in body order.
+///
 /// # Panics
 ///
 /// Panics if `lifetimes` was computed for a different schedule (detected
@@ -87,23 +93,27 @@ pub fn generate_mve(
     let _ = problem; // latencies are already folded into `lifetimes`
     let ii = schedule.ii;
     let n = body.trip_count() as i64;
-    let max_t = body
+    let times: Vec<i64> = body
         .iter()
         .map(|(id, _)| schedule.time_of(node_of(id)))
-        .max()
-        .unwrap_or(0);
+        .collect();
+    let max_t = times.iter().copied().max().unwrap_or(0);
     let stage_count = (max_t / ii + 1) as u32;
+    // The iteration lag of every register use, in `reg_uses` order
+    // (sources, then the predicate); pure live-ins read lag 0.
+    let sites = DefSites::new(body);
+    let lags: Vec<Vec<u32>> = body
+        .iter()
+        .map(|(id, op)| {
+            op.reg_uses()
+                .map(|u| sites.resolve(id, u).map_or(0, |(_, d)| d))
+                .collect()
+        })
+        .collect();
     // The unroll factor covers both value lifetimes and the deepest
     // loop-carried lag (pre-loop seeds of lag j live in name (-j mod K) and
     // must survive until their last read, about `maxlag` iterations in).
-    let max_lag = body
-        .iter()
-        .flat_map(|(id, op)| {
-            op.reg_uses()
-                .filter_map(move |u| resolve_use(body, id, u).map(|(_, d)| d))
-        })
-        .max()
-        .unwrap_or(0);
+    let max_lag = lags.iter().flatten().copied().max().unwrap_or(0);
     let k = lifetimes
         .iter()
         .map(|l| l.names)
@@ -120,35 +130,33 @@ pub fn generate_mve(
     };
     let prologue_end = (stage_count as i64 - 1) * ii;
 
-    let emit = |c: i64| -> Inst {
-        let mut ops = Vec::new();
+    // The instructions of cycles `[start, end)`.
+    let section = |start: i64, end: i64| -> Vec<Inst> {
+        let mut insts = vec![Inst::default(); (end - start).max(0) as usize];
         for (id, op) in body.iter() {
-            let t = schedule.time_of(node_of(id));
-            if (c - t) % ii != 0 {
-                continue;
+            let t = times[id.index()];
+            // Iterations whose instance issues in `[start, end)`.
+            let first = ceil_div(start - t, ii).max(0);
+            let last = ceil_div(end - t, ii).min(n);
+            for i in first..last {
+                let slot = rename(&regs, id, op, &lags[id.index()], i, t, ii);
+                insts[(t + i * ii - start) as usize].ops.push(slot);
             }
-            let i = (c - t) / ii;
-            if i < 0 || i >= n {
-                continue;
-            }
-            ops.push(rename(body, regs_ref(&regs), id, op, i, t, ii));
         }
-        Inst { ops }
+        insts
     };
 
     let (prologue, kernel, kernel_reps, coda);
     if body.num_ops() > 0 && n >= stage_count as i64 + k as i64 - 1 {
-        prologue = (0..prologue_end).map(emit).collect();
-        kernel = (prologue_end..prologue_end + k as i64 * ii)
-            .map(emit)
-            .collect();
+        prologue = section(0, prologue_end);
+        kernel = section(prologue_end, prologue_end + k as i64 * ii);
         let steady_iters = n - stage_count as i64 + 1;
         let reps = (steady_iters / k as i64) as u64;
         kernel_reps = reps;
         let coda_start = prologue_end + reps as i64 * k as i64 * ii;
-        coda = (coda_start..flat_end).map(emit).collect();
+        coda = section(coda_start, flat_end);
     } else {
-        prologue = (0..flat_end).map(emit).collect();
+        prologue = section(0, flat_end);
         kernel = Vec::new();
         kernel_reps = 0;
         coda = Vec::new();
@@ -198,36 +206,37 @@ pub fn generate_mve(
     }
 }
 
-// Helper to appease the closure borrow (the emit closure only needs a
-// shared reference to the register map).
-fn regs_ref(r: &MveRegs) -> &MveRegs {
-    r
+/// `⌈a / b⌉` for `b > 0`.
+fn ceil_div(a: i64, b: i64) -> i64 {
+    -(-a).div_euclid(b)
 }
 
+/// The instance of `op` from iteration `iter`, issued at `issue`, with its
+/// registers renamed; `lags` holds the iteration lag of each register use.
 fn rename(
-    body: &LoopBody,
     regs: &MveRegs,
     id: OpId,
     op: &ims_ir::Operation,
+    lags: &[u32],
     iter: i64,
     issue: i64,
     ii: i64,
 ) -> SlotOp {
+    // The iteration each register use reads from.
+    let mut read_iter = lags.iter().map(|&d| iter - d as i64);
     let mut srcs = Vec::with_capacity(op.srcs.len());
     for s in &op.srcs {
         srcs.push(match s {
             Operand::ImmInt(v) => CodeOperand::ImmInt(*v),
             Operand::ImmFloat(v) => CodeOperand::ImmFloat(*v),
             Operand::Reg(u) => {
-                let d = resolve_use(body, id, *u).map(|(_, d)| d).unwrap_or(0);
-                CodeOperand::Reg(regs.name(u.reg, iter - d as i64))
+                CodeOperand::Reg(regs.name(u.reg, read_iter.next().expect("one lag per use")))
             }
         });
     }
-    let pred = op.pred.map(|u| {
-        let d = resolve_use(body, id, u).map(|(_, d)| d).unwrap_or(0);
-        regs.name(u.reg, iter - d as i64)
-    });
+    let pred = op
+        .pred
+        .map(|u| regs.name(u.reg, read_iter.next().expect("one lag per use")));
     SlotOp {
         op: id,
         stage: (issue / ii) as u32,

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use ims_core::{Problem, Schedule};
-use ims_deps::{node_of, resolve_use};
+use ims_deps::{node_of, DefSites};
 use ims_ir::{LoopBody, Operand, VReg};
 
 use crate::code::{CodeOperand, CodeReg, Inst, RotatingCode, Seed, SlotOp};
@@ -91,6 +91,17 @@ impl std::error::Error for RotatingError {}
 /// sub-additivity of `⌊·⌋` — see the brute-force check in the tests). The
 /// file size is `Σ gapⱼ`, and `base(vⱼ) = (S − Σ_{u<j} gapᵤ) mod S`.
 pub fn allocate_rotating(body: &LoopBody, lifetimes: &[Lifetime], ii: i64) -> RotatingAllocation {
+    allocate(body, lifetimes, ii, &max_lags(body, &DefSites::new(body)))
+}
+
+/// [`allocate_rotating`] with the deepest read lag of each register
+/// already known.
+fn allocate(
+    body: &LoopBody,
+    lifetimes: &[Lifetime],
+    ii: i64,
+    max_lag: &[u32],
+) -> RotatingAllocation {
     assert!(ii >= 1, "II must be positive");
     let nv = body.num_vregs();
     let life: HashMap<VReg, &Lifetime> = lifetimes.iter().map(|l| (l.reg, l)).collect();
@@ -111,7 +122,7 @@ pub fn allocate_rotating(body: &LoopBody, lifetimes: &[Lifetime], ii: i64) -> Ro
             // base − 1 … base − maxlag) to survive until read in the first
             // iterations; widen the gap to cover the deepest lag.
             let lag_floor = if body.is_live_in(*v) {
-                max_lag_of(body, *v) as usize + 1
+                max_lag[v.index()] as usize + 1
             } else {
                 0
             };
@@ -156,7 +167,9 @@ pub fn generate_rotating(
 ) -> Result<RotatingCode, RotatingError> {
     let _ = problem; // reserved for future latency-aware seeding
     let ii = schedule.ii;
-    let alloc = allocate_rotating(body, lifetimes, schedule.ii);
+    let sites = DefSites::new(body);
+    let max_lag = max_lags(body, &sites);
+    let alloc = allocate(body, lifetimes, schedule.ii, &max_lag);
     let n = body.trip_count() as i64;
     let max_t = body
         .iter()
@@ -192,13 +205,13 @@ pub fn generate_rotating(
                 Operand::ImmInt(v) => CodeOperand::ImmInt(*v),
                 Operand::ImmFloat(v) => CodeOperand::ImmFloat(*v),
                 Operand::Reg(u) => {
-                    let d = resolve_use(body, id, *u).map(|(_, d)| d).unwrap_or(0);
+                    let d = sites.resolve(id, *u).map_or(0, |(_, d)| d);
                     CodeOperand::Reg(offset(u.reg, stage, d as i64))
                 }
             });
         }
         let pred = op.pred.map(|u| {
-            let d = resolve_use(body, id, u).map(|(_, d)| d).unwrap_or(0);
+            let d = sites.resolve(id, u).map_or(0, |(_, d)| d);
             offset(u.reg, stage, d as i64)
         });
         kernel[slot].ops.push(SlotOp {
@@ -221,8 +234,7 @@ pub fn generate_rotating(
             continue;
         }
         seeded[li.reg.index()] = true;
-        let max_lag = max_lag_of(body, li.reg);
-        for lag in 1..=max_lag {
+        for lag in 1..=max_lag[li.reg.index()] {
             let value = body
                 .live_in_value(li.reg, lag)
                 .expect("live-in registers always have a lag-1 binding");
@@ -272,15 +284,14 @@ pub fn generate_rotating(
     })
 }
 
-/// The largest iteration lag at which `reg` is read.
-fn max_lag_of(body: &LoopBody, reg: VReg) -> u32 {
-    let mut max_lag = 0;
+/// The largest iteration lag at which each register is read, by
+/// register index (0 for a register never read through a definition).
+fn max_lags(body: &LoopBody, sites: &DefSites) -> Vec<u32> {
+    let mut max_lag = vec![0; body.num_vregs()];
     for (use_id, op) in body.iter() {
         for u in op.reg_uses() {
-            if u.reg == reg {
-                if let Some((_, d)) = resolve_use(body, use_id, u) {
-                    max_lag = max_lag.max(d);
-                }
+            if let Some((_, d)) = sites.resolve(use_id, u) {
+                max_lag[u.reg.index()] = max_lag[u.reg.index()].max(d);
             }
         }
     }

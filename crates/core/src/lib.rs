@@ -88,7 +88,7 @@ pub use mii::{
     compute_mii, least_feasible_ii, rec_mii, rec_mii_by_circuits, res_mii, res_mii_with_usage,
     MiiInfo,
 };
-pub use mrt::Mrt;
+pub use mrt::{self_colliding_alternatives, Mrt};
 pub use observe::{NullObserver, SchedObserver};
 pub use priority::{height_r, priorities, PriorityKind};
 pub use problem::{NodeKind, Problem, ProblemBuilder};

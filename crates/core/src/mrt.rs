@@ -30,6 +30,8 @@ use std::cell::Cell;
 use ims_graph::NodeId;
 use ims_machine::ConflictMask;
 
+use crate::problem::Problem;
+
 /// A modulo reservation table: `II × num_resources` cells tracked as an
 /// occupancy bitset (for word-parallel probes) plus per-cell owners.
 ///
@@ -356,6 +358,38 @@ impl Mrt {
     pub fn occupant(&self, time: i64, res: usize) -> Option<NodeId> {
         self.slots[self.row(time, 0) * self.nres + res]
     }
+}
+
+/// The alternatives of `problem` that cannot issue at `ii` anywhere, as
+/// `(node, alternative index)` pairs: those whose own reservation table
+/// uses one resource at two offsets congruent modulo `ii`, so that
+/// [`Mrt::place`] would collide the alternative with itself. Every backend
+/// decides this once per II and never places such an alternative.
+///
+/// # Errors
+///
+/// The first operation, by node id, whose every alternative collides with
+/// itself: no schedule exists at `ii`.
+pub fn self_colliding_alternatives(
+    problem: &Problem<'_>,
+    ii: i64,
+) -> Result<Vec<(NodeId, usize)>, NodeId> {
+    let mut out = Vec::new();
+    for node in problem.op_nodes() {
+        let Some(info) = problem.info(node) else {
+            continue;
+        };
+        let before = out.len();
+        for (k, a) in info.alternatives.iter().enumerate() {
+            if a.mask().collides_with_itself(ii) {
+                out.push((node, k));
+            }
+        }
+        if out.len() - before == info.alternatives.len() {
+            return Err(node);
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -32,12 +32,50 @@ pub fn node_of(op: OpId) -> NodeId {
 /// (distance 1); [`RegUse::prev`] adds further iterations.
 ///
 /// This is the single source of truth shared by dependence construction,
-/// code generation, and the simulator.
+/// code generation, and the simulator. It scans the body for the
+/// definition; a caller that resolves many uses of one body builds a
+/// [`DefSites`] index once instead.
 pub fn resolve_use(body: &LoopBody, at: OpId, u: RegUse) -> Option<(OpId, u32)> {
-    body.def_of(u.reg).map(|def_id| {
-        let positional = if def_id.index() < at.index() { 0 } else { 1 };
-        (def_id, positional + u.prev)
-    })
+    body.def_of(u.reg)
+        .map(|def_id| (def_id, distance(def_id, at, u)))
+}
+
+/// The iteration distance from the definition `def` to the use `u` at
+/// `at`: the positional rule of [`resolve_use`].
+fn distance(def: OpId, at: OpId, u: RegUse) -> u32 {
+    let positional = if def.index() < at.index() { 0 } else { 1 };
+    positional + u.prev
+}
+
+/// The defining operation of every register of one body, built in one pass
+/// over its operations: [`resolve_use`] in constant time per use.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DefSites {
+    /// The first operation defining each register, by [`ims_ir::VReg`]
+    /// index.
+    def: Vec<Option<OpId>>,
+}
+
+impl DefSites {
+    /// Indexes the definitions of `body`.
+    pub fn new(body: &LoopBody) -> Self {
+        let mut def = vec![None; body.num_vregs()];
+        for (id, op) in body.iter() {
+            if let Some(d) = op.dest {
+                def[d.index()].get_or_insert(id);
+            }
+        }
+        DefSites { def }
+    }
+
+    /// [`resolve_use`] through the index.
+    pub fn resolve(&self, at: OpId, u: RegUse) -> Option<(OpId, u32)> {
+        self.def
+            .get(u.reg.index())
+            .copied()
+            .flatten()
+            .map(|def_id| (def_id, distance(def_id, at, u)))
+    }
 }
 
 /// Analyzes `body` and produces the modulo-scheduling problem for `machine`.
@@ -115,14 +153,7 @@ pub fn build_problem<'m>(
                             let d = diff / s;
                             if d > 0 {
                                 let dl = delay(kind_fwd, lat(i), lat(j), model);
-                                pb.add_dep(
-                                    node_of(i),
-                                    node_of(j),
-                                    dl,
-                                    d as u32,
-                                    kind_fwd,
-                                    true,
-                                );
+                                pb.add_dep(node_of(i), node_of(j), dl, d as u32, kind_fwd, true);
                             } else if d < 0 {
                                 if i != j {
                                     let kind_rev = mem_dep_kind(j_store, i_store);
@@ -209,11 +240,7 @@ mod tests {
     use ims_ir::{LoopBuilder, MemRef, Value};
     use ims_machine::{cydra, minimal};
 
-    fn find_edge<'a>(
-        p: &'a Problem<'_>,
-        from: OpId,
-        to: OpId,
-    ) -> Option<&'a ims_graph::DepEdge> {
+    fn find_edge<'a>(p: &'a Problem<'_>, from: OpId, to: OpId) -> Option<&'a ims_graph::DepEdge> {
         p.graph()
             .edges()
             .iter()
@@ -387,12 +414,16 @@ mod tests {
         let body = b.finish().unwrap();
         let p = build_problem(&body, &m, &BuildOptions::default());
         // load->store distance 0 (anti) and store->load distance 1 (flow).
-        assert!(p.graph().edges().iter().any(
-            |e| e.is_mem && e.kind == DepKind::Anti && e.distance == 0
-        ));
-        assert!(p.graph().edges().iter().any(
-            |e| e.is_mem && e.kind == DepKind::Flow && e.distance == 1
-        ));
+        assert!(p
+            .graph()
+            .edges()
+            .iter()
+            .any(|e| e.is_mem && e.kind == DepKind::Anti && e.distance == 0));
+        assert!(p
+            .graph()
+            .edges()
+            .iter()
+            .any(|e| e.is_mem && e.kind == DepKind::Flow && e.distance == 1));
     }
 
     #[test]
@@ -417,9 +448,7 @@ mod tests {
         // stores' self-dependences at distance 1.
         assert!(outputs.iter().any(|e| e.distance == 0));
         assert!(outputs.iter().any(|e| e.distance == 1));
-        assert!(outputs
-            .iter()
-            .any(|e| e.from == e.to && e.distance == 1));
+        assert!(outputs.iter().any(|e| e.from == e.to && e.distance == 1));
     }
 
     #[test]

@@ -58,6 +58,6 @@ mod delay;
 mod unroll;
 
 pub use backsub::back_substitute;
-pub use build::{build_problem, node_of, resolve_use, BuildOptions};
+pub use build::{build_problem, node_of, resolve_use, BuildOptions, DefSites};
 pub use delay::{delay, DelayModel};
 pub use unroll::unroll;

@@ -43,7 +43,7 @@
 
 use std::collections::HashSet;
 
-use ims_core::{Mrt, Problem, Schedule};
+use ims_core::{self_colliding_alternatives, Mrt, Problem, Schedule};
 use ims_graph::{sccs, MinDist, MinDistSolver, NodeId, NEG_INF};
 use ims_prof::{phase, ProfSink};
 
@@ -77,6 +77,8 @@ struct Dfs<'a, 'm> {
     relevant: &'a [Vec<usize>],
     ii: i64,
     start: NodeId,
+    /// Alternatives that collide with themselves at this II, never tried.
+    unusable: Vec<(NodeId, usize)>,
     /// The MRT maintains its own occupancy bitset; memo keys copy it via
     /// [`Mrt::occupancy_words`], and probes AND the machine's precompiled
     /// conflict masks against it.
@@ -222,6 +224,9 @@ impl Dfs<'_, '_> {
             .len();
         for t in lo..=hi {
             for ai in 0..n_alts {
+                if self.unusable.contains(&(v, ai)) {
+                    continue;
+                }
                 let mask = self.problem.info(v).expect("real operation").alternatives[ai].mask();
                 if self.mrt.conflicts(mask, t) {
                     self.prune_mrt += 1;
@@ -269,6 +274,10 @@ pub(crate) fn search_ii<P: ProfSink>(
         // exists at this II regardless of resources.
         return (Decision::Infeasible, 0);
     }
+    // So is an operation whose every alternative collides with itself.
+    let Ok(unusable) = self_colliding_alternatives(problem, ii) else {
+        return (Decision::Infeasible, 0);
+    };
 
     let start = problem.start();
     let stop = problem.stop();
@@ -320,6 +329,7 @@ pub(crate) fn search_ii<P: ProfSink>(
         relevant: &relevant,
         ii,
         start,
+        unusable,
         mrt: Mrt::new(ii, nres),
         time: vec![0i64; graph.num_nodes()],
         alt: vec![0usize; graph.num_nodes()],

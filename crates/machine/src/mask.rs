@@ -88,6 +88,9 @@ pub struct ConflictMask {
     /// The largest cycle offset used (equals the source table's
     /// [`max_offset`](ReservationTable::max_offset)).
     max_offset: u32,
+    /// Whether the table uses some resource at more than one offset:
+    /// only such a table can collide with itself.
+    reuses_a_resource: bool,
 }
 
 impl ConflictMask {
@@ -99,7 +102,10 @@ impl ConflictMask {
     /// masks are only meaningful against the axis they were compiled
     /// for.
     pub fn compile(table: &ReservationTable, num_resources: usize) -> Self {
-        assert!(num_resources > 0, "a machine must have at least one resource");
+        assert!(
+            num_resources > 0,
+            "a machine must have at least one resource"
+        );
         let words_per_row = num_resources.div_ceil(64) as u32;
         let mut entries: Vec<MaskEntry> = Vec::new();
         // `uses()` is sorted by (offset, resource), so equal (offset,
@@ -120,12 +126,40 @@ impl ConflictMask {
                 }),
             }
         }
+        // Each use is one set bit, so some resource repeats exactly when
+        // the union of the entries has fewer bits than the footprint.
+        let distinct: u64 = (0..words_per_row)
+            .map(|w| {
+                let union = entries
+                    .iter()
+                    .filter(|e| e.word == w)
+                    .fold(0, |u, e| u | e.mask);
+                union.count_ones() as u64
+            })
+            .sum();
         ConflictMask {
             words_per_row,
             entries: entries.into_boxed_slice(),
             footprint: table.footprint(),
             max_offset: table.max_offset(),
+            reuses_a_resource: distinct < table.footprint(),
         }
+    }
+
+    /// Whether two uses of one resource fall on one MRT row at `ii`:
+    /// the table would collide with itself wherever it issued. Entries
+    /// never repeat an `(offset, word)` pair, so a shared bit means two
+    /// distinct offsets.
+    pub fn collides_with_itself(&self, ii: i64) -> bool {
+        if !self.reuses_a_resource || ii > self.max_offset as i64 {
+            return false; // offsets closer than the II never share a row
+        }
+        let e = &self.entries;
+        e.iter().enumerate().any(|(i, a)| {
+            e[i + 1..].iter().any(|b| {
+                a.word == b.word && a.mask & b.mask != 0 && (b.offset - a.offset) as i64 % ii == 0
+            })
+        })
     }
 
     /// The compiled `(offset, word, mask)` entries, sorted by
@@ -183,8 +217,7 @@ mod tests {
             }
         }
         pairs.sort_by_key(|&(r, t)| (t, r));
-        let expect: Vec<(u32, u32)> =
-            t.uses().iter().map(|&(r, off)| (r.0, off)).collect();
+        let expect: Vec<(u32, u32)> = t.uses().iter().map(|&(r, off)| (r.0, off)).collect();
         assert_eq!(pairs, expect);
         assert_eq!(m.footprint(), t.footprint());
         assert_eq!(m.max_offset(), t.max_offset());
@@ -195,8 +228,22 @@ mod tests {
         let t = table(&[(2, 1), (0, 0), (1, 1), (3, 0)]);
         let m = ConflictMask::compile(&t, 4);
         assert_eq!(m.entries().len(), 2);
-        assert_eq!(m.entries()[0], MaskEntry { offset: 0, word: 0, mask: 0b1001 });
-        assert_eq!(m.entries()[1], MaskEntry { offset: 1, word: 0, mask: 0b0110 });
+        assert_eq!(
+            m.entries()[0],
+            MaskEntry {
+                offset: 0,
+                word: 0,
+                mask: 0b1001
+            }
+        );
+        assert_eq!(
+            m.entries()[1],
+            MaskEntry {
+                offset: 1,
+                word: 0,
+                mask: 0b0110
+            }
+        );
     }
 
     #[test]
@@ -209,10 +256,34 @@ mod tests {
         assert_eq!(
             m.entries(),
             &[
-                MaskEntry { offset: 0, word: 0, mask: 1 << 1 },
-                MaskEntry { offset: 0, word: 1, mask: 1 << 36 },
+                MaskEntry {
+                    offset: 0,
+                    word: 0,
+                    mask: 1 << 1
+                },
+                MaskEntry {
+                    offset: 0,
+                    word: 1,
+                    mask: 1 << 36
+                },
             ]
         );
+    }
+
+    #[test]
+    fn a_table_collides_with_itself_where_two_uses_of_a_resource_share_a_row() {
+        // Resource 0 at offsets 0 and 2: rows coincide at II 1 and 2.
+        let sparse = ConflictMask::compile(&table(&[(0, 0), (0, 2), (1, 1)]), 4);
+        assert!(sparse.collides_with_itself(1));
+        assert!(sparse.collides_with_itself(2));
+        assert!(!sparse.collides_with_itself(3));
+        // A three-cycle block fits at any II of at least 3.
+        let block = ConflictMask::compile(&table(&[(2, 0), (2, 1), (2, 2)]), 4);
+        assert!(block.collides_with_itself(2));
+        assert!(!block.collides_with_itself(3));
+        // Distinct resources at congruent offsets never collide.
+        let apart = ConflictMask::compile(&table(&[(0, 0), (1, 2)]), 4);
+        assert!(!apart.collides_with_itself(2));
     }
 
     #[test]

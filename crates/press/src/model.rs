@@ -3,7 +3,7 @@
 //! See `DESIGN.md` §5g for the row layout and cost model.
 
 use ims_core::{NodeKind, Problem, Schedule};
-use ims_deps::{node_of, resolve_use};
+use ims_deps::{node_of, DefSites};
 use ims_graph::{DepKind, NodeId};
 use ims_ir::LoopBody;
 
@@ -30,33 +30,31 @@ pub struct ValueShape {
 }
 
 /// Extracts one [`ValueShape`] per register-defining operation of `body`,
-/// resolving each use through [`resolve_use`] — the same single source of
-/// truth `ims_codegen::lifetimes` uses, so the two agree by construction
-/// (the workspace's property tests check this).
+/// resolving each use through a [`DefSites`] index — the same rule
+/// `ims_codegen::lifetimes` uses, so the two agree by construction (the
+/// workspace's property tests check this).
 pub fn shapes_from_body(body: &LoopBody, problem: &Problem<'_>) -> Vec<ValueShape> {
-    let mut out = Vec::new();
-    for (def_id, def_op) in body.iter() {
-        let Some(reg) = def_op.dest else { continue };
-        let def = node_of(def_id);
-        let mut uses = Vec::new();
-        for (use_id, use_op) in body.iter() {
-            for u in use_op.reg_uses() {
-                if u.reg != reg {
-                    continue;
-                }
-                if let Some((d, distance)) = resolve_use(body, use_id, u) {
-                    debug_assert_eq!(d, def_id, "single assignment: one def per register");
-                    uses.push((node_of(use_id), distance));
-                }
+    let sites = DefSites::new(body);
+    // The consumers of each register, in body order.
+    let mut uses: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); body.num_vregs()];
+    for (use_id, use_op) in body.iter() {
+        for u in use_op.reg_uses() {
+            if let Some((_, distance)) = sites.resolve(use_id, u) {
+                uses[u.reg.index()].push((node_of(use_id), distance));
             }
         }
-        out.push(ValueShape {
-            def,
-            latency: problem.latency(def),
-            uses,
-        });
     }
-    out
+    body.iter()
+        .filter_map(|(def_id, def_op)| {
+            let reg = def_op.dest?;
+            let def = node_of(def_id);
+            Some(ValueShape {
+                def,
+                latency: problem.latency(def),
+                uses: std::mem::take(&mut uses[reg.index()]),
+            })
+        })
+        .collect()
 }
 
 /// Extracts value shapes from a bare [`Problem`] (no IR body available —

@@ -73,18 +73,32 @@ pub fn args_or_exit(usage: &str) -> Vec<String> {
     args
 }
 
+/// The positional arguments of `args` (as [`args_or_exit`] returns
+/// them, program name first) in order, wherever they stand among the
+/// flags: every argument that is neither a `--flag` declared by `usage`
+/// nor the value of one. Arguments `usage` does not declare exit like
+/// [`args_or_exit`].
+pub fn positionals<'a>(args: &'a [String], usage: &str) -> Vec<&'a str> {
+    check_args(&args[1..], usage).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("{usage}");
+        std::process::exit(2);
+    })
+}
+
 /// [`args_or_exit`] without the exit, over the arguments after the
-/// program name.
-fn check_args(args: &[String], usage: &str) -> Result<(), String> {
-    let (flags, positionals) = declared(usage);
-    let mut seen = 0;
+/// program name: the positional arguments, when every argument is
+/// declared.
+fn check_args<'a>(args: &'a [String], usage: &str) -> Result<Vec<&'a str>, String> {
+    let (flags, declared_positionals) = declared(usage);
+    let mut seen = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if !arg.starts_with("--") {
-            seen += 1;
-            if seen > positionals {
+            if seen.len() == declared_positionals {
                 return Err(format!("unexpected argument {arg:?}"));
             }
+            seen.push(arg.as_str());
             continue;
         }
         let (name, inline) = arg
@@ -97,7 +111,7 @@ fn check_args(args: &[String], usage: &str) -> Result<(), String> {
             Some(_) => {}
         }
     }
-    Ok(())
+    Ok(seen)
 }
 
 /// What a usage text declares: every `--flag` with whether a value
@@ -346,7 +360,7 @@ mod tests {
         let usage = "usage: corpus [--loops N] [--trace DIR] [--latency]";
         let check = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            check_args(&args, usage)
+            check_args(&args, usage).map(|p| p.len())
         };
         for ok in [
             &[][..],
@@ -355,7 +369,7 @@ mod tests {
             &["--trace", "--bogus"][..], // a value, as flag_or_exit reads it
             &["--loops"][..],            // flag_or_exit reports the missing value
         ] {
-            assert_eq!(check(ok), Ok(()), "{ok:?}");
+            assert_eq!(check(ok), Ok(0), "{ok:?}");
         }
         for (bad, err) in [
             (
@@ -372,9 +386,12 @@ mod tests {
         }
         let positional = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            check_args(&args, "usage: trace_report DIR [--top K]")
+            check_args(&args, "usage: trace_report DIR [--top K]").map(|p| p.join(" "))
         };
-        assert_eq!(positional(&["dir", "--top", "3"]), Ok(()));
+        assert_eq!(positional(&["dir", "--top", "3"]), Ok("dir".into()));
+        assert_eq!(positional(&["--top", "3", "dir"]), Ok("dir".into()));
+        assert_eq!(positional(&["--top=3", "dir"]), Ok("dir".into()));
+        assert_eq!(positional(&["--top", "3"]), Ok("".into()));
         assert!(positional(&["dir", "other"]).is_err());
     }
 

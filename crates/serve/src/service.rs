@@ -809,6 +809,39 @@ mod tests {
     }
 
     #[test]
+    fn every_backend_skips_an_ii_where_an_operation_collides_with_itself() {
+        // One add whose table reserves its only resource at offsets 0 and
+        // 2: at II 2, its MII, both uses land on one MRT row wherever it
+        // issues, so every backend must move on to II 3.
+        let mut mb = ims_machine::MachineBuilder::new("self_collision");
+        let alu = mb.resource("alu");
+        mb.op(
+            ims_ir::Opcode::Add,
+            1,
+            vec![(
+                "alu",
+                ims_machine::ReservationTable::new(vec![(alu, 0), (alu, 2)]),
+            )],
+        );
+        let m = mb.build();
+        let mut pb = ProblemBuilder::new(&m);
+        let _ = pb.add_op(ims_ir::Opcode::Add, ims_ir::OpId(0));
+        let p = pb.finish();
+        let cfg = SchedConfig::new().budget_ratio(6.0);
+        let portfolio = BackendSpec::Portfolio(BackendKind::ALL.to_vec());
+        let specs = BackendKind::ALL.map(BackendSpec::Leaf);
+        for spec in specs.iter().chain([&portfolio]) {
+            let out = race(spec, &p, &cfg, None).expect("schedules at II 3");
+            assert_eq!(out.mii().mii, 2, "{spec}");
+            assert_eq!(out.schedule().ii, 3, "{spec}");
+            assert!(
+                ims_core::validate_schedule(&p, out.schedule()).is_ok(),
+                "{spec}"
+            );
+        }
+    }
+
+    #[test]
     fn a_portfolio_whose_every_member_fails_answers_the_first_error() {
         let mut engine = Engine::new(1);
         let out = respond(

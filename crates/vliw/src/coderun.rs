@@ -1,9 +1,10 @@
 //! Execution of generated pipelined code (MVE and rotating forms).
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use ims_codegen::{CodeOperand, CodeReg, Inst, MveCode, RotatingCode, SlotOp};
-use ims_ir::{eval, LoopBody, Opcode, Value};
+use ims_ir::{eval, CmpKind, LoopBody, OpId, Opcode, Value};
+use ims_machine::MachineModel;
 
 use crate::error::SimError;
 use crate::memory::MemoryImage;
@@ -24,7 +25,8 @@ struct Cell {
 }
 
 impl Cell {
-    fn read(&self, op: ims_ir::OpId, cycle: i64) -> Result<Value, SimError> {
+    #[inline(always)]
+    fn read(&self, op: OpId, cycle: i64) -> Result<Value, SimError> {
         if self.writes.is_empty() {
             return Err(SimError::UnwrittenRead { op });
         }
@@ -49,121 +51,151 @@ impl Cell {
     }
 }
 
+/// What executing an instance of one body operation needs, looked up once
+/// per run.
+#[derive(Debug, Clone, Copy)]
+struct OpInfo {
+    opcode: Opcode,
+    cmp: Option<CmpKind>,
+    latency: i64,
+}
+
+/// A store waiting for its commit cycle.
+#[derive(Debug, Clone, Copy)]
+struct PendingStore {
+    avail: i64,
+    op: OpId,
+    addr: i64,
+    value: Value,
+}
+
 #[derive(Debug)]
 struct CodeState {
+    /// By [`OpId`] index.
+    ops: Vec<OpInfo>,
     statics: Vec<Cell>,
     rotating: Vec<Cell>,
     memory: MemoryImage,
-    pending_stores: BTreeMap<i64, Vec<(ims_ir::OpId, i64, Value)>>,
+    /// In commit order: by `avail`, then by issue.
+    pending_stores: VecDeque<PendingStore>,
 }
 
 impl CodeState {
-    fn resolve(&self, reg: CodeReg, pass: i64) -> (bool, usize) {
+    fn new(
+        body: &LoopBody,
+        machine: &MachineModel,
+        memory: MemoryImage,
+        num_static: usize,
+        num_rotating: usize,
+        seeds: &[ims_codegen::code::Seed],
+    ) -> Self {
+        let ops = body
+            .iter()
+            .map(|(_, op)| OpInfo {
+                opcode: op.opcode,
+                cmp: op.cmp,
+                latency: machine.latency(op.opcode) as i64,
+            })
+            .collect();
+        let mut st = CodeState {
+            ops,
+            statics: vec![Cell::default(); num_static],
+            rotating: vec![Cell::default(); num_rotating],
+            memory,
+            pending_stores: VecDeque::new(),
+        };
+        for seed in seeds {
+            let v = st.memory.resolve(seed.value);
+            match seed.reg {
+                CodeReg::Static(i) => st.statics[i].write(i64::MIN / 2, v, 0),
+                // Rotating seeds are physical indices valid at pass 0.
+                CodeReg::Rotating(i) => st.rotating[i].write(i64::MIN / 2, v, 0),
+            }
+        }
+        st
+    }
+
+    #[inline(always)]
+    fn cell(&mut self, reg: CodeReg, pass: i64) -> &mut Cell {
         match reg {
-            CodeReg::Static(i) => (false, i),
+            CodeReg::Static(i) => &mut self.statics[i],
             CodeReg::Rotating(off) => {
                 let s = self.rotating.len().max(1) as i64;
-                (true, (off as i64 + pass).rem_euclid(s) as usize)
+                &mut self.rotating[(off as i64 + pass).rem_euclid(s) as usize]
             }
         }
     }
 
-    fn read(
-        &self,
-        op: ims_ir::OpId,
-        reg: CodeReg,
-        pass: i64,
-        cycle: i64,
-    ) -> Result<Value, SimError> {
-        let (rot, idx) = self.resolve(reg, pass);
-        let cell = if rot {
-            &self.rotating[idx]
-        } else {
-            &self.statics[idx]
-        };
-        cell.read(op, cycle)
-    }
-
-    fn write(&mut self, reg: CodeReg, pass: i64, avail: i64, cycle: i64, value: Value) {
-        let (rot, idx) = self.resolve(reg, pass);
-        let slot = if rot {
-            &mut self.rotating[idx]
-        } else {
-            &mut self.statics[idx]
-        };
-        slot.write(avail, value, cycle);
+    #[inline(always)]
+    fn read(&mut self, op: OpId, reg: CodeReg, pass: i64, cycle: i64) -> Result<Value, SimError> {
+        self.cell(reg, pass).read(op, cycle)
     }
 
     fn commit_stores(&mut self, cycle: i64) -> Result<(), SimError> {
-        let due: Vec<i64> = self
-            .pending_stores
-            .range(..=cycle)
-            .map(|(c, _)| *c)
-            .collect();
-        for c in due {
-            for (op, addr, v) in self.pending_stores.remove(&c).expect("key observed") {
-                self.memory.write(op, addr, v)?;
+        while let Some(s) = self.pending_stores.front().copied() {
+            if s.avail > cycle {
+                break;
             }
+            self.pending_stores.pop_front();
+            self.memory.write(s.op, s.addr, s.value)?;
         }
         Ok(())
     }
 
-    fn exec(
-        &mut self,
-        body: &LoopBody,
-        machine: &ims_machine::MachineModel,
-        slot: &SlotOp,
-        pass: i64,
-        cycle: i64,
-    ) -> Result<(), SimError> {
-        let op = body.op(slot.op);
+    fn exec(&mut self, slot: &SlotOp, pass: i64, cycle: i64) -> Result<(), SimError> {
+        let info = self.ops[slot.op.index()];
         if let Some(p) = slot.pred {
             if !self.read(slot.op, p, pass, cycle)?.truthy() {
                 return Ok(());
             }
         }
-        let mut srcs = Vec::with_capacity(slot.srcs.len());
-        for s in &slot.srcs {
-            srcs.push(match s {
-                CodeOperand::ImmInt(v) => Value::Int(*v),
-                CodeOperand::ImmFloat(v) => Value::Float(*v),
-                CodeOperand::Reg(r) => self.read(slot.op, *r, pass, cycle)?,
-            });
+        let mut srcs = [Value::Int(0); 2];
+        for (v, s) in srcs.iter_mut().zip(&slot.srcs) {
+            *v = match *s {
+                CodeOperand::ImmInt(i) => Value::Int(i),
+                CodeOperand::ImmFloat(f) => Value::Float(f),
+                CodeOperand::Reg(r) => self.read(slot.op, r, pass, cycle)?,
+            };
         }
-        let latency = machine.latency(op.opcode) as i64;
-        match op.opcode {
+        let srcs = &srcs[..slot.srcs.len()];
+        let avail = cycle + info.latency;
+        match info.opcode {
             Opcode::Load => {
                 let addr = srcs[0]
                     .as_int()
                     .ok_or(SimError::BadAddressType { op: slot.op })?;
                 let v = self.memory.read(slot.op, addr)?;
                 let dest = slot.dest.expect("loads have destinations");
-                self.write(dest, pass, cycle + latency, cycle, v);
+                self.cell(dest, pass).write(avail, v, cycle);
             }
             Opcode::Store => {
                 let addr = srcs[0]
                     .as_int()
                     .ok_or(SimError::BadAddressType { op: slot.op })?;
-                self.pending_stores
-                    .entry(cycle + latency)
-                    .or_default()
-                    .push((slot.op, addr, srcs[1]));
+                let pos = self.pending_stores.partition_point(|s| s.avail <= avail);
+                self.pending_stores.insert(
+                    pos,
+                    PendingStore {
+                        avail,
+                        op: slot.op,
+                        addr,
+                        value: srcs[1],
+                    },
+                );
             }
             Opcode::Branch => {}
             _ => {
-                let v = eval::apply(op.opcode, op.cmp, &srcs)?;
+                let v = eval::apply(info.opcode, info.cmp, srcs)?;
                 let dest = slot.dest.expect("value ops have destinations");
-                self.write(dest, pass, cycle + latency, cycle, v);
+                self.cell(dest, pass).write(avail, v, cycle);
             }
         }
         Ok(())
     }
 
     fn finish(mut self, cycles: u64) -> Result<ExecResult, SimError> {
-        for (_, stores) in std::mem::take(&mut self.pending_stores) {
-            for (op, addr, v) in stores {
-                self.memory.write(op, addr, v)?;
-            }
+        for s in std::mem::take(&mut self.pending_stores) {
+            self.memory.write(s.op, s.addr, s.value)?;
         }
         Ok(ExecResult {
             memory: self.memory,
@@ -173,32 +205,13 @@ impl CodeState {
     }
 }
 
-fn seeded_state(
-    memory: MemoryImage,
-    num_static: usize,
-    num_rotating: usize,
-    seeds: &[ims_codegen::code::Seed],
-) -> CodeState {
-    let mut st = CodeState {
-        statics: vec![Cell::default(); num_static],
-        rotating: vec![Cell::default(); num_rotating],
-        memory,
-        pending_stores: BTreeMap::new(),
-    };
-    for seed in seeds {
-        let v = st.memory.resolve(seed.value);
-        match seed.reg {
-            CodeReg::Static(i) => st.statics[i].write(i64::MIN / 2, v, 0),
-            // Rotating seeds are physical indices valid at pass 0.
-            CodeReg::Rotating(i) => st.rotating[i].write(i64::MIN / 2, v, 0),
-        }
-    }
-    st
-}
-
 /// Executes modulo-variable-expanded code: prologue, `kernel_reps`
 /// repetitions of the unrolled kernel, then the coda. Returns the final
 /// memory image (register state is renamed and not comparable directly).
+///
+/// Opcodes and latencies are looked up once per body operation, so a run
+/// costs one pass over the body plus the work of the instances it
+/// executes.
 ///
 /// # Errors
 ///
@@ -207,17 +220,17 @@ fn seeded_state(
 pub fn run_mve(
     code: &MveCode,
     body: &LoopBody,
-    machine: &ims_machine::MachineModel,
+    machine: &MachineModel,
     memory: MemoryImage,
 ) -> Result<ExecResult, SimError> {
-    let mut st = seeded_state(memory, code.num_static_regs, 0, &code.seeds);
+    let mut st = CodeState::new(body, machine, memory, code.num_static_regs, 0, &code.seeds);
     let mut cycle = 0i64;
     let run_section =
         |st: &mut CodeState, insts: &[Inst], cycle: &mut i64| -> Result<(), SimError> {
             for inst in insts {
                 st.commit_stores(*cycle)?;
                 for slot in &inst.ops {
-                    st.exec(body, machine, slot, 0, *cycle)?;
+                    st.exec(slot, 0, *cycle)?;
                 }
                 *cycle += 1;
             }
@@ -243,11 +256,13 @@ pub fn run_mve(
 pub fn run_rotating(
     code: &RotatingCode,
     body: &LoopBody,
-    machine: &ims_machine::MachineModel,
+    machine: &MachineModel,
     memory: MemoryImage,
 ) -> Result<ExecResult, SimError> {
     let n = body.trip_count() as i64;
-    let mut st = seeded_state(
+    let mut st = CodeState::new(
+        body,
+        machine,
         memory,
         code.num_static_regs,
         code.rotating_size,
@@ -262,7 +277,7 @@ pub fn run_rotating(
                 if iter < 0 || iter >= n {
                     continue; // Staging predicate squashes this instance.
                 }
-                st.exec(body, machine, slot, pass, cycle)?;
+                st.exec(slot, pass, cycle)?;
             }
             cycle += 1;
         }

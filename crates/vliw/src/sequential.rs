@@ -1,20 +1,120 @@
 //! The sequential reference interpreter.
 
-use ims_deps::resolve_use;
-use ims_ir::{eval, LoopBody, OpId, Opcode, Operand, Value};
+use ims_deps::DefSites;
+use ims_ir::{eval, CmpKind, LoopBody, OpId, Opcode, Operand, VReg, Value};
 
 use crate::error::SimError;
 use crate::memory::MemoryImage;
 use crate::ExecResult;
 
-/// Resolves a lag-aware live-in against a memory layout snapshot.
-fn memory_live_in(
-    body: &LoopBody,
-    layout: &MemoryImage,
-    reg: ims_ir::VReg,
-    lag: u32,
-) -> Option<Value> {
-    layout.live_in_lag(body, reg, lag)
+/// Where one operand of an operation comes from, resolved once per run.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    /// An immediate.
+    Imm(Value),
+    /// A register no operation defines: every iteration reads its live-in
+    /// seed, `None` when it has none (an error once read).
+    LiveIn(Option<Value>),
+    /// The instance of `reg` written `distance` iterations back.
+    Def {
+        /// The register read.
+        reg: VReg,
+        /// Iterations back from the reading instance.
+        distance: u32,
+    },
+}
+
+/// One operation of the body, with its operands resolved.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    id: OpId,
+    opcode: Opcode,
+    cmp: Option<CmpKind>,
+    dest: Option<VReg>,
+    pred: Option<Src>,
+    /// The sources, `srcs[..num_srcs]`.
+    srcs: [Src; 2],
+    num_srcs: usize,
+}
+
+/// The per-operation plan of `body`: each register use resolved through
+/// one [`DefSites`] index, each pure live-in resolved against `layout`.
+fn plan(body: &LoopBody, layout: &MemoryImage) -> Vec<Step> {
+    let sites = DefSites::new(body);
+    body.iter()
+        .map(|(id, op)| {
+            let src = |u: ims_ir::RegUse| match sites.resolve(id, u) {
+                None => Src::LiveIn(layout.live_in_lag(body, u.reg, 1 + u.prev)),
+                Some((_, distance)) => Src::Def {
+                    reg: u.reg,
+                    distance,
+                },
+            };
+            let mut srcs = [Src::LiveIn(None); 2];
+            assert!(
+                op.srcs.len() <= srcs.len(),
+                "{id} has more than two sources"
+            );
+            for (slot, s) in srcs.iter_mut().zip(&op.srcs) {
+                *slot = match s {
+                    Operand::ImmInt(v) => Src::Imm(Value::Int(*v)),
+                    Operand::ImmFloat(v) => Src::Imm(Value::Float(*v)),
+                    Operand::Reg(u) => src(*u),
+                };
+            }
+            Step {
+                id,
+                opcode: op.opcode,
+                cmp: op.cmp,
+                dest: op.dest,
+                pred: op.pred.map(src),
+                srcs,
+                num_srcs: op.srcs.len(),
+            }
+        })
+        .collect()
+}
+
+/// The register state of a sequential run: `history[iter · nv + reg]` is
+/// the value iteration `iter`'s instance wrote to `reg`, `None` if that
+/// instance has not run or was predicated off.
+struct History {
+    nv: usize,
+    history: Vec<Option<Value>>,
+    /// The lag-1 live-in value of each register.
+    live_in: Vec<Option<Value>>,
+}
+
+impl History {
+    /// The value `at`, running in iteration `iter`, reads through `src`.
+    /// Inlined: it runs for every operand of every executed instance.
+    #[inline(always)]
+    fn read(
+        &self,
+        body: &LoopBody,
+        layout: &MemoryImage,
+        at: OpId,
+        src: Src,
+        iter: usize,
+    ) -> Result<Value, SimError> {
+        let (reg, distance) = match src {
+            Src::Imm(v) => return Ok(v),
+            Src::LiveIn(v) => return v.ok_or(SimError::UnwrittenRead { op: at }),
+            Src::Def { reg, distance } => (reg, distance as usize),
+        };
+        if iter < distance {
+            // A pre-loop instance: the per-lag live-in seed.
+            return layout
+                .live_in_lag(body, reg, (distance - iter) as u32)
+                .ok_or(SimError::UnwrittenRead { op: at });
+        }
+        // Walk back over squashed (predicated-off) instances.
+        (0..=iter - distance)
+            .rev()
+            .find_map(|j| self.history[j * self.nv + reg.index()])
+            .or(self.live_in[reg.index()])
+            .ok_or(SimError::UnwrittenRead { op: at })
+    }
 }
 
 /// Runs `body` for its trip count, one iteration at a time, with no timing
@@ -28,104 +128,79 @@ fn memory_live_in(
 /// recent earlier instance (registers keep their value when a predicated
 /// write is squashed), then to the live-in value.
 ///
+/// The run resolves every operand once, then executes each instance from
+/// that plan, so its cost is one pass over the body plus the work of the
+/// instances it executes.
+///
 /// # Errors
 ///
 /// See [`SimError`]; this mode cannot produce
-/// [`SimError::ReadBeforeReady`].
+/// [`SimError::ReadBeforeReady`]. A missing operand value is an error only
+/// when an executed instance reads it.
 pub fn run_sequential(body: &LoopBody, memory: MemoryImage) -> Result<ExecResult, SimError> {
     let n = body.trip_count() as usize;
     let nv = body.num_vregs();
-    let live_in = memory.live_in_values(body);
-    let live_in_seed = memory.clone();
-    // history[iter][vreg]: the value written by that iteration's instance.
-    let mut history: Vec<Vec<Option<Value>>> = vec![vec![None; nv]; n];
     let mut memory = memory;
-
-    let read = |history: &[Vec<Option<Value>>],
-                at: OpId,
-                u: ims_ir::RegUse,
-                iter: usize|
-     -> Result<Value, SimError> {
-        match resolve_use(body, at, u) {
-            None => memory_live_in(body, &live_in_seed, u.reg, 1 + u.prev)
-                .ok_or(SimError::UnwrittenRead { op: at }),
-            Some((_, d)) => {
-                let target = iter as i64 - d as i64;
-                if target < 0 {
-                    // A pre-loop instance: the per-lag live-in seed.
-                    return memory_live_in(body, &live_in_seed, u.reg, (-target) as u32)
-                        .ok_or(SimError::UnwrittenRead { op: at });
-                }
-                // Walk back over squashed (predicated-off) instances.
-                let mut j = target;
-                while j >= 0 {
-                    if let Some(v) = history[j as usize][u.reg.index()] {
-                        return Ok(v);
-                    }
-                    j -= 1;
-                }
-                memory_live_in(body, &live_in_seed, u.reg, 1)
-                    .ok_or(SimError::UnwrittenRead { op: at })
-            }
-        }
+    let steps = plan(body, &memory);
+    let mut regs = History {
+        nv,
+        history: vec![None; n * nv],
+        live_in: memory.live_in_values(body),
     };
 
     for iter in 0..n {
-        for (id, op) in body.iter() {
+        for step in &steps {
+            let id = step.id;
             // Guarding predicate.
-            if let Some(p) = op.pred {
-                let pv = read(&history, id, p, iter)?;
-                if !pv.truthy() {
+            if let Some(p) = step.pred {
+                if !regs.read(body, &memory, id, p, iter)?.truthy() {
                     continue;
                 }
             }
-            let mut srcs = Vec::with_capacity(op.srcs.len());
-            for s in &op.srcs {
-                srcs.push(match s {
-                    Operand::ImmInt(v) => Value::Int(*v),
-                    Operand::ImmFloat(v) => Value::Float(*v),
-                    Operand::Reg(u) => read(&history, id, *u, iter)?,
-                });
+            let mut srcs = [Value::Int(0); 2];
+            for (v, &s) in srcs.iter_mut().zip(&step.srcs[..step.num_srcs]) {
+                *v = regs.read(body, &memory, id, s, iter)?;
             }
-            match op.opcode {
+            let srcs = &srcs[..step.num_srcs];
+            let written = match step.opcode {
                 Opcode::Load => {
                     let addr = srcs[0]
                         .as_int()
                         .ok_or(SimError::BadAddressType { op: id })?;
                     let v = memory.read(id, addr)?;
-                    history[iter][op.dest.expect("loads have destinations").index()] = Some(v);
+                    Some((step.dest.expect("loads have destinations"), v))
                 }
                 Opcode::Store => {
                     let addr = srcs[0]
                         .as_int()
                         .ok_or(SimError::BadAddressType { op: id })?;
                     memory.write(id, addr, srcs[1])?;
+                    None
                 }
                 Opcode::Branch => {
                     // DO-loop semantics: the trip count drives execution.
+                    None
                 }
                 _ => {
-                    let v = eval::apply(op.opcode, op.cmp, &srcs)?;
-                    history[iter][op.dest.expect("value ops have destinations").index()] =
-                        Some(v);
+                    let v = eval::apply(step.opcode, step.cmp, srcs)?;
+                    Some((step.dest.expect("value ops have destinations"), v))
                 }
+            };
+            if let Some((dest, v)) = written {
+                regs.history[iter * nv + dest.index()] = Some(v);
             }
         }
     }
 
     // Final register values: most recent executed definition, else live-in.
-    let mut final_regs = vec![None; nv];
-    for r in 0..nv {
-        for iter in (0..n).rev() {
-            if history[iter][r].is_some() {
-                final_regs[r] = history[iter][r];
-                break;
-            }
-        }
-        if final_regs[r].is_none() {
-            final_regs[r] = live_in[r];
-        }
-    }
+    let final_regs = (0..nv)
+        .map(|r| {
+            (0..n)
+                .rev()
+                .find_map(|iter| regs.history[iter * nv + r])
+                .or(regs.live_in[r])
+        })
+        .collect();
 
     Ok(ExecResult {
         memory,

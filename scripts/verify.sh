@@ -23,7 +23,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # workspace still carries formatting debt (ROADMAP.md).
 echo "==> cargo fmt --check on the rustfmt-clean packages"
 cargo fmt --check -p ims -p ims-testkit -p ims-sat -p ims-exact -p ims-press \
-    -p ims-prof -p ims-codegen -p ims-explain -p ims-serve -p ims-trace -p ims-bench
+    -p ims-prof -p ims-codegen -p ims-explain -p ims-serve -p ims-trace -p ims-bench \
+    -p ims-vliw -p ims-deps -p ims-core -p ims-machine -p ims-benchmark
 
 bench_dir=target/bench
 rm -rf "$bench_dir"

@@ -88,12 +88,9 @@ impl Opcode {
         match self {
             Opcode::Load | Opcode::Store | Opcode::PredSet | Opcode::PredClear => FuClass::Memory,
             Opcode::AddrAdd | Opcode::AddrSub => FuClass::AddressAlu,
-            Opcode::Add
-            | Opcode::Sub
-            | Opcode::Abs
-            | Opcode::Min
-            | Opcode::Max
-            | Opcode::Copy => FuClass::Adder,
+            Opcode::Add | Opcode::Sub | Opcode::Abs | Opcode::Min | Opcode::Max | Opcode::Copy => {
+                FuClass::Adder
+            }
             Opcode::Mul | Opcode::Div | Opcode::Sqrt => FuClass::Multiplier,
             Opcode::Branch => FuClass::Instruction,
         }

@@ -95,7 +95,10 @@ impl fmt::Display for ValidateError {
                 write!(f, "{op} comparison kind does not match its opcode")
             }
             ValidateError::MemOnNonMemOp { op } => {
-                write!(f, "{op} carries a memory descriptor but is not a memory operation")
+                write!(
+                    f,
+                    "{op} carries a memory descriptor but is not a memory operation"
+                )
             }
             ValidateError::UnknownArray { op } => {
                 write!(f, "{op} references an undeclared array")
@@ -246,10 +249,18 @@ mod tests {
     fn bad_arity_rejected() {
         let mut b = LoopBuilder::new("bad", 4);
         let d = b.fresh("d");
-        b.emit(Operation::new(Opcode::Add, Some(d), vec![Operand::ImmInt(1)]));
+        b.emit(Operation::new(
+            Opcode::Add,
+            Some(d),
+            vec![Operand::ImmInt(1)],
+        ));
         assert!(matches!(
             validate(b.body()),
-            Err(ValidateError::BadArity { expected: 2, got: 1, .. })
+            Err(ValidateError::BadArity {
+                expected: 2,
+                got: 1,
+                ..
+            })
         ));
     }
 

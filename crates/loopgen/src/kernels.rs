@@ -145,7 +145,12 @@ pub fn kernels(n: u32) -> Vec<Kernel> {
             init: vec![
                 (x, vec![Value::Float(0.25)]),
                 (y, fvec(nu)),
-                (z, (0..nu).map(|i| Value::Float(0.5 + (i % 3) as f64 / 8.0)).collect()),
+                (
+                    z,
+                    (0..nu)
+                        .map(|i| Value::Float(0.5 + (i % 3) as f64 / 8.0))
+                        .collect(),
+                ),
             ],
         }
     });
@@ -280,7 +285,11 @@ pub fn kernels(n: u32) -> Vec<Kernel> {
         let xbase = b.ptr("xbase", x, 0);
         let po = b.ptr("po", o, 0);
         let vi = b.load("vi", pidx, Some(MemRef::new(idx, 0, 1)));
-        let addr = b.op("addr", ims_ir::Opcode::AddrAdd, vec![xbase.into(), vi.into()]);
+        let addr = b.op(
+            "addr",
+            ims_ir::Opcode::AddrAdd,
+            vec![xbase.into(), vi.into()],
+        );
         let v = b.load("v", addr, None); // unanalyzable
         b.store(po, v, Some(MemRef::new(o, 0, 1)));
         b.addr_add(pidx, pidx, 1);
@@ -289,7 +298,12 @@ pub fn kernels(n: u32) -> Vec<Kernel> {
             name: "gather",
             body: b.finish().expect("kernel is valid"),
             init: vec![
-                (idx, (0..nu).map(|i| Value::Int(((i * 5 + 1) % nu) as i64)).collect()),
+                (
+                    idx,
+                    (0..nu)
+                        .map(|i| Value::Int(((i * 5 + 1) % nu) as i64))
+                        .collect(),
+                ),
                 (x, fvec(nu)),
             ],
         }
@@ -306,7 +320,11 @@ pub fn kernels(n: u32) -> Vec<Kernel> {
         let px = b.ptr("px", x, 0);
         let vi = b.load("vi", pidx, Some(MemRef::new(idx, 0, 1)));
         let v = b.load("v", px, Some(MemRef::new(x, 0, 1)));
-        let addr = b.op("addr", ims_ir::Opcode::AddrAdd, vec![obase.into(), vi.into()]);
+        let addr = b.op(
+            "addr",
+            ims_ir::Opcode::AddrAdd,
+            vec![obase.into(), vi.into()],
+        );
         b.store(addr, v, None); // unanalyzable
         b.addr_add(pidx, pidx, 1);
         b.addr_add(px, px, 1);
@@ -314,7 +332,12 @@ pub fn kernels(n: u32) -> Vec<Kernel> {
             name: "scatter",
             body: b.finish().expect("kernel is valid"),
             init: vec![
-                (idx, (0..nu).map(|i| Value::Int(((i * 3 + 2) % nu) as i64)).collect()),
+                (
+                    idx,
+                    (0..nu)
+                        .map(|i| Value::Int(((i * 3 + 2) % nu) as i64))
+                        .collect(),
+                ),
                 (x, fvec(nu)),
             ],
         }
@@ -403,7 +426,12 @@ pub fn kernels(n: u32) -> Vec<Kernel> {
         Kernel {
             name: "abs_sum",
             body: b.finish().expect("kernel is valid"),
-            init: vec![(x, (0..nu).map(|i| Value::Float(if i % 2 == 0 { 1.5 } else { -2.5 })).collect())],
+            init: vec![(
+                x,
+                (0..nu)
+                    .map(|i| Value::Float(if i % 2 == 0 { 1.5 } else { -2.5 }))
+                    .collect(),
+            )],
         }
     });
 
@@ -699,7 +727,15 @@ pub fn kernels(n: u32) -> Vec<Kernel> {
         Kernel {
             name: "banded",
             body: b.finish().expect("kernel is valid"),
-            init: vec![(x, fvec(nu + 5)), (g, (0..nu).map(|i| Value::Float(0.25 + (i % 2) as f64 / 8.0)).collect())],
+            init: vec![
+                (x, fvec(nu + 5)),
+                (
+                    g,
+                    (0..nu)
+                        .map(|i| Value::Float(0.25 + (i % 2) as f64 / 8.0))
+                        .collect(),
+                ),
+            ],
         }
     });
 
@@ -813,19 +849,27 @@ mod tests {
         assert!(ks.len() >= 20, "only {} kernels", ks.len());
         // At least one kernel with predication, one with a branch, one with
         // an unanalyzable access, one with divide, one with sqrt.
-        assert!(ks.iter().any(|k| k.body.ops().iter().any(|o| o.pred.is_some())));
         assert!(ks
             .iter()
-            .any(|k| k.body.ops().iter().any(|o| o.opcode == ims_ir::Opcode::Branch)));
-        assert!(ks
+            .any(|k| k.body.ops().iter().any(|o| o.pred.is_some())));
+        assert!(ks.iter().any(|k| k
+            .body
+            .ops()
             .iter()
-            .any(|k| k.body.ops().iter().any(|o| o.opcode.is_mem() && o.mem.is_none())));
+            .any(|o| o.opcode == ims_ir::Opcode::Branch)));
+        assert!(ks.iter().any(|k| k
+            .body
+            .ops()
+            .iter()
+            .any(|o| o.opcode.is_mem() && o.mem.is_none())));
         assert!(ks
             .iter()
             .any(|k| k.body.ops().iter().any(|o| o.opcode == ims_ir::Opcode::Div)));
-        assert!(ks
+        assert!(ks.iter().any(|k| k
+            .body
+            .ops()
             .iter()
-            .any(|k| k.body.ops().iter().any(|o| o.opcode == ims_ir::Opcode::Sqrt)));
+            .any(|o| o.opcode == ims_ir::Opcode::Sqrt)));
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl std::error::Error for RotatingError {}
 /// sub-additivity of `⌊·⌋` — see the brute-force check in the tests). The
 /// file size is `Σ gapⱼ`, and `base(vⱼ) = (S − Σ_{u<j} gapᵤ) mod S`.
 pub fn allocate_rotating(body: &LoopBody, lifetimes: &[Lifetime], ii: i64) -> RotatingAllocation {
-    allocate(body, lifetimes, ii, &max_lags(body, &DefSites::new(body)))
+    allocate(body, lifetimes, ii, &DefSites::new(body).max_lags(body))
 }
 
 /// [`allocate_rotating`] with the deepest read lag of each register
@@ -168,7 +168,7 @@ pub fn generate_rotating(
     let _ = problem; // reserved for future latency-aware seeding
     let ii = schedule.ii;
     let sites = DefSites::new(body);
-    let max_lag = max_lags(body, &sites);
+    let max_lag = sites.max_lags(body);
     let alloc = allocate(body, lifetimes, schedule.ii, &max_lag);
     let n = body.trip_count() as i64;
     let max_t = body
@@ -282,20 +282,6 @@ pub fn generate_rotating(
         num_static_regs: alloc.num_static,
         seeds,
     })
-}
-
-/// The largest iteration lag at which each register is read, by
-/// register index (0 for a register never read through a definition).
-fn max_lags(body: &LoopBody, sites: &DefSites) -> Vec<u32> {
-    let mut max_lag = vec![0; body.num_vregs()];
-    for (use_id, op) in body.iter() {
-        for u in op.reg_uses() {
-            if let Some((_, d)) = sites.resolve(use_id, u) {
-                max_lag[u.reg.index()] = max_lag[u.reg.index()].max(d);
-            }
-        }
-    }
-    max_lag
 }
 
 #[cfg(test)]

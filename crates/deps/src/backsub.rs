@@ -28,7 +28,7 @@
 use ims_ir::{LiveInValue, LoopBody, Opcode, Operand};
 use ims_machine::MachineModel;
 
-use crate::build::resolve_use;
+use crate::build::DefSites;
 
 /// Applies back-substitution to every eligible simple induction update in
 /// `body`, returning the transformed body (or the original if nothing was
@@ -46,6 +46,7 @@ use crate::build::resolve_use;
 /// the rewritten self-circuit constrain `II ≥ 1` only.
 pub fn back_substitute(body: &LoopBody, machine: &MachineModel) -> LoopBody {
     let mut out = body.clone();
+    let sites = DefSites::new(body);
     let mut new_lags: Vec<(ims_ir::VReg, u32, LiveInValue)> = Vec::new();
 
     for (id, op) in body.iter() {
@@ -60,7 +61,7 @@ pub fn back_substitute(body: &LoopBody, machine: &MachineModel) -> LoopBody {
             continue;
         }
         // Positional distance must be exactly 1 (the def reads itself).
-        let Some((def, 1)) = resolve_use(body, id, u) else {
+        let Some((def, 1)) = sites.resolve(id, u) else {
             continue;
         };
         debug_assert_eq!(def, id, "single assignment");

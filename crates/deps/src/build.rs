@@ -2,7 +2,7 @@
 
 use ims_core::{Problem, ProblemBuilder};
 use ims_graph::{DepKind, NodeId};
-use ims_ir::{LoopBody, OpId, Opcode, RegUse};
+use ims_ir::{LoopBody, OpId, Opcode, RegUse, VReg};
 use ims_machine::MachineModel;
 
 use crate::delay::{delay, DelayModel};
@@ -22,37 +22,11 @@ pub fn node_of(op: OpId) -> NodeId {
     NodeId(op.0 + 1)
 }
 
-/// Resolves a register use at operation `at` to `(defining op, iteration
-/// distance)`, or `None` when the register is a pure live-in (defined by no
-/// operation).
-///
-/// The distance rule is the dynamic-single-assignment positional rule: a
-/// definition strictly earlier in the body is read at distance 0; a
-/// definition at or after the use is the previous iteration's value
-/// (distance 1); [`RegUse::prev`] adds further iterations.
-///
-/// This is the single source of truth shared by dependence construction,
-/// code generation, and the simulator. It scans the body for the
-/// definition; a caller that resolves many uses of one body builds a
-/// [`DefSites`] index once instead.
-pub fn resolve_use(body: &LoopBody, at: OpId, u: RegUse) -> Option<(OpId, u32)> {
-    body.def_of(u.reg)
-        .map(|def_id| (def_id, distance(def_id, at, u)))
-}
-
-/// The iteration distance from the definition `def` to the use `u` at
-/// `at`: the positional rule of [`resolve_use`].
-fn distance(def: OpId, at: OpId, u: RegUse) -> u32 {
-    let positional = if def.index() < at.index() { 0 } else { 1 };
-    positional + u.prev
-}
-
 /// The defining operation of every register of one body, built in one pass
-/// over its operations: [`resolve_use`] in constant time per use.
+/// over its operations. Every register use is resolved through it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DefSites {
-    /// The first operation defining each register, by [`ims_ir::VReg`]
-    /// index.
+    /// The first operation defining each register, by [`VReg`] index.
     def: Vec<Option<OpId>>,
 }
 
@@ -68,13 +42,39 @@ impl DefSites {
         DefSites { def }
     }
 
-    /// [`resolve_use`] through the index.
+    /// The operation defining `reg`, or `None` when `reg` is a pure live-in
+    /// (defined by no operation).
+    pub fn def(&self, reg: VReg) -> Option<OpId> {
+        self.def.get(reg.index()).copied().flatten()
+    }
+
+    /// Resolves a register use at operation `at` to `(defining op, iteration
+    /// distance)`, or `None` when the register is a pure live-in.
+    ///
+    /// The distance rule is the dynamic-single-assignment positional rule: a
+    /// definition strictly earlier in the body is read at distance 0; a
+    /// definition at or after the use is the previous iteration's value
+    /// (distance 1); [`RegUse::prev`] adds further iterations.
     pub fn resolve(&self, at: OpId, u: RegUse) -> Option<(OpId, u32)> {
-        self.def
-            .get(u.reg.index())
-            .copied()
-            .flatten()
-            .map(|def_id| (def_id, distance(def_id, at, u)))
+        self.def(u.reg).map(|def| {
+            let positional = if def.index() < at.index() { 0 } else { 1 };
+            (def, positional + u.prev)
+        })
+    }
+
+    /// The deepest iteration lag at which each register of `body`, the body
+    /// this index was built from, is read, by register index (0 for a
+    /// register never read through a definition).
+    pub fn max_lags(&self, body: &LoopBody) -> Vec<u32> {
+        let mut max_lag = vec![0; body.num_vregs()];
+        for (at, op) in body.iter() {
+            for u in op.reg_uses() {
+                if let Some((_, d)) = self.resolve(at, u) {
+                    max_lag[u.reg.index()] = max_lag[u.reg.index()].max(d);
+                }
+            }
+        }
+        max_lag
     }
 }
 
@@ -102,9 +102,10 @@ pub fn build_problem<'m>(
     let model = options.delay_model;
 
     // Register and predicate dependences.
+    let sites = DefSites::new(body);
     for (use_id, op) in body.iter() {
         let mut add_use = |u: RegUse, kind: DepKind| {
-            if let Some((def_id, distance)) = resolve_use(body, use_id, u) {
+            if let Some((def_id, distance)) = sites.resolve(use_id, u) {
                 let d = delay(kind, lat(def_id), lat(use_id), model);
                 pb.add_dep(node_of(def_id), node_of(use_id), d, distance, kind, false);
             }

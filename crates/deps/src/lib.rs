@@ -10,7 +10,8 @@
 //! * **Register flow dependences** from the dynamic-single-assignment
 //!   discipline: the iteration distance of a use is positional (a use at or
 //!   before its definition reads the previous iteration) plus the explicit
-//!   [`ims_ir::RegUse::prev`] reach-back. Anti- and output dependences on
+//!   [`ims_ir::RegUse::prev`] reach-back, resolved through one [`DefSites`]
+//!   index per body. Anti- and output dependences on
 //!   registers do not exist by construction — exactly the effect of the
 //!   paper's expanded virtual registers (§2.2).
 //! * **Predicate input dependences**: each predicated operation depends on
@@ -58,6 +59,6 @@ mod delay;
 mod unroll;
 
 pub use backsub::back_substitute;
-pub use build::{build_problem, node_of, resolve_use, BuildOptions, DefSites};
+pub use build::{build_problem, node_of, BuildOptions, DefSites};
 pub use delay::{delay, DelayModel};
 pub use unroll::unroll;

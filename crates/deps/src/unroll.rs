@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use ims_ir::{LoopBody, Opcode, Operand, RegUse, VReg};
 
-use crate::build::resolve_use;
+use crate::build::DefSites;
 
 /// Unrolls `body` by `factor`, returning a new loop body whose single
 /// iteration performs `factor` original iterations.
@@ -63,16 +63,7 @@ pub fn unroll(body: &LoopBody, factor: u32) -> LoopBody {
         *shared_map.entry(v).or_insert_with(|| out.new_vreg())
     };
 
-    // Max original lag per register, to size the live-in seeding below.
-    let mut max_lag: HashMap<VReg, u32> = HashMap::new();
-    for (id, op) in body.iter() {
-        for use_ in op.reg_uses() {
-            if let Some((_, d)) = resolve_use(body, id, use_) {
-                let e = max_lag.entry(use_.reg).or_insert(0);
-                *e = (*e).max(d);
-            }
-        }
-    }
+    let sites = DefSites::new(body);
 
     // Emit the copies.
     for k in 0..u {
@@ -90,7 +81,7 @@ pub fn unroll(body: &LoopBody, factor: u32) -> LoopBody {
                 ));
             }
             let mut remap = |out: &mut LoopBody, use_: RegUse| -> RegUse {
-                match resolve_use(body, id, use_) {
+                match sites.resolve(id, use_) {
                     None => RegUse::new(shared(out, use_.reg)),
                     Some((def_id, d)) => {
                         // Source instance: copy r, `q` unrolled iterations
@@ -126,18 +117,19 @@ pub fn unroll(body: &LoopBody, factor: u32) -> LoopBody {
     // Live-in seeding. Instance (unrolled -L, copy r) is original global
     // iteration -(L·u - r), i.e. original lag L·u - r; bind enough lags to
     // cover every read.
+    let max_lag = sites.max_lags(body);
     let mut bound: Vec<(VReg, u32)> = Vec::new();
     for li in body.live_ins() {
         if li.lag != 1 {
             continue; // Handled through live_in_value's lag lookup below.
         }
-        if body.def_of(li.reg).is_none() {
+        if sites.def(li.reg).is_none() {
             if let Some(&nv) = shared_map.get(&li.reg) {
                 out.add_live_in(nv, li.value);
             }
             continue;
         }
-        let deepest = max_lag.get(&li.reg).copied().unwrap_or(1).max(1);
+        let deepest = max_lag[li.reg.index()].max(1);
         for r in 0..u {
             let nv = defined_map[&(r, li.reg)];
             let max_l = deepest / u + 2;

@@ -179,14 +179,6 @@ impl LoopBody {
         OpId(self.ops.len() as u32 - 1)
     }
 
-    /// The id of the operation (if any) that defines `reg`.
-    pub fn def_of(&self, reg: VReg) -> Option<OpId> {
-        self.ops
-            .iter()
-            .position(|op| op.dest == Some(reg))
-            .map(|i| OpId(i as u32))
-    }
-
     /// Whether `reg` has a live-in binding.
     pub fn is_live_in(&self, reg: VReg) -> bool {
         self.live_ins.iter().any(|li| li.reg == reg)
@@ -250,13 +242,6 @@ mod tests {
         assert_eq!(b.new_vreg(), VReg(0));
         assert_eq!(b.new_vreg(), VReg(1));
         assert_eq!(b.num_vregs(), 2);
-    }
-
-    #[test]
-    fn def_lookup() {
-        let b = tiny();
-        assert_eq!(b.def_of(VReg(0)), Some(OpId(0)));
-        assert_eq!(b.def_of(VReg(99)), None);
     }
 
     #[test]

@@ -275,7 +275,7 @@ mod tests {
         b.addr_add(pa, pa, 1);
         let body = b.finish().unwrap();
         assert_eq!(body.num_ops(), 3);
-        assert_eq!(body.def_of(s), Some(OpId(1)));
+        assert_eq!(body.op(OpId(1)).dest, Some(s));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   answers a probe in O(1) once MaxLive is already over the limit;
 //! * [`ValueShape`] / [`shapes_from_body`] / [`shapes_from_problem`] —
 //!   the schedule-independent part of each value's lifetime, extracted
-//!   either from the IR body (via the same `resolve_use` rule as
-//!   `ims_codegen::lifetimes`, so the two agree exactly) or from a bare
+//!   either from the IR body (through the same `ims_deps::DefSites` index
+//!   as `ims_codegen::lifetimes`, so the two agree exactly) or from a bare
 //!   dependence graph's register-flow edges;
 //! * [`PressureObserver`] — the policy layer: vetoes placements that would
 //!   exceed the limit (`FindTimeSlot` then treats the slot as a resource

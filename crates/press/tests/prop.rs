@@ -5,7 +5,7 @@
 //!   stale cached row peak cannot hide behind a later update.
 //! * After the script ends in a full placement, it must equal MaxLive
 //!   recomputed independently via `ims_codegen::lifetimes` on the final
-//!   schedule — the two share only the `resolve_use` rule, so a
+//!   schedule — the two share only `ims_deps::DefSites`, so a
 //!   row-arithmetic or incremental-update bug cannot hide in both.
 //! * [`PressureModel::exceeds_if_placed`] must answer as placing, checking
 //!   and evicting on a clone would, leave the model as it found it, and

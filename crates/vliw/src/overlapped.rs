@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use ims_core::{Problem, Schedule};
-use ims_deps::{node_of, resolve_use};
+use ims_deps::{node_of, DefSites};
 use ims_ir::{eval, LoopBody, OpId, Opcode, Operand, Value};
 
 use crate::error::SimError;
@@ -37,6 +37,7 @@ pub fn run_overlapped(
     let live_in = memory.live_in_values(body);
     let live_in_seed = memory.clone();
     let mut memory = memory;
+    let sites = DefSites::new(body);
 
     // Every (cycle, iteration, op) instance, in issue order. Within a
     // cycle, order by (iteration, op id) for determinism (the order is
@@ -69,7 +70,7 @@ pub fn run_overlapped(
                 iter: i64,
                 cycle: i64|
      -> Result<Value, SimError> {
-        match resolve_use(body, at, u) {
+        match sites.resolve(at, u) {
             None => live_in_seed
                 .live_in_lag(body, u.reg, 1 + u.prev)
                 .ok_or(SimError::UnwrittenRead { op: at }),

@@ -1,25 +1,29 @@
-//! Holds the code generator and the simulators equal to the references
-//! in `reference/`: the versions that resolved each register use by
-//! scanning the body. Generated code is compared whole, executions by
-//! variant and bit pattern of every memory cell and final register, and
-//! failures field for field.
+//! Holds dependence construction, back-substitution, unrolling, the code
+//! generator and the simulators equal to the references in `reference/`:
+//! the versions that resolved each register use by scanning the body.
+//! Edge lists are compared whole and in order under both delay models,
+//! bodies and generated code whole, executions by variant and bit pattern
+//! of every memory cell and final register, and failures field for field.
 //!
-//! Covered: every corpus loop on `cydra` (MVE code) and on `cydra_rf(16)`
-//! (rotating code), each from its own memory and from seeded floats;
-//! seeded synthetic loops on both machines; and three broken inputs: a
-//! schedule that reads before its producer's latency, a read with no
-//! live-in, and an out-of-range address.
+//! Covered: every corpus loop on `cydra` (dependences, back-substitution,
+//! unrolling at factors 1-4 and 8, MVE code and the overlapped run) and on
+//! `cydra_rf(16)` (rotating code), each run from its own memory and from
+//! seeded floats; seeded synthetic loops on `cydra` and `cydra_simple`;
+//! and three broken inputs: a schedule that reads before its producer's
+//! latency, a read with no live-in, and an out-of-range address.
 
 mod reference;
 
 use ims_codegen::{generate_mve, generate_rotating, lifetimes};
 use ims_core::{Problem, SchedConfig, Schedule, Scheduler};
-use ims_deps::{back_substitute, build_problem, node_of, BuildOptions};
+use ims_deps::{back_substitute, build_problem, node_of, unroll, BuildOptions, DelayModel};
 use ims_ir::{ArrayId, LoopBody, LoopBuilder, MemRef, OpId, Opcode, Operand, Value};
 use ims_loopgen::{corpus_of_size, generate_loop, SynthConfig};
 use ims_machine::{cydra, cydra_rf, cydra_simple, MachineModel};
 use ims_testkit::{Rng, Xoshiro256};
-use ims_vliw::{run_mve, run_rotating, run_sequential, ExecResult, MemoryImage, SimError};
+use ims_vliw::{
+    run_mve, run_overlapped, run_rotating, run_sequential, ExecResult, MemoryImage, SimError,
+};
 
 /// A value as its variant and bit pattern: `NaN` equals itself and an
 /// `Int` never equals a `Float`.
@@ -61,6 +65,38 @@ fn seeded_memory(body: &LoopBody, init: &[(ArrayId, Vec<Value>)], seed: u64) -> 
     memory
 }
 
+/// Checks back-substitution of `raw`, the dependence edges of `raw` and of
+/// its back-substituted body under both delay models, and the unrolled
+/// back-substituted body against the reference. Bodies are compared as
+/// `{:?}` text, so that a NaN live-in equals itself.
+fn check_deps(what: &str, raw: &LoopBody, machine: &MachineModel) {
+    let body = back_substitute(raw, machine);
+    assert_eq!(
+        format!("{body:?}"),
+        format!("{:?}", reference::back_substitute(raw, machine)),
+        "{what}: back-substituted body"
+    );
+    for b in [raw, &body] {
+        for delay_model in [DelayModel::Vliw, DelayModel::Conservative] {
+            let options = BuildOptions { delay_model };
+            assert_eq!(
+                build_problem(b, machine, &options).graph().edges(),
+                reference::build_problem(b, machine, &options)
+                    .graph()
+                    .edges(),
+                "{what}: edges under {delay_model:?}"
+            );
+        }
+    }
+    for factor in [1, 2, 3, 4, 8] {
+        assert_eq!(
+            format!("{:?}", unroll(&body, factor)),
+            format!("{:?}", reference::unroll(&body, factor)),
+            "{what}: unrolled by {factor}"
+        );
+    }
+}
+
 /// Checks MVE code generation and every execution against the reference
 /// on one scheduled loop, from one memory image.
 fn check_mve(
@@ -92,6 +128,16 @@ fn check_mve(
         shown(run_mve(&code, body, machine, memory.clone())),
         shown(reference::run_mve(&code, body, machine, memory.clone())),
         "{what}: MVE run"
+    );
+    assert_eq!(
+        shown(run_overlapped(body, problem, schedule, memory.clone())),
+        shown(reference::run_overlapped(
+            body,
+            problem,
+            schedule,
+            memory.clone()
+        )),
+        "{what}: overlapped run"
     );
 }
 
@@ -131,6 +177,14 @@ fn schedule(problem: &Problem<'_>, config: SchedConfig) -> Schedule {
         .run()
         .expect("corpus loops schedule")
         .schedule
+}
+
+#[test]
+fn every_corpus_loop_builds_back_substitutes_and_unrolls_as_the_reference_does() {
+    let machine = cydra();
+    for (i, l) in corpus_of_size(0xC4D5, 1327).loops.iter().enumerate() {
+        check_deps(&format!("loop {i}"), &l.body, &machine);
+    }
 }
 
 #[test]
@@ -180,10 +234,11 @@ fn seeded_synthetic_loops_match_the_reference_on_both_machines() {
         let seed = rng.gen_range(0..u32::MAX) as u64;
         for machine in [cydra(), cydra_simple()] {
             let raw = generate_loop(&mut Xoshiro256::seed_from_u64(seed), &config);
+            let what = format!("case {case} on {}", machine.name());
+            check_deps(&what, &raw, &machine);
             let body = back_substitute(&raw, &machine);
             let problem = build_problem(&body, &machine, &BuildOptions::default());
             let s = schedule(&problem, SchedConfig::new().budget_ratio(6.0));
-            let what = format!("case {case} on {}", machine.name());
             for memory in [
                 MemoryImage::for_body(&body),
                 seeded_memory(&body, &[], seed),
@@ -195,14 +250,14 @@ fn seeded_synthetic_loops_match_the_reference_on_both_machines() {
     }
 }
 
-/// Runs `body` under `schedule` sequentially, as MVE code and as rotating
-/// code, holds each run equal to the reference's, and returns the three
-/// errors in that order (`None` for a run that succeeds).
+/// Runs `body` under `schedule` sequentially, as MVE code, as rotating
+/// code and overlapped, holds each run equal to the reference's, and
+/// returns the four errors in that order (`None` for a run that succeeds).
 fn broken_runs(
     body: &LoopBody,
     machine: &MachineModel,
     schedule: &Schedule,
-) -> [Option<SimError>; 3] {
+) -> [Option<SimError>; 4] {
     let problem = build_problem(body, machine, &BuildOptions::default());
     let memory = MemoryImage::for_body(body);
     let lt = lifetimes(body, &problem, schedule);
@@ -219,7 +274,11 @@ fn broken_runs(
         ),
         (
             shown(run_rotating(&rot, body, machine, memory.clone())),
-            shown(reference::run_rotating(&rot, body, machine, memory)),
+            shown(reference::run_rotating(&rot, body, machine, memory.clone())),
+        ),
+        (
+            shown(run_overlapped(body, &problem, schedule, memory.clone())),
+            shown(reference::run_overlapped(body, &problem, schedule, memory)),
         ),
     ];
     runs.map(|(new, old)| {
@@ -244,9 +303,9 @@ fn a_read_before_the_producers_latency_fails_as_in_the_reference() {
     let mut s = schedule(&problem, SchedConfig::new());
     let load_t = s.time_of(node_of(OpId(0)));
     s.time[node_of(OpId(1)).index()] = load_t + 1;
-    let [seq, mve, rot] = broken_runs(&body, &machine, &s);
+    let [seq, mve, rot, overlapped] = broken_runs(&body, &machine, &s);
     assert_eq!(seq, None, "the sequential run has no timing");
-    for e in [mve, rot] {
+    for e in [mve, rot, overlapped] {
         assert!(
             matches!(e, Some(SimError::ReadBeforeReady { op: OpId(1), .. })),
             "{e:?}"
@@ -265,8 +324,9 @@ fn a_read_with_no_live_in_fails_as_in_the_reference() {
     let machine = cydra_simple();
     let problem = build_problem(&body, &machine, &BuildOptions::default());
     let s = schedule(&problem, SchedConfig::new());
-    let [seq, mve, rot] = broken_runs(&body, &machine, &s);
+    let [seq, mve, rot, overlapped] = broken_runs(&body, &machine, &s);
     assert_eq!(seq, Some(SimError::UnwrittenRead { op: OpId(0) }));
+    assert_eq!(overlapped, Some(SimError::UnwrittenRead { op: OpId(0) }));
     // The generated code reads a register no seed filled.
     assert!(mve.is_some() && rot.is_some());
 }

@@ -1,16 +1,25 @@
-//! The code generator and simulator as they stood before the def-site
-//! index: every register use resolved by scanning the body, every MVE
-//! cycle built by testing every operation, every executed operation
-//! looking its latency up in the machine. Copied verbatim apart from the
-//! `use` lines, as references for `differential.rs`.
+//! Dependence construction, back-substitution, unrolling, the code
+//! generator and the simulators as they stood before the def-site index:
+//! every register use resolved by scanning the body, every MVE cycle built
+//! by testing every operation, every executed operation looking its
+//! latency up in the machine. Copied verbatim, as references for
+//! `differential.rs`, apart from the `use` lines and the two calls of the
+//! former `LoopBody::def_of`, whose scan of the body is written inline.
 
 #![allow(dead_code)]
 
 pub use codegen::{generate_mve, generate_rotating, lifetimes};
-pub use vliw::{run_mve, run_rotating, run_sequential};
+pub use deps::{back_substitute, build_problem, unroll};
+pub use vliw::{run_mve, run_overlapped, run_rotating, run_sequential};
 
 mod deps {
-    use ims_ir::{LoopBody, OpId, RegUse};
+    use std::collections::HashMap;
+
+    use ims_core::{Problem, ProblemBuilder};
+    use ims_deps::{delay, node_of, BuildOptions, DelayModel};
+    use ims_graph::DepKind;
+    use ims_ir::{LiveInValue, LoopBody, OpId, Opcode, Operand, RegUse, VReg};
+    use ims_machine::MachineModel;
 
     /// Resolves a register use at operation `at` to `(defining op, iteration
     /// distance)`, or `None` when the register is a pure live-in (defined by no
@@ -24,10 +33,399 @@ mod deps {
     /// This is the single source of truth shared by dependence construction,
     /// code generation, and the simulator.
     pub fn resolve_use(body: &LoopBody, at: OpId, u: RegUse) -> Option<(OpId, u32)> {
-        body.def_of(u.reg).map(|def_id| {
-            let positional = if def_id.index() < at.index() { 0 } else { 1 };
-            (def_id, positional + u.prev)
-        })
+        body.ops()
+            .iter()
+            .position(|op| op.dest == Some(u.reg))
+            .map(|i| OpId(i as u32))
+            .map(|def_id| {
+                let positional = if def_id.index() < at.index() { 0 } else { 1 };
+                (def_id, positional + u.prev)
+            })
+    }
+
+    /// Analyzes `body` and produces the modulo-scheduling problem for `machine`.
+    ///
+    /// See the crate docs for the dependence rules. The body is assumed to be
+    /// valid per [`ims_ir::validate::validate`] (the `LoopBuilder` guarantees
+    /// this).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine does not implement an opcode used by the body.
+    pub fn build_problem<'m>(
+        body: &LoopBody,
+        machine: &'m MachineModel,
+        options: &BuildOptions,
+    ) -> Problem<'m> {
+        let mut pb = ProblemBuilder::new(machine);
+        for (id, op) in body.iter() {
+            let n = pb.add_op(op.opcode, id);
+            debug_assert_eq!(n, node_of(id));
+        }
+
+        let lat = |op: OpId| machine.latency(body.op(op).opcode) as i64;
+        let model = options.delay_model;
+
+        // Register and predicate dependences.
+        for (use_id, op) in body.iter() {
+            let mut add_use = |u: RegUse, kind: DepKind| {
+                if let Some((def_id, distance)) = resolve_use(body, use_id, u) {
+                    let d = delay(kind, lat(def_id), lat(use_id), model);
+                    pb.add_dep(node_of(def_id), node_of(use_id), d, distance, kind, false);
+                }
+                // Pure live-ins have no defining operation and hence no edge.
+            };
+            for s in &op.srcs {
+                if let Some(u) = s.as_reg() {
+                    add_use(u, DepKind::Flow);
+                }
+            }
+            if let Some(p) = op.pred {
+                add_use(p, DepKind::Control);
+            }
+        }
+
+        // Memory dependences: every (earlier, later) pair with at least one
+        // store, including an op against itself across iterations.
+        let mem_ops: Vec<OpId> = body
+            .iter()
+            .filter(|(_, op)| op.opcode.is_mem())
+            .map(|(id, _)| id)
+            .collect();
+        for (x, &i) in mem_ops.iter().enumerate() {
+            for &j in &mem_ops[x..] {
+                let oi = body.op(i);
+                let oj = body.op(j);
+                let i_store = oi.opcode == Opcode::Store;
+                let j_store = oj.opcode == Opcode::Store;
+                if !i_store && !j_store {
+                    continue;
+                }
+                let kind_fwd = mem_dep_kind(i_store, j_store);
+                match (oi.mem, oj.mem) {
+                    (Some(a), Some(b)) if a.array == b.array && a.stride == b.stride => {
+                        let s = a.stride;
+                        if s == 0 {
+                            if a.offset == b.offset {
+                                // Same element every iteration.
+                                conservative_pair(&mut pb, body, machine, model, i, j);
+                            }
+                        } else {
+                            let diff = a.offset - b.offset;
+                            if diff.rem_euclid(s) == 0 {
+                                // op_i at iteration x touches what op_j touches
+                                // at iteration x + d.
+                                let d = diff / s;
+                                if d > 0 {
+                                    let dl = delay(kind_fwd, lat(i), lat(j), model);
+                                    pb.add_dep(
+                                        node_of(i),
+                                        node_of(j),
+                                        dl,
+                                        d as u32,
+                                        kind_fwd,
+                                        true,
+                                    );
+                                } else if d < 0 {
+                                    if i != j {
+                                        let kind_rev = mem_dep_kind(j_store, i_store);
+                                        let dl = delay(kind_rev, lat(j), lat(i), model);
+                                        pb.add_dep(
+                                            node_of(j),
+                                            node_of(i),
+                                            dl,
+                                            (-d) as u32,
+                                            kind_rev,
+                                            true,
+                                        );
+                                    }
+                                    // d < 0 with i == j cannot happen (diff = 0).
+                                } else if i != j {
+                                    // Same iteration: order by body position.
+                                    let dl = delay(kind_fwd, lat(i), lat(j), model);
+                                    pb.add_dep(node_of(i), node_of(j), dl, 0, kind_fwd, true);
+                                }
+                            }
+                        }
+                    }
+                    (Some(a), Some(b)) if a.array != b.array => {
+                        // Distinct arrays never alias: no dependence.
+                    }
+                    _ => {
+                        // Unknown or stride-mismatched accesses: assume aliasing.
+                        conservative_pair(&mut pb, body, machine, model, i, j);
+                    }
+                }
+            }
+        }
+
+        pb.finish()
+    }
+
+    fn mem_dep_kind(pred_is_store: bool, succ_is_store: bool) -> DepKind {
+        match (pred_is_store, succ_is_store) {
+            (true, true) => DepKind::Output,
+            (true, false) => DepKind::Flow,
+            (false, true) => DepKind::Anti,
+            (false, false) => unreachable!("load-load pairs are filtered out"),
+        }
+    }
+
+    /// Conservative aliasing: `i` before `j` in the same iteration (distance 0,
+    /// skipped when `i == j`) and `j` before next iteration's `i` (distance 1).
+    fn conservative_pair(
+        pb: &mut ProblemBuilder<'_>,
+        body: &LoopBody,
+        machine: &MachineModel,
+        model: DelayModel,
+        i: OpId,
+        j: OpId,
+    ) {
+        let lat = |op: OpId| machine.latency(body.op(op).opcode) as i64;
+        let i_store = body.op(i).opcode == Opcode::Store;
+        let j_store = body.op(j).opcode == Opcode::Store;
+        if i != j {
+            let kf = mem_dep_kind(i_store, j_store);
+            pb.add_dep(
+                node_of(i),
+                node_of(j),
+                delay(kf, lat(i), lat(j), model),
+                0,
+                kf,
+                true,
+            );
+        }
+        let kr = mem_dep_kind(j_store, i_store);
+        pb.add_dep(
+            node_of(j),
+            node_of(i),
+            delay(kr, lat(j), lat(i), model),
+            1,
+            kr,
+            true,
+        );
+    }
+
+    /// Applies back-substitution to every eligible simple induction update in
+    /// `body`, returning the transformed body (or the original if nothing was
+    /// eligible).
+    ///
+    /// An operation is eligible when it is:
+    ///
+    /// * an `AddrAdd`/`AddrSub` whose destination equals its first source at
+    ///   positional distance 1 (the plain `p = p ± c` induction idiom),
+    /// * with an integer-immediate step, and
+    /// * its register's lag-1 live-in is a constant integer or an array base
+    ///   (so the pre-loop lags can be computed statically).
+    ///
+    /// The substitution depth is the operation's latency on `machine`, making
+    /// the rewritten self-circuit constrain `II ≥ 1` only.
+    pub fn back_substitute(body: &LoopBody, machine: &MachineModel) -> LoopBody {
+        let mut out = body.clone();
+        let mut new_lags: Vec<(ims_ir::VReg, u32, LiveInValue)> = Vec::new();
+
+        for (id, op) in body.iter() {
+            if !matches!(op.opcode, Opcode::AddrAdd | Opcode::AddrSub) {
+                continue;
+            }
+            let Some(dest) = op.dest else { continue };
+            let Some(u) = op.srcs[0].as_reg() else {
+                continue;
+            };
+            if u.reg != dest || u.prev != 0 {
+                continue;
+            }
+            // Positional distance must be exactly 1 (the def reads itself).
+            let Some((def, 1)) = resolve_use(body, id, u) else {
+                continue;
+            };
+            debug_assert_eq!(def, id, "single assignment");
+            let Operand::ImmInt(step_mag) = op.srcs[1] else {
+                continue;
+            };
+            let step = if op.opcode == Opcode::AddrSub {
+                -step_mag
+            } else {
+                step_mag
+            };
+            // Seedable initial value?
+            let Some(init) = body.live_in_value(dest, 1) else {
+                continue;
+            };
+            let seed = |lag: u32| -> Option<LiveInValue> {
+                let delta = (lag as i64 - 1) * step;
+                match init {
+                    LiveInValue::Const(ims_ir::Value::Int(x)) => {
+                        Some(LiveInValue::Const(ims_ir::Value::Int(x - delta)))
+                    }
+                    LiveInValue::ArrayBase { array, offset } => Some(LiveInValue::ArrayBase {
+                        array,
+                        offset: offset - delta,
+                    }),
+                    _ => None,
+                }
+            };
+            let k = machine.latency(op.opcode);
+            if k <= 1 {
+                continue; // Already unconstraining.
+            }
+            if (2..=k).any(|lag| seed(lag).is_none()) {
+                continue;
+            }
+
+            // Rewrite: p = p[-K] + K·c (express the extra depth via `prev`).
+            let new_op = out.op_mut(id);
+            new_op.srcs[0] = Operand::Reg(ims_ir::RegUse::back(dest, k - 1));
+            new_op.srcs[1] = Operand::ImmInt(step_mag * k as i64);
+            for lag in 2..=k {
+                new_lags.push((dest, lag, seed(lag).expect("checked above")));
+            }
+        }
+
+        for (reg, lag, value) in new_lags {
+            out.add_live_in_lag(reg, lag, value);
+        }
+        out
+    }
+
+    /// Unrolls `body` by `factor`, returning a new loop body whose single
+    /// iteration performs `factor` original iterations.
+    ///
+    /// The unrolled body keeps one loop-closing branch (the last copy's); the
+    /// other copies' branches are dropped, which is what an unroller's
+    /// iteration-count rewrite does. The trip count becomes
+    /// `trip_count / factor` (the caller is responsible for remainder
+    /// iterations; for scheduling-cost analysis the remainder is irrelevant).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is zero.
+    pub fn unroll(body: &LoopBody, factor: u32) -> LoopBody {
+        assert!(factor >= 1, "unroll factor must be at least 1");
+        let u = factor;
+        let mut out = LoopBody::new(
+            format!("{}_x{}", body.name(), u),
+            (body.trip_count() / u).max(1),
+        );
+        for a in body.arrays() {
+            out.add_array(a.name.clone(), a.len);
+        }
+
+        // Register maps: defined registers get one fresh name per copy; pure
+        // live-ins are shared across copies.
+        let mut defined_map: HashMap<(u32, VReg), VReg> = HashMap::new();
+        let mut shared_map: HashMap<VReg, VReg> = HashMap::new();
+        for (_, op) in body.iter() {
+            if let Some(d) = op.dest {
+                for k in 0..u {
+                    defined_map.insert((k, d), out.new_vreg());
+                }
+            }
+        }
+        let mut shared = |out: &mut LoopBody, v: VReg| -> VReg {
+            *shared_map.entry(v).or_insert_with(|| out.new_vreg())
+        };
+
+        // Max original lag per register, to size the live-in seeding below.
+        let mut max_lag: HashMap<VReg, u32> = HashMap::new();
+        for (id, op) in body.iter() {
+            for use_ in op.reg_uses() {
+                if let Some((_, d)) = resolve_use(body, id, use_) {
+                    let e = max_lag.entry(use_.reg).or_insert(0);
+                    *e = (*e).max(d);
+                }
+            }
+        }
+
+        // Emit the copies.
+        for k in 0..u {
+            for (id, op) in body.iter() {
+                if op.opcode == Opcode::Branch && k != u - 1 {
+                    continue; // Only the last copy closes the loop.
+                }
+                let mut new_op = op.clone();
+                new_op.dest = op.dest.map(|d| defined_map[&(k, d)]);
+                if let Some(m) = op.mem {
+                    new_op.mem = Some(ims_ir::MemRef::new(
+                        m.array,
+                        m.offset + m.stride * k as i64,
+                        m.stride * u as i64,
+                    ));
+                }
+                let mut remap = |out: &mut LoopBody, use_: RegUse| -> RegUse {
+                    match resolve_use(body, id, use_) {
+                        None => RegUse::new(shared(out, use_.reg)),
+                        Some((def_id, d)) => {
+                            // Source instance: copy r, `q` unrolled iterations
+                            // back.
+                            let t = k as i64 - d as i64;
+                            let r = t.rem_euclid(u as i64) as u32;
+                            let q = ((r as i64 - t) / u as i64) as u32;
+                            // Positional distance of the renamed use: 1 when
+                            // the def copy comes at/after this use in the new
+                            // body order.
+                            let positional = match r.cmp(&k) {
+                                std::cmp::Ordering::Less => 0,
+                                std::cmp::Ordering::Greater => 1,
+                                std::cmp::Ordering::Equal => {
+                                    u32::from(def_id.index() >= id.index())
+                                }
+                            };
+                            debug_assert!(q >= positional, "distance arithmetic is consistent");
+                            RegUse::back(defined_map[&(r, use_.reg)], q - positional)
+                        }
+                    }
+                };
+                for s in &mut new_op.srcs {
+                    if let Operand::Reg(use_) = s {
+                        *s = Operand::Reg(remap(&mut out, *use_));
+                    }
+                }
+                if let Some(p) = op.pred {
+                    new_op.pred = Some(remap(&mut out, p));
+                }
+                out.push(new_op);
+            }
+        }
+
+        // Live-in seeding. Instance (unrolled -L, copy r) is original global
+        // iteration -(L·u - r), i.e. original lag L·u - r; bind enough lags to
+        // cover every read.
+        let mut bound: Vec<(VReg, u32)> = Vec::new();
+        for li in body.live_ins() {
+            if li.lag != 1 {
+                continue; // Handled through live_in_value's lag lookup below.
+            }
+            if body
+                .ops()
+                .iter()
+                .position(|op| op.dest == Some(li.reg))
+                .is_none()
+            {
+                if let Some(&nv) = shared_map.get(&li.reg) {
+                    out.add_live_in(nv, li.value);
+                }
+                continue;
+            }
+            let deepest = max_lag.get(&li.reg).copied().unwrap_or(1).max(1);
+            for r in 0..u {
+                let nv = defined_map[&(r, li.reg)];
+                let max_l = deepest / u + 2;
+                for l in 1..=max_l {
+                    let orig_lag = l * u - r;
+                    if orig_lag == 0 {
+                        continue;
+                    }
+                    if let Some(v) = body.live_in_value(li.reg, orig_lag) {
+                        if !bound.contains(&(nv, l)) {
+                            bound.push((nv, l));
+                            out.add_live_in_lag(nv, l, v);
+                        }
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -528,6 +926,8 @@ mod vliw {
     use std::collections::BTreeMap;
 
     use ims_codegen::{CodeOperand, CodeReg, Inst, MveCode, RotatingCode, SlotOp};
+    use ims_core::{Problem, Schedule};
+    use ims_deps::node_of;
     use ims_ir::{eval, LoopBody, OpId, Opcode, Operand, Value};
     use ims_vliw::{ExecResult, MemoryImage, SimError};
 
@@ -919,5 +1319,187 @@ mod vliw {
             }
         }
         st.finish(cycle as u64)
+    }
+
+    /// Executes the modulo schedule directly: iteration `i`'s instance of an
+    /// operation issues at cycle `i·II + time(op)`, exactly the steady state
+    /// the schedule promises (§1: the same schedule *"repeated at regular
+    /// intervals"*).
+    ///
+    /// Registers follow expanded-virtual-register semantics — each
+    /// `(iteration, register)` pair is distinct storage, the software
+    /// equivalent of rotating registers — and are **latency-checked**: a read
+    /// before the producing operation's latency has elapsed returns
+    /// [`SimError::ReadBeforeReady`]. Stores become architecturally visible at
+    /// `issue + latency(store)`; loads sample memory at issue.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SimError`]; `ReadBeforeReady` indicates an illegal schedule.
+    pub fn run_overlapped(
+        body: &LoopBody,
+        problem: &Problem<'_>,
+        schedule: &Schedule,
+        memory: MemoryImage,
+    ) -> Result<ExecResult, SimError> {
+        let n = body.trip_count() as i64;
+        let nv = body.num_vregs();
+        let ii = schedule.ii;
+        let live_in = memory.live_in_values(body);
+        let live_in_seed = memory.clone();
+        let mut memory = memory;
+
+        // Every (cycle, iteration, op) instance, in issue order. Within a
+        // cycle, order by (iteration, op id) for determinism (the order is
+        // semantically irrelevant: NUAL reads never see same-cycle writes).
+        let mut instances: Vec<(i64, i64, OpId)> = Vec::new();
+        for (id, _) in body.iter() {
+            let t = schedule.time_of(node_of(id));
+            for i in 0..n {
+                instances.push((i * ii + t, i, id));
+            }
+        }
+        instances.sort_unstable();
+
+        // reg_file[iter][vreg]: Empty until the defining instance executes,
+        // then either Written (with its visibility cycle) or Squashed (the
+        // instance ran with a false predicate and wrote nothing).
+        #[derive(Clone, Copy, PartialEq)]
+        enum Cell {
+            Empty,
+            Squashed,
+            Written(i64, Value),
+        }
+        let mut reg_file: Vec<Vec<Cell>> = vec![vec![Cell::Empty; nv]; n as usize];
+        // Pending memory commits: cycle -> [(op, addr, value)].
+        let mut pending_stores: BTreeMap<i64, Vec<(OpId, i64, Value)>> = BTreeMap::new();
+
+        let read = |reg_file: &[Vec<Cell>],
+                    at: OpId,
+                    u: ims_ir::RegUse,
+                    iter: i64,
+                    cycle: i64|
+         -> Result<Value, SimError> {
+            match resolve_use(body, at, u) {
+                None => live_in_seed
+                    .live_in_lag(body, u.reg, 1 + u.prev)
+                    .ok_or(SimError::UnwrittenRead { op: at }),
+                Some((_, d)) => {
+                    let mut j = iter - d as i64;
+                    if j < 0 {
+                        // A pre-loop instance: the per-lag live-in seed.
+                        return live_in_seed
+                            .live_in_lag(body, u.reg, (-j) as u32)
+                            .ok_or(SimError::UnwrittenRead { op: at });
+                    }
+                    while j >= 0 {
+                        match reg_file[j as usize][u.reg.index()] {
+                            Cell::Written(avail, v) => {
+                                if avail > cycle {
+                                    return Err(SimError::ReadBeforeReady {
+                                        op: at,
+                                        cycle,
+                                        available: avail,
+                                    });
+                                }
+                                return Ok(v);
+                            }
+                            // A squashed predicated write: the register keeps
+                            // its previous instance's value.
+                            Cell::Squashed => j -= 1,
+                            // The defining instance has not even issued yet:
+                            // the schedule is broken.
+                            Cell::Empty => return Err(SimError::UnwrittenRead { op: at }),
+                        }
+                    }
+                    live_in_seed
+                        .live_in_lag(body, u.reg, 1)
+                        .ok_or(SimError::UnwrittenRead { op: at })
+                }
+            }
+        };
+
+        let mut last_cycle = 0i64;
+        for (cycle, iter, id) in instances {
+            last_cycle = last_cycle.max(cycle);
+            // Commit stores due at or before this cycle.
+            let due: Vec<i64> = pending_stores.range(..=cycle).map(|(c, _)| *c).collect();
+            for c in due {
+                for (op, addr, v) in pending_stores.remove(&c).expect("key just observed") {
+                    memory.write(op, addr, v)?;
+                }
+            }
+
+            let op = body.op(id);
+            if let Some(p) = op.pred {
+                let pv = read(&reg_file, id, p, iter, cycle)?;
+                if !pv.truthy() {
+                    if let Some(dest) = op.dest {
+                        reg_file[iter as usize][dest.index()] = Cell::Squashed;
+                    }
+                    continue;
+                }
+            }
+            let mut srcs = Vec::with_capacity(op.srcs.len());
+            for s in &op.srcs {
+                srcs.push(match s {
+                    Operand::ImmInt(v) => Value::Int(*v),
+                    Operand::ImmFloat(v) => Value::Float(*v),
+                    Operand::Reg(u) => read(&reg_file, id, *u, iter, cycle)?,
+                });
+            }
+            let latency = problem.latency(node_of(id));
+            match op.opcode {
+                Opcode::Load => {
+                    let addr = srcs[0]
+                        .as_int()
+                        .ok_or(SimError::BadAddressType { op: id })?;
+                    let v = memory.read(id, addr)?;
+                    let dest = op.dest.expect("loads have destinations");
+                    reg_file[iter as usize][dest.index()] = Cell::Written(cycle + latency, v);
+                }
+                Opcode::Store => {
+                    let addr = srcs[0]
+                        .as_int()
+                        .ok_or(SimError::BadAddressType { op: id })?;
+                    pending_stores
+                        .entry(cycle + latency)
+                        .or_default()
+                        .push((id, addr, srcs[1]));
+                }
+                Opcode::Branch => {}
+                _ => {
+                    let v = eval::apply(op.opcode, op.cmp, &srcs)?;
+                    let dest = op.dest.expect("value ops have destinations");
+                    reg_file[iter as usize][dest.index()] = Cell::Written(cycle + latency, v);
+                }
+            }
+        }
+
+        // Drain remaining stores.
+        for (_, stores) in std::mem::take(&mut pending_stores) {
+            for (op, addr, v) in stores {
+                memory.write(op, addr, v)?;
+            }
+        }
+
+        let mut final_regs = vec![None; nv];
+        for r in 0..nv {
+            for iter in (0..n as usize).rev() {
+                if let Cell::Written(_, v) = reg_file[iter][r] {
+                    final_regs[r] = Some(v);
+                    break;
+                }
+            }
+            if final_regs[r].is_none() {
+                final_regs[r] = live_in[r];
+            }
+        }
+
+        Ok(ExecResult {
+            memory,
+            final_regs,
+            cycles: (last_cycle + 1) as u64,
+        })
     }
 }

@@ -35,7 +35,9 @@
 //!   `ims_sat::schedule_leaf` runs a leaf, and the service races a
 //!   portfolio's members;
 //! * the **acyclic list scheduler** ([`list_schedule`]) the paper uses both
-//!   as the schedule-length lower bound and as the cost yardstick;
+//!   as the schedule-length lower bound and as the cost yardstick, over
+//!   the topological order of the same-iteration dependences
+//!   ([`same_iteration_order`], which also detects a cycle among them);
 //! * an independent **schedule validator** ([`validate_schedule`]) that
 //!   re-checks every dependence and modulo resource constraint of a
 //!   schedule, and the per-loop **instrumentation counters** ([`Counters`])
@@ -83,7 +85,7 @@ mod validate;
 pub use backend::{BackendKind, IiBounds};
 pub use builder::Scheduler;
 pub use counters::Counters;
-pub use list_sched::{list_schedule, ListSchedule};
+pub use list_sched::{list_schedule, same_iteration_order, ListSchedule};
 pub use mii::{
     compute_mii, least_feasible_ii, rec_mii, rec_mii_by_circuits, res_mii, res_mii_with_usage,
     MiiInfo,

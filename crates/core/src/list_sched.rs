@@ -45,38 +45,10 @@ pub fn list_schedule(problem: &Problem<'_>) -> ListSchedule {
     let graph = problem.graph();
     let n = graph.num_nodes();
 
-    // Acyclic heights: longest delay path to STOP over distance-0 edges.
-    // Computed in reverse topological order below; first get a topological
-    // order via Kahn's algorithm.
-    let mut indegree = vec![0usize; n];
-    for e in graph.edges() {
-        if e.distance == 0 {
-            indegree[e.to.index()] += 1;
-        }
-    }
-    let mut ready: Vec<NodeId> = (0..n as u32)
-        .map(NodeId)
-        .filter(|v| indegree[v.index()] == 0)
-        .collect();
-    let mut topo: Vec<NodeId> = Vec::with_capacity(n);
-    while let Some(v) = ready.pop() {
-        topo.push(v);
-        for e in graph.succs(v) {
-            if e.distance == 0 {
-                indegree[e.to.index()] -= 1;
-                if indegree[e.to.index()] == 0 {
-                    ready.push(e.to);
-                }
-            }
-        }
-    }
-    assert_eq!(
-        topo.len(),
-        n,
-        "distance-0 subgraph has a cycle: illegal same-iteration ordering"
-    );
-
-    // Heights over the DAG (for tie-breaking and diagnostics).
+    // Acyclic heights: longest delay path to STOP over distance-0 edges,
+    // computed in reverse topological order.
+    let topo = same_iteration_order(problem)
+        .expect("distance-0 subgraph has a cycle: illegal same-iteration ordering");
     let mut height = vec![0i64; n];
     for &v in topo.iter().rev() {
         let mut h = 0;
@@ -145,6 +117,39 @@ pub fn list_schedule(problem: &Problem<'_>) -> ListSchedule {
         alternative,
         length,
     }
+}
+
+/// A topological order of the distance-0 (same-iteration) dependences of
+/// `problem`, by Kahn's algorithm, or `None` when they form a cycle: an
+/// operation would have to issue after itself within one iteration, so
+/// no schedule exists at any II. Dependence construction never builds
+/// such a cycle; a graph from elsewhere can carry one.
+pub fn same_iteration_order(problem: &Problem<'_>) -> Option<Vec<NodeId>> {
+    let graph = problem.graph();
+    let n = graph.num_nodes();
+    let mut indegree = vec![0usize; n];
+    for e in graph.edges() {
+        if e.distance == 0 {
+            indegree[e.to.index()] += 1;
+        }
+    }
+    let mut ready: Vec<NodeId> = (0..n as u32)
+        .map(NodeId)
+        .filter(|v| indegree[v.index()] == 0)
+        .collect();
+    let mut topo: Vec<NodeId> = Vec::with_capacity(n);
+    while let Some(v) = ready.pop() {
+        topo.push(v);
+        for e in graph.succs(v) {
+            if e.distance == 0 {
+                indegree[e.to.index()] -= 1;
+                if indegree[e.to.index()] == 0 {
+                    ready.push(e.to);
+                }
+            }
+        }
+    }
+    (topo.len() == n).then_some(topo)
 }
 
 #[cfg(test)]

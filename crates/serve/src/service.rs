@@ -37,8 +37,8 @@ use std::io::{self, BufRead, Write};
 use std::time::Instant;
 
 use ims_core::{
-    BackendKind, BackendSpec, NullObserver, Problem, ProblemBuilder, SchedConfig, ScheduleError,
-    Scheduler,
+    same_iteration_order, BackendKind, BackendSpec, NullObserver, Problem, ProblemBuilder,
+    SchedConfig, ScheduleError, Scheduler,
 };
 use ims_press::PressureObserver;
 use ims_prof::{phase, MetricsRegistry};
@@ -76,6 +76,14 @@ fn run_job(req: &Request, canon: &CanonProblem) -> Entry {
         );
     }
     let problem = pb.finish();
+    // Same-iteration dependences in a cycle admit no schedule at any II,
+    // and no backend expects them: dependence construction orders such
+    // edges by body position, so only a wire request can carry one.
+    if same_iteration_order(&problem).is_none() {
+        return Entry::Failed {
+            error: "schedule failed: the distance-0 dependences form a cycle".to_string(),
+        };
+    }
 
     let mut cfg = SchedConfig::new().budget_ratio(req.budget_ratio);
     if let Some(m) = req.max_ii {

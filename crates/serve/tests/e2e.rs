@@ -255,6 +255,50 @@ fn an_mii_past_the_ceiling_is_refused_without_killing_the_service() {
 }
 
 #[test]
+fn a_same_iteration_cycle_is_refused_before_any_scheduling() {
+    // Distance-0 dependences in a cycle: two adds, a zero-delay self-edge,
+    // and a unit-delay self-edge under the ims backend, a portfolio and a
+    // pressure limit. Each gets one structured error, in place between
+    // good requests, and no worker panics.
+    let good = "{\"id\":\"ok\",\"machine\":\"minimal\",\"ops\":[\"add\"]}\n";
+    let cycles = [
+        r#"{"id":"c0","machine":"cydra","ops":["add","add"],"edges":[[0,1,0,0,"flow",false],[1,0,0,0,"flow",false]]}"#,
+        r#"{"id":"c3","machine":"cydra","ops":["add"],"edges":[[0,0,0,0,"flow",false]]}"#,
+        r#"{"id":"z","machine":"minimal","ops":["add"],"edges":[[0,0,1,0,"flow",false]]}"#,
+        r#"{"id":"zp","machine":"minimal","backend":"portfolio(ims,sat)","ops":["add"],"edges":[[0,0,1,0,"flow",false]]}"#,
+        r#"{"id":"zr","machine":"cydra_rf16","pressure_limit":16,"ops":["add"],"edges":[[0,0,1,0,"flow",false]]}"#,
+    ];
+    let mut input = good.to_string();
+    for c in cycles {
+        input += &format!("{c}\n{good}");
+    }
+    let out = scheduled(&["--threads", "2"], input);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(
+        !err.lines().any(|l| l.contains("panicked")),
+        "a worker panicked:\n{err}"
+    );
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 11, "one response per request line:\n{text}");
+    for (i, line) in lines.iter().enumerate() {
+        if i % 2 == 0 {
+            assert!(line.contains("\"ok\":true"), "{line}");
+        } else {
+            let id = cycles[i / 2].split('"').nth(3).unwrap();
+            assert!(
+                line.starts_with(&format!("{{\"id\":\"{id}\",\"ok\":false,\"key\":"))
+                    && line.ends_with(
+                        "\"error\":\"schedule failed: the distance-0 dependences form a cycle\"}"
+                    ),
+                "{line}"
+            );
+        }
+    }
+}
+
+#[test]
 fn malformed_threads_is_a_usage_error() {
     for args in [
         &["--threads", "zero"][..],

@@ -354,6 +354,20 @@ cargo run --release --offline -q -p ims-serve --bin scheduled -- \
 {"id":"race","machine":"minimal","backend":" portfolio( exact , ims ) ","node_limit":500,"ops":["add","mul"],"edges":[[0,1,1,0,"flow",false]]}
 {"id":"press","machine":"cydra_rf16","pressure_limit":16.0,"ops":["load","add"],"edges":[[0,1,13,0,"flow",false]]}
 EOF
+# Same-iteration (distance-0) dependence cycles, between good requests:
+# two adds, a zero-delay self-edge, and a unit-delay self-edge under ims,
+# a portfolio and a pressure limit. Each is refused with one structured
+# error before any backend runs.
+cargo run --release --offline -q -p ims-serve --bin scheduled -- \
+    --threads 2 >"$bench_dir/scheduled_cycles.jsonl" 2>/dev/null <<'EOF'
+{"id":"ok","machine":"minimal","ops":["add"]}
+{"id":"c0","machine":"cydra","ops":["add","add"],"edges":[[0,1,0,0,"flow",false],[1,0,0,0,"flow",false]]}
+{"id":"c3","machine":"cydra","ops":["add"],"edges":[[0,0,0,0,"flow",false]]}
+{"id":"z","machine":"minimal","ops":["add"],"edges":[[0,0,1,0,"flow",false]]}
+{"id":"zp","machine":"minimal","backend":"portfolio(ims,sat)","ops":["add"],"edges":[[0,0,1,0,"flow",false]]}
+{"id":"zr","machine":"cydra_rf16","pressure_limit":16,"ops":["add"],"edges":[[0,0,1,0,"flow",false]]}
+{"id":"good","machine":"minimal","ops":["add","mul"],"edges":[[0,1,1,0,"flow",false]]}
+EOF
 # The portfolio(ims,sat) requests of the serve-portfolio benchmark, and
 # the provers behind the service on request loop-00004 of that set: ims
 # alone answers II 5 and both provers II 4; a one-node exact budget falls
@@ -439,6 +453,7 @@ golden="$bench_dir/golden.sha256"
     echo "$(sum <"$bench_dir/scheduled_malformed.jsonl")  scheduled_malformed.stdout"
     echo "$(sum <"$bench_dir/scheduled_precedence.jsonl")  scheduled_precedence.stdout"
     echo "$(sum <"$bench_dir/scheduled_wire.jsonl")  scheduled_wire.stdout"
+    echo "$(sum <"$bench_dir/scheduled_cycles.jsonl")  scheduled_cycles.stdout"
     echo "$(sum <"$bench_dir/trace_report.txt")  trace_report.stdout"
     echo "$(sum <"$bench_dir/unroll_comparison.txt")  unroll_comparison.stdout"
     echo "$(sum <"$bench_dir/registers.txt")  registers.stdout"

@@ -92,6 +92,13 @@ impl<'p, 'm, O: SchedObserver> Scheduler<'p, 'm, O> {
     /// observer. When the configuration sets a `pressure_limit`, that
     /// second case is [`ScheduleError::PressureInfeasible`] instead.
     ///
+    /// # Panics
+    ///
+    /// When the problem's distance-0 dependences form a cycle (see
+    /// [`same_iteration_order`](crate::same_iteration_order)), the RecMII
+    /// search or the automatic cap's list schedule may panic. Dependence
+    /// construction never builds such a cycle; the service refuses one.
+    ///
     /// The walk runs with a [`Counters`] paired before the observer, and
     /// the outcome's `stats.counters` is that fold of the run's events.
     pub fn run(mut self) -> Result<SchedOutcome, ScheduleError> {

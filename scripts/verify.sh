@@ -386,6 +386,15 @@ cargo run --release --offline -q -p ims-serve --bin scheduled -- \
 {"id":"l4-sat","machine":"cydra","backend":"sat","ops":["load","load","load","load","mul","add","mul","add","mul","add","store","aadd","aadd","aadd","aadd","aadd"],"edges":[[12,0,3,1,"flow",false],[13,1,3,1,"flow",false],[14,2,3,1,"flow",false],[15,3,3,1,"flow",false],[3,4,20,0,"flow",false],[2,5,20,0,"flow",false],[4,5,5,0,"flow",false],[5,6,4,0,"flow",false],[0,7,20,0,"flow",false],[6,7,5,0,"flow",false],[1,8,20,0,"flow",false],[7,9,4,0,"flow",false],[8,9,5,0,"flow",false],[11,10,3,1,"flow",false],[9,10,4,0,"flow",false],[11,11,3,3,"flow",false],[12,12,3,3,"flow",false],[13,13,3,3,"flow",false],[14,14,3,3,"flow",false],[15,15,3,3,"flow",false]]}
 {"id":"l4-cap","machine":"cydra","backend":"portfolio(exact,ims)","max_ii":3,"ops":["load","load","load","load","mul","add","mul","add","mul","add","store","aadd","aadd","aadd","aadd","aadd"],"edges":[[12,0,3,1,"flow",false],[13,1,3,1,"flow",false],[14,2,3,1,"flow",false],[15,3,3,1,"flow",false],[3,4,20,0,"flow",false],[2,5,20,0,"flow",false],[4,5,5,0,"flow",false],[5,6,4,0,"flow",false],[0,7,20,0,"flow",false],[6,7,5,0,"flow",false],[1,8,20,0,"flow",false],[7,9,4,0,"flow",false],[8,9,5,0,"flow",false],[11,10,3,1,"flow",false],[9,10,4,0,"flow",false],[11,11,3,3,"flow",false],[12,12,3,3,"flow",false],[13,13,3,3,"flow",false],[14,14,3,3,"flow",false],[15,15,3,3,"flow",false]]}
 EOF
+# Three members racing with two provers among them: 30 generated
+# requests under portfolio(sat,exact,ims) at --threads 2. Past the MII
+# both provers decide on threads of their own, and where both reach one
+# II, member order picks sat's schedule over exact's.
+p3reqs="$bench_dir/serve_portfolio3.jsonl"
+cargo run --release --offline -q -p ims-serve --bin scheduled -- \
+    --gen-requests 30 --seed 11 --backend "portfolio(sat,exact,ims)" >"$p3reqs"
+cargo run --release --offline -q -p ims-serve --bin scheduled -- \
+    --threads 2 --requests "$p3reqs" >"$bench_dir/scheduled_portfolio3.jsonl" 2>/dev/null
 # The base requests of the serve-replay and serve-portfolio benchmarks:
 # every corpus loop as one request (seed 50389 is 0xC4D5). Each reply
 # carries its canonical key and its times mapped through the canonical
@@ -457,6 +466,7 @@ golden="$bench_dir/golden.sha256"
     echo "$(sum <"$bench_dir/trace_report.txt")  trace_report.stdout"
     echo "$(sum <"$bench_dir/unroll_comparison.txt")  unroll_comparison.stdout"
     echo "$(sum <"$bench_dir/registers.txt")  registers.stdout"
+    echo "$(sum <"$bench_dir/scheduled_portfolio3.jsonl")  scheduled_portfolio3.stdout"
 } >"$golden"
 if ! diff -u scripts/golden.sha256 "$golden" >&2; then
     echo "FAIL: deterministic artifacts differ from scripts/golden.sha256" >&2

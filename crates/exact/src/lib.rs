@@ -60,7 +60,7 @@ use ims_prof::{phase, ProfSink};
 mod prover;
 mod search;
 
-pub use prover::{prove, Decider, Decision, ProverConfig, ProverOutcome, WalkPhases};
+pub use prover::{prove, prove_from, Decider, Decision, ProverConfig, ProverOutcome, WalkPhases};
 
 /// The branch-and-bound [`Decider`]: decides one II by exhaustive search,
 /// metered in search nodes (placements tried).

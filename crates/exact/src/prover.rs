@@ -21,6 +21,10 @@
 //!    infeasible, nothing is known about the rest. When every candidate
 //!    is infeasible the heuristic schedule is proven optimal.
 //!
+//! [`prove_from`] is the walk from step 2 on, for a caller that already
+//! holds the step-1 run: the service's portfolio race runs it once and
+//! shares it among its members.
+//!
 //! The paper's own walk (`Scheduler::run` in `ims-core`) stays separate:
 //! it continues past a budget-exhausted II, budgets each attempt on its
 //! own and consults `attempt_accept`, none of which a proof allows.
@@ -29,8 +33,8 @@
 //! deciders' statistics included.
 
 use ims_core::{
-    BackendKind, IiBounds, MiiInfo, Problem, SchedConfig, SchedObserver, Schedule, ScheduleError,
-    Scheduler,
+    BackendKind, IiBounds, MiiInfo, Problem, SchedConfig, SchedObserver, SchedOutcome, Schedule,
+    ScheduleError, Scheduler,
 };
 use ims_graph::NodeId;
 use ims_prof::ProfSink;
@@ -181,8 +185,30 @@ pub fn prove<D: Decider, O: SchedObserver>(
     let ims = Scheduler::new(problem)
         .config(config.heuristic.clone())
         .run()?;
+    Ok(prove_from(
+        problem,
+        decider,
+        ims,
+        config.work_limit,
+        observer,
+    ))
+}
+
+/// The walk of [`prove`] after its heuristic run, from `ims`, a run of
+/// the iterative scheduler on `problem` already in hand, under
+/// `work_limit` (`None` is the decider's [`Decider::DEFAULT_WORK_LIMIT`]).
+/// When `ims` reaches the MII it is returned unchanged, with no decision.
+/// The observer sees every event [`prove`] sends after its heuristic
+/// run; the `backend` event before that run is the caller's to send.
+pub fn prove_from<D: Decider, O: SchedObserver>(
+    problem: &Problem<'_>,
+    decider: &D,
+    ims: SchedOutcome,
+    work_limit: Option<u64>,
+    observer: &mut O,
+) -> ProverOutcome {
     let ims_ii = ims.schedule.ii;
-    let limit = config.work_limit.unwrap_or(D::DEFAULT_WORK_LIMIT);
+    let limit = work_limit.unwrap_or(D::DEFAULT_WORK_LIMIT);
     let mut work = 0u64;
     let mut proved_lb = ims_ii;
     for ii in ims.mii.mii..ims_ii {
@@ -195,14 +221,14 @@ pub fn prove<D: Decider, O: SchedObserver>(
             Decision::Feasible(schedule) => {
                 emit_ops(observer, &schedule);
                 observer.attempt_done(ii, true);
-                return Ok(ProverOutcome {
+                return ProverOutcome {
                     schedule,
                     mii: ims.mii,
                     bounds: IiBounds::exact(ii),
                     work,
                     limit_hit: false,
                     ims_ii,
-                });
+                };
             }
             Decision::Infeasible => {
                 observer.work(D::PHASES.infeasible, 1);
@@ -222,7 +248,7 @@ pub fn prove<D: Decider, O: SchedObserver>(
     observer.attempt_start(ims_ii, 0);
     emit_ops(observer, &ims.schedule);
     observer.attempt_done(ims_ii, true);
-    Ok(ProverOutcome {
+    ProverOutcome {
         schedule: ims.schedule,
         mii: ims.mii,
         bounds: IiBounds {
@@ -232,7 +258,7 @@ pub fn prove<D: Decider, O: SchedObserver>(
         work,
         limit_hit: proved_lb < ims_ii,
         ims_ii,
-    })
+    }
 }
 
 /// Emits `op_scheduled` for every node of `schedule`, in node order.

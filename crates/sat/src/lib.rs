@@ -31,7 +31,9 @@
 //! [`schedule_leaf`] runs the paper's iterative scheduler through the
 //! [`Scheduler`] builder for `ims` and the prover walk around
 //! [`BranchAndBound`] or [`Cdcl`] for `exact` and `sat`, and returns each
-//! outcome unchanged as a [`LeafOutcome`].
+//! outcome unchanged as a [`LeafOutcome`]. Its prover arms go through
+//! [`leaf_from_run`], which answers a leaf from an iterative run already
+//! in hand, so a caller holding one run can answer every leaf from it.
 //!
 //! ```
 //! use ims_core::{NullObserver, ProblemBuilder, validate_schedule};
@@ -59,9 +61,7 @@ use ims_core::{
     BackendKind, MiiInfo, Problem, SchedConfig, SchedObserver, SchedOutcome, Schedule,
     ScheduleError, Scheduler,
 };
-use ims_exact::{
-    prove, BranchAndBound, Decider, Decision, ProverConfig, ProverOutcome, WalkPhases,
-};
+use ims_exact::{prove_from, BranchAndBound, Decider, Decision, ProverOutcome, WalkPhases};
 use ims_prof::{phase, ProfSink};
 
 mod encode;
@@ -151,13 +151,13 @@ impl LeafOutcome {
 /// Schedules `problem` with the leaf backend `kind`.
 ///
 /// * `ims` runs [`Scheduler`] under `sched`; `work_limit` is unused.
-/// * `exact` and `sat` run the [`prove`] walk around [`BranchAndBound`]
-///   or [`Cdcl`], with `sched` configuring the walk's internal heuristic
-///   run and `work_limit` its work budget (nodes or conflicts; `None` is
-///   the decider's [`Decider::DEFAULT_WORK_LIMIT`]).
+/// * `exact` and `sat` run the [`prove`](ims_exact::prove) walk around
+///   [`BranchAndBound`] or [`Cdcl`], with `sched` configuring the walk's
+///   internal heuristic run and `work_limit` its work budget (nodes or
+///   conflicts; `None` is the decider's [`Decider::DEFAULT_WORK_LIMIT`]).
 ///
 /// Every scheduler event goes to `observer`, the backends' work counts
-/// among them as `work` events.
+/// among them as `work` events; a prover's heuristic run is not observed.
 ///
 /// # Errors
 ///
@@ -170,19 +170,44 @@ pub fn schedule_leaf<O: SchedObserver>(
     work_limit: Option<u64>,
     observer: &mut O,
 ) -> Result<LeafOutcome, ScheduleError> {
-    let config = || ProverConfig::new(work_limit).heuristic(sched.clone());
+    let scheduler = Scheduler::new(problem).config(sched.clone());
+    if kind == BackendKind::Ims {
+        return scheduler.observer(observer).run().map(LeafOutcome::Ims);
+    }
+    observer.backend(kind);
+    let run = scheduler.run()?;
+    Ok(leaf_from_run(kind, problem, run, work_limit, observer))
+}
+
+/// Answers the leaf backend `kind` from `run`, a run of [`Scheduler`] on
+/// `problem` under the configuration the leaf would use: `ims` answers
+/// `run` itself, and `exact` and `sat` continue the prover walk from it
+/// ([`prove_from`]) under `work_limit`, as [`schedule_leaf`] does. The
+/// observer sees a prover walk's events after its heuristic run, and none
+/// for `ims`.
+pub fn leaf_from_run<O: SchedObserver>(
+    kind: BackendKind,
+    problem: &Problem<'_>,
+    run: SchedOutcome,
+    work_limit: Option<u64>,
+    observer: &mut O,
+) -> LeafOutcome {
     match kind {
-        BackendKind::Ims => Scheduler::new(problem)
-            .config(sched.clone())
-            .observer(observer)
-            .run()
-            .map(LeafOutcome::Ims),
-        BackendKind::Exact => {
-            prove(problem, &BranchAndBound, &config(), observer).map(LeafOutcome::Prover)
-        }
-        BackendKind::Sat => {
-            prove(problem, &Cdcl::default(), &config(), observer).map(LeafOutcome::Prover)
-        }
+        BackendKind::Ims => LeafOutcome::Ims(run),
+        BackendKind::Exact => LeafOutcome::Prover(prove_from(
+            problem,
+            &BranchAndBound,
+            run,
+            work_limit,
+            observer,
+        )),
+        BackendKind::Sat => LeafOutcome::Prover(prove_from(
+            problem,
+            &Cdcl::default(),
+            run,
+            work_limit,
+            observer,
+        )),
     }
 }
 
@@ -190,6 +215,7 @@ pub fn schedule_leaf<O: SchedObserver>(
 mod tests {
     use super::*;
     use ims_core::{validate_schedule, NullObserver, ProblemBuilder};
+    use ims_exact::{prove, ProverConfig};
     use ims_graph::DepKind;
     use ims_ir::{OpId, Opcode};
     use ims_machine::figure1_machine;
@@ -243,6 +269,62 @@ mod tests {
             assert_eq!(out.mii().mii, 5);
             assert_eq!(out.schedule().ii, 6, "{kind}");
             assert!(validate_schedule(&p, out.schedule()).is_ok());
+        }
+    }
+
+    /// Every event a prover walk sends, as text.
+    #[derive(Debug, Default, PartialEq)]
+    struct Events(Vec<String>);
+
+    impl SchedObserver for Events {
+        fn backend(&mut self, kind: BackendKind) {
+            self.0.push(format!("backend {kind}"));
+        }
+        fn attempt_start(&mut self, ii: i64, budget: i64) {
+            self.0.push(format!("start {ii} {budget}"));
+        }
+        fn op_scheduled(&mut self, node: ims_graph::NodeId, time: i64, alt: usize, forced: bool) {
+            self.0.push(format!("op {} {time} {alt} {forced}", node.0));
+        }
+        fn attempt_done(&mut self, ii: i64, ok: bool) {
+            self.0.push(format!("done {ii} {ok}"));
+        }
+        fn work(&mut self, phase: &'static str, n: u64) {
+            self.0.push(format!("work {phase} {n}"));
+        }
+    }
+
+    #[test]
+    fn a_leaf_answers_from_a_run_in_hand_as_the_walk_would() {
+        let m = figure1_machine();
+        let p = figure1_problem(&m);
+        let sched = SchedConfig::new().budget_ratio(6.0);
+        let config = ProverConfig::new(None).heuristic(sched.clone());
+        let run = Scheduler::new(&p).config(sched.clone()).run().unwrap();
+        let ims = leaf_from_run(BackendKind::Ims, &p, run.clone(), None, &mut NullObserver);
+        assert_eq!(ims, LeafOutcome::Ims(run.clone()));
+        for kind in [BackendKind::Exact, BackendKind::Sat] {
+            let mut proved = Events::default();
+            let expect = match kind {
+                BackendKind::Exact => prove(&p, &BranchAndBound, &config, &mut proved),
+                _ => prove(&p, &Cdcl::default(), &config, &mut proved),
+            }
+            .unwrap();
+            assert!(
+                expect.work > 0,
+                "{kind}: IMS misses the MII, so II 5 is decided"
+            );
+            let mut through_leaf = Events::default();
+            let out = schedule_leaf(kind, &p, &sched, None, &mut through_leaf).unwrap();
+            assert_eq!(out, LeafOutcome::Prover(expect.clone()), "{kind}");
+            assert_eq!(through_leaf, proved, "{kind}");
+            // The backend event comes before the heuristic run, so a walk
+            // from a run in hand sends every event after it.
+            let mut from_run = Events::default();
+            let out = leaf_from_run(kind, &p, run.clone(), None, &mut from_run);
+            assert_eq!(out, LeafOutcome::Prover(expect), "{kind}");
+            assert_eq!(proved.0[0], format!("backend {kind}"));
+            assert_eq!(from_run.0, proved.0[1..], "{kind}");
         }
     }
 

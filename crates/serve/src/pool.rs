@@ -2,13 +2,18 @@
 //!
 //! The paper's evaluation schedules 1,327 independent loops; nothing about
 //! one loop's schedule depends on another's, so the corpus is
-//! embarrassingly parallel. [`par_map`] fans a slice out over `threads`
-//! scoped `std::thread` workers that pull chunks off a shared atomic
-//! cursor (dynamic chunking, so a few expensive loops cannot strand a
-//! worker), and reassembles the results **in input order**. Because every
-//! result is keyed by its input index before merging, the output is
-//! byte-for-byte identical for any thread count — determinism is a
-//! property of the merge, not of the OS scheduler.
+//! embarrassingly parallel. [`par_map`] fans a slice out over up to
+//! `threads` scoped `std::thread` workers that pull chunks of 8 items off
+//! a shared atomic cursor (dynamic chunking, so a few expensive loops
+//! cannot strand a worker), and reassembles the results **in input
+//! order**. Because every result is keyed by its input index before
+//! merging, the output is byte-for-byte identical for any thread count —
+//! determinism is a property of the merge, not of the OS scheduler.
+//!
+//! No more workers are spawned than there are chunks, and work that fits
+//! one chunk runs inline on the calling thread: a worker costs a thread
+//! spawn and join (tens of microseconds), against microseconds of work
+//! per item in a small service batch.
 //!
 //! Two failure-handling layers sit on top of the plain map:
 //!
@@ -225,14 +230,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Applies `f` to every item of `items` using `threads` worker threads and
-/// returns the results in input order.
+/// Applies `f` to every item of `items` using up to `threads` worker
+/// threads and returns the results in input order.
 ///
-/// With `threads <= 1` the map runs inline on the calling thread (no
-/// spawn, no atomics) — the deterministic baseline the parallel path must
-/// reproduce exactly. `f` receives `(index, &item)` so callers can key
-/// per-item state (seeds, labels) off the stable input position rather
-/// than off arrival order.
+/// A worker claims `CHUNK` (8) items at a time, so at most one worker per
+/// chunk is spawned: `min(threads, ⌈items / 8⌉)`. When that is one (at
+/// `threads <= 1`, or for at most 8 items) the map runs inline on the
+/// calling thread, with no spawn and no atomics — the deterministic
+/// baseline the parallel path must reproduce exactly. `f` receives
+/// `(index, &item)` so callers can key per-item state (seeds, labels) off
+/// the stable input position rather than off arrival order.
 ///
 /// # Panics
 ///
@@ -262,8 +269,8 @@ where
 /// item still completes. The scheduling service maps the error to a
 /// per-request failure response; [`par_map`] re-raises it.
 ///
-/// Results are in input order for any thread count, exactly as
-/// [`par_map`].
+/// Results are in input order for any thread count, and the items run
+/// inline or on workers by the same rule, exactly as [`par_map`].
 pub fn try_par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Result<R, WorkerPanic>>
 where
     T: Sync,
@@ -277,10 +284,12 @@ where
         })
     };
 
-    if threads <= 1 || items.len() <= 1 {
+    // A worker past the one per chunk would find the cursor spent, so
+    // none is spawned; one worker's work runs on the calling thread.
+    let workers = threads.min(items.len().div_ceil(CHUNK));
+    if workers <= 1 {
         return items.iter().enumerate().map(|(i, x)| call(i, x)).collect();
     }
-    let workers = threads.min(items.len());
     let cursor = AtomicUsize::new(0);
 
     let mut indexed: Vec<(usize, Result<R, WorkerPanic>)> = Vec::with_capacity(items.len());
@@ -514,6 +523,37 @@ mod tests {
                     assert_eq!(r.as_ref().unwrap(), &((i as u32) * 2));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn work_that_fits_one_chunk_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |_, _: &u32| std::thread::current().id() == caller;
+        for threads in [1, 2, 8] {
+            for n in [0, 1, 2, CHUNK] {
+                let items: Vec<u32> = (0..n as u32).collect();
+                let got = par_map(&items, threads, on_caller);
+                assert!(got.iter().all(|&c| c), "threads={threads} n={n}");
+            }
+            // The inline path still contains a panic per item.
+            let got = try_par_map(&[0u32, 1, 2], threads, |_, &x| {
+                assert!(std::thread::current().id() == caller);
+                if x == 1 {
+                    panic!("boom at {x}");
+                }
+                x
+            });
+            assert_eq!(got[0], Ok(0));
+            assert_eq!(got[1].as_ref().unwrap_err().message, "boom at 1");
+            assert_eq!(got[2], Ok(2));
+        }
+        // Past one chunk, two or more threads fan out to workers.
+        let items: Vec<u32> = (0..CHUNK as u32 + 1).collect();
+        assert!(par_map(&items, 1, on_caller).iter().all(|&c| c));
+        for threads in [2, 8] {
+            let got = par_map(&items, threads, on_caller);
+            assert!(got.iter().all(|&c| !c), "threads={threads}");
         }
     }
 

@@ -57,6 +57,9 @@
 //! `max_ii`, `node_limit`, `pressure_limit`, `ops` and `edges` by index.
 //! An error response echoes the line's `id` when that is a string.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use ims_core::BackendSpec;
 use ims_graph::{DepGraph, DepKind};
 use ims_ir::Opcode;
@@ -124,9 +127,26 @@ pub const MAX_WIDE: usize = 64;
 /// line is answered with an error before any of it is parsed.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// A machine constructor that takes no parameter.
+type Build = fn() -> MachineModel;
+
+/// The machines a request names without a parameter, with their
+/// constructors.
+const NAMED_MACHINES: [(&str, Build); 5] = [
+    ("cydra", cydra),
+    ("cydra_simple", cydra_simple),
+    ("figure1", figure1_machine),
+    ("minimal", minimal),
+    ("single_alu", single_alu),
+];
+
 /// Resolves a wire-format machine name to a model. `cydra_rf<N>` accepts
 /// any `u32` suffix (e.g. `cydra_rf16`), `wide<K>` any suffix up to
 /// [`MAX_WIDE`] (e.g. `wide3`).
+///
+/// Each machine named without a parameter is built once per process, on
+/// first use, and lent out; `cydra_rf<N>` and `wide<K>` are built per
+/// call, so no table grows with the names requests carry.
 ///
 /// # Panics
 ///
@@ -135,20 +155,16 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// only the name *shape*, so such a request reaches the scheduling
 /// worker, whose panic containment turns the constructor failure into a
 /// per-request error response instead of taking the service down.
-pub fn machine_by_name(name: &str) -> Option<MachineModel> {
-    match name {
-        "cydra" => Some(cydra()),
-        "cydra_simple" => Some(cydra_simple()),
-        "figure1" => Some(figure1_machine()),
-        "minimal" => Some(minimal()),
-        "single_alu" => Some(single_alu()),
-        _ => {
-            if let Some(n) = name.strip_prefix("cydra_rf") {
-                return n.parse().ok().map(cydra_rf);
-            }
-            wide_width(name).map(wide)
-        }
+pub fn machine_by_name(name: &str) -> Option<Cow<'static, MachineModel>> {
+    static BUILT: [OnceLock<MachineModel>; NAMED_MACHINES.len()] =
+        [const { OnceLock::new() }; NAMED_MACHINES.len()];
+    if let Some(i) = NAMED_MACHINES.iter().position(|&(n, _)| n == name) {
+        return Some(Cow::Borrowed(BUILT[i].get_or_init(NAMED_MACHINES[i].1)));
     }
+    if let Some(n) = name.strip_prefix("cydra_rf") {
+        return n.parse().ok().map(|n| Cow::Owned(cydra_rf(n)));
+    }
+    wide_width(name).map(|k| Cow::Owned(wide(k)))
 }
 
 /// The `K` of a `wide<K>` name, if it is at most [`MAX_WIDE`].
@@ -160,10 +176,8 @@ fn wide_width(name: &str) -> Option<usize> {
 /// Shape-only name check used at parse time; construction (and any
 /// constructor panic) is deferred to the worker.
 fn machine_name_is_wellformed(name: &str) -> bool {
-    matches!(
-        name,
-        "cydra" | "cydra_simple" | "figure1" | "minimal" | "single_alu"
-    ) || wide_width(name).is_some()
+    NAMED_MACHINES.iter().any(|&(n, _)| n == name)
+        || wide_width(name).is_some()
         || name
             .strip_prefix("cydra_rf")
             .is_some_and(|n| n.parse::<u32>().is_ok())
@@ -526,18 +540,11 @@ impl Request {
     }
 
     /// Canonicalization labels for [`Request::graph`]: the opcode's index
-    /// in [`Opcode::ALL`] — stable across node renumberings by
+    /// in [`Opcode::ALL`], which is its discriminant (`ims-machine` indexes
+    /// its opcode table the same way) — stable across node renumberings by
     /// construction, and the only per-node attribute the wire carries.
     pub fn labels(&self) -> Vec<u64> {
-        self.ops
-            .iter()
-            .map(|op| {
-                Opcode::ALL
-                    .iter()
-                    .position(|o| o == op)
-                    .expect("every opcode appears in Opcode::ALL") as u64
-            })
-            .collect()
+        self.ops.iter().map(|&op| op as u64).collect()
     }
 
     /// Serializes the request back to one wire line (used by the request
@@ -713,6 +720,29 @@ mod tests {
             machine_by_name("cydra_rf12").unwrap().register_file(),
             Some(12)
         );
+        // A parameterless machine is built once and lent out; the others
+        // are built per call.
+        for (name, build) in NAMED_MACHINES {
+            let (Some(Cow::Borrowed(a)), Some(Cow::Borrowed(b))) =
+                (machine_by_name(name), machine_by_name(name))
+            else {
+                panic!("{name} is lent out");
+            };
+            assert!(std::ptr::eq(a, b), "{name}");
+            assert_eq!(*a, build(), "{name}");
+        }
+        assert!(matches!(machine_by_name("cydra_rf8"), Some(Cow::Owned(_))));
+        assert!(matches!(machine_by_name("wide2"), Some(Cow::Owned(_))));
+    }
+
+    #[test]
+    fn labels_are_indices_into_opcode_all() {
+        let r = Request {
+            ops: Opcode::ALL.to_vec(),
+            ..parse_request(r#"{"id":"l","ops":["add"]}"#).unwrap()
+        };
+        let expect: Vec<u64> = (0..Opcode::ALL.len() as u64).collect();
+        assert_eq!(r.labels(), expect);
     }
 
     #[test]

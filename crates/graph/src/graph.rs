@@ -65,7 +65,11 @@ impl fmt::Display for DepKind {
 /// `time(to) ≥ time(from) + delay − II·distance` (§2.2). `delay` may be
 /// negative for anti-/output dependences on a VLIW with non-unit latencies
 /// (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Edges order field by field, `(from, to, delay, distance, kind,
+/// is_mem)`: the order of a [`CanonicalForm`](crate::CanonicalForm)'s
+/// edges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DepEdge {
     /// Predecessor operation.
     pub from: NodeId,
@@ -171,12 +175,16 @@ impl DepGraph {
 
     /// Outgoing edges of `node`.
     pub fn succs(&self, node: NodeId) -> impl Iterator<Item = &DepEdge> + '_ {
-        self.succ[node.index()].iter().map(|e| &self.edges[e.index()])
+        self.succ[node.index()]
+            .iter()
+            .map(|e| &self.edges[e.index()])
     }
 
     /// Incoming edges of `node`.
     pub fn preds(&self, node: NodeId) -> impl Iterator<Item = &DepEdge> + '_ {
-        self.pred[node.index()].iter().map(|e| &self.edges[e.index()])
+        self.pred[node.index()]
+            .iter()
+            .map(|e| &self.edges[e.index()])
     }
 
     /// All node ids, `0..num_nodes`.
@@ -187,7 +195,12 @@ impl DepGraph {
 
 impl fmt::Display for DepGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "graph: {} nodes, {} edges", self.num_nodes(), self.num_edges())?;
+        writeln!(
+            f,
+            "graph: {} nodes, {} edges",
+            self.num_nodes(),
+            self.num_edges()
+        )?;
         for e in &self.edges {
             writeln!(
                 f,

@@ -20,9 +20,10 @@
 //!   all-pairs longest-path matrix over edge weights `delay − II·distance`.
 //!   *"If `MinDist[i,i]` is positive for any `i` … the II is too small"*;
 //!   the smallest II with no positive diagonal entry is the RecMII.
-//! * **Canonicalization** ([`canonical_form`]): an isomorphism-stable node
-//!   ordering and byte encoding of a labeled dependence graph, used to
-//!   content-address schedule-cache entries and dedup generated corpora.
+//! * **Canonicalization** ([`Canonicalizer`]): an isomorphism-stable node
+//!   ordering of a labeled dependence graph given as an edge list, and its
+//!   edges in that order, which the service hashes to content-address
+//!   schedule-cache entries and dedup generated corpora.
 //!
 //! # Examples
 //!
@@ -50,7 +51,7 @@ mod graph;
 mod mindist;
 mod scc;
 
-pub use canon::{canonical_form, canonical_key, CanonicalForm};
+pub use canon::{CanonicalForm, Canonicalizer};
 pub use circuits::{elementary_circuits, Circuit};
 pub use graph::{DepEdge, DepGraph, DepKind, EdgeId, NodeId};
 pub use mindist::{compute_min_dist, MinDist, MinDistSolver, NEG_INF};

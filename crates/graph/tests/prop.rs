@@ -2,8 +2,8 @@
 //! [`ims_testkit::prop`] harness.
 
 use ims_graph::{
-    canonical_form, canonical_key, compute_min_dist, elementary_circuits, sccs, DepGraph, DepKind,
-    NodeId, NEG_INF,
+    compute_min_dist, elementary_circuits, sccs, CanonicalForm, Canonicalizer, DepEdge, DepGraph,
+    DepKind, NodeId, NEG_INF,
 };
 use ims_testkit::{check, prop_assert, prop_assert_eq, prop_assume, Gen, PropConfig};
 
@@ -175,7 +175,12 @@ fn gen_labeled_graph_and_perm(g: &mut Gen) -> (DepGraph, Vec<u64>, Vec<usize>) {
             g.bool(),
         )
     });
-    let kinds = [DepKind::Flow, DepKind::Anti, DepKind::Output, DepKind::Control];
+    let kinds = [
+        DepKind::Flow,
+        DepKind::Anti,
+        DepKind::Output,
+        DepKind::Control,
+    ];
     let mut graph = DepGraph::with_nodes(n);
     for (from, to, delay, distance, kind, is_mem) in edges {
         graph.add_edge(
@@ -226,29 +231,46 @@ fn relabel(g: &DepGraph, labels: &[u64], perm: &[usize]) -> (DepGraph, Vec<u64>)
         .collect();
     edges.sort_by_key(|e| (e.0, e.1, e.2, e.3));
     for (from, to, delay, distance, kind, is_mem) in edges {
-        h.add_edge(NodeId(from as u32), NodeId(to as u32), delay, distance, kind, is_mem);
+        h.add_edge(
+            NodeId(from as u32),
+            NodeId(to as u32),
+            delay,
+            distance,
+            kind,
+            is_mem,
+        );
     }
     (h, new_labels)
 }
 
+/// The canonical form of `g` under `labels`.
+fn canonical_form(g: &DepGraph, labels: &[u64]) -> CanonicalForm {
+    Canonicalizer::new().canonicalize(labels, g.edges()).clone()
+}
+
+/// The labels in canonical order and the canonical edges: together, the
+/// labeled graph up to renumbering.
+fn described(g: &DepGraph, labels: &[u64]) -> (Vec<u64>, Vec<DepEdge>) {
+    let form = canonical_form(g, labels);
+    let ordered = form.order.iter().map(|v| labels[v.index()]).collect();
+    (ordered, form.edges)
+}
+
 #[test]
-fn canonical_key_is_isomorphism_invariant() {
+fn canonical_form_is_isomorphism_invariant() {
     check(
-        "canonical_key_is_isomorphism_invariant",
+        "canonical_form_is_isomorphism_invariant",
         &PropConfig::with_cases(192),
         &[],
         gen_labeled_graph_and_perm,
         |(g, labels, perm)| {
             let (h, hlabels) = relabel(g, labels, perm);
-            let cg = canonical_form(g, labels);
-            let ch = canonical_form(&h, &hlabels);
             prop_assert_eq!(
-                &cg.encoding,
-                &ch.encoding,
-                "relabeling changed the canonical encoding (perm {:?})",
+                described(g, labels),
+                described(&h, &hlabels),
+                "relabeling changed the canonical labels or edges (perm {:?})",
                 perm
             );
-            prop_assert_eq!(canonical_key(g, labels), canonical_key(&h, &hlabels));
             Ok(())
         },
     );
@@ -279,28 +301,28 @@ fn canonical_order_and_position_are_inverse() {
 }
 
 #[test]
-fn canonical_encoding_separates_modified_graphs() {
+fn canonical_form_separates_modified_graphs() {
     check(
-        "canonical_encoding_separates_modified_graphs",
+        "canonical_form_separates_modified_graphs",
         &PropConfig::with_cases(128),
         &[],
         gen_labeled_graph_and_perm,
         |(g, labels, _)| {
-            let base = canonical_form(g, labels);
-            // Bumping any one label changes the encoding.
+            let base = described(g, labels);
+            // Bumping any one label changes the canonical labels.
             let mut bumped = labels.clone();
             bumped[0] = bumped[0].wrapping_add(1000);
             prop_assert!(
-                canonical_form(g, &bumped).encoding != base.encoding,
-                "label change not reflected in encoding"
+                described(g, &bumped) != base,
+                "label change not reflected in the canonical form"
             );
             // Adding an edge with a delay outside the generator's range
-            // changes the encoding.
+            // changes the canonical edges.
             let mut grown = g.clone();
             grown.add_edge(NodeId(0), NodeId(0), 99, 1, DepKind::Flow, false);
             prop_assert!(
-                canonical_form(&grown, labels).encoding != base.encoding,
-                "edge addition not reflected in encoding"
+                described(&grown, labels) != base,
+                "edge addition not reflected in the canonical form"
             );
             Ok(())
         },
@@ -320,7 +342,12 @@ fn circuit_min_ii_matches_min_dist_threshold() {
             let (circuits, complete) = elementary_circuits(g, 50_000, &mut 0u64);
             prop_assume!(complete);
             prop_assume!(circuits.iter().all(|c| c.distance > 0));
-            let by_circuits = circuits.iter().map(|c| c.min_ii()).max().unwrap_or(0).max(1);
+            let by_circuits = circuits
+                .iter()
+                .map(|c| c.min_ii())
+                .max()
+                .unwrap_or(0)
+                .max(1);
             // The smallest II at which MinDist is feasible must equal it.
             let mut w = 0;
             let mut by_mindist = 1;

@@ -2,7 +2,7 @@
 //!
 //! Every request is reduced to a **canonical problem** — its operations
 //! and edges rewritten into the isomorphism-stable node order computed by
-//! [`ims_graph::canonical_form`] — and keyed by a 128-bit FNV-1a hash
+//! [`ims_graph::Canonicalizer`] — and keyed by a 128-bit FNV-1a hash
 //! over:
 //!
 //! * a format-version tag,
@@ -11,7 +11,8 @@
 //!   while member *order* still distinguishes keys — it breaks winner
 //!   ties), the `budget_ratio` bit pattern, `max_ii`, `node_limit`, and
 //!   `pressure_limit` (everything that can change the answer),
-//! * the canonical graph encoding (labels + edges, canonically ordered).
+//! * the canonical problem: the operation count, the opcodes in canonical
+//!   order and the sorted canonical edges.
 //!
 //! The request `id` is **not** hashed, and neither is anything about node
 //! numbering: two requests describing the same loop with permuted
@@ -23,10 +24,10 @@
 //! unchanged (same II, same length, per-node times carried by the node
 //! mapping).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
-use ims_graph::canon::{canonical_form, fnv128};
-use ims_graph::CanonicalForm;
+use ims_graph::{Canonicalizer, DepEdge};
 use ims_ir::Opcode;
 
 use crate::wire::{Request, WireEdge};
@@ -55,85 +56,105 @@ pub struct Keyed {
     pub key: u128,
 }
 
-/// Canonicalizes `req` and derives its cache key.
-pub fn key_request(req: &Request) -> Keyed {
-    let graph = req.graph();
-    let labels = req.labels();
-    let form = canonical_form(&graph, &labels);
-    let canon = canonical_problem(req, &form);
-    let key = cache_key(req, &canon);
-    Keyed {
-        canon,
-        position: form.position,
-        key,
-    }
+/// The buffers canonicalization reuses from request to request: the
+/// canonicalizer's own, and the request's labels and edges in its terms.
+/// The request line cap ([`MAX_LINE_BYTES`](crate::wire::MAX_LINE_BYTES))
+/// bounds them.
+#[derive(Default)]
+struct Scratch {
+    canonicalizer: Canonicalizer,
+    labels: Vec<u64>,
+    edges: Vec<DepEdge>,
 }
 
-/// Rewrites the request's ops and edges into canonical order.
-fn canonical_problem(req: &Request, form: &CanonicalForm) -> CanonProblem {
-    let ops: Vec<Opcode> = form.order.iter().map(|v| req.ops[v.index()]).collect();
-    let mut edges: Vec<WireEdge> = req
-        .edges
-        .iter()
-        .map(|e| WireEdge {
-            from: form.position[e.from as usize] as u32,
-            to: form.position[e.to as usize] as u32,
-            ..*e
-        })
-        .collect();
-    edges.sort_by_key(|e| (e.from, e.to, e.delay, e.distance, e.kind as u8, e.is_mem));
-    CanonProblem { ops, edges }
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Canonicalizes `req` and derives its cache key.
+pub fn key_request(req: &Request) -> Keyed {
+    SCRATCH.with_borrow_mut(|scratch| {
+        let Scratch {
+            canonicalizer,
+            labels,
+            edges,
+        } = scratch;
+        labels.clear();
+        labels.extend(req.labels());
+        edges.clear();
+        edges.extend(req.edges.iter().map(|&e| DepEdge::from(e)));
+        let form = canonicalizer.canonicalize(labels, edges);
+        let canon = CanonProblem {
+            ops: form.order.iter().map(|v| req.ops[v.index()]).collect(),
+            edges: form.edges.iter().map(|&e| WireEdge::from(e)).collect(),
+        };
+        Keyed {
+            key: cache_key(req, &canon),
+            position: form.position.clone(),
+            canon,
+        }
+    })
+}
+
+/// 128-bit FNV-1a, fed a field at a time. Deterministic, allocation-free,
+/// and std-only; collision resistance is ample for content addressing a
+/// schedule cache (not a cryptographic commitment).
+struct Fnv128(u128);
+
+impl Fnv128 {
+    fn new() -> Self {
+        Fnv128(0x6c62272e07bb014262b821756295c58d)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        const PRIME: u128 = 0x0000000001000000000000000000013b;
+        for &b in bytes {
+            self.0 ^= u128::from(b);
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+
+    /// An optional field: a 0 byte when absent, else a 1 byte and the
+    /// value's bytes.
+    fn write_opt<const N: usize>(&mut self, value: Option<[u8; N]>) {
+        match value {
+            None => self.write(&[0]),
+            Some(bytes) => {
+                self.write(&[1]);
+                self.write(&bytes);
+            }
+        }
+    }
 }
 
 /// The 128-bit content hash: configuration fields that affect the
-/// schedule, then the canonical graph bytes. See the module docs for the
+/// schedule, then the canonical problem. See the module docs for the
 /// exact inventory of what is and is not hashed.
 fn cache_key(req: &Request, canon: &CanonProblem) -> u128 {
-    let mut bytes: Vec<u8> = Vec::new();
+    let mut h = Fnv128::new();
     // v3: the key grew the pressure_limit field.
-    bytes.extend_from_slice(b"ims-serve-key-v3\0");
-    bytes.extend_from_slice(req.machine.as_bytes());
-    bytes.push(0);
-    bytes.extend_from_slice(req.backend.canonical().as_bytes());
-    bytes.push(0);
-    bytes.extend_from_slice(&req.budget_ratio.to_bits().to_be_bytes());
-    match req.max_ii {
-        None => bytes.push(0),
-        Some(m) => {
-            bytes.push(1);
-            bytes.extend_from_slice(&m.to_be_bytes());
-        }
-    }
-    match req.node_limit {
-        None => bytes.push(0),
-        Some(n) => {
-            bytes.push(1);
-            bytes.extend_from_slice(&n.to_be_bytes());
-        }
-    }
-    match req.pressure_limit {
-        None => bytes.push(0),
-        Some(p) => {
-            bytes.push(1);
-            bytes.extend_from_slice(&p.to_be_bytes());
-        }
-    }
-    // The canonical problem is a pure function of the canonical encoding,
-    // so hashing its serialization is hashing the encoding.
-    bytes.extend_from_slice(&(canon.ops.len() as u64).to_be_bytes());
+    h.write(b"ims-serve-key-v3\0");
+    h.write(req.machine.as_bytes());
+    h.write(&[0]);
+    h.write(req.backend.canonical().as_bytes());
+    h.write(&[0]);
+    h.write(&req.budget_ratio.to_bits().to_be_bytes());
+    h.write_opt(req.max_ii.map(i64::to_be_bytes));
+    h.write_opt(req.node_limit.map(u64::to_be_bytes));
+    h.write_opt(req.pressure_limit.map(u32::to_be_bytes));
+    h.write(&(canon.ops.len() as u64).to_be_bytes());
     for op in &canon.ops {
-        bytes.extend_from_slice(op.mnemonic().as_bytes());
-        bytes.push(0);
+        h.write(op.mnemonic().as_bytes());
+        h.write(&[0]);
     }
     for e in &canon.edges {
-        bytes.extend_from_slice(&e.from.to_be_bytes());
-        bytes.extend_from_slice(&e.to.to_be_bytes());
-        bytes.extend_from_slice(&e.delay.to_be_bytes());
-        bytes.extend_from_slice(&e.distance.to_be_bytes());
-        bytes.push(e.kind as u8);
-        bytes.push(e.is_mem as u8);
+        h.write(&e.from.to_be_bytes());
+        h.write(&e.to.to_be_bytes());
+        h.write(&e.delay.to_be_bytes());
+        h.write(&e.distance.to_be_bytes());
+        h.write(&[e.kind as u8, e.is_mem as u8]);
     }
-    fnv128(&bytes)
+    h.0
 }
 
 /// A cached scheduling outcome, in canonical node order.
@@ -204,6 +225,9 @@ impl ScheduleCache {
         self.entries.insert(key, entry);
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -61,7 +61,7 @@ use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use ims_core::BackendSpec;
-use ims_graph::{DepGraph, DepKind};
+use ims_graph::{DepEdge, DepKind, NodeId};
 use ims_ir::Opcode;
 use ims_machine::{
     cydra, cydra_rf, cydra_simple, figure1_machine, minimal, single_alu, wide, MachineModel,
@@ -90,6 +90,32 @@ pub struct WireEdge {
     pub kind: DepKind,
     /// Whether this is a memory dependence.
     pub is_mem: bool,
+}
+
+impl From<WireEdge> for DepEdge {
+    fn from(e: WireEdge) -> Self {
+        DepEdge {
+            from: NodeId(e.from),
+            to: NodeId(e.to),
+            delay: e.delay,
+            distance: e.distance,
+            kind: e.kind,
+            is_mem: e.is_mem,
+        }
+    }
+}
+
+impl From<DepEdge> for WireEdge {
+    fn from(e: DepEdge) -> Self {
+        WireEdge {
+            from: e.from.0,
+            to: e.to.0,
+            delay: e.delay,
+            distance: e.distance,
+            kind: e.kind,
+            is_mem: e.is_mem,
+        }
+    }
 }
 
 /// A parsed, validated scheduling request.
@@ -521,30 +547,12 @@ fn int_field(v: Option<Value>, name: &str, min: i64, max: i64) -> Result<Option<
 }
 
 impl Request {
-    /// The request's dependence graph over its operations (no START/STOP
-    /// pseudo-nodes — those are machine-derived and added by the problem
-    /// builder), as fed to the canonicalization pass.
-    pub fn graph(&self) -> DepGraph {
-        let mut g = DepGraph::with_nodes(self.ops.len());
-        for e in &self.edges {
-            g.add_edge(
-                ims_graph::NodeId(e.from),
-                ims_graph::NodeId(e.to),
-                e.delay,
-                e.distance,
-                e.kind,
-                e.is_mem,
-            );
-        }
-        g
-    }
-
-    /// Canonicalization labels for [`Request::graph`]: the opcode's index
-    /// in [`Opcode::ALL`], which is its discriminant (`ims-machine` indexes
+    /// Canonicalization labels, one per operation: the opcode's index in
+    /// [`Opcode::ALL`], which is its discriminant (`ims-machine` indexes
     /// its opcode table the same way) — stable across node renumberings by
     /// construction, and the only per-node attribute the wire carries.
-    pub fn labels(&self) -> Vec<u64> {
-        self.ops.iter().map(|&op| op as u64).collect()
+    pub fn labels(&self) -> impl Iterator<Item = u64> + '_ {
+        self.ops.iter().map(|&op| op as u64)
     }
 
     /// Serializes the request back to one wire line (used by the request
@@ -742,7 +750,7 @@ mod tests {
             ..parse_request(r#"{"id":"l","ops":["add"]}"#).unwrap()
         };
         let expect: Vec<u64> = (0..Opcode::ALL.len() as u64).collect();
-        assert_eq!(r.labels(), expect);
+        assert_eq!(r.labels().collect::<Vec<_>>(), expect);
     }
 
     #[test]

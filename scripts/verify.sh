@@ -123,15 +123,25 @@ echo "    byte-identical across thread counts; bounds agree with exact on all 24
 echo "==> corpus --pressure-limit: determinism, fit coverage, press.* gates"
 pl1_log="$tmp/pl1.log"
 pl4_log="$tmp/pl4.log"
+# The per-loop traces pin every step's slot search, placement and eviction
+# under a register limit. They hold about 43 MB a directory, so they stay
+# in $tmp rather than in the uploaded $bench_dir.
+pl1_dir="$tmp/trace_press_t1"
+pl4_dir="$tmp/trace_press_t4"
 cargo run --release --offline -q -p ims-bench --bin corpus -- \
-    --loops 120 --threads 1 --pressure-limit 16 \
+    --loops 120 --threads 1 --pressure-limit 16 --trace "$pl1_dir" \
     --profile "$bench_dir/BENCH_press_t1.json" >"$pl1_log" 2>/dev/null
 cargo run --release --offline -q -p ims-bench --bin corpus -- \
-    --loops 120 --threads 4 --pressure-limit 16 \
+    --loops 120 --threads 4 --pressure-limit 16 --trace "$pl4_dir" \
     --profile "$bench_dir/BENCH_press_t4.json" >"$pl4_log" 2>/dev/null
 if ! diff -q "$pl1_log" "$pl4_log" >/dev/null; then
     echo "FAIL: pressure-limited corpus output differs between --threads 1 and --threads 4" >&2
     diff "$pl1_log" "$pl4_log" | head >&2
+    exit 1
+fi
+if ! diff -r -q "$pl1_dir" "$pl4_dir" >/dev/null; then
+    echo "FAIL: pressure-limited --trace output differs between --threads 1 and --threads 4" >&2
+    diff -r -q "$pl1_dir" "$pl4_dir" | head >&2
     exit 1
 fi
 # Aggregate sanity: the verdict fields must cover the whole corpus and
@@ -486,6 +496,7 @@ golden="$bench_dir/golden.sha256"
     echo "$(sum <"$bench_dir/registers.txt")  registers.stdout"
     echo "$(sum <"$bench_dir/scheduled_portfolio3.jsonl")  scheduled_portfolio3.stdout"
     echo "$(sum <"$bench_dir/scheduled_canon.jsonl")  scheduled_canon.stdout"
+    echo "$(tree_sum "$pl1_dir")  corpus_press16.trace"
 } >"$golden"
 if ! diff -u scripts/golden.sha256 "$golden" >&2; then
     echo "FAIL: deterministic artifacts differ from scripts/golden.sha256" >&2

@@ -17,7 +17,9 @@
 //! candidate initiation interval II the sequence is:
 //!
 //! 1. [`slot_search`](SchedObserver::slot_search) — `FindTimeSlot`
-//!    examined `iters` slots starting at `estart` (real operations only);
+//!    examined `iters` slots starting at `estart` (real operations only),
+//!    after consulting [`placement_vetoed`](SchedObserver::placement_vetoed)
+//!    at zero or more of them;
 //! 2. zero or more [`op_evicted`](SchedObserver::op_evicted) — operations
 //!    displaced by a forced placement's resource conflicts;
 //! 3. [`op_scheduled`](SchedObserver::op_scheduled) — the operation is
@@ -40,7 +42,8 @@
 //! [`placement_vetoed`](SchedObserver::placement_vetoed) lets an observer
 //! reject a resource-free slot inside `FindTimeSlot` (the slot is then
 //! treated exactly like a resource conflict; the forced-slot rule still
-//! bypasses the veto so forward progress is preserved), and
+//! bypasses the veto so forward progress is preserved; its docs give the
+//! order the walk asks in), and
 //! [`attempt_accept`](SchedObserver::attempt_accept) lets an observer
 //! reject a completed schedule at a candidate II, forcing the II to be
 //! bumped. Both default to "no objection", so every existing observer is
@@ -136,6 +139,19 @@ pub trait SchedObserver {
     /// rule (§3.4) deliberately bypasses this hook so a veto can never
     /// stall the schedule; attempt-level acceptance arbitrates instead.
     /// Defaults to `false` (never veto), which folds away entirely.
+    ///
+    /// The IMS walk consults this hook in a fixed order. Within one
+    /// scheduling step it asks only about the window of II slots from
+    /// Estart, and only at the slots where a usable alternative of
+    /// `node` issues without a resource conflict. It asks in increasing
+    /// `time` and stops at the first slot not vetoed, which the step
+    /// then places `node` at: the next hook call after that answer is
+    /// [`slot_search`](SchedObserver::slot_search), then
+    /// [`op_scheduled`](SchedObserver::op_scheduled) for `node` at that
+    /// `time` (no eviction comes between them, as the slot was free). It
+    /// is never called for the forced slot. An observer may therefore
+    /// carry work from a `false` answer over to that `op_scheduled`, as
+    /// `ims-press`'s pressure model reuses its probe's peak.
     fn placement_vetoed(&mut self, node: NodeId, time: i64) -> bool {
         let _ = (node, time);
         false

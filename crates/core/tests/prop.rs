@@ -159,7 +159,7 @@ fn mrt_place_remove_roundtrip() {
                     prop_assert_eq!(mrt.occupant(t, r), None);
                 }
             }
-            prop_assert!(mrt.occupancy_words().iter().all(|&w| w == 0));
+            prop_assert!(mrt.occupancy_image().iter().all(|&w| w == 0));
             Ok(())
         },
     );
@@ -210,6 +210,16 @@ impl RefMrt {
         out
     }
 
+    /// Word `word` of the window of II slots from `start`, slot by slot:
+    /// bit `i` set ⟺ slot `start + 64·word + i` lies in the window and
+    /// `table` issues there without conflict.
+    fn fit_word(&self, table: &ReservationTable, start: i64, word: usize) -> u64 {
+        (0..64)
+            .filter(|&i| 64 * word + i < self.ii as usize)
+            .filter(|&i| !self.conflicts(table, start + (64 * word + i) as i64))
+            .fold(0, |w, i| w | 1 << i)
+    }
+
     fn place(&mut self, node: NodeId, table: &ReservationTable, time: i64) {
         for &(r, off) in table.uses() {
             let c = self.cell(time, r, off);
@@ -225,6 +235,20 @@ impl RefMrt {
             self.slots[c] = None;
         }
     }
+}
+
+/// Whether `table` issued at `t` needs one MRT cell twice at `ii`: such a
+/// placement panics by contract, in the bitset Mrt as in the scan one.
+fn self_collides(table: &ReservationTable, t: i64, ii: i64) -> bool {
+    let mut cells: Vec<(i64, u32)> = table
+        .uses()
+        .iter()
+        .map(|&(r, off)| ((t + off as i64).rem_euclid(ii), r.0))
+        .collect();
+    cells.sort_unstable();
+    let n = cells.len();
+    cells.dedup();
+    cells.len() != n
 }
 
 /// A generated MRT workload: II, resource count, a pool of random
@@ -289,6 +313,12 @@ fn bitset_mrt_agrees_with_reference_scan() {
                 let (tab, mask) = (&tabs[ti], &masks[ti]);
                 let hit = mrt.conflicts(mask, t);
                 prop_assert_eq!(hit, oracle.conflicts(tab, t), "probe at {}", t);
+                prop_assert_eq!(
+                    mrt.fit_word(mask, t, 0),
+                    oracle.fit_word(tab, t, 0),
+                    "window from {}",
+                    t
+                );
                 mrt.conflicting_nodes_into(mask, t, &mut colliders);
                 prop_assert_eq!(
                     &colliders,
@@ -301,19 +331,8 @@ fn bitset_mrt_agrees_with_reference_scan() {
                 // contract (in the bitset Mrt exactly as in the scan one),
                 // so the script skips such placements — as the scheduler
                 // does, whose machines never self-collide at feasible IIs.
-                let self_collides = {
-                    let mut cells: Vec<(i64, u32)> = tab
-                        .uses()
-                        .iter()
-                        .map(|&(r, off)| ((t + off as i64).rem_euclid(ii), r.0))
-                        .collect();
-                    cells.sort_unstable();
-                    let n = cells.len();
-                    cells.dedup();
-                    cells.len() != n
-                };
                 match action {
-                    1 if !hit && !self_collides => {
+                    1 if !hit && !self_collides(tab, t, ii) => {
                         let node = NodeId(next_node);
                         next_node += 1;
                         mrt.place(node, mask, t);
@@ -351,6 +370,88 @@ fn bitset_mrt_agrees_with_reference_scan() {
                             "occupant ({}, {})",
                             row,
                             r
+                        );
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// A generated window workload: II, resource count, a pool of random
+/// reservation-table shapes, placements `(table, time)` tried in order,
+/// and window start times.
+type WindowScript = (
+    i64,
+    usize,
+    Vec<Vec<(u32, u32)>>,
+    Vec<(usize, i64)>,
+    Vec<i64>,
+);
+
+fn gen_window_script(g: &mut Gen) -> WindowScript {
+    // Windows of one, two and three words; past 64 resources a table's
+    // masks take two words a row; offsets past 63 miss the MRT's
+    // precomputed reductions.
+    let ii = [g.unscaled(1..10), g.unscaled(60..70), g.unscaled(120..200)][g.unscaled(0..3usize)];
+    let nres = g.unscaled(1..70usize);
+    let ntables = g.usize_in(1, 6);
+    let tables = (0..ntables)
+        .map(|_| {
+            let len = g.usize_in(1, 5);
+            (0..len)
+                .map(|_| (g.unscaled(0..nres as u32), g.unscaled(0..80u32)))
+                .collect()
+        })
+        .collect();
+    let places = g.vec_with(3 * ii as usize, |g| {
+        (g.usize_in(0, ntables), g.unscaled(-2 * ii..3 * ii))
+    });
+    let starts = (0..8).map(|_| g.unscaled(-3 * ii..4 * ii)).collect();
+    (ii, nres, tables, places, starts)
+}
+
+#[test]
+fn window_fit_words_agree_with_reference_scan() {
+    // Every word of a window read at once must answer what per-slot
+    // probes of the reference answer, from start times below zero, inside
+    // the table and past its mirror; the word after the window is empty.
+    check(
+        "window_fit_words_agree_with_reference_scan",
+        &PropConfig::with_cases(64),
+        &[],
+        gen_window_script,
+        |(ii, nres, tables, places, starts)| {
+            let (ii, nres) = (*ii, *nres);
+            let tabs: Vec<ReservationTable> = tables
+                .iter()
+                .map(|uses| {
+                    ReservationTable::new(uses.iter().map(|&(r, t)| (ResourceId(r), t)).collect())
+                })
+                .collect();
+            let masks: Vec<ConflictMask> = tabs
+                .iter()
+                .map(|t| ConflictMask::compile(t, nres))
+                .collect();
+            let mut mrt = Mrt::new(ii, nres);
+            let mut oracle = RefMrt::new(ii, nres);
+            for (i, &(ti, t)) in places.iter().enumerate() {
+                if !oracle.conflicts(&tabs[ti], t) && !self_collides(&tabs[ti], t, ii) {
+                    mrt.place(NodeId(i as u32), &masks[ti], t);
+                    oracle.place(NodeId(i as u32), &tabs[ti], t);
+                }
+            }
+            for &start in starts {
+                for (tab, mask) in tabs.iter().zip(&masks) {
+                    for word in 0..=(ii as usize).div_ceil(64) {
+                        prop_assert_eq!(
+                            mrt.fit_word(mask, start, word),
+                            oracle.fit_word(tab, start, word),
+                            "II {} window from {} word {}",
+                            ii,
+                            start,
+                            word
                         );
                     }
                 }

@@ -58,7 +58,7 @@ struct MemoKey {
     /// Times of the scheduled operations still MinDist-related to some
     /// unscheduled operation, in scheduling order.
     times: Box<[i64]>,
-    /// MRT occupancy bitset (a copy of [`Mrt::occupancy_words`]).
+    /// MRT occupancy ([`Mrt::occupancy_image`]).
     occ: Box<[u64]>,
 }
 
@@ -79,8 +79,8 @@ struct Dfs<'a, 'm> {
     start: NodeId,
     /// Alternatives that collide with themselves at this II, never tried.
     unusable: Vec<(NodeId, usize)>,
-    /// The MRT maintains its own occupancy bitset; memo keys copy it via
-    /// [`Mrt::occupancy_words`], and probes AND the machine's precompiled
+    /// The MRT maintains its own occupancy bitset; memo keys hold its
+    /// [`Mrt::occupancy_image`], and probes test the machine's precompiled
     /// conflict masks against it.
     mrt: Mrt,
     time: Vec<i64>,
@@ -165,7 +165,7 @@ impl Dfs<'_, '_> {
                 .iter()
                 .map(|&p| self.time[self.order[p].index()])
                 .collect(),
-            occ: self.mrt.occupancy_words().into(),
+            occ: self.mrt.occupancy_image(),
         }
     }
 

@@ -2,9 +2,10 @@
 //!
 //! Every alternative's reservation table is compiled once, at machine
 //! construction, into a `ConflictMask`: per-cycle-offset `u64` bitmasks
-//! over the resource axis. A modulo-reservation-table probe then ANDs
-//! those masks against the MRT's occupancy words instead of scanning
-//! `(resource, offset)` pairs one cell at a time (DESIGN.md §5d).
+//! over the resource axis. The MRT keeps one bit per row for each
+//! resource, so a probe tests one bit per `(resource, offset)` use, and
+//! FindTimeSlot reads the slots of a whole window where an alternative
+//! fits, 64 at a time (DESIGN.md §5d).
 //!
 //! This example dumps the compiled masks of the Cydra-5-like machine —
 //! one line per `(offset, word, mask)` entry, with the resource names
@@ -34,7 +35,7 @@ fn bit_names(m: &MachineModel, word: u32, mask: u64) -> String {
 fn main() {
     let m = cydra();
     println!(
-        "machine `{}`: {} resources -> {} occupancy word(s) per MRT row\n",
+        "machine `{}`: {} resources -> {} mask word(s) per cycle offset\n",
         m.name(),
         m.num_resources(),
         m.num_resources().div_ceil(64)
@@ -73,9 +74,9 @@ fn main() {
     // adder and multiplier are separate functional units, but every
     // operation also occupies one of the four instruction-format fields
     // on its issue cycle — so the add's *first* alternative (field f0,
-    // taken by the multiply) collides while its second (field f1) is
-    // free. Exactly the scan FindTimeSlot runs over an opcode's
-    // alternatives, one AND per mask entry.
+    // taken by the multiply) collides at time 0 while its second (field
+    // f1) is free. FindTimeSlot reads the same answer for every slot of
+    // its window at once: the fit word's bit `i` is slot `i`.
     let ii = 4;
     let mut mrt = Mrt::new(ii, m.num_resources());
     let mul = &m.info(Opcode::Mul).alternatives[0];
@@ -86,19 +87,20 @@ fn main() {
         Opcode::Mul,
         mul.fu
     );
-    println!(
-        "occupancy words by row: {:?}",
-        mrt.occupancy_words()
-            .chunks(mul.mask().words_per_row())
-            .map(|row| row.iter().map(|w| format!("{w:#x}")).collect::<Vec<_>>())
-            .collect::<Vec<_>>()
-    );
+    let reserved: Vec<_> = (0..m.num_resources())
+        .filter_map(|r| {
+            let rows: Vec<i64> = (0..ii).filter(|&t| mrt.occupant(t, r).is_some()).collect();
+            (!rows.is_empty()).then(|| format!("{} {rows:?}", m.resources()[r].name))
+        })
+        .collect();
+    println!("reserved rows by resource: {}", reserved.join(", "));
     for add in &m.info(Opcode::Add).alternatives {
         println!(
-            "probe {} alternative `{}` at time 0 -> conflicts: {}",
+            "probe {} alternative `{}` at time 0 -> conflicts: {}; fits at window slots {:#06b}",
             Opcode::Add,
             add.fu,
-            mrt.conflicts(add.mask(), 0)
+            mrt.conflicts(add.mask(), 0),
+            mrt.fit_word(add.mask(), 0, 0)
         );
     }
     let mut colliders = Vec::new();
@@ -111,10 +113,10 @@ fn main() {
     );
 
     // Evict (§3.4 forced placement does exactly this) and show the table
-    // drains back to all-zero words.
+    // drains back to an all-zero image.
     mrt.remove(NodeId(0), mul.mask(), 0);
     println!(
         "after evicting: occupancy all zero = {}",
-        mrt.occupancy_words().iter().all(|&w| w == 0)
+        mrt.occupancy_image().iter().all(|&w| w == 0)
     );
 }
